@@ -136,14 +136,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_ARG_OF_KEY = {
-    "case": "case", "mesh": "mesh", "grid": "grid", "k": "k",
-    "levels": "levels", "s": "s", "c": "c", "rhoE": "rhoE", "rhoF": "rhoF",
-    "E": "E", "nu": "nu", "tauE": "tauE", "tauA": "tauA", "out": "out",
-    "verbose": "verbose", "dump-system": "dump_system",
-}
-
-
 def parse_config(ns: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(mode=ns.mode)
     if ns.config:
@@ -158,7 +150,7 @@ def parse_config(ns: argparse.Namespace) -> RunConfig:
             except ValueError as exc:
                 raise ConfigError(f"bad value for '{key}': {exc}") from None
     for key, (field_name, _) in _KEYS.items():
-        value = getattr(ns, _ARG_OF_KEY[key])
+        value = getattr(ns, key.replace("-", "_"))
         if value is None:
             continue
         if key == "s":

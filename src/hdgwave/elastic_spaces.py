@@ -1,5 +1,5 @@
-"""Element spaces for the stress unknown: spin matrices, the cubic bubble,
-and the divergence-free curl enrichment.
+"""Element spaces for the stress unknown: the cubic bubble and the
+divergence-free curl enrichment.
 
 A 2D skew matrix field is M(p) = [[0, p], [-p, 0]] for a scalar polynomial
 p; its row-wise matrix curl equals grad p.  The stress space on a triangle K
@@ -18,11 +18,8 @@ cancellation, not an assumption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.signal import convolve2d
 
 from .quadbasis import ReferenceBasis, map_to_physical, scalar_space_dim
 
@@ -60,16 +57,6 @@ def bubble_matrix_2d(triangle, points):
     return float(values[0]) if squeeze else values
 
 
-def spin_curl(p_coeffs) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix curl of [[0, p], [-p, 0]] as (x, y) coefficient arrays.
-
-    With curl taken row-wise, curl M(p) = grad p; coefficients follow the
-    numpy 2D polynomial convention c[i, j] <-> x^i y^j.
-    """
-    c = np.atleast_2d(np.asarray(p_coeffs, dtype=float))
-    return _polyder_x(c), _polyder_y(c)
-
-
 def _polyder_x(c: np.ndarray) -> np.ndarray:
     return npoly.polyder(c, axis=0) if c.shape[0] > 1 else np.zeros((1, c.shape[1]))
 
@@ -78,29 +65,18 @@ def _polyder_y(c: np.ndarray) -> np.ndarray:
     return npoly.polyder(c, axis=1) if c.shape[1] > 1 else np.zeros((c.shape[0], 1))
 
 
-@dataclass
-class SpinBasis:
-    """Skew matrix basis M(p_i) over the element scalar basis p_i."""
+def _polymul2d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of two 2D coefficient arrays (c[i, j] <-> x^i y^j).
 
-    k: int
-    ref: ReferenceBasis
-    v0: np.ndarray
-    inv_jacobian: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.ref.n_scalar
-
-    def scalar_values(self, points_phys) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points_phys, dtype=float))
-        return self.ref.eval_values((pts - self.v0) @ self.inv_jacobian.T)
-
-    def eval(self, points_phys) -> np.ndarray:
-        sv = self.scalar_values(points_phys)
-        out = np.zeros((self.dim, sv.shape[1], 2, 2))
-        out[:, :, 0, 1] = sv
-        out[:, :, 1, 0] = -sv
-        return out
+    Rows padded to the product's width turn the 2D product into one 1D
+    convolution of the flattened arrays, with no carry between rows.
+    """
+    rows, cols = a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1
+    pa = np.zeros((a.shape[0], cols))
+    pa[:, : a.shape[1]] = a
+    pb = np.zeros((b.shape[0], cols))
+    pb[:, : b.shape[1]] = b
+    return np.convolve(pa.ravel(), pb.ravel())[: rows * cols].reshape(rows, cols)
 
 
 class StressBasis:
@@ -143,7 +119,7 @@ class StressBasis:
             arr[1, 0] = cx * h
             arr[0, 1] = cy * h
             lam_u.append(arr)
-        bubble = convolve2d(convolve2d(lam_u[0], lam_u[1]), lam_u[2])
+        bubble = _polymul2d(_polymul2d(lam_u[0], lam_u[1]), lam_u[2])
 
         phys = map_to_physical(self.ref, self.triangle)
         uq = (phys.points - self.v0) / h
@@ -157,8 +133,8 @@ class StressBasis:
             # physical derivatives carry 1/h per order in the u frame
             px = _polyder_x(p) / h
             py = _polyder_y(p) / h
-            w1 = convolve2d(bubble, px)
-            w2 = convolve2d(bubble, py)
+            w1 = _polymul2d(bubble, px)
+            w2 = _polymul2d(bubble, py)
             comp = (
                 -_polyder_y(w1) / h,  # (0,0)
                 _polyder_x(w1) / h,   # (0,1)
@@ -235,12 +211,6 @@ class StressBasis:
         """Matrix-normal trace: values contracted with a unit normal."""
         vals = self.eval(points_phys)
         return np.einsum("nmrc,c->nmr", vals, np.asarray(normal, dtype=float))
-
-
-def build_spin_basis(k: int, triangle, ref: ReferenceBasis) -> SpinBasis:
-    tri = np.asarray(triangle, dtype=float)
-    jac = np.column_stack([tri[1] - tri[0], tri[2] - tri[0]])
-    return SpinBasis(k=k, ref=ref, v0=tri[0], inv_jacobian=np.linalg.inv(jac))
 
 
 def build_stress_basis(k: int, triangle, ref: ReferenceBasis,

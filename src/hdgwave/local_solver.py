@@ -27,13 +27,8 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .elastic_spaces import StressBasis, build_stress_basis
-from .mesh import Mesh
-from .quadbasis import (
-    ReferenceBasis,
-    build_reference_basis,
-    edge_basis_values,
-    map_to_physical,
-)
+from .mesh import FaceRule, Mesh, face_rule
+from .quadbasis import ReferenceBasis, build_reference_basis, map_to_physical
 
 
 def lame_parameters(young: float, poisson: float) -> tuple[float, float]:
@@ -54,10 +49,10 @@ _DEFAULT_LAM, _DEFAULT_MU = lame_parameters(1.0, 0.3)
 class ModelParams:
     """Material and scheme parameters shared by both subproblems.
 
-    ``s`` is the complex frequency of the transformed problem.  Solvability
-    of the discrete system needs Re(s*tau) > 0 for both stabilization
-    parameters, which is checked here so invalid configurations fail before
-    any assembly happens.
+    ``s`` is the complex frequency of the transformed problem.  Every value
+    must be finite, and solvability of the discrete system needs
+    Re(s*tau) > 0 for both stabilization parameters; both are checked here
+    so invalid configurations fail before any assembly happens.
     """
 
     s: complex = 2.0 - 1.0j
@@ -70,6 +65,9 @@ class ModelParams:
     tau_a: float = 1.0
 
     def __post_init__(self):
+        for name in ("s", "c", "rho_e", "rho_f", "lam", "mu", "tau_e", "tau_a"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.mu <= 0.0:
             raise ValueError("shear modulus must be positive")
         if self.lam < 0.0:
@@ -122,21 +120,18 @@ class SingularLocalSystem(RuntimeError):
     """Raised when an element volume block has a vanishing pivot."""
 
 
-_LOCAL_EDGES = ((0, 1), (1, 2), (2, 0))
-
-
 @dataclass
-class FaceTables:
-    """Per-face evaluation data in the element's outward orientation."""
+class FaceTables(FaceRule):
+    """The rule of one face plus the element's data on it.
+
+    ``points``, ``weights`` and ``basis`` are those of the face's
+    ``face_rule``, so both neighbours integrate the face identically.
+    """
 
     face_id: int
-    length: float
-    normal: np.ndarray    # outward unit normal of this element
-    param: np.ndarray     # quadrature positions along the canonical direction
-    points: np.ndarray    # (nfq, 2) physical
-    weights: np.ndarray   # (nfq,) physical measure
-    scalar: np.ndarray    # (n_scalar, nfq) element scalar basis traces
-    trace: np.ndarray     # (k+1, nfq) orthonormal face basis (1/sqrt(len) scaled)
+    normal: np.ndarray          # outward unit normal of this element
+    scalar: np.ndarray          # (n_scalar, nfq) element scalar basis traces
+    scalar_moments: np.ndarray  # (n_scalar, k+1): int basis_m * scalar_i
     stress_n: np.ndarray | None = None  # (n_stress, nfq, 2)
 
 
@@ -161,20 +156,9 @@ class ElementTables:
         return self.scalar.shape[0]
 
 
-def _lex_min_first(pa: np.ndarray, pb: np.ndarray) -> bool:
-    if pa[0] != pb[0]:
-        return pa[0] < pb[0]
-    return pa[1] < pb[1]
-
-
 def build_element_tables(mesh: Mesh, elem: int, ref: ReferenceBasis,
                          check_rank: bool = True) -> ElementTables:
-    """Evaluate every basis table one element needs for assembly.
-
-    Face quadrature runs along the canonical (lexicographic) direction of
-    each face so that both neighbors integrate against identical face basis
-    functions.
-    """
+    """Evaluate every basis table one element needs for assembly."""
     verts = mesh.triangle(elem)
     phys = map_to_physical(ref, verts)
     domain = str(mesh.tri_domain[elem])
@@ -186,28 +170,21 @@ def build_element_tables(mesh: Mesh, elem: int, ref: ReferenceBasis,
         stress = build_stress_basis(k, verts, ref, check_rank=check_rank)
 
     faces: list[FaceTables] = []
-    for le, (i0, i1) in enumerate(_LOCAL_EDGES):
-        pa, pb = verts[i0], verts[i1]
-        ca, cb = (pa, pb) if _lex_min_first(pa, pb) else (pb, pa)
-        t = ref.edge.points
-        pts = ca[None, :] + t[:, None] * (cb - ca)[None, :]
-        d = pb - pa
-        length = float(np.linalg.norm(d))
-        normal = np.array([d[1], -d[0]]) / length
-        xi = (pts - verts[0]) @ phys.inv_jacobian.T
-        scalar_f = ref.eval_values(xi)
-        trace = edge_basis_values(k, t) / np.sqrt(length)
-        stress_n = stress.eval_normal(pts, normal) if stress is not None else None
+    for fid in mesh.element_faces[elem]:
+        face = mesh.faces[fid]
+        rule = face_rule(mesh, fid, k, ref.quad.exact_degree)
+        normal = next(sd.sign for sd in face.sides if sd.element == elem) * face.normal
+        scalar_f = ref.eval_values((rule.points - verts[0]) @ phys.inv_jacobian.T)
+        stress_n = stress.eval_normal(rule.points, normal) if stress is not None else None
         faces.append(
             FaceTables(
-                face_id=int(mesh.element_faces[elem, le]),
-                length=length,
+                points=rule.points,
+                weights=rule.weights,
+                basis=rule.basis,
+                face_id=int(fid),
                 normal=normal,
-                param=t,
-                points=pts,
-                weights=ref.edge.weights * length,
                 scalar=scalar_f,
-                trace=trace,
+                scalar_moments=rule.moment_matrix(scalar_f),
                 stress_n=stress_n,
             )
         )
@@ -331,14 +308,12 @@ def _elastic_ops(tables: ElementTables, params: ModelParams, tau) -> _Ops:
 
     for f, ft in enumerate(tables.faces):
         tau_f = taus[f]
-        fw, fb, svf, tn = ft.weights, ft.trace, ft.scalar, ft.stress_n
+        fw, fb, svf, tn = ft.weights, ft.basis, ft.scalar, ft.stress_n
+        fm = ft.scalar_moments  # (n_p, k+1)
         rows = slice(f * blk, (f + 1) * blk)
 
-        bs_x = np.einsum("p,mp,ip->im", fw, fb, tn[:, :, 0], optimize=True)
-        bs_y = np.einsum("p,mp,ip->im", fw, fb, tn[:, :, 1], optimize=True)
-        b[:n_sig, rows] = np.concatenate([bs_x, bs_y], axis=1)
-
-        fm = np.einsum("p,mp,ip->im", fw, fb, svf, optimize=True)  # (n_p, k+1)
+        bs = np.concatenate([ft.moment_matrix(tn[:, :, c]) for c in (0, 1)], axis=1)
+        b[:n_sig, rows] = bs
         b[n_sig : n_sig + n_p, rows.start : rows.start + kp1] = tau_f * fm
         b[n_sig + n_p : n_sig + n_u, rows.start + kp1 : rows.stop] = tau_f * fm
 
@@ -349,7 +324,7 @@ def _elastic_ops(tables: ElementTables, params: ModelParams, tau) -> _Ops:
         m_us[:n_p, :] -= np.einsum("p,jp,ip->ij", fw, tn[:, :, 0], svf, optimize=True)
         m_us[n_p:, :] -= np.einsum("p,jp,ip->ij", fw, tn[:, :, 1], svf, optimize=True)
 
-        c_mat[rows, :n_sig] = np.concatenate([bs_x, bs_y], axis=1).T
+        c_mat[rows, :n_sig] = bs.T
         c_mat[rows.start : rows.start + kp1, n_sig : n_sig + n_p] = -tau_f * fm.T
         c_mat[rows.start + kp1 : rows.stop, n_sig + n_p : n_sig + n_u] = -tau_f * fm.T
 
@@ -415,10 +390,10 @@ def _acoustic_ops(tables: ElementTables, params: ModelParams, tau) -> _Ops:
 
     for f, ft in enumerate(tables.faces):
         tau_f = taus[f]
-        fw, fb, svf, n = ft.weights, ft.trace, ft.scalar, ft.normal
+        fw, fb, svf, n = ft.weights, ft.basis, ft.scalar, ft.normal
+        fm = ft.scalar_moments  # (n_p, k+1)
         rows = slice(f * kp1, (f + 1) * kp1)
 
-        fm = np.einsum("p,mp,ip->im", fw, fb, svf, optimize=True)   # (n_p, k+1)
         fmass_s = np.einsum("p,ip,jp->ij", fw, svf, svf, optimize=True)
         fmass_f = np.einsum("p,mp,np->mn", fw, fb, fb, optimize=True)
 
@@ -547,11 +522,8 @@ def reconstruct_flux(tables: ElementTables, params: ModelParams,
             sig_n = np.einsum("j,jpc->pc", sig, ft.stress_n)
             u_val = np.stack([ft.scalar.T @ uc[:n_p], ft.scalar.T @ uc[n_p:]], axis=1)
             th = traces[f * blk : (f + 1) * blk]
-            uhat_val = np.stack([ft.trace.T @ th[:kp1], ft.trace.T @ th[kp1:]], axis=1)
-            flux = sig_n - taus[f] * (u_val - uhat_val)
-            cx = np.einsum("p,mp,p->m", ft.weights, ft.trace, flux[:, 0])
-            cy = np.einsum("p,mp,p->m", ft.weights, ft.trace, flux[:, 1])
-            out.append(np.concatenate([cx, cy]))
+            uhat_val = np.stack([ft.basis.T @ th[:kp1], ft.basis.T @ th[kp1:]], axis=1)
+            out.append(ft.moments(sig_n - taus[f] * (u_val - uhat_val)))
     else:
         taus = _tau_faces(tau, params.tau_a)
         qc = volume[: 2 * n_p]
@@ -559,9 +531,8 @@ def reconstruct_flux(tables: ElementTables, params: ModelParams,
         for f, ft in enumerate(tables.faces):
             q_val = np.stack([ft.scalar.T @ qc[:n_p], ft.scalar.T @ qc[n_p:]], axis=1)
             v_val = ft.scalar.T @ vc
-            vhat_val = ft.trace.T @ traces[f * kp1 : (f + 1) * kp1]
-            flux = q_val @ ft.normal - taus[f] * (v_val - vhat_val)
-            out.append(np.einsum("p,mp,p->m", ft.weights, ft.trace, flux))
+            vhat_val = ft.basis.T @ traces[f * kp1 : (f + 1) * kp1]
+            out.append(ft.moments(q_val @ ft.normal - taus[f] * (v_val - vhat_val)))
     return out
 
 

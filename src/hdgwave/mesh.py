@@ -6,8 +6,9 @@ box are solid (domain ``E``), the rest fluid (domain ``A``).  Each face
 stores one global frame: canonical endpoint order is lexicographic in the
 coordinates, the unit normal is the tangent rotated by -90 degrees, and
 every adjacent element records the sign relating its outward normal to the
-stored one.  Red refinement quarters each triangle and child boundary faces
-inherit the parent kind.
+stored one.  ``face_rule`` integrates along that canonical direction, so both
+neighbours of a face share its quadrature and basis.  Red refinement
+quarters each triangle and child boundary faces inherit the parent kind.
 
 The plain-text ``hdgmesh v1`` format serializes vertices, triangles with
 their domain tag, and faces with their kind; adjacency, normals, and
@@ -16,11 +17,14 @@ lengths are derived on load.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
+
+from .quadbasis import edge_basis_values, make_edge_quadrature
 
 
 class FaceKind(str, Enum):
@@ -75,14 +79,6 @@ class Mesh:
     @property
     def n_faces(self) -> int:
         return len(self.faces)
-
-    @property
-    def triangles_e(self) -> np.ndarray:
-        return self.tri_vertices[self.tri_domain == "E"]
-
-    @property
-    def triangles_a(self) -> np.ndarray:
-        return self.tri_vertices[self.tri_domain == "A"]
 
     @property
     def h(self) -> float:
@@ -453,6 +449,53 @@ def face_endpoints(mesh: Mesh, face_id: int) -> tuple[np.ndarray, np.ndarray]:
     return mesh.vertices[face.vertices[0]], mesh.vertices[face.vertices[1]]
 
 
+@functools.lru_cache(maxsize=None)
+def _edge_table(k: int, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss nodes and weights on [0, 1] and the edge basis of degree k there."""
+    rule = make_edge_quadrature(degree)
+    return rule.points, rule.weights, edge_basis_values(k, rule.points)
+
+
+@dataclass
+class FaceRule:
+    """Quadrature and orthonormal basis along a face's canonical direction.
+
+    Every face integral goes through one rule per face, so both neighbours
+    of a face test against identical basis values at identical points.
+    """
+
+    points: np.ndarray   # (n, 2)
+    weights: np.ndarray  # (n,) physical measure
+    basis: np.ndarray    # (k+1, n), orthonormal in L2 of the face
+
+    def moments(self, vals) -> np.ndarray:
+        """Moments of point values against the basis.
+
+        Vector values of shape (n, 2) give the component-major stack
+        (x modes, then y modes).
+        """
+        vals = np.asarray(vals, dtype=complex)
+        if vals.ndim == 2:
+            return np.concatenate([self.moments(vals[:, 0]), self.moments(vals[:, 1])])
+        return np.einsum("p,mp,p->m", self.weights, self.basis, vals)
+
+    def moment_matrix(self, funcs: np.ndarray) -> np.ndarray:
+        """Moments of tabulated functions (n_funcs, n) as an (n_funcs, k+1) matrix."""
+        return np.einsum("p,mp,ip->im", self.weights, self.basis, funcs, optimize=True)
+
+
+def face_rule(mesh: Mesh, face_id: int, k: int, degree: int | None = None) -> FaceRule:
+    """Rule on one face, exact through ``degree`` (default 2k+6)."""
+    a, b = face_endpoints(mesh, face_id)
+    t, w, basis = _edge_table(k, 2 * k + 6 if degree is None else degree)
+    length = mesh.faces[face_id].length
+    return FaceRule(
+        points=a[None, :] + t[:, None] * (b - a)[None, :],
+        weights=w * length,
+        basis=basis / np.sqrt(length),
+    )
+
+
 def elastic_side_normal(mesh: Mesh, face_id: int) -> np.ndarray:
     """Outward normal of the solid element adjacent to an interface face."""
     face = mesh.faces[face_id]
@@ -495,9 +538,12 @@ def load_mesh(path) -> Mesh:
         return int(parts[1])
 
     nv = expect_section("vertices")
-    vertices = np.array(
-        [[float(x) for x in tokens[pos + i].split()] for i in range(nv)]
-    )
+    vertices = np.empty((nv, 2))
+    for i in range(nv):
+        coords = [float(x) for x in tokens[pos + i].split()]
+        if len(coords) != 2 or not np.all(np.isfinite(coords)):
+            raise ValueError(f"bad vertex record {i}: {tokens[pos + i]!r}")
+        vertices[i] = coords
     pos += nv
     nt = expect_section("triangles")
     tris = np.empty((nt, 3), dtype=int)
@@ -506,7 +552,11 @@ def load_mesh(path) -> Mesh:
         parts = tokens[pos + i].split()
         if len(parts) != 4 or parts[3] not in ("E", "A"):
             raise ValueError(f"bad triangle record: {tokens[pos + i]!r}")
-        tris[i] = [int(p) for p in parts[:3]]
+        ids = [int(p) for p in parts[:3]]
+        if not all(0 <= v < nv for v in ids):
+            raise ValueError(f"triangle record {i} has a vertex id outside "
+                             f"[0, {nv}): {tokens[pos + i]!r}")
+        tris[i] = ids
         domains[i] = parts[3]
     pos += nt
     nf = expect_section("faces")

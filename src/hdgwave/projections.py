@@ -16,47 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .local_solver import ElementTables, ModelParams
-from .mesh import Mesh, face_endpoints
-from .quadbasis import edge_basis_values, make_edge_quadrature
+from .mesh import Mesh, face_rule
 
 
-@dataclass(frozen=True)
-class FaceRule:
-    """Quadrature and orthonormal basis along a face's canonical direction."""
-
-    points: np.ndarray   # (n, 2)
-    weights: np.ndarray  # (n,) physical measure
-    basis: np.ndarray    # (k+1, n)
-
-
-def face_rule(mesh: Mesh, face_id: int, k: int, degree: int | None = None) -> FaceRule:
-    a, b = face_endpoints(mesh, face_id)
-    rule = make_edge_quadrature(degree if degree is not None else 2 * k + 6)
-    t = rule.points
-    length = mesh.faces[face_id].length
-    return FaceRule(
-        points=a[None, :] + t[:, None] * (b - a)[None, :],
-        weights=rule.weights * length,
-        basis=edge_basis_values(k, t) / np.sqrt(length),
-    )
-
-
-def project_face_scalar(mesh: Mesh, face_id: int, k: int, fn,
-                        degree: int | None = None) -> np.ndarray:
-    """Coefficients of the face-wise L2 projection of a scalar function."""
+def project_face(mesh: Mesh, face_id: int, k: int, fn,
+                 degree: int | None = None) -> np.ndarray:
+    """Coefficients of the face-wise L2 projection of a scalar function, or
+    component-major (x modes, then y modes) ones of a vector function."""
     fr = face_rule(mesh, face_id, k, degree)
-    vals = np.asarray(fn(fr.points), dtype=complex)
-    return np.einsum("p,mp,p->m", fr.weights, fr.basis, vals)
-
-
-def project_face_vector(mesh: Mesh, face_id: int, k: int, fn,
-                        degree: int | None = None) -> np.ndarray:
-    """Component-major (x modes, then y modes) face projection of a vector."""
-    fr = face_rule(mesh, face_id, k, degree)
-    vals = np.asarray(fn(fr.points), dtype=complex)
-    cx = np.einsum("p,mp,p->m", fr.weights, fr.basis, vals[:, 0])
-    cy = np.einsum("p,mp,p->m", fr.weights, fr.basis, vals[:, 1])
-    return np.concatenate([cx, cy])
+    return fr.moments(fn(fr.points))
 
 
 def project_volume_scalar(tables: ElementTables, fn) -> np.ndarray:
@@ -113,15 +81,14 @@ def _project_pair(tables: ElementTables, tau: float, vec_fn, scalar_fn) -> Proje
 
     base = 3 * n_km1
     for f, ft in enumerate(tables.faces):
-        fm = np.einsum("p,mp,ip->im", ft.weights, ft.trace, ft.scalar, optimize=True)
+        fm = ft.scalar_moments
         rows = slice(base + f * (k + 1), base + (f + 1) * (k + 1))
         a[rows, :n_k] = ft.normal[0] * fm.T
         a[rows, n_k : 2 * n_k] = ft.normal[1] * fm.T
         a[rows, 2 * n_k :] = -tau * fm.T
         fvec = np.asarray(vec_fn(ft.points), dtype=complex)
         fsc = np.asarray(scalar_fn(ft.points), dtype=complex)
-        flux = fvec @ ft.normal - tau * fsc
-        b[rows] = np.einsum("p,mp,p->m", ft.weights, ft.trace, flux)
+        b[rows] = ft.moments(fvec @ ft.normal - tau * fsc)
 
     x = np.linalg.solve(a, b)
     residual = float(np.linalg.norm(a @ x - b) / max(1.0, np.linalg.norm(b)))
@@ -168,11 +135,6 @@ def project_elastic(tables: ElementTables, params: ModelParams, sigma_fn, u_fn,
     return ProjectedElastic(sigma=sigma_c, u=u_c, residual=worst)
 
 
-def project_spin(tables: ElementTables, p_fn) -> np.ndarray:
-    """L2 projection of the scalar generator of a skew field onto degree k."""
-    return project_volume_scalar(tables, p_fn)
-
-
 def compute_theta(assembler, solution, fields) -> float:
     """Distance between the discrete solution and the projected exact one.
 
@@ -192,7 +154,7 @@ def compute_theta(assembler, solution, fields) -> float:
         parts = solution.parts
         if tab.domain == "E":
             pe = project_elastic(tab, params, fields.sigma, fields.u)
-            pg = project_spin(tab, fields.gamma_p)
+            pg = project_volume_scalar(tab, fields.gamma_p)
             sig_h = np.einsum("j,jqrc->qrc", parts["sigma"][elem], tab.stress_vals)
             sig_p = np.einsum("rcj,jq->qrc", pe.sigma, sv)
             total += float(np.einsum("q,qrc->", w, np.abs(sig_p - sig_h) ** 2).real)

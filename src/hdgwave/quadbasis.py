@@ -161,18 +161,15 @@ class ReferenceBasis:
 
     ``coeffs`` column j holds basis function j in the graded monomial basis,
     so the basis can be evaluated at arbitrary points; ``values``/``grads``
-    are pretabulated at the nodes of ``quad``.  ``face_values`` tabulates the
-    unit-interval edge basis at the nodes of ``edge``.
+    are pretabulated at the nodes of ``quad``.
     """
 
     k: int
     quad: QuadratureRule
-    edge: QuadratureRule
     exponents: np.ndarray
     coeffs: np.ndarray
     values: np.ndarray
     grads: np.ndarray
-    face_values: np.ndarray
     monomial_gram_condition: float
 
     @property
@@ -201,23 +198,19 @@ def build_reference_basis(k: int, quad_degree: int | None = None) -> ReferenceBa
         quad_degree = 2 * k + 6
     quad_degree = max(quad_degree, 2 * k)
     quad = make_quadrature(quad_degree)
-    edge = make_edge_quadrature(quad_degree)
     exponents = monomial_exponents(k)
     mono = _monomial_values(exponents, quad.points)
     gram = (mono * quad.weights) @ mono.T
     condition = float(np.linalg.cond(gram))
     coeffs, values = _orthonormalize(mono, quad.weights)
     grads = np.einsum("jn,jmd->nmd", coeffs, _monomial_grads(exponents, quad.points))
-    face_values = edge_basis_values(k, edge.points)
     return ReferenceBasis(
         k=k,
         quad=quad,
-        edge=edge,
         exponents=exponents,
         coeffs=coeffs,
         values=values,
         grads=grads,
-        face_values=face_values,
         monomial_gram_condition=condition,
     )
 

@@ -24,8 +24,7 @@ from scipy.io import mmwrite
 from scipy.sparse.linalg import splu
 
 from .local_solver import Assembler, LocalSystem, ModelParams, reconstruct_flux
-from .mesh import FaceKind, Mesh, elastic_side_normal
-from .projections import face_rule
+from .mesh import FaceKind, Mesh, elastic_side_normal, face_rule
 
 
 class SingularSkeletonSystem(RuntimeError):
@@ -82,10 +81,6 @@ def build_dof_map(mesh: Mesh, k: int) -> DofMap:
                   n_dofs=next_free)
 
 
-def _moments(fr, vals) -> np.ndarray:
-    return np.einsum("p,mp,p->m", fr.weights, fr.basis, np.asarray(vals, dtype=complex))
-
-
 def _fixed_traces(mesh: Mesh, k: int, data: ProblemData):
     """Face-basis coefficients of the eliminated Dirichlet traces."""
     fixed_uhat: dict[int, np.ndarray] = {}
@@ -96,16 +91,13 @@ def _fixed_traces(mesh: Mesh, k: int, data: ProblemData):
                 fixed_vhat[fid] = np.zeros(k + 1, dtype=complex)
             else:
                 fr = face_rule(mesh, fid, k)
-                fixed_vhat[fid] = _moments(fr, data.dirichlet(fr.points))
+                fixed_vhat[fid] = fr.moments(data.dirichlet(fr.points))
         elif face.kind is FaceKind.ELASTIC_BOUNDARY:
             if data.u_dirichlet is None:
                 fixed_uhat[fid] = np.zeros(2 * (k + 1), dtype=complex)
             else:
                 fr = face_rule(mesh, fid, k)
-                vals = np.asarray(data.u_dirichlet(fr.points), dtype=complex)
-                fixed_uhat[fid] = np.concatenate(
-                    [_moments(fr, vals[:, 0]), _moments(fr, vals[:, 1])]
-                )
+                fixed_uhat[fid] = fr.moments(data.u_dirichlet(fr.points))
     return fixed_uhat, fixed_vhat
 
 
@@ -253,7 +245,7 @@ def _face_terms(assembler: Assembler, data: ProblemData, dofmap: DofMap,
             side = face.sides[0]
             n_out = side.sign * face.normal
             fr = face_rule(mesh, fid, k)
-            rhs[r_idx] += _moments(fr, data.neumann(fr.points, n_out))
+            rhs[r_idx] += fr.moments(data.neumann(fr.points, n_out))
         elif face.kind is FaceKind.GAMMA:
             n_e = elastic_side_normal(mesh, fid)
             n_a = -n_e
@@ -273,17 +265,17 @@ def _face_terms(assembler: Assembler, data: ProblemData, dofmap: DofMap,
             fr = face_rule(mesh, fid, k)
             if data.grad_v_inc is not None:
                 gv = np.asarray(data.grad_v_inc(fr.points), dtype=complex)
-                rhs[v_idx] -= _moments(fr, gv @ n_a)
+                rhs[v_idx] -= fr.moments(gv @ n_a)
             if data.g1 is not None:
-                rhs[v_idx] += _moments(fr, data.g1(fr.points, n_e))
+                rhs[v_idx] += fr.moments(data.g1(fr.points, n_e))
             if data.v_inc is not None:
-                vi = _moments(fr, data.v_inc(fr.points))
+                vi = fr.moments(data.v_inc(fr.points))
                 rhs[ux_idx] -= rho_f * s * n_a[0] * vi
                 rhs[uy_idx] -= rho_f * s * n_a[1] * vi
             if data.g2 is not None:
-                g2v = np.asarray(data.g2(fr.points, n_e), dtype=complex)
-                rhs[ux_idx] += _moments(fr, g2v[:, 0])
-                rhs[uy_idx] += _moments(fr, g2v[:, 1])
+                g2m = fr.moments(data.g2(fr.points, n_e))
+                rhs[ux_idx] += g2m[:kp1]
+                rhs[uy_idx] += g2m[kp1:]
 
 
 def solve_assembled(system: AssembledSystem) -> np.ndarray:
@@ -441,20 +433,19 @@ def conservation_report(assembler: Assembler, data: ProblemData,
             r1 = fa - s * (n_e[0] * uh[:kp1] + n_e[1] * uh[kp1:])
             if data.grad_v_inc is not None:
                 gv = np.asarray(data.grad_v_inc(fr.points), dtype=complex)
-                r1 += _moments(fr, gv @ n_a)
+                r1 += fr.moments(gv @ n_a)
             if data.g1 is not None:
-                r1 -= _moments(fr, data.g1(fr.points, n_e))
+                r1 -= fr.moments(data.g1(fr.points, n_e))
             report["gamma_velocity"] = max(report["gamma_velocity"],
                                            float(np.abs(r1).max()))
             v_tot = vh.astype(complex).copy()
             if data.v_inc is not None:
-                v_tot += _moments(fr, data.v_inc(fr.points))
+                v_tot += fr.moments(data.v_inc(fr.points))
             r2 = -np.concatenate([fe[:kp1], fe[kp1:]]) + rho_f * s * np.concatenate(
                 [n_a[0] * v_tot, n_a[1] * v_tot]
             )
             if data.g2 is not None:
-                g2v = np.asarray(data.g2(fr.points, n_e), dtype=complex)
-                r2 -= np.concatenate([_moments(fr, g2v[:, 0]), _moments(fr, g2v[:, 1])])
+                r2 -= fr.moments(data.g2(fr.points, n_e))
             report["gamma_traction"] = max(report["gamma_traction"],
                                            float(np.abs(r2).max()))
         elif face.kind is FaceKind.GAMMA_AN:
@@ -463,7 +454,7 @@ def conservation_report(assembler: Assembler, data: ProblemData,
             if data.neumann is not None:
                 fr = face_rule(mesh, fid, k)
                 n_out = side.sign * face.normal
-                r -= _moments(fr, data.neumann(fr.points, n_out))
+                r -= fr.moments(data.neumann(fr.points, n_out))
             report["neumann"] = max(report["neumann"], float(np.abs(r).max()))
     return report
 
@@ -499,8 +490,8 @@ def energy_quantities(assembler: Assembler, solution: FieldSolution) -> dict[str
             uc = vol[tab.stress_vals.shape[0] : tab.stress_vals.shape[0] + 2 * n_p]
             for f, ft in enumerate(tab.faces):
                 th = tr[f * 2 * kp1 : (f + 1) * 2 * kp1]
-                ux = ft.scalar.T @ uc[:n_p] - ft.trace.T @ th[:kp1]
-                uy = ft.scalar.T @ uc[n_p:] - ft.trace.T @ th[kp1:]
+                ux = ft.scalar.T @ uc[:n_p] - ft.basis.T @ th[:kp1]
+                uy = ft.scalar.T @ uc[n_p:] - ft.basis.T @ th[kp1:]
                 mism = float(np.sum(ft.weights * (np.abs(ux) ** 2 + np.abs(uy) ** 2)))
                 e_solid += (params.s * params.tau_e).real * mism
         else:
@@ -511,7 +502,7 @@ def energy_quantities(assembler: Assembler, solution: FieldSolution) -> dict[str
             )
             vc = vol[2 * n_p :]
             for f, ft in enumerate(tab.faces):
-                vv = ft.scalar.T @ vc - ft.trace.T @ tr[f * kp1 : (f + 1) * kp1]
+                vv = ft.scalar.T @ vc - ft.basis.T @ tr[f * kp1 : (f + 1) * kp1]
                 e_fluid += (params.s * params.tau_a).real * params.rho_f * float(
                     np.sum(ft.weights * np.abs(vv) ** 2)
                 )

@@ -18,7 +18,7 @@ import numpy as np
 
 from .local_solver import Assembler, ModelParams, hooke_apply
 from .mesh import FaceKind, Mesh, build_structured_coupled, refine
-from .projections import compute_theta, project_face_scalar, project_face_vector
+from .projections import compute_theta, project_face
 from .skeleton import FieldSolution, ProblemData, solve_problem
 
 
@@ -379,7 +379,7 @@ def compute_errors(assembler: Assembler, solution: FieldSolution,
             for fid in mesh.element_faces[elem]:
                 fid = int(fid)
                 if fid not in proj_u:
-                    proj_u[fid] = project_face_vector(mesh, fid, k, exact.u)
+                    proj_u[fid] = project_face(mesh, fid, k, exact.u)
                 tr_u += h_k * float(
                     np.linalg.norm(proj_u[fid] - solution.uhat[fid]) ** 2
                 )
@@ -394,7 +394,7 @@ def compute_errors(assembler: Assembler, solution: FieldSolution,
             for fid in mesh.element_faces[elem]:
                 fid = int(fid)
                 if fid not in proj_v:
-                    proj_v[fid] = project_face_scalar(mesh, fid, k, exact.v)
+                    proj_v[fid] = project_face(mesh, fid, k, exact.v)
                 tr_v += h_k * float(
                     np.linalg.norm(proj_v[fid] - solution.vhat[fid]) ** 2
                 )

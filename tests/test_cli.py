@@ -131,6 +131,17 @@ def test_ill_posed_frequency_exits_2(capsys, tmp_path):
     assert "well-posedness" in err
 
 
+@pytest.mark.parametrize("flag", [
+    ["--c", "nan"], ["--rhoE", "inf"], ["--rhoF", "nan"], ["--E", "inf"],
+    ["--nu", "nan"], ["--tauE", "inf"], ["--tauA", "nan"], ["--s=nan,-1"],
+    ["--s=2,inf"],
+])
+def test_non_finite_parameter_exits_2(flag, capsys, tmp_path):
+    # exit code 2 comes from the configuration stage, before any assembly
+    assert main(["solve", "--case", "acoustic61", *flag, "--out", str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_bad_degree_exits_2(capsys, tmp_path):
     assert main(["study", "--k", "9", "--out", str(tmp_path)]) == 2
 

@@ -1,19 +1,24 @@
 """Stress space on a triangle: matrix polynomials plus the curl-bubble
-enrichment, and the skew (spin) basis.
+enrichment.
 
 The enrichment members are checked against an independent symbolic route:
 row r of member j must be parallel to the rotated gradient of
 b_K * d/dx_r of the generating monomial, with b_K the cubic bubble.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import sympy as sp
 
+import hdgwave
+
 from hdgwave.elastic_spaces import (
     barycentric_coords,
     bubble_matrix_2d,
-    build_spin_basis,
     build_stress_basis,
     spin_space_dim,
     stress_space_dim,
@@ -166,20 +171,17 @@ def test_tensor_block_layout_is_slot_major():
         assert np.abs(block[:, :, mask]).max() == 0.0
 
 
-def test_spin_basis_is_skew_with_scalar_generator():
-    ref = build_reference_basis(2)
-    spin = build_spin_basis(2, SKEW_TRI, ref)
-    pts = np.array([[0.4, 0.2], [0.6, 0.5]])
-    vals = spin.eval(pts)
-    sv = spin.scalar_values(pts)
-    assert np.abs(vals[:, :, 0, 0]).max() == 0.0
-    assert np.abs(vals[:, :, 1, 1]).max() == 0.0
-    assert np.abs(vals[:, :, 0, 1] - sv).max() < 1e-13
-    assert np.abs(vals[:, :, 1, 0] + sv).max() < 1e-13
-    assert spin.dim == spin_space_dim(2)
-
-
 def test_degree_mismatch_rejected():
     ref = build_reference_basis(2)
     with pytest.raises(ValueError):
         build_stress_basis(3, REF_TRI, ref)
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    src = os.path.dirname(os.path.dirname(hdgwave.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, hdgwave; print('scipy.signal' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    assert done.stdout.strip() == "False"

@@ -24,8 +24,7 @@ from hdgwave.local_solver import (
     lame_parameters,
     reconstruct_flux,
 )
-from hdgwave.mesh import build_structured_coupled
-from hdgwave.projections import face_rule
+from hdgwave.mesh import FaceKind, build_structured_coupled, face_rule
 from hdgwave.quadbasis import build_reference_basis
 
 S = 2.0 - 1.0j
@@ -85,6 +84,16 @@ def test_model_params_well_posedness_guard():
         ModelParams(rho_f=0.0)
     # a rotated s with positive real part passes
     ModelParams(s=0.5 + 3.0j)
+
+
+@pytest.mark.parametrize("bad", [
+    dict(c=np.nan), dict(rho_e=np.inf), dict(rho_f=np.nan), dict(lam=np.inf),
+    dict(mu=np.nan), dict(tau_e=np.nan), dict(tau_a=np.inf),
+    dict(s=complex(np.nan, -1.0)), dict(s=complex(2.0, np.inf)),
+])
+def test_model_params_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        ModelParams(**bad)
 
 
 def test_from_young_poisson_roundtrip():
@@ -217,7 +226,7 @@ def test_acoustic_local_consistency(k):
         flux = loc.condensed_map @ t + loc.rhs_trace
         for f, ft in enumerate(tab.faces):
             qn = exact.q(ft.points) @ ft.normal
-            mom = np.einsum("p,mp,p->m", ft.weights, ft.trace, qn)
+            mom = np.einsum("p,mp,p->m", ft.weights, ft.basis, qn)
             assert np.abs(flux[f * (k + 1):(f + 1) * (k + 1)] - mom).max() < 1e-11
 
 
@@ -251,8 +260,8 @@ def test_elastic_local_consistency(k):
             sn = np.einsum("prc,c->pr", exact.sigma(ft.points), ft.normal)
             mom = np.concatenate(
                 [
-                    np.einsum("p,mp,p->m", ft.weights, ft.trace, sn[:, 0]),
-                    np.einsum("p,mp,p->m", ft.weights, ft.trace, sn[:, 1]),
+                    np.einsum("p,mp,p->m", ft.weights, ft.basis, sn[:, 0]),
+                    np.einsum("p,mp,p->m", ft.weights, ft.basis, sn[:, 1]),
                 ]
             )
             blk = slice(f * 2 * kp1, (f + 1) * 2 * kp1)
@@ -395,3 +404,26 @@ def test_assembler_tables_translate_points():
         assert np.allclose(tab.verts, mesh.triangle(elem))
         for le, ft in enumerate(tab.faces):
             assert ft.face_id == mesh.element_faces[elem, le]
+
+
+def test_both_sides_of_a_face_see_its_face_rule():
+    mesh = build_structured_coupled(
+        2, (-2.0, -2.0, 2.0, 2.0), (-1.0, -1.0, 1.0, 1.0), jitter=0.15, seed=3
+    )
+    k = 2
+    ref = build_reference_basis(k)
+    tables = [build_element_tables(mesh, e, ref) for e in range(mesh.n_elements)]
+    kinds = set()
+    for fid, face in enumerate(mesh.faces):
+        if len(face.sides) != 2:
+            continue
+        kinds.add(face.kind)
+        fr = face_rule(mesh, fid, k)
+        for side in face.sides:
+            ft = tables[side.element].faces[side.local_edge]
+            assert ft.face_id == fid
+            assert np.array_equal(ft.points, fr.points)
+            assert np.array_equal(ft.weights, fr.weights)
+            assert np.array_equal(ft.basis, fr.basis)
+            assert np.array_equal(ft.normal, side.sign * face.normal)
+    assert kinds == {FaceKind.INTERIOR_A, FaceKind.INTERIOR_E, FaceKind.GAMMA}

@@ -5,8 +5,12 @@ grid over a w x h box has 2*w*h*n^2 triangles, and edge counts follow from
 3T = 2*interior + boundary.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdgwave.mesh import (
     ACOUSTIC_TRACE_KINDS,
@@ -235,3 +239,52 @@ def test_load_rejects_wrong_header(tmp_path):
     path.write_text("not a mesh\n")
     with pytest.raises(ValueError):
         load_mesh(str(path))
+
+
+@pytest.mark.parametrize("section,record,message", [
+    ("triangles", "-1 1 2 A", "triangle record 0"),
+    ("triangles", "0 1 4 A", "triangle record 0"),
+    ("vertices", "nan 0", "vertex record 0"),
+    ("vertices", "0 inf", "vertex record 0"),
+])
+def test_load_rejects_bad_records(tmp_path, section, record, message):
+    path = tmp_path / "mesh.txt"
+    save_mesh(unit_square(1), str(path))  # 4 vertices, 2 triangles
+    lines = path.read_text().splitlines()
+    header = next(i for i, line in enumerate(lines) if line.startswith(section))
+    lines[header + 1] = record
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=message):
+        load_mesh(str(path))
+
+
+_FUZZ_VERTICES = ("0 0", "1 0", "1 1", "0 1", "0.5 0.5")
+_FUZZ_FAN = (0, 1, 4, 1, 2, 4, 2, 3, 4, 3, 0, 4)  # four triangles around vertex 4
+
+
+@settings(max_examples=80, deadline=None)
+@given(n_tris=st.integers(1, 4),
+       edits=st.lists(st.tuples(st.integers(0, 11), st.integers()), max_size=3))
+def test_load_accepts_or_rejects_any_triangle_ids(tmp_path_factory, n_tris, edits):
+    ids = list(_FUZZ_FAN[: 3 * n_tris])
+    for pos, value in edits:
+        ids[pos % len(ids)] = value
+    tris = [tuple(ids[i : i + 3]) for i in range(0, len(ids), 3)]
+    # faces are listed as a well-formed file would list them, so that valid
+    # triangulations load and every rejection comes from the triangle ids
+    edges = Counter(
+        (min(a, b), max(a, b)) for tri in tris for a, b in zip(tri, tri[1:] + tri[:1])
+    )
+    lines = ["hdgmesh v1", f"vertices {len(_FUZZ_VERTICES)}", *_FUZZ_VERTICES,
+             f"triangles {len(tris)}", *(f"{a} {b} {c} A" for a, b, c in tris),
+             f"faces {len(edges)}",
+             *(f"{a} {b} {'interiorA' if n == 2 else 'gammaAD'}"
+               for (a, b), n in edges.items())]
+    path = tmp_path_factory.getbasetemp() / "fuzz_ids.mesh"
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        mesh = load_mesh(str(path))
+    except ValueError:
+        return
+    assert mesh.tri_vertices.min() >= 0
+    assert mesh.tri_vertices.max() < len(_FUZZ_VERTICES)

@@ -16,9 +16,7 @@ from hdgwave.projections import (
     face_rule,
     project_acoustic,
     project_elastic,
-    project_face_scalar,
-    project_face_vector,
-    project_spin,
+    project_face,
     project_volume_scalar,
 )
 from hdgwave.quadbasis import build_reference_basis
@@ -63,7 +61,7 @@ def test_face_projection_reproduces_polynomials(k):
     poly = lambda p: (0.3 + p[:, 0] - 0.5 * p[:, 1]) ** k
 
     for fid in (0, 3, 7):
-        coef = project_face_scalar(mesh, fid, k, poly)
+        coef = project_face(mesh, fid, k, poly)
         fr = face_rule(mesh, fid, k)
         recon = fr.basis.T @ coef
         assert np.abs(recon - poly(fr.points)).max() < 1e-12
@@ -72,7 +70,7 @@ def test_face_projection_reproduces_polynomials(k):
 def test_face_projection_matches_least_squares_oracle():
     mesh = build_structured_coupled(2, (0.0, 0.0, 1.0, 1.0))
     k, fid = 2, 5
-    coef = project_face_scalar(mesh, fid, k, smooth_v)
+    coef = project_face(mesh, fid, k, smooth_v)
     fr = face_rule(mesh, fid, k)
     # independent route: weighted least squares on a dense sampling
     w = np.sqrt(fr.weights)
@@ -85,16 +83,16 @@ def test_face_projection_matches_least_squares_oracle():
 def test_face_vector_projection_stacks_components():
     mesh = build_structured_coupled(2, (0.0, 0.0, 1.0, 1.0))
     k, fid = 2, 4
-    coef = project_face_vector(mesh, fid, k, smooth_q)
-    cx = project_face_scalar(mesh, fid, k, lambda p: smooth_q(p)[:, 0])
-    cy = project_face_scalar(mesh, fid, k, lambda p: smooth_q(p)[:, 1])
+    coef = project_face(mesh, fid, k, smooth_q)
+    cx = project_face(mesh, fid, k, lambda p: smooth_q(p)[:, 0])
+    cy = project_face(mesh, fid, k, lambda p: smooth_q(p)[:, 1])
     assert np.abs(coef - np.concatenate([cx, cy])).max() < 1e-14
 
 
 def test_face_projection_error_is_orthogonal_to_face_space():
     mesh = build_structured_coupled(2, (0.0, 0.0, 1.0, 1.0))
     k, fid = 3, 2
-    coef = project_face_scalar(mesh, fid, k, smooth_v)
+    coef = project_face(mesh, fid, k, smooth_v)
     fr = face_rule(mesh, fid, k, degree=2 * k + 12)
     from hdgwave.quadbasis import edge_basis_values  # same dense nodes
 
@@ -168,7 +166,7 @@ def test_acoustic_projection_residual_and_defining_equations(k, tau):
             [ft.scalar.T @ proj.vec[:n_k], ft.scalar.T @ proj.vec[n_k:]], axis=1
         )
         flux_proj = q_h @ ft.normal - tau * (ft.scalar.T @ proj.scalar)
-        m = np.einsum("p,mp,p->m", ft.weights, ft.trace, flux_exact - flux_proj)
+        m = np.einsum("p,mp,p->m", ft.weights, ft.basis, flux_exact - flux_proj)
         assert np.abs(m).max() < 1e-12 * scale
 
 
@@ -211,12 +209,6 @@ def test_flux_matching_projection_reproduces_polynomials(k):
     v_h = sv.T @ proj.scalar
     assert np.abs(q_h - poly_q(tab.points)).max() < 1e-11
     assert np.abs(v_h - poly_v(tab.points)).max() < 1e-11
-
-
-def test_spin_projection_is_plain_l2():
-    _, tab = coupled_tables(2)
-    fn = lambda p: np.sin(p[:, 0]) + p[:, 1] ** 2
-    assert np.abs(project_spin(tab, fn) - project_volume_scalar(tab, fn)).max() == 0.0
 
 
 def test_projection_works_on_jittered_elements():

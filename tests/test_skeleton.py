@@ -7,7 +7,7 @@ import scipy.sparse as sp
 
 from hdgwave.local_solver import Assembler, ModelParams
 from hdgwave.mesh import FaceKind, build_structured_coupled
-from hdgwave.projections import face_rule, project_face_scalar, project_face_vector
+from hdgwave.projections import project_face
 from hdgwave.skeleton import (
     AssembledSystem,
     ProblemData,
@@ -113,7 +113,7 @@ def test_dirichlet_traces_are_face_projections():
     seen = 0
     for fid, face in enumerate(mesh.faces):
         if face.kind is FaceKind.GAMMA_AD:
-            coef = project_face_scalar(mesh, fid, 2, case.exact.v)
+            coef = project_face(mesh, fid, 2, case.exact.v)
             assert np.abs(sol.vhat[fid] - coef).max() < 1e-13
             seen += 1
     assert seen == 8
@@ -125,7 +125,7 @@ def test_elastic_dirichlet_traces_are_face_projections():
     sol, _ = solve_problem(mesh, 1, case.params, case.data)
     for fid, face in enumerate(mesh.faces):
         if face.kind is FaceKind.ELASTIC_BOUNDARY:
-            coef = project_face_vector(mesh, fid, 1, case.exact.u)
+            coef = project_face(mesh, fid, 1, case.exact.u)
             assert np.abs(sol.uhat[fid] - coef).max() < 1e-13
 
 
