@@ -201,8 +201,9 @@ def _mode_study(cfg: RunConfig, case) -> int:
     return 0
 
 
-def _mode_solve(cfg: RunConfig, case) -> int:
-    mesh = load_mesh(cfg.mesh) if cfg.mesh else case.mesh_at(0)
+def _mode_solve(cfg: RunConfig, case, mesh) -> int:
+    if mesh is None:
+        mesh = case.mesh_at(0)
     assembler = Assembler(mesh, cfg.k, case.params)
     out = _out_dir(cfg)
     dump_prefix = os.path.join(out, "system") if cfg.dump_system else None
@@ -304,14 +305,19 @@ def main(argv: list[str] | None = None) -> int:
             case = None
         else:
             case = _case_from_config(cfg)  # validates case name and parameters
+        # a malformed mesh file is rejected before any assembly work
+        mesh = load_mesh(cfg.mesh) if cfg.mode == "solve" and cfg.mesh else None
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # an unreadable mesh file is an I/O failure
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     try:
         if cfg.mode == "study":
             return _mode_study(cfg, case)
         if cfg.mode == "solve":
-            return _mode_solve(cfg, case)
+            return _mode_solve(cfg, case, mesh)
         return _mode_selftest(cfg)
     except Exception as exc:  # noqa: BLE001 - runtime failures map to exit 1
         print(f"error: {exc}", file=sys.stderr)

@@ -14,8 +14,11 @@ spin) and (flux, scalar).
 
 Structured meshes contain only a handful of translation classes of
 triangles, so the ``Assembler`` caches tables and matrix blocks per class
-(edge-vector signature); source moments and boundary data are always
-evaluated per element.
+(edge-vector signature); face rules, source moments and boundary data are
+always those of the element itself.
+
+Post-processing (error norms, projections) reads the tables of blocks of
+same-domain elements stacked on a leading element axis (``BlockTables``).
 """
 
 from __future__ import annotations
@@ -206,6 +209,112 @@ def build_element_tables(mesh: Mesh, elem: int, ref: ReferenceBasis,
     )
 
 
+BLOCK_SIZE = 256  # elements per post-processing block
+
+
+@dataclass
+class BlockTables:
+    """The tables of a block of same-domain elements, stacked element-first.
+
+    Face arrays carry a local-face axis after the element axis; the face
+    basis is the element's ``face_rule`` basis, so face moments of a block
+    match those of ``FaceRule.moments`` face by face.
+    """
+
+    elems: np.ndarray           # (nb,)
+    domain: str
+    k: int
+    h: np.ndarray               # (nb,) element diameters
+    points: np.ndarray          # (nb, nq, 2)
+    weights: np.ndarray         # (nb, nq)
+    scalar: np.ndarray          # (nb, n_scalar, nq)
+    stress_vals: np.ndarray | None  # (nb, n_stress, nq, 2, 2), solid blocks
+    face_ids: np.ndarray        # (nb, 3)
+    face_points: np.ndarray     # (nb, 3, nfq, 2)
+    face_weights: np.ndarray    # (nb, 3, nfq)
+    face_basis: np.ndarray      # (nb, 3, k+1, nfq)
+    normals: np.ndarray         # (nb, 3, 2) outward
+    scalar_moments: np.ndarray  # (nb, 3, n_scalar, k+1)
+
+    @property
+    def n_scalar(self) -> int:
+        return self.scalar.shape[1]
+
+    def at_points(self, coef: np.ndarray) -> np.ndarray:
+        """Values at the volume points of scalar-basis coefficients
+        (nb, ..., n_scalar), as (nb, nq, ...)."""
+        nb, n_p, nq = self.scalar.shape
+        vals = coef.reshape(nb, -1, n_p) @ self.scalar
+        return vals.transpose(0, 2, 1).reshape((nb, nq) + coef.shape[1:-1])
+
+    def stress_at_points(self, coef: np.ndarray) -> np.ndarray:
+        """Values (nb, nq, 2, 2) of stress-basis coefficients (nb, n_stress)."""
+        nb, n_s, nq = self.stress_vals.shape[:3]
+        table = self.stress_vals.reshape(nb, n_s, -1)
+        coef = coef[:, None, :]
+        vals = coef.real @ table + 1j * (coef.imag @ table)
+        return vals.reshape(nb, nq, 2, 2)
+
+    def sample_volume(self, fn) -> np.ndarray:
+        """Values (nb, nq, ...) of a pointwise function at the volume points."""
+        vals = np.asarray(fn(self.points.reshape(-1, 2)), dtype=complex)
+        return vals.reshape(self.points.shape[:2] + vals.shape[1:])
+
+    def sample(self, fn) -> tuple[np.ndarray, np.ndarray]:
+        """Values of a pointwise function at the volume points (nb, nq, ...)
+        and at the face points (nb, 3, nfq, ...), from one call."""
+        vol = self.points.reshape(-1, 2)
+        pts = np.concatenate([vol, self.face_points.reshape(-1, 2)])
+        vals = np.asarray(fn(pts), dtype=complex)
+        tail = vals.shape[1:]
+        return (vals[: len(vol)].reshape(self.points.shape[:2] + tail),
+                vals[len(vol) :].reshape(self.face_points.shape[:3] + tail))
+
+    def l2sq(self, vals: np.ndarray) -> float:
+        """Sum over the block of the squared L2 norms of values (nb, nq, ...)."""
+        sq = np.abs(vals.reshape(vals.shape[:2] + (-1,))) ** 2
+        return float(np.einsum("eq,eqr->", self.weights, sq))
+
+    def face_moments(self, vals: np.ndarray) -> np.ndarray:
+        """Moments against the face basis of values (nb, 3, nfq, ...).
+
+        Returns (nb, 3, k+1, ...): one column of moments per trailing index.
+        """
+        flat = vals.reshape(vals.shape[:3] + (-1,))
+        # the same products, summed in the same order, as ``FaceRule.moments``
+        mom = np.einsum("efp,efmp,efpr->efmr", self.face_weights, self.face_basis, flat)
+        return mom.reshape(mom.shape[:3] + vals.shape[3:])
+
+
+def stack_tables(tables: Sequence[ElementTables]) -> BlockTables:
+    """Stack the tables of same-domain elements into one ``BlockTables``."""
+    first = tables[0]
+    faces = [ft for tab in tables for ft in tab.faces]
+    nb = len(tables)
+
+    def face_stack(name: str) -> np.ndarray:
+        arr = np.array([getattr(ft, name) for ft in faces])
+        return arr.reshape((nb, 3) + arr.shape[1:])
+
+    return BlockTables(
+        elems=np.array([tab.elem for tab in tables]),
+        domain=first.domain,
+        k=first.k,
+        h=np.array([tab.h for tab in tables]),
+        points=np.array([tab.points for tab in tables]),
+        weights=np.array([tab.weights for tab in tables]),
+        scalar=np.array([tab.scalar for tab in tables]),
+        stress_vals=(np.array([tab.stress_vals for tab in tables])
+                     if first.domain == "E" else None),
+        face_ids=np.array([ft.face_id for ft in faces]).reshape(nb, 3),
+        face_points=face_stack("points"),
+        face_weights=face_stack("weights"),
+        face_basis=face_stack("basis"),
+        normals=face_stack("normal"),
+        scalar_moments=face_stack("scalar_moments"),
+    )
+
+
 @dataclass
 class LocalSystem:
     """Condensed element system plus the raw blocks that produced it.
@@ -260,8 +369,10 @@ def _tau_faces(tau, default: float) -> tuple[float, float, float]:
 
 
 def _check_pivots(lu, elem: int) -> None:
+    # relative to the largest pivot only: local blocks scale with powers of
+    # the element size, so an absolute floor flags small, well-shaped elements
     diag = np.abs(np.diag(lu[0]))
-    if diag.min() <= 1e-13 * max(diag.max(), 1.0):
+    if diag.min() <= 1e-13 * diag.max():
         raise SingularLocalSystem(
             f"element {elem}: volume block pivot {diag.min():.3e} vanishes"
         )
@@ -576,15 +687,31 @@ class Assembler:
             self._frames[sig] = tab
         else:
             shift = self.mesh.triangle(elem)[0] - rep.verts[0]
-            faces = [
-                replace(ft, face_id=int(self.mesh.element_faces[elem, le]),
-                        points=ft.points + shift)
-                for le, ft in enumerate(rep.faces)
-            ]
+            faces = []
+            for le, ft in enumerate(rep.faces):
+                # the face's own rule, not a shifted copy, so that both
+                # neighbours integrate the face at identical points; weights
+                # and basis depend on the length alone, so an equal length
+                # keeps sharing the class's arrays
+                fid = int(self.mesh.element_faces[elem, le])
+                rule = face_rule(self.mesh, fid, self.k, self.ref.quad.exact_degree)
+                if self.mesh.faces[fid].length == self.mesh.faces[ft.face_id].length:
+                    rule.weights, rule.basis = ft.weights, ft.basis
+                faces.append(replace(ft, face_id=fid, points=rule.points,
+                                     weights=rule.weights, basis=rule.basis))
             tab = replace(rep, elem=elem, verts=rep.verts + shift,
                           points=rep.points + shift, faces=faces)
         self._tables[elem] = tab
         return tab
+
+    def blocks(self):
+        """Stacked tables of every element: solid blocks first, then fluid
+        ones, each of at most ``BLOCK_SIZE`` elements in element order."""
+        for domain in ("E", "A"):
+            elems = np.flatnonzero(self.mesh.tri_domain == domain)
+            for start in range(0, len(elems), BLOCK_SIZE):
+                chunk = elems[start : start + BLOCK_SIZE]
+                yield stack_tables([self.tables(int(e)) for e in chunk])
 
     def local_system(self, elem: int, source=None) -> LocalSystem:
         sig = self._signature(elem)

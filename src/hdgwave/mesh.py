@@ -531,11 +531,17 @@ def load_mesh(path) -> Mesh:
 
     def expect_section(name: str) -> int:
         nonlocal pos
+        if pos >= len(tokens):
+            raise ValueError(f"file ends before the '{name} <count>' line")
         parts = tokens[pos].split()
         if len(parts) != 2 or parts[0] != name:
             raise ValueError(f"expected '{name} <count>' at line {pos + 1}")
         pos += 1
-        return int(parts[1])
+        count = int(parts[1])
+        if pos + count > len(tokens):
+            raise ValueError(f"{name} section expects {count} records, "
+                             f"file has only {len(tokens) - pos}")
+        return count
 
     nv = expect_section("vertices")
     vertices = np.empty((nv, 2))

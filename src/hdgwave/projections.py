@@ -1,4 +1,4 @@
-"""Projections used for boundary elimination and error weighting.
+"""Projections used for boundary elimination, error weighting, and theta.
 
 Face projections are plain L2 projections onto the orthonormal face basis,
 so coefficients are just weighted moments.  The volume projections mimic
@@ -7,6 +7,12 @@ is fixed by L2 moments against polynomials one degree down plus matching
 of the penalized normal flux on every face.  That square system reproduces
 degree-k polynomial pairs exactly and its defect against the discrete
 solution is the quantity whose decay the convergence study tracks.
+
+The volume projections work on blocks of same-domain elements
+(``BlockTables``): the exact fields are sampled once per block and every
+element's system is one slice of a single batched solve.  The one-element
+entry points ``project_acoustic``, ``project_elastic`` and
+``project_volume_scalar`` are blocks of one.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .local_solver import ElementTables, ModelParams
+from .local_solver import BlockTables, ElementTables, ModelParams, stack_tables
 from .mesh import Mesh, face_rule
 
 
@@ -27,13 +33,78 @@ def project_face(mesh: Mesh, face_id: int, k: int, fn,
     return fr.moments(fn(fr.points))
 
 
+def _gram(blk: BlockTables) -> np.ndarray:
+    """Volume mass matrices of the scalar basis, (nb, n_scalar, n_scalar)."""
+    wsv = blk.scalar * blk.weights[:, None, :]
+    return wsv @ blk.scalar.transpose(0, 2, 1)
+
+
+def _project_volume_scalars(blk: BlockTables, vals: np.ndarray) -> np.ndarray:
+    """Element-wise L2 projections of volume values (nb, nq), by Gram solve."""
+    mom = (blk.scalar * blk.weights[:, None, :]) @ vals[:, :, None]
+    return np.linalg.solve(_gram(blk), mom)[:, :, 0]
+
+
 def project_volume_scalar(tables: ElementTables, fn) -> np.ndarray:
     """Element-wise L2 projection onto the scalar space, by Gram solve."""
-    w, sv = tables.weights, tables.scalar
-    vals = np.asarray(fn(tables.points), dtype=complex)
-    gram = np.einsum("q,iq,jq->ij", w, sv, sv, optimize=True)
-    mom = np.einsum("q,iq,q->i", w, sv, vals, optimize=True)
-    return np.linalg.solve(gram, mom)
+    blk = stack_tables([tables])
+    return _project_volume_scalars(blk, blk.sample_volume(fn))[0]
+
+
+def _project_pairs(blk: BlockTables, tau: float, vec_fn, scalar_fn):
+    """Flux-matching projections of m (vector, scalar) pairs on every element.
+
+    ``vec_fn`` maps (n, 2) points to (n, m, 2) values and ``scalar_fn`` to
+    (n, m); pair j is (vec[:, j], scalar[:, j]).  Both are sampled once on
+    the block.  The pairs share one square system per element, so all of
+    them are right-hand sides of one batched solve.  Returns the vector
+    coefficients (nb, m, 2, n_scalar), the scalar ones (nb, m, n_scalar) and
+    the worst relative residual over the pairs of each element (nb,).
+    """
+    vec, face_vec = blk.sample(vec_fn)
+    scalar, face_scalar = blk.sample(scalar_fn)
+    nb, n_k = blk.scalar.shape[:2]
+    kp1 = blk.k + 1
+    n_km1 = n_k - kp1
+    n = 3 * n_k
+    m = scalar.shape[-1]
+    tau = float(tau)
+
+    a = np.zeros((nb, n, n))
+    b = np.zeros((nb, n, m), dtype=complex)
+
+    # moments against every basis function of one degree lower; the graded
+    # orthonormal basis keeps those in the leading block
+    gram = _gram(blk)[:, :n_km1]
+    wsv = blk.scalar[:, :n_km1] * blk.weights[:, None, :]
+    for c, vals in enumerate((vec[..., 0], vec[..., 1], scalar)):
+        rows = slice(c * n_km1, (c + 1) * n_km1)
+        a[:, rows, c * n_k : (c + 1) * n_k] = gram
+        b[:, rows] = wsv @ vals
+
+    # flux matching on each face against the full face space
+    fm_t = blk.scalar_moments.transpose(0, 1, 3, 2)  # (nb, 3, k+1, n_k)
+    nrm = blk.normals[:, :, None, None, :]
+    face_rows = slice(3 * n_km1, n)
+    for c, coef in enumerate((nrm[..., 0], nrm[..., 1], -tau)):
+        a[:, face_rows, c * n_k : (c + 1) * n_k] = (coef * fm_t).reshape(nb, -1, n_k)
+    flux = (face_vec @ blk.normals[:, :, None, :, None])[..., 0] - tau * face_scalar
+    b[:, face_rows] = blk.face_moments(flux).reshape(nb, -1, m)
+
+    # the matrix is real: solve for the real and imaginary parts together
+    xri = np.linalg.solve(a, np.concatenate([b.real, b.imag], axis=2))
+    x = xri[..., :m] + 1j * xri[..., m:]
+    res = np.linalg.norm(a @ x - b, axis=1) / np.maximum(1.0, np.linalg.norm(b, axis=1))
+    coef = x.transpose(0, 2, 1)  # (nb, m, n)
+    return (coef[:, :, : 2 * n_k].reshape(nb, m, 2, n_k), coef[:, :, 2 * n_k :],
+            res.max(axis=1))
+
+
+def _one_pair(vec_fn, scalar_fn):
+    """A (vector, scalar) pair of callables in the m = 1 layout of
+    ``_project_pairs``."""
+    return (lambda pts: np.asarray(vec_fn(pts))[:, None, :],
+            lambda pts: np.asarray(scalar_fn(pts))[:, None])
 
 
 @dataclass(frozen=True)
@@ -52,53 +123,13 @@ class ProjectedPair:
     residual: float
 
 
-def _project_pair(tables: ElementTables, tau: float, vec_fn, scalar_fn) -> ProjectedPair:
-    k = tables.k
-    n_k = tables.n_scalar
-    n_km1 = n_k - (k + 1)
-    n = 3 * n_k
-
-    w, sv = tables.weights, tables.scalar
-    gram = np.einsum("q,iq,jq->ij", w, sv, sv, optimize=True)
-    vec_vals = np.asarray(vec_fn(tables.points), dtype=complex)
-    sc_vals = np.asarray(scalar_fn(tables.points), dtype=complex)
-
-    a = np.zeros((n, n), dtype=complex)
-    b = np.zeros(n, dtype=complex)
-
-    # moments against every basis function of one degree lower; the graded
-    # orthonormal basis keeps those in the leading block
-    a[:n_km1, :n_k] = gram[:n_km1]
-    b[:n_km1] = np.einsum("q,iq,q->i", w, sv[:n_km1], vec_vals[:, 0], optimize=True)
-    a[n_km1 : 2 * n_km1, n_k : 2 * n_k] = gram[:n_km1]
-    b[n_km1 : 2 * n_km1] = np.einsum(
-        "q,iq,q->i", w, sv[:n_km1], vec_vals[:, 1], optimize=True
-    )
-    a[2 * n_km1 : 3 * n_km1, 2 * n_k :] = gram[:n_km1]
-    b[2 * n_km1 : 3 * n_km1] = np.einsum(
-        "q,iq,q->i", w, sv[:n_km1], sc_vals, optimize=True
-    )
-
-    base = 3 * n_km1
-    for f, ft in enumerate(tables.faces):
-        fm = ft.scalar_moments
-        rows = slice(base + f * (k + 1), base + (f + 1) * (k + 1))
-        a[rows, :n_k] = ft.normal[0] * fm.T
-        a[rows, n_k : 2 * n_k] = ft.normal[1] * fm.T
-        a[rows, 2 * n_k :] = -tau * fm.T
-        fvec = np.asarray(vec_fn(ft.points), dtype=complex)
-        fsc = np.asarray(scalar_fn(ft.points), dtype=complex)
-        b[rows] = ft.moments(fvec @ ft.normal - tau * fsc)
-
-    x = np.linalg.solve(a, b)
-    residual = float(np.linalg.norm(a @ x - b) / max(1.0, np.linalg.norm(b)))
-    return ProjectedPair(vec=x[: 2 * n_k], scalar=x[2 * n_k :], residual=residual)
-
-
 def project_acoustic(tables: ElementTables, params: ModelParams, q_fn, v_fn,
                      tau: float | None = None) -> ProjectedPair:
     """Flux-matching projection of an exact (flux, scalar) acoustic pair."""
-    return _project_pair(tables, params.tau_a if tau is None else tau, q_fn, v_fn)
+    tau = params.tau_a if tau is None else tau
+    vec, sc, res = _project_pairs(stack_tables([tables]), tau, *_one_pair(q_fn, v_fn))
+    return ProjectedPair(vec=vec[0, 0].reshape(-1), scalar=sc[0, 0],
+                         residual=float(res[0]))
 
 
 @dataclass(frozen=True)
@@ -116,23 +147,16 @@ def project_elastic(tables: ElementTables, params: ModelParams, sigma_fn, u_fn,
     one (vector, scalar) pair; the projected stress lands in the full
     tensor-valued polynomial space.
     """
-    tau_v = params.tau_e if tau is None else tau
-    n_k = tables.n_scalar
-    sigma_c = np.zeros((2, 2, n_k), dtype=complex)
-    u_c = np.zeros((2, n_k), dtype=complex)
-    worst = 0.0
-    for r in range(2):
-        pair = _project_pair(
-            tables,
-            tau_v,
-            lambda pts, r=r: np.asarray(sigma_fn(pts), dtype=complex)[:, r, :],
-            lambda pts, r=r: np.asarray(u_fn(pts), dtype=complex)[:, r],
-        )
-        sigma_c[r, 0] = pair.vec[:n_k]
-        sigma_c[r, 1] = pair.vec[n_k:]
-        u_c[r] = pair.scalar
-        worst = max(worst, pair.residual)
-    return ProjectedElastic(sigma=sigma_c, u=u_c, residual=worst)
+    tau = params.tau_e if tau is None else tau
+    sig, u, res = _project_pairs(stack_tables([tables]), tau, sigma_fn, u_fn)
+    return ProjectedElastic(sigma=sig[0], u=u[0], residual=float(res[0]))
+
+
+def gather(coefs: dict[int, np.ndarray], keys: np.ndarray) -> np.ndarray:
+    """Stack per-element (or per-face) coefficient vectors along a leading axis."""
+    return np.array([coefs[int(key)] for key in keys.reshape(-1)]).reshape(
+        keys.shape + (-1,)
+    )
 
 
 def compute_theta(assembler, solution, fields) -> float:
@@ -145,31 +169,24 @@ def compute_theta(assembler, solution, fields) -> float:
     exact callables: sigma (n,2,2), u (n,2), gamma_p (n,), q (n,2), v (n,).
     """
     params = assembler.params
-    mesh = assembler.mesh
+    parts = solution.parts
     total = 0.0
-    for elem in range(mesh.n_elements):
-        tab = assembler.tables(elem)
-        w, sv = tab.weights, tab.scalar
-        n_k = tab.n_scalar
-        parts = solution.parts
-        if tab.domain == "E":
-            pe = project_elastic(tab, params, fields.sigma, fields.u)
-            pg = project_volume_scalar(tab, fields.gamma_p)
-            sig_h = np.einsum("j,jqrc->qrc", parts["sigma"][elem], tab.stress_vals)
-            sig_p = np.einsum("rcj,jq->qrc", pe.sigma, sv)
-            total += float(np.einsum("q,qrc->", w, np.abs(sig_p - sig_h) ** 2).real)
-            uc = parts["u"][elem]
-            u_h = np.stack([sv.T @ uc[:n_k], sv.T @ uc[n_k:]], axis=1)
-            u_p = np.einsum("rj,jq->qr", pe.u, sv)
-            total += float(np.einsum("q,qr->", w, np.abs(u_p - u_h) ** 2).real)
-            g_diff = sv.T @ (pg - parts["gamma"][elem])
-            total += 2.0 * float(np.sum(w * np.abs(g_diff) ** 2))
+    for blk in assembler.blocks():
+        nb, n_k = blk.scalar.shape[:2]
+        if blk.domain == "E":
+            sig_p, u_p, _ = _project_pairs(blk, params.tau_e, fields.sigma, fields.u)
+            g_p = _project_volume_scalars(blk, blk.sample_volume(fields.gamma_p))
+            sig_h = blk.stress_at_points(gather(parts["sigma"], blk.elems))
+            total += blk.l2sq(blk.at_points(sig_p) - sig_h)
+            u_h = gather(parts["u"], blk.elems).reshape(nb, 2, n_k)
+            total += blk.l2sq(blk.at_points(u_p - u_h))
+            g_h = gather(parts["gamma"], blk.elems)
+            total += 2.0 * blk.l2sq(blk.at_points(g_p - g_h))
         else:
-            pa = project_acoustic(tab, params, fields.q, fields.v)
-            qc = parts["q"][elem]
-            q_h = np.stack([sv.T @ qc[:n_k], sv.T @ qc[n_k:]], axis=1)
-            q_p = np.stack([sv.T @ pa.vec[:n_k], sv.T @ pa.vec[n_k:]], axis=1)
-            total += float(np.einsum("q,qr->", w, np.abs(q_p - q_h) ** 2).real)
-            v_diff = sv.T @ (pa.scalar - parts["v"][elem])
-            total += float(np.sum(w * np.abs(v_diff) ** 2))
+            pair = _one_pair(fields.q, fields.v)
+            q_p, v_p, _ = _project_pairs(blk, params.tau_a, *pair)
+            q_h = gather(parts["q"], blk.elems).reshape(nb, 2, n_k)
+            total += blk.l2sq(blk.at_points(q_p[:, 0] - q_h))
+            v_h = gather(parts["v"], blk.elems)
+            total += blk.l2sq(blk.at_points(v_p[:, 0] - v_h))
     return float(np.sqrt(total))

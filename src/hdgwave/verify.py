@@ -18,7 +18,7 @@ import numpy as np
 
 from .local_solver import Assembler, ModelParams, hooke_apply
 from .mesh import FaceKind, Mesh, build_structured_coupled, refine
-from .projections import compute_theta, project_face
+from .projections import compute_theta, gather
 from .skeleton import FieldSolution, ProblemData, solve_problem
 
 
@@ -347,69 +347,40 @@ def compute_errors(assembler: Assembler, solution: FieldSolution,
 
     Trace norms follow the mesh-dependent convention: the squared face error
     is weighted by the diameter of each adjacent element (interior faces
-    therefore count once per side).  The skew field error uses the Frobenius
-    norm of its matrix form.
+    therefore count once per side).  The face error is that of the trace
+    against the face-wise L2 projection of the exact field.  The skew field
+    error uses the Frobenius norm of its matrix form.
     """
-    mesh = assembler.mesh
-    k = assembler.k
-    kp1 = k + 1
-    acc = {name: 0.0 for name in ("sigma", "u", "gamma", "q", "v")}
-    tr_u = 0.0
-    tr_v = 0.0
-    proj_u: dict[int, np.ndarray] = {}
-    proj_v: dict[int, np.ndarray] = {}
-
-    for elem in range(mesh.n_elements):
-        tab = assembler.tables(elem)
-        w = tab.weights
-        n_p = tab.n_scalar
-        h_k = tab.h
-        if tab.domain == "E":
-            sig_h = np.einsum("j,jqrc->qrc", solution.parts["sigma"][elem],
-                              tab.stress_vals)
-            diff = sig_h - np.asarray(exact.sigma(tab.points), dtype=complex)
-            acc["sigma"] += float(np.einsum("q,qrc->", w, np.abs(diff) ** 2))
-            uc = solution.parts["u"][elem]
-            u_h = np.stack([tab.scalar.T @ uc[:n_p], tab.scalar.T @ uc[n_p:]], axis=1)
-            diff = u_h - np.asarray(exact.u(tab.points), dtype=complex)
-            acc["u"] += float(np.einsum("q,qr->", w, np.abs(diff) ** 2))
-            g_h = tab.scalar.T @ solution.parts["gamma"][elem]
-            diff = g_h - np.asarray(exact.gamma_p(tab.points), dtype=complex)
-            acc["gamma"] += 2.0 * float(np.sum(w * np.abs(diff) ** 2))
-            for fid in mesh.element_faces[elem]:
-                fid = int(fid)
-                if fid not in proj_u:
-                    proj_u[fid] = project_face(mesh, fid, k, exact.u)
-                tr_u += h_k * float(
-                    np.linalg.norm(proj_u[fid] - solution.uhat[fid]) ** 2
-                )
+    parts = solution.parts
+    acc = dict.fromkeys(("sigma", "u", "gamma", "q", "v", "uhat", "vhat"), 0.0)
+    for blk in assembler.blocks():
+        nb, n_p = blk.scalar.shape[:2]
+        if blk.domain == "E":
+            u_ex, face_u = blk.sample(exact.u)
+            sig_h = blk.stress_at_points(gather(parts["sigma"], blk.elems))
+            acc["sigma"] += blk.l2sq(sig_h - blk.sample_volume(exact.sigma))
+            u_h = blk.at_points(gather(parts["u"], blk.elems).reshape(nb, 2, n_p))
+            acc["u"] += blk.l2sq(u_h - u_ex)
+            g_h = blk.at_points(gather(parts["gamma"], blk.elems))
+            acc["gamma"] += 2.0 * blk.l2sq(g_h - blk.sample_volume(exact.gamma_p))
+            # (nb, 3, k+1, 2) moments -> component-major trace layout
+            proj = blk.face_moments(face_u).transpose(0, 1, 3, 2).reshape(nb, 3, -1)
+            trace_err = proj - gather(solution.uhat, blk.face_ids)
+            acc["uhat"] += float(blk.h @ np.sum(np.abs(trace_err) ** 2, axis=(1, 2)))
         else:
-            qc = solution.parts["q"][elem]
-            q_h = np.stack([tab.scalar.T @ qc[:n_p], tab.scalar.T @ qc[n_p:]], axis=1)
-            diff = q_h - np.asarray(exact.q(tab.points), dtype=complex)
-            acc["q"] += float(np.einsum("q,qr->", w, np.abs(diff) ** 2))
-            v_h = tab.scalar.T @ solution.parts["v"][elem]
-            diff = v_h - np.asarray(exact.v(tab.points), dtype=complex)
-            acc["v"] += float(np.sum(w * np.abs(diff) ** 2))
-            for fid in mesh.element_faces[elem]:
-                fid = int(fid)
-                if fid not in proj_v:
-                    proj_v[fid] = project_face(mesh, fid, k, exact.v)
-                tr_v += h_k * float(
-                    np.linalg.norm(proj_v[fid] - solution.vhat[fid]) ** 2
-                )
+            v_ex, face_v = blk.sample(exact.v)
+            q_h = blk.at_points(gather(parts["q"], blk.elems).reshape(nb, 2, n_p))
+            acc["q"] += blk.l2sq(q_h - blk.sample_volume(exact.q))
+            acc["v"] += blk.l2sq(blk.at_points(gather(parts["v"], blk.elems)) - v_ex)
+            trace_err = blk.face_moments(face_v) - gather(solution.vhat, blk.face_ids)
+            acc["vhat"] += float(blk.h @ np.sum(np.abs(trace_err) ** 2, axis=(1, 2)))
 
-    out: dict[str, float] = {}
+    names = []
     if exact.sigma is not None:
-        out["sigma"] = math.sqrt(acc["sigma"])
-        out["u"] = math.sqrt(acc["u"])
-        out["gamma"] = math.sqrt(acc["gamma"])
-        out["uhat"] = math.sqrt(tr_u)
+        names += ["sigma", "u", "gamma", "uhat"]
     if exact.v is not None:
-        out["q"] = math.sqrt(acc["q"])
-        out["v"] = math.sqrt(acc["v"])
-        out["vhat"] = math.sqrt(tr_v)
-    return out
+        names += ["q", "v", "vhat"]
+    return {name: math.sqrt(acc[name]) for name in names}
 
 
 def eoc(err_coarse: float, err_fine: float, h_coarse: float, h_fine: float) -> float:

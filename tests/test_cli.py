@@ -219,6 +219,26 @@ def test_solve_on_mesh_file(tmp_path, capsys):
     assert "elements=32" in capsys.readouterr().out
 
 
+def _break_triangle_id(lines):
+    header = next(i for i, line in enumerate(lines) if line.startswith("triangles"))
+    nv = int(lines[1].split()[1])
+    lines[header + 1] = f"0 1 {nv} A"
+    return lines
+
+
+@pytest.mark.parametrize("edit", [_break_triangle_id, lambda lines: lines[:-1]],
+                         ids=["triangle-id-equal-to-nv", "truncated"])
+def test_malformed_mesh_file_exits_2(tmp_path, capsys, edit):
+    path = tmp_path / "bad.mesh"
+    save_mesh(build_structured_coupled(2, (0.0, 0.0, 1.0, 1.0)), str(path))
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    rc = main(["solve", "--case", "acoustic61", "--mesh", str(path),
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_selftest_passes(tmp_path, capsys):
     assert main(["selftest", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out

@@ -16,6 +16,7 @@ import pytest
 from hdgwave.local_solver import (
     Assembler,
     ModelParams,
+    SingularLocalSystem,
     assemble_acoustic_local,
     assemble_elastic_local,
     build_element_tables,
@@ -24,7 +25,7 @@ from hdgwave.local_solver import (
     lame_parameters,
     reconstruct_flux,
 )
-from hdgwave.mesh import FaceKind, build_structured_coupled, face_rule
+from hdgwave.mesh import FaceKind, build_structured_coupled, face_rule, load_mesh
 from hdgwave.quadbasis import build_reference_basis
 
 S = 2.0 - 1.0j
@@ -406,6 +407,20 @@ def test_assembler_tables_translate_points():
             assert ft.face_id == mesh.element_faces[elem, le]
 
 
+def test_assembler_tables_use_each_face_rule():
+    # structured meshes reuse tables per translation class; the face rule
+    # of a reused element must still be its face's own, bit for bit
+    mesh = build_structured_coupled(4, (-2.0, -2.0, 2.0, 2.0), (-1.0, -1.0, 1.0, 1.0))
+    k = 2
+    asm = Assembler(mesh, k, ModelParams(s=S))
+    for elem in range(mesh.n_elements):
+        for ft in asm.tables(elem).faces:
+            fr = face_rule(mesh, ft.face_id, k)
+            assert np.array_equal(ft.points, fr.points)
+            assert np.array_equal(ft.weights, fr.weights)
+            assert np.array_equal(ft.basis, fr.basis)
+
+
 def test_both_sides_of_a_face_see_its_face_rule():
     mesh = build_structured_coupled(
         2, (-2.0, -2.0, 2.0, 2.0), (-1.0, -1.0, 1.0, 1.0), jitter=0.15, seed=3
@@ -427,3 +442,35 @@ def test_both_sides_of_a_face_see_its_face_rule():
             assert np.array_equal(ft.basis, fr.basis)
             assert np.array_equal(ft.normal, side.sign * face.normal)
     assert kinds == {FaceKind.INTERIOR_A, FaceKind.INTERIOR_E, FaceKind.GAMMA}
+
+
+# -- pivot check -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("scale", [1e-7, 1e6])
+@pytest.mark.parametrize("domain", ["A", "E"])
+def test_pivot_check_is_scale_free(domain, scale):
+    # local blocks scale with powers of h; a well-shaped element of any size
+    # must assemble (an absolute pivot floor rejected h ~ 1e-7)
+    mesh = build_structured_coupled(2, (0.0, 0.0, 1.0, 1.0), domain=domain)
+    mesh.vertices = mesh.vertices * scale
+    for face in mesh.faces:
+        face.length *= scale
+    mesh.h_e *= scale
+    mesh.h_a *= scale
+    for k in (1, 3):
+        locs = Assembler(mesh, k, ModelParams(s=S)).all_locals()
+        assert all(np.isfinite(loc.condensed_map).all() for loc in locs)
+
+
+@pytest.mark.parametrize("domain,kind", [("A", "gammaAD"), ("E", "elasticBoundary")])
+def test_degenerate_element_raises(tmp_path, domain, kind):
+    # a sliver of aspect ratio 1e12 still passes the mesh checks
+    path = tmp_path / "sliver.mesh"
+    path.write_text(
+        "hdgmesh v1\nvertices 3\n0 0\n1 0\n0.5 1e-12\n"
+        f"triangles 1\n0 1 2 {domain}\n"
+        f"faces 3\n0 1 {kind}\n1 2 {kind}\n0 2 {kind}\n"
+    )
+    with pytest.raises(SingularLocalSystem, match="element 0"):
+        Assembler(load_mesh(str(path)), 2, ModelParams(s=S)).all_locals()

@@ -258,6 +258,20 @@ def test_load_rejects_bad_records(tmp_path, section, record, message):
         load_mesh(str(path))
 
 
+@pytest.mark.parametrize("keep,message", [
+    (-1, "faces section expects 5 records, file has only 4"),
+    (4, "vertices section expects 4 records, file has only 2"),
+    (6, "file ends before the 'triangles <count>' line"),
+])
+def test_load_rejects_truncated_file(tmp_path, keep, message):
+    path = tmp_path / "mesh.txt"
+    save_mesh(unit_square(1), str(path))  # 4 vertices, 2 triangles, 5 faces
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:keep]) + "\n")
+    with pytest.raises(ValueError, match=message):
+        load_mesh(str(path))
+
+
 _FUZZ_VERTICES = ("0 0", "1 0", "1 1", "0 1", "0.5 0.5")
 _FUZZ_FAN = (0, 1, 4, 1, 2, 4, 2, 3, 4, 3, 0, 4)  # four triangles around vertex 4
 
