@@ -2,36 +2,35 @@
 
 Each element couples its volume unknowns (stress/displacement/spin on solid
 elements, flux/pressure-like scalar on fluid ones) to the polynomial traces
-on its three faces.  The volume block is inverted once per element with a
-dense complex LU; the Schur complement maps face traces to the moments of
-the numerical flux against the face test space, which is exactly what the
-global conservation equations consume.
+on its three faces.  Eliminating the volume unknowns with a dense complex LU
+leaves the Schur complement, which maps face traces to the moments of the
+numerical flux against the face test space: exactly what the global
+conservation equations consume.
 
 Face trace layout: faces in local-edge order; per face the vector trace
 stacks x-modes then y-modes of the orthonormal face basis (scalar traces
 use the k+1 modes directly).  Volume ordering is (stress, displacement,
 spin) and (flux, scalar).
 
-Structured meshes contain only a handful of translation classes of
-triangles, so the ``Assembler`` caches tables and matrix blocks per class
-(edge-vector signature); face rules, source moments and boundary data are
-always those of the element itself.
-
-Post-processing (error norms, projections) reads the tables of blocks of
-same-domain elements stacked on a leading element axis (``BlockTables``).
+Everything here is array code over blocks of same-domain elements, with the
+element axis first (``BlockTables``, ``BlockLocals``).  The element matrices
+depend on the element's shape alone: its Jacobian and the orientation of
+its faces.  ``Assembler`` therefore forms and factors
+them once per distinct shape of a domain, in batches, and elements index
+into them; sources, face rules and boundary data are always those of the
+element itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .elastic_spaces import StressBasis, build_stress_basis
-from .mesh import FaceRule, Mesh, face_rule
-from .quadbasis import ReferenceBasis, build_reference_basis, map_to_physical
+from .elastic_spaces import build_stress_basis
+from .mesh import Mesh, edge_table
+from .quadbasis import build_reference_basis
 
 
 def lame_parameters(young: float, poisson: float) -> tuple[float, float]:
@@ -123,102 +122,17 @@ class SingularLocalSystem(RuntimeError):
     """Raised when an element volume block has a vanishing pivot."""
 
 
-@dataclass
-class FaceTables(FaceRule):
-    """The rule of one face plus the element's data on it.
-
-    ``points``, ``weights`` and ``basis`` are those of the face's
-    ``face_rule``, so both neighbours integrate the face identically.
-    """
-
-    face_id: int
-    normal: np.ndarray          # outward unit normal of this element
-    scalar: np.ndarray          # (n_scalar, nfq) element scalar basis traces
-    scalar_moments: np.ndarray  # (n_scalar, k+1): int basis_m * scalar_i
-    stress_n: np.ndarray | None = None  # (n_stress, nfq, 2)
-
-
-@dataclass
-class ElementTables:
-    elem: int
-    domain: str
-    k: int
-    verts: np.ndarray
-    h: float
-    points: np.ndarray
-    weights: np.ndarray
-    scalar: np.ndarray
-    grad: np.ndarray
-    faces: list[FaceTables]
-    stress_vals: np.ndarray | None = None
-    stress_div: np.ndarray | None = None
-    stress_basis: StressBasis | None = None
-
-    @property
-    def n_scalar(self) -> int:
-        return self.scalar.shape[0]
-
-
-def build_element_tables(mesh: Mesh, elem: int, ref: ReferenceBasis,
-                         check_rank: bool = True) -> ElementTables:
-    """Evaluate every basis table one element needs for assembly."""
-    verts = mesh.triangle(elem)
-    phys = map_to_physical(ref, verts)
-    domain = str(mesh.tri_domain[elem])
-    h = mesh.element_diameter(elem)
-    k = ref.k
-
-    stress = None
-    if domain == "E":
-        stress = build_stress_basis(k, verts, ref, check_rank=check_rank)
-
-    faces: list[FaceTables] = []
-    for fid in mesh.element_faces[elem]:
-        face = mesh.faces[fid]
-        rule = face_rule(mesh, fid, k, ref.quad.exact_degree)
-        normal = next(sd.sign for sd in face.sides if sd.element == elem) * face.normal
-        scalar_f = ref.eval_values((rule.points - verts[0]) @ phys.inv_jacobian.T)
-        stress_n = stress.eval_normal(rule.points, normal) if stress is not None else None
-        faces.append(
-            FaceTables(
-                points=rule.points,
-                weights=rule.weights,
-                basis=rule.basis,
-                face_id=int(fid),
-                normal=normal,
-                scalar=scalar_f,
-                scalar_moments=rule.moment_matrix(scalar_f),
-                stress_n=stress_n,
-            )
-        )
-
-    return ElementTables(
-        elem=elem,
-        domain=domain,
-        k=k,
-        verts=verts,
-        h=h,
-        points=phys.points,
-        weights=phys.weights,
-        scalar=phys.values,
-        grad=phys.grads,
-        faces=faces,
-        stress_vals=stress.eval(phys.points) if stress is not None else None,
-        stress_div=stress.eval_div(phys.points) if stress is not None else None,
-        stress_basis=stress,
-    )
-
-
-BLOCK_SIZE = 256  # elements per post-processing block
+BLOCK_SIZE = 256  # elements (or element shapes) per batch
 
 
 @dataclass
 class BlockTables:
     """The tables of a block of same-domain elements, stacked element-first.
 
-    Face arrays carry a local-face axis after the element axis; the face
-    basis is the element's ``face_rule`` basis, so face moments of a block
-    match those of ``FaceRule.moments`` face by face.
+    Face arrays carry a local-face axis after the element axis.  Face points,
+    weights and basis are those of each face's ``face_rule``, so both
+    neighbours of a face integrate it identically and face moments of a
+    block match ``FaceRule.moments`` face by face.
     """
 
     elems: np.ndarray           # (nb,)
@@ -227,14 +141,16 @@ class BlockTables:
     h: np.ndarray               # (nb,) element diameters
     points: np.ndarray          # (nb, nq, 2)
     weights: np.ndarray         # (nb, nq)
-    scalar: np.ndarray          # (nb, n_scalar, nq)
+    scalar: np.ndarray          # (nb, n_scalar, nq), the reference values
     stress_vals: np.ndarray | None  # (nb, n_stress, nq, 2, 2), solid blocks
     face_ids: np.ndarray        # (nb, 3)
     face_points: np.ndarray     # (nb, 3, nfq, 2)
     face_weights: np.ndarray    # (nb, 3, nfq)
     face_basis: np.ndarray      # (nb, 3, k+1, nfq)
     normals: np.ndarray         # (nb, 3, 2) outward
+    face_scalar: np.ndarray     # (nb, 3, n_scalar, nfq) scalar basis on the faces
     scalar_moments: np.ndarray  # (nb, 3, n_scalar, k+1)
+    stress_n: np.ndarray | None  # (nb, 3, n_stress, nfq, 2) normal traces, solid blocks
 
     @property
     def n_scalar(self) -> int:
@@ -246,6 +162,20 @@ class BlockTables:
         nb, n_p, nq = self.scalar.shape
         vals = coef.reshape(nb, -1, n_p) @ self.scalar
         return vals.transpose(0, 2, 1).reshape((nb, nq) + coef.shape[1:-1])
+
+    def at_face_points(self, coef: np.ndarray) -> np.ndarray:
+        """Values at the face points of scalar-basis coefficients
+        (nb, ..., n_scalar), as (nb, 3, nfq, ...)."""
+        nb, _, n_p, nfq = self.face_scalar.shape
+        vals = coef.reshape(nb, 1, -1, n_p) @ self.face_scalar
+        return vals.transpose(0, 1, 3, 2).reshape((nb, 3, nfq) + coef.shape[1:-1])
+
+    def traces_at_face_points(self, coef: np.ndarray) -> np.ndarray:
+        """Values at the face points of face-basis coefficients
+        (nb, 3, ..., k+1), as (nb, 3, nfq, ...)."""
+        nb, _, kp1, nfq = self.face_basis.shape
+        vals = coef.reshape(nb, 3, -1, kp1) @ self.face_basis
+        return vals.transpose(0, 1, 3, 2).reshape((nb, 3, nfq) + coef.shape[2:-1])
 
     def stress_at_points(self, coef: np.ndarray) -> np.ndarray:
         """Values (nb, nq, 2, 2) of stress-basis coefficients (nb, n_stress)."""
@@ -286,372 +216,260 @@ class BlockTables:
         return mom.reshape(mom.shape[:3] + vals.shape[3:])
 
 
-def stack_tables(tables: Sequence[ElementTables]) -> BlockTables:
-    """Stack the tables of same-domain elements into one ``BlockTables``."""
-    first = tables[0]
-    faces = [ft for tab in tables for ft in tab.faces]
-    nb = len(tables)
-
-    def face_stack(name: str) -> np.ndarray:
-        arr = np.array([getattr(ft, name) for ft in faces])
-        return arr.reshape((nb, 3) + arr.shape[1:])
-
-    return BlockTables(
-        elems=np.array([tab.elem for tab in tables]),
-        domain=first.domain,
-        k=first.k,
-        h=np.array([tab.h for tab in tables]),
-        points=np.array([tab.points for tab in tables]),
-        weights=np.array([tab.weights for tab in tables]),
-        scalar=np.array([tab.scalar for tab in tables]),
-        stress_vals=(np.array([tab.stress_vals for tab in tables])
-                     if first.domain == "E" else None),
-        face_ids=np.array([ft.face_id for ft in faces]).reshape(nb, 3),
-        face_points=face_stack("points"),
-        face_weights=face_stack("weights"),
-        face_basis=face_stack("basis"),
-        normals=face_stack("normal"),
-        scalar_moments=face_stack("scalar_moments"),
+def gather(coefs: dict[int, np.ndarray], keys: np.ndarray) -> np.ndarray:
+    """Stack per-element (or per-face) coefficient vectors along a leading axis."""
+    return np.array([coefs[int(key)] for key in keys.reshape(-1)]).reshape(
+        keys.shape + (-1,)
     )
 
 
 @dataclass
-class LocalSystem:
-    """Condensed element system plus the raw blocks that produced it.
+class ShapeOperators:
+    """The element matrices of one domain, one row per distinct element shape.
 
-    ``condensed_map @ traces + rhs_trace`` yields the element's numerical
-    flux moments against the face test space (in the element's outward
-    orientation); ``lift_map @ traces + rhs_volume`` recovers the volume
-    unknowns.  Matrix blocks may be shared between congruent elements.
+    ``lu``/``piv`` factor ``matrix``; ``lift_map`` solves it against
+    ``trace_coupling`` and ``condensed_map = flux_volume @ lift_map +
+    flux_trace`` is the Schur complement.  ``reps`` holds the first element
+    of each shape.
     """
 
-    elem: int
     kind: str
-    k: int
-    volume_dim: int
-    trace_dim: int
-    matrix: np.ndarray
-    trace_coupling: np.ndarray
-    flux_volume: np.ndarray
-    flux_trace: np.ndarray
-    condensed_map: np.ndarray
-    lift_map: np.ndarray
-    source_moments: np.ndarray
-    rhs_volume: np.ndarray
-    rhs_trace: np.ndarray
+    reps: np.ndarray
+    matrix: np.ndarray          # (n_shapes, n_vol, n_vol)
+    trace_coupling: np.ndarray  # (n_shapes, n_vol, n_tr)
+    flux_volume: np.ndarray     # (n_shapes, n_tr, n_vol)
+    flux_trace: np.ndarray      # (n_shapes, n_tr, n_tr)
+    lu: np.ndarray              # (n_shapes, n_vol, n_vol)
+    piv: np.ndarray             # (n_shapes, n_vol)
+    lift_map: np.ndarray        # (n_shapes, n_vol, n_tr)
+    condensed_map: np.ndarray   # (n_shapes, n_tr, n_tr)
     slices: dict[str, slice]
+
+    @property
+    def volume_dim(self) -> int:
+        return self.matrix.shape[1]
+
+    @property
+    def trace_dim(self) -> int:
+        return self.flux_trace.shape[1]
 
 
 @dataclass
-class _Ops:
-    kind: str
-    volume_dim: int
-    trace_dim: int
-    matrix: np.ndarray
-    trace_coupling: np.ndarray
-    flux_volume: np.ndarray
-    flux_trace: np.ndarray
-    lu: tuple
-    lift_map: np.ndarray
-    condensed_map: np.ndarray
-    slices: dict[str, slice]
+class BlockLocals:
+    """Condensed local systems of a block of same-domain elements.
+
+    Element ``elems[i]`` uses row ``shape[i]`` of every matrix in ``ops``:
+    ``condensed_map @ traces + rhs_trace`` yields its numerical flux moments
+    against the face test space (outward orientation), and ``lift_map @
+    traces + rhs_volume`` its volume unknowns.
+    """
+
+    elems: np.ndarray           # (nb,)
+    shape: np.ndarray           # (nb,) row of each element in ``ops``
+    ops: ShapeOperators
+    source_moments: np.ndarray  # (nb, n_vol)
+    rhs_volume: np.ndarray      # (nb, n_vol)
+    rhs_trace: np.ndarray       # (nb, n_tr)
+
+    @property
+    def kind(self) -> str:
+        return self.ops.kind
 
 
-def _tau_faces(tau, default: float) -> tuple[float, float, float]:
-    if tau is None:
-        return (default, default, default)
-    if np.isscalar(tau):
-        return (float(tau),) * 3
-    vals = tuple(float(v) for v in tau)
-    if len(vals) != 3:
-        raise ValueError("per-face tau needs exactly three values")
-    return vals
+def _pair(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per element, sum over points and trailing axes of w a_i b_j.
+
+    ``w`` is (nb, n), ``a`` (nb, m, n, ...) and ``b`` (nb, r, n, ...) with the
+    same trailing axes; returns (nb, m, r) from one batched matmul, summing
+    over the trailing axes (last first) and then the points.  Operand order,
+    the side that carries the weight and the summation order all set the
+    rounding, so each integral below keeps one fixed form, and results are
+    reproducible bit for bit.
+    """
+    nb, m, n = a.shape[:3]
+    tail = tuple(range(a.ndim - 1, 2, -1))
+    wa = a * w.reshape((nb, 1, n) + (1,) * (a.ndim - 3))
+    left = wa.transpose((0, 1) + tail + (2,)).reshape(nb, m, -1)
+    return left @ b.transpose((0,) + tail + (2, 1)).reshape(nb, -1, b.shape[1])
 
 
-def _check_pivots(lu, elem: int) -> None:
-    # relative to the largest pivot only: local blocks scale with powers of
-    # the element size, so an absolute floor flags small, well-shaped elements
-    diag = np.abs(np.diag(lu[0]))
-    if diag.min() <= 1e-13 * diag.max():
-        raise SingularLocalSystem(
-            f"element {elem}: volume block pivot {diag.min():.3e} vanishes"
-        )
+def _t(m: np.ndarray) -> np.ndarray:
+    return m.transpose(0, 2, 1)
 
 
-def _elastic_ops(tables: ElementTables, params: ModelParams, tau) -> _Ops:
-    taus = _tau_faces(tau, params.tau_e)
-    w = tables.weights
-    sv, sg = tables.scalar, tables.grad
-    tv, td = tables.stress_vals, tables.stress_div
-    n_p = sv.shape[0]
-    n_sig = tv.shape[0]
+def _elastic_blocks(tab: BlockTables, grads, stress_div, params: ModelParams):
+    nb, n_p = tab.scalar.shape[:2]
+    n_sig = tab.stress_vals.shape[1]
     n_u = 2 * n_p
     n_vol = n_sig + n_u + n_p
-    kp1 = tables.k + 1
+    kp1 = tab.k + 1
     blk = 2 * kp1
-    n_tr = 3 * blk
-
-    cinv_t = hooke_inverse_apply(tv, params.lam, params.mu)
-    m_ss = np.einsum("q,jqrc,iqrc->ij", w, cinv_t, tv, optimize=True)
-
-    m_su = np.empty((n_sig, n_u))
-    m_su[:, :n_p] = np.einsum("q,jq,iq->ij", w, sv, td[:, :, 0], optimize=True)
-    m_su[:, n_p:] = np.einsum("q,jq,iq->ij", w, sv, td[:, :, 1], optimize=True)
-
-    # contraction of a stress test matrix with the spin basis M(p)
-    spin_w = tv[:, :, 0, 1] - tv[:, :, 1, 0]
-    m_sg = np.einsum("q,jq,iq->ij", w, sv, spin_w, optimize=True)
-    m_gs = m_sg.T.copy()
-
-    m_us = np.empty((n_u, n_sig))
-    m_us[:n_p, :] = np.einsum("q,jqc,iqc->ij", w, tv[:, :, 0, :], sg, optimize=True)
-    m_us[n_p:, :] = np.einsum("q,jqc,iqc->ij", w, tv[:, :, 1, :], sg, optimize=True)
-
-    mass_s = np.einsum("q,iq,jq->ij", w, sv, sv, optimize=True)
-    m_uu = np.zeros((n_u, n_u), dtype=complex)
-    s2rho = params.rho_e * params.s**2
-    m_uu[:n_p, :n_p] = s2rho * mass_s
-    m_uu[n_p:, n_p:] = s2rho * mass_s
-
-    b = np.zeros((n_vol, n_tr), dtype=complex)
-    c_mat = np.zeros((n_tr, n_vol), dtype=complex)
-    d_mat = np.zeros((n_tr, n_tr), dtype=complex)
-
-    for f, ft in enumerate(tables.faces):
-        tau_f = taus[f]
-        fw, fb, svf, tn = ft.weights, ft.basis, ft.scalar, ft.stress_n
-        fm = ft.scalar_moments  # (n_p, k+1)
-        rows = slice(f * blk, (f + 1) * blk)
-
-        bs = np.concatenate([ft.moment_matrix(tn[:, :, c]) for c in (0, 1)], axis=1)
-        b[:n_sig, rows] = bs
-        b[n_sig : n_sig + n_p, rows.start : rows.start + kp1] = tau_f * fm
-        b[n_sig + n_p : n_sig + n_u, rows.start + kp1 : rows.stop] = tau_f * fm
-
-        fmass_s = np.einsum("p,ip,jp->ij", fw, svf, svf, optimize=True)
-        m_uu[:n_p, :n_p] += tau_f * fmass_s
-        m_uu[n_p:, n_p:] += tau_f * fmass_s
-
-        m_us[:n_p, :] -= np.einsum("p,jp,ip->ij", fw, tn[:, :, 0], svf, optimize=True)
-        m_us[n_p:, :] -= np.einsum("p,jp,ip->ij", fw, tn[:, :, 1], svf, optimize=True)
-
-        c_mat[rows, :n_sig] = bs.T
-        c_mat[rows.start : rows.start + kp1, n_sig : n_sig + n_p] = -tau_f * fm.T
-        c_mat[rows.start + kp1 : rows.stop, n_sig + n_p : n_sig + n_u] = -tau_f * fm.T
-
-        fmass_f = np.einsum("p,mp,np->mn", fw, fb, fb, optimize=True)
-        d_mat[rows.start : rows.start + kp1, rows.start : rows.start + kp1] = tau_f * fmass_f
-        d_mat[rows.start + kp1 : rows.stop, rows.start + kp1 : rows.stop] = tau_f * fmass_f
-
-    a = np.zeros((n_vol, n_vol), dtype=complex)
+    tau = params.tau_e
+    w, sv, tv = tab.weights, tab.scalar, tab.stress_vals
     i_s = slice(0, n_sig)
     i_u = slice(n_sig, n_sig + n_u)
     i_g = slice(n_sig + n_u, n_vol)
-    a[i_s, i_s] = m_ss
-    a[i_s, i_u] = m_su
-    a[i_s, i_g] = m_sg
-    a[i_u, i_s] = m_us
-    a[i_u, i_u] = m_uu
-    a[i_g, i_s] = m_gs
+    ux = slice(n_sig, n_sig + n_p)
+    uy = slice(n_sig + n_p, n_sig + n_u)
 
-    lu = lu_factor(a)
-    _check_pivots(lu, tables.elem)
-    lift = lu_solve(lu, b)
-    condensed = c_mat @ lift + d_mat
-    return _Ops(
-        kind="elastic",
-        volume_dim=n_vol,
-        trace_dim=n_tr,
-        matrix=a,
-        trace_coupling=b,
-        flux_volume=c_mat,
-        flux_trace=d_mat,
-        lu=lu,
-        lift_map=lift,
-        condensed_map=condensed,
-        slices={"sigma": i_s, "u": i_u, "gamma": i_g},
-    )
+    a = np.zeros((nb, n_vol, n_vol), dtype=complex)
+    b = np.zeros((nb, n_vol, 3 * blk), dtype=complex)
+    c = np.zeros((nb, 3 * blk, n_vol), dtype=complex)
+    d = np.zeros((nb, 3 * blk, 3 * blk), dtype=complex)
+
+    a[:, i_s, i_s] = _t(_pair(w, hooke_inverse_apply(tv, params.lam, params.mu), tv))
+    a[:, i_s, ux] = _t(_pair(w, sv, stress_div[..., 0]))
+    a[:, i_s, uy] = _t(_pair(w, sv, stress_div[..., 1]))
+    # contraction of a stress test matrix with the spin basis M(p)
+    m_sg = _t(_pair(w, sv, tv[..., 0, 1] - tv[..., 1, 0]))
+    a[:, i_s, i_g] = m_sg
+    a[:, i_g, i_s] = _t(m_sg)
+    m_us = np.concatenate([_pair(w, grads, tv[..., 0, :]),
+                           _pair(w, grads, tv[..., 1, :])], axis=1)
+    m_ux = params.rho_e * params.s**2 * _pair(w, sv, sv)
+
+    for f in range(3):
+        fw, fb = tab.face_weights[:, f], tab.face_basis[:, f]
+        svf, tn = tab.face_scalar[:, f], tab.stress_n[:, f]
+        fm = tab.scalar_moments[:, f]  # (nb, n_p, k+1)
+        x0, y0 = f * blk, f * blk + kp1
+
+        bs = np.concatenate([_t(_pair(fw, fb, tn[..., 0])), _t(_pair(fw, fb, tn[..., 1]))],
+                            axis=2)
+        b[:, i_s, x0 : x0 + blk] = bs
+        b[:, ux, x0:y0] = tau * fm
+        b[:, uy, y0 : y0 + kp1] = tau * fm
+
+        m_ux = m_ux + tau * _pair(fw, svf, svf)
+        m_us[:, :n_p] -= _pair(fw, svf, tn[..., 0])
+        m_us[:, n_p:] -= _pair(fw, svf, tn[..., 1])
+
+        c[:, x0 : x0 + blk, i_s] = _t(bs)
+        c[:, x0:y0, ux] = -tau * _t(fm)
+        c[:, y0 : y0 + kp1, uy] = -tau * _t(fm)
+
+        fmass_f = tau * _pair(fw, fb, fb)
+        d[:, x0:y0, x0:y0] = fmass_f
+        d[:, y0 : y0 + kp1, y0 : y0 + kp1] = fmass_f
+
+    a[:, i_u, i_s] = m_us
+    a[:, ux, ux] = m_ux
+    a[:, uy, uy] = m_ux
+    return a, b, c, d, {"sigma": i_s, "u": i_u, "gamma": i_g}
 
 
-def _acoustic_ops(tables: ElementTables, params: ModelParams, tau) -> _Ops:
-    taus = _tau_faces(tau, params.tau_a)
-    w = tables.weights
-    sv, sg = tables.scalar, tables.grad
-    n_p = sv.shape[0]
-    n_q = 2 * n_p
+def _acoustic_blocks(tab: BlockTables, grads, params: ModelParams):
+    nb, n_p = tab.scalar.shape[:2]
     n_vol = 3 * n_p
-    kp1 = tables.k + 1
-    n_tr = 3 * kp1
+    kp1 = tab.k + 1
+    tau = params.tau_a
+    w, sv = tab.weights, tab.scalar
+    qx, qy = slice(0, n_p), slice(n_p, 2 * n_p)
+    i_q, i_v = slice(0, 2 * n_p), slice(2 * n_p, n_vol)
 
-    mass_s = np.einsum("q,iq,jq->ij", w, sv, sv, optimize=True)
+    a = np.zeros((nb, n_vol, n_vol), dtype=complex)
+    b = np.zeros((nb, n_vol, 3 * kp1), dtype=complex)
+    c = np.zeros((nb, 3 * kp1, n_vol), dtype=complex)
+    d = np.zeros((nb, 3 * kp1, 3 * kp1), dtype=complex)
+
+    mass_s = _pair(w, sv, sv)
     # int p_j d/dx_c p_i, shared by the two mixed blocks
-    gpx = np.einsum("q,jq,iq->ij", w, sv, sg[:, :, 0], optimize=True)
-    gpy = np.einsum("q,jq,iq->ij", w, sv, sg[:, :, 1], optimize=True)
-
-    m_qq = np.zeros((n_q, n_q))
-    m_qq[:n_p, :n_p] = mass_s
-    m_qq[n_p:, n_p:] = mass_s
-    m_qv = np.concatenate([gpx, gpy], axis=0)          # (v, div r) rows: q tests
-    m_vq = np.concatenate([gpx, gpy], axis=1).astype(complex)  # (q, grad w) rows: v tests
+    gpx = _t(_pair(w, sv, grads[..., 0]))
+    gpy = _t(_pair(w, sv, grads[..., 1]))
+    a[:, qx, qx] = mass_s
+    a[:, qy, qy] = mass_s
+    a[:, qx, i_v] = gpx                 # (v, div r) rows: q tests
+    a[:, qy, i_v] = gpy
+    m_vq = np.concatenate([gpx, gpy], axis=2).astype(complex)  # (q, grad w) rows
     m_vv = (params.s / params.c) ** 2 * mass_s.astype(complex)
 
-    b = np.zeros((n_vol, n_tr), dtype=complex)
-    c_mat = np.zeros((n_tr, n_vol), dtype=complex)
-    d_mat = np.zeros((n_tr, n_tr), dtype=complex)
-
-    for f, ft in enumerate(tables.faces):
-        tau_f = taus[f]
-        fw, fb, svf, n = ft.weights, ft.basis, ft.scalar, ft.normal
-        fm = ft.scalar_moments  # (n_p, k+1)
+    for f in range(3):
+        fw, fb, svf = tab.face_weights[:, f], tab.face_basis[:, f], tab.face_scalar[:, f]
+        fm = tab.scalar_moments[:, f]  # (nb, n_p, k+1)
+        n0 = tab.normals[:, f, 0, None, None]
+        n1 = tab.normals[:, f, 1, None, None]
         rows = slice(f * kp1, (f + 1) * kp1)
+        fmass_s = _pair(fw, svf, svf)
 
-        fmass_s = np.einsum("p,ip,jp->ij", fw, svf, svf, optimize=True)
-        fmass_f = np.einsum("p,mp,np->mn", fw, fb, fb, optimize=True)
-
-        b[:n_p, rows] = n[0] * fm
-        b[n_p:n_q, rows] = n[1] * fm
-        b[n_q:, rows] = tau_f * fm
+        b[:, qx, rows] = n0 * fm
+        b[:, qy, rows] = n1 * fm
+        b[:, i_v, rows] = tau * fm
 
         # -<q . n, w> and +tau <v, w> on the scalar test rows
-        m_vq[:, :n_p] -= n[0] * fmass_s
-        m_vq[:, n_p:] -= n[1] * fmass_s
-        m_vv += tau_f * fmass_s
+        m_vq[:, :, :n_p] -= n0 * fmass_s
+        m_vq[:, :, n_p:] -= n1 * fmass_s
+        m_vv += tau * fmass_s
 
-        c_mat[rows, :n_p] = n[0] * fm.T
-        c_mat[rows, n_p:n_q] = n[1] * fm.T
-        c_mat[rows, n_q:] = -tau_f * fm.T
-        d_mat[rows, rows] = tau_f * fmass_f
+        c[:, rows, qx] = n0 * _t(fm)
+        c[:, rows, qy] = n1 * _t(fm)
+        c[:, rows, i_v] = -tau * _t(fm)
+        d[:, rows, rows] = tau * _pair(fw, fb, fb)
 
-    a = np.zeros((n_vol, n_vol), dtype=complex)
-    i_q = slice(0, n_q)
-    i_v = slice(n_q, n_vol)
-    a[i_q, i_q] = m_qq
-    a[i_q, i_v] = m_qv
-    a[i_v, i_q] = m_vq
-    a[i_v, i_v] = m_vv
-
-    lu = lu_factor(a)
-    _check_pivots(lu, tables.elem)
-    lift = lu_solve(lu, b)
-    condensed = c_mat @ lift + d_mat
-    return _Ops(
-        kind="acoustic",
-        volume_dim=n_vol,
-        trace_dim=n_tr,
-        matrix=a,
-        trace_coupling=b,
-        flux_volume=c_mat,
-        flux_trace=d_mat,
-        lu=lu,
-        lift_map=lift,
-        condensed_map=condensed,
-        slices={"q": i_q, "v": i_v},
-    )
+    a[:, i_v, i_q] = m_vq
+    a[:, i_v, i_v] = m_vv
+    return a, b, c, d, {"q": i_q, "v": i_v}
 
 
-def _source_moments(tables: ElementTables, ops: _Ops, source) -> np.ndarray:
-    rhs = np.zeros(ops.volume_dim, dtype=complex)
-    if source is None:
-        return rhs
-    w, sv = tables.weights, tables.scalar
-    n_p = sv.shape[0]
-    vals = np.asarray(source(tables.points), dtype=complex)
-    if ops.kind == "elastic":
-        sl = ops.slices["u"]
-        rhs[sl.start : sl.start + n_p] = np.einsum("q,q,iq->i", w, vals[:, 0], sv)
-        rhs[sl.start + n_p : sl.stop] = np.einsum("q,q,iq->i", w, vals[:, 1], sv)
-    else:
-        sl = ops.slices["v"]
-        rhs[sl] = np.einsum("q,q,iq->i", w, vals, sv)
-    return rhs
+def _check_pivots(lu: np.ndarray, elems: np.ndarray) -> None:
+    # relative to each element's largest pivot only: local blocks scale with
+    # powers of the element size, so an absolute floor flags small elements
+    diag = np.abs(np.diagonal(lu, axis1=1, axis2=2))
+    bad = np.flatnonzero(diag.min(axis=1) <= 1e-13 * diag.max(axis=1))
+    if bad.size:
+        i = bad[0]
+        raise SingularLocalSystem(
+            f"element {elems[i]}: volume block pivot {diag[i].min():.3e} vanishes"
+        )
 
 
-def _finish(tables: ElementTables, ops: _Ops, source) -> LocalSystem:
-    f = _source_moments(tables, ops, source)
-    rhs_volume = lu_solve(ops.lu, f) if f.any() else np.zeros_like(f)
-    rhs_trace = ops.flux_volume @ rhs_volume
-    return LocalSystem(
-        elem=tables.elem,
-        kind=ops.kind,
-        k=tables.k,
-        volume_dim=ops.volume_dim,
-        trace_dim=ops.trace_dim,
-        matrix=ops.matrix,
-        trace_coupling=ops.trace_coupling,
-        flux_volume=ops.flux_volume,
-        flux_trace=ops.flux_trace,
-        condensed_map=ops.condensed_map,
-        lift_map=ops.lift_map,
-        source_moments=f,
-        rhs_volume=rhs_volume,
-        rhs_trace=rhs_trace,
-        slices=ops.slices,
-    )
-
-
-def assemble_elastic_local(tables: ElementTables, params: ModelParams,
-                           source=None, tau=None) -> LocalSystem:
-    """Local system of the solid scheme on one element.
-
-    ``source`` maps (n, 2) points to (n, 2) momentum source values; ``tau``
-    optionally overrides the stabilization per face.
-    """
-    if tables.domain != "E":
-        raise ValueError(f"element {tables.elem} is not a solid element")
-    return _finish(tables, _elastic_ops(tables, params, tau), source)
-
-
-def assemble_acoustic_local(tables: ElementTables, params: ModelParams,
-                            source=None, tau=None) -> LocalSystem:
-    """Local system of the fluid scheme on one element."""
-    if tables.domain != "A":
-        raise ValueError(f"element {tables.elem} is not a fluid element")
-    return _finish(tables, _acoustic_ops(tables, params, tau), source)
-
-
-def reconstruct_flux(tables: ElementTables, params: ModelParams,
+def reconstruct_flux(tables: BlockTables, params: ModelParams,
                      volume: np.ndarray, traces: np.ndarray,
-                     tau=None) -> list[np.ndarray]:
-    """Numerical flux coefficients per face, straight from the definition.
+                     tau: float | None = None) -> np.ndarray:
+    """Numerical flux coefficients per element and face, from the definition.
 
-    Solid: moments of sigma_h n - tau (u_h - u_hat); fluid: moments of
-    q_h . n - tau (v_h - v_hat), both in the element's outward orientation
-    and the face's orthonormal basis.  ``tau=0`` is accepted here (it just
-    drops the penalty part), although the solver itself refuses it.
+    ``volume`` (nb, n_vol) and ``traces`` (nb, n_tr) are the elements'
+    unknowns.  Solid: moments of sigma_h n - tau (u_h - u_hat); fluid:
+    moments of q_h . n - tau (v_h - v_hat), both in the element's outward
+    orientation and the face's orthonormal basis, as (nb, 3, trace block).
+    ``tau=0`` is accepted here (it just drops the penalty part), although
+    the solver itself refuses it.
     """
-    k = tables.k
-    kp1 = k + 1
-    n_p = tables.n_scalar
-    out = []
+    nb, n_p = tables.scalar.shape[:2]
     if tables.domain == "E":
-        taus = _tau_faces(tau, params.tau_e)
-        n_sig = tables.stress_vals.shape[0]
-        sig = volume[:n_sig]
-        uc = volume[n_sig : n_sig + 2 * n_p]
-        blk = 2 * kp1
-        for f, ft in enumerate(tables.faces):
-            sig_n = np.einsum("j,jpc->pc", sig, ft.stress_n)
-            u_val = np.stack([ft.scalar.T @ uc[:n_p], ft.scalar.T @ uc[n_p:]], axis=1)
-            th = traces[f * blk : (f + 1) * blk]
-            uhat_val = np.stack([ft.basis.T @ th[:kp1], ft.basis.T @ th[kp1:]], axis=1)
-            out.append(ft.moments(sig_n - taus[f] * (u_val - uhat_val)))
-    else:
-        taus = _tau_faces(tau, params.tau_a)
-        qc = volume[: 2 * n_p]
-        vc = volume[2 * n_p :]
-        for f, ft in enumerate(tables.faces):
-            q_val = np.stack([ft.scalar.T @ qc[:n_p], ft.scalar.T @ qc[n_p:]], axis=1)
-            v_val = ft.scalar.T @ vc
-            vhat_val = ft.basis.T @ traces[f * kp1 : (f + 1) * kp1]
-            out.append(ft.moments(q_val @ ft.normal - taus[f] * (v_val - vhat_val)))
-    return out
+        tau = params.tau_e if tau is None else tau
+        n_sig = tables.stress_vals.shape[1]
+        sig_n = np.einsum("ej,efjpc->efpc", volume[:, :n_sig], tables.stress_n)
+        u_val = tables.at_face_points(volume[:, n_sig : n_sig + 2 * n_p].reshape(nb, 2, n_p))
+        uhat_val = tables.traces_at_face_points(traces.reshape(nb, 3, 2, -1))
+        mom = tables.face_moments(sig_n - tau * (u_val - uhat_val))  # (nb, 3, k+1, 2)
+        return mom.transpose(0, 1, 3, 2).reshape(nb, 3, -1)
+    tau = params.tau_a if tau is None else tau
+    q_val = tables.at_face_points(volume[:, : 2 * n_p].reshape(nb, 2, n_p))
+    v_val = tables.at_face_points(volume[:, 2 * n_p :])
+    vhat_val = tables.traces_at_face_points(traces.reshape(nb, 3, -1))
+    q_n = np.einsum("efpc,efc->efp", q_val, tables.normals)
+    return tables.face_moments(q_n - tau * (v_val - vhat_val))
+
+
+@dataclass
+class _DomainShapes:
+    """Per-shape tables and operators of one domain of a mesh."""
+
+    shape: np.ndarray             # (n_elements,) shape of each element, -1 off the domain
+    parts: dict[str, np.ndarray]  # shape-dependent ``BlockTables`` fields, per shape
+    ops: ShapeOperators
 
 
 class Assembler:
-    """Builds tables and local systems for one mesh, params, and degree.
+    """Builds block tables and local systems for one mesh, params, and degree.
 
-    Matrix blocks are cached per translation class; anything that samples
-    user callables (sources, boundary data) is evaluated per element.
+    The elements of each domain are keyed by shape (Jacobian over diameter
+    and the log of the diameter over the domain's largest, both rounded to
+    1e-12, plus the orientation of each face), and whatever
+    depends on shape alone is built once per key from its first element:
+    matrices, basis tables, weights and normals.  Quadrature points are the
+    shape's, moved onto each element; face rules and anything that samples
+    user callables (sources, boundary data) are the element's own.
     """
 
     def __init__(self, mesh: Mesh, k: int, params: ModelParams,
@@ -660,72 +478,180 @@ class Assembler:
         self.k = k
         self.params = params
         self.ref = build_reference_basis(k, quad_degree)
-        self._frames: dict[tuple, ElementTables] = {}
-        self._tables: dict[int, ElementTables] = {}
-        self._ops: dict[tuple, _Ops] = {}
+        self._verts = mesh.vertices[mesh.tri_vertices]
+        ends = np.array([face.vertices for face in mesh.faces])
+        self._face_start = mesh.vertices[ends[:, 0]]
+        self._face_dir = mesh.vertices[ends[:, 1]] - self._face_start
+        self._face_length = np.array([face.length for face in mesh.faces])
+        self._face_normal = np.array([face.normal for face in mesh.faces])
+        # +1 where a face's canonical direction follows the element's local
+        # edge, i.e. where its stored normal points out of the element
+        self._signs = np.where(ends[mesh.element_faces, 0] == mesh.tri_vertices, 1, -1)
+        self._domains: dict[str, _DomainShapes] = {}
 
-    def _signature(self, elem: int) -> tuple:
-        tri = self.mesh.triangle(elem)
-        e1 = tri[1] - tri[0]
-        e2 = tri[2] - tri[0]
-        return (
-            str(self.mesh.tri_domain[elem]),
-            round(float(e1[0]), 12),
-            round(float(e1[1]), 12),
-            round(float(e2[0]), 12),
-            round(float(e2[1]), 12),
+    def _jacobians(self, elems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Jacobians (columns: the edges from vertex 0) and diameters."""
+        verts = self._verts[elems]
+        jac = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]], axis=2)
+        edges = verts[:, (1, 2, 0)] - verts
+        return jac, np.sqrt(np.vecdot(edges, edges)).max(axis=1)
+
+    def _face_rules(self, elems: np.ndarray) -> dict:
+        """The ``face_rule`` of every face of the elements, element-first."""
+        t, w, basis = edge_table(self.k, self.ref.quad.exact_degree)
+        fids = self.mesh.element_faces[elems]
+        length = self._face_length[fids]
+        start, direction = self._face_start[fids], self._face_dir[fids]
+        return dict(
+            face_ids=fids,
+            face_points=start[:, :, None, :] + t[:, None] * direction[:, :, None, :],
+            face_weights=w * length[..., None],
+            face_basis=basis / np.sqrt(length)[..., None, None],
         )
 
-    def tables(self, elem: int) -> ElementTables:
-        cached = self._tables.get(elem)
+    def _shapes(self, domain: str) -> _DomainShapes:
+        cached = self._domains.get(domain)
         if cached is not None:
             return cached
-        sig = self._signature(elem)
-        rep = self._frames.get(sig)
-        if rep is None:
-            tab = build_element_tables(self.mesh, elem, self.ref)
-            self._frames[sig] = tab
-        else:
-            shift = self.mesh.triangle(elem)[0] - rep.verts[0]
-            faces = []
-            for le, ft in enumerate(rep.faces):
-                # the face's own rule, not a shifted copy, so that both
-                # neighbours integrate the face at identical points; weights
-                # and basis depend on the length alone, so an equal length
-                # keeps sharing the class's arrays
-                fid = int(self.mesh.element_faces[elem, le])
-                rule = face_rule(self.mesh, fid, self.k, self.ref.quad.exact_degree)
-                if self.mesh.faces[fid].length == self.mesh.faces[ft.face_id].length:
-                    rule.weights, rule.basis = ft.weights, ft.basis
-                faces.append(replace(ft, face_id=fid, points=rule.points,
-                                     weights=rule.weights, basis=rule.basis))
-            tab = replace(rep, elem=elem, verts=rep.verts + shift,
-                          points=rep.points + shift, faces=faces)
-        self._tables[elem] = tab
-        return tab
+        elems = np.flatnonzero(self.mesh.tri_domain == domain)
+        jac, h = self._jacobians(elems)
+        # the size enters as its log relative to the largest element, so that
+        # similar elements of different sizes differ at any scale or grading;
+        # adding 0.0 turns -0.0 into 0.0, which np.unique tells apart
+        key = np.concatenate([np.round(jac.reshape(-1, 4) / h[:, None], 12) + 0.0,
+                              np.round(np.log(h / h.max()), 12)[:, None] + 0.0,
+                              self._signs[elems]], axis=1)
+        _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+        shape = np.full(self.mesh.n_elements, -1)
+        shape[elems] = inverse.reshape(-1)
+        reps = elems[first]
 
-    def blocks(self):
-        """Stacked tables of every element: solid blocks first, then fluid
-        ones, each of at most ``BLOCK_SIZE`` elements in element order."""
+        parts: dict[str, np.ndarray] = {}
+        ops: dict[str, np.ndarray] = {}
+        for start in range(0, len(reps), BLOCK_SIZE):
+            chunk = reps[start : start + BLOCK_SIZE]
+            chunk_parts, chunk_ops, slices = self._shape_operators(chunk, domain)
+            for out, new in ((parts, chunk_parts), (ops, chunk_ops)):
+                for name, arr in new.items():
+                    # empty_like keeps the chunk's memory layout, and with it
+                    # the rounding of later products with these matrices
+                    if name not in out:
+                        out[name] = np.empty_like(arr, shape=(len(reps),) + arr.shape[1:])
+                    out[name][start : start + len(chunk)] = arr
+        kind = "elastic" if domain == "E" else "acoustic"
+        result = _DomainShapes(shape, parts, ShapeOperators(kind, reps, slices=slices, **ops))
+        self._domains[domain] = result
+        return result
+
+    def _shape_operators(self, reps: np.ndarray, domain: str):
+        """Shape-dependent tables and factored matrices of representative
+        elements, one per shape."""
+        ref, k = self.ref, self.k
+        nb = len(reps)
+        verts = self._verts[reps]
+        jac, h = self._jacobians(reps)
+        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+        inv = np.linalg.inv(jac)
+        rules = self._face_rules(reps)
+        n_fq = rules["face_points"].shape[2]
+        points = verts[:, 0, None] + ref.quad.points @ jac.transpose(0, 2, 1)
+
+        # the scalar basis on each face, through the inverse affine map
+        face_scalar = np.stack([
+            ref.eval_values(((rules["face_points"][:, f] - verts[:, 0, None])
+                             @ inv.transpose(0, 2, 1)).reshape(-1, 2))
+            .reshape(-1, nb, n_fq).transpose(1, 0, 2)
+            for f in range(3)], axis=1)
+        moments = np.stack([
+            _t(_pair(rules["face_weights"][:, f], rules["face_basis"][:, f], face_scalar[:, f]))
+            for f in range(3)], axis=1)
+        normals = self._signs[reps, :, None] * self._face_normal[rules["face_ids"]]
+        parts = dict(points=points, weights=ref.quad.weights * np.abs(det)[:, None], h=h,
+                     normals=normals, face_scalar=face_scalar, scalar_moments=moments)
+        grads = np.einsum("edc,nmd->enmc", inv, ref.grads)
+        if domain == "E":
+            vals, divs = [], []
+            for tri, pts, face_pts in zip(verts, points, rules["face_points"]):
+                basis = build_stress_basis(k, tri, ref)
+                vals.append(basis.eval(np.concatenate([pts, face_pts.reshape(-1, 2)])))
+                divs.append(basis.eval_div(pts))
+            vals = np.array(vals)
+            nq = points.shape[1]
+            on_faces = vals[:, :, nq:].reshape(vals.shape[:2] + (3, n_fq, 2, 2))
+            parts.update(stress_vals=np.ascontiguousarray(vals[:, :, :nq]),
+                         stress_n=np.einsum("ejfprc,efc->efjpr", on_faces, normals))
+            tab = self._stack(reps, domain, rules, parts)
+            a, b, c, d, slices = _elastic_blocks(tab, grads, np.array(divs), self.params)
+        else:
+            tab = self._stack(reps, domain, rules, parts)
+            a, b, c, d, slices = _acoustic_blocks(tab, grads, self.params)
+
+        lu, piv = lu_factor(a)
+        _check_pivots(lu, reps)
+        lift = lu_solve((lu, piv), b)
+        ops = dict(matrix=a, trace_coupling=b, flux_volume=c, flux_trace=d, lu=lu,
+                   piv=piv, lift_map=lift, condensed_map=c @ lift + d)
+        return parts, ops, slices
+
+    def _volume_points(self, shapes: _DomainShapes, elems: np.ndarray):
+        """Quadrature points and weights: those of each element's shape, the
+        points moved by the offset between the two vertices 0."""
+        rows = shapes.shape[elems]
+        shift = self._verts[elems, 0] - self._verts[shapes.ops.reps[rows], 0]
+        return shapes.parts["points"][rows] + shift[:, None], shapes.parts["weights"][rows]
+
+    def _stack(self, elems: np.ndarray, domain: str, rules: dict, parts: dict) -> BlockTables:
+        scalar = np.broadcast_to(self.ref.values, (len(elems),) + self.ref.values.shape)
+        return BlockTables(elems=elems, domain=domain, k=self.k, scalar=scalar, **rules,
+                           **{"stress_vals": None, "stress_n": None, **parts})
+
+    def _block(self, elems: np.ndarray, domain: str) -> BlockTables:
+        shapes = self._shapes(domain)
+        rows = shapes.shape[elems]
+        parts = {name: arr[rows] for name, arr in shapes.parts.items()}
+        parts["points"], _ = self._volume_points(shapes, elems)
+        return self._stack(elems, domain, self._face_rules(elems), parts)
+
+    def tables(self, elem: int) -> BlockTables:
+        """The tables of one element, as a block of one."""
+        return self._block(np.array([elem]), str(self.mesh.tri_domain[elem]))
+
+    def _partition(self):
+        """Solid blocks first, then fluid ones, each of at most ``BLOCK_SIZE``
+        elements in element order."""
         for domain in ("E", "A"):
             elems = np.flatnonzero(self.mesh.tri_domain == domain)
             for start in range(0, len(elems), BLOCK_SIZE):
-                chunk = elems[start : start + BLOCK_SIZE]
-                yield stack_tables([self.tables(int(e)) for e in chunk])
+                yield domain, elems[start : start + BLOCK_SIZE]
 
-    def local_system(self, elem: int, source=None) -> LocalSystem:
-        sig = self._signature(elem)
-        ops = self._ops.get(sig)
-        tab = self.tables(elem)
-        if ops is None:
-            builder = _elastic_ops if tab.domain == "E" else _acoustic_ops
-            ops = builder(tab, self.params, None)
-            self._ops[sig] = ops
-        return _finish(tab, ops, source)
+    def blocks(self):
+        """Stacked tables of every element, block by block."""
+        for domain, elems in self._partition():
+            yield self._block(elems, domain)
 
-    def all_locals(self, f_acoustic=None, f_elastic=None) -> list[LocalSystem]:
+    def all_locals(self, f_acoustic=None, f_elastic=None) -> list[BlockLocals]:
+        """Local systems of every block; the sources map (n, 2) points to
+        (n,) fluid or (n, 2) solid momentum source values."""
         out = []
-        for elem in range(self.mesh.n_elements):
-            source = f_elastic if self.mesh.tri_domain[elem] == "E" else f_acoustic
-            out.append(self.local_system(elem, source))
+        for domain, elems in self._partition():
+            shapes = self._shapes(domain)
+            ops = shapes.ops
+            rows = shapes.shape[elems]
+            source = f_elastic if domain == "E" else f_acoustic
+            moments = np.zeros((len(elems), ops.volume_dim), dtype=complex)
+            rhs_volume = np.zeros_like(moments)
+            rhs_trace = np.zeros((len(elems), ops.trace_dim), dtype=complex)
+            if source is not None:
+                points, weights = self._volume_points(shapes, elems)
+                vals = np.asarray(source(points.reshape(-1, 2)), dtype=complex)
+                vals = vals.reshape(points.shape[:2] + vals.shape[1:])
+                if domain == "E":
+                    f = np.einsum("eq,eqc,iq->eci", weights, vals, self.ref.values)
+                    moments[:, ops.slices["u"]] = f.reshape(len(elems), -1)
+                else:
+                    moments[:, ops.slices["v"]] = np.einsum("eq,eq,iq->ei", weights, vals,
+                                                            self.ref.values)
+                rhs_volume = lu_solve((ops.lu[rows], ops.piv[rows]), moments[..., None])[..., 0]
+                rhs_trace = (ops.flux_volume[rows] @ rhs_volume[..., None])[..., 0]
+            out.append(BlockLocals(elems, rows, ops, moments, rhs_volume, rhs_trace))
         return out

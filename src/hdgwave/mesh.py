@@ -450,7 +450,7 @@ def face_endpoints(mesh: Mesh, face_id: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=None)
-def _edge_table(k: int, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def edge_table(k: int, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gauss nodes and weights on [0, 1] and the edge basis of degree k there."""
     rule = make_edge_quadrature(degree)
     return rule.points, rule.weights, edge_basis_values(k, rule.points)
@@ -479,15 +479,11 @@ class FaceRule:
             return np.concatenate([self.moments(vals[:, 0]), self.moments(vals[:, 1])])
         return np.einsum("p,mp,p->m", self.weights, self.basis, vals)
 
-    def moment_matrix(self, funcs: np.ndarray) -> np.ndarray:
-        """Moments of tabulated functions (n_funcs, n) as an (n_funcs, k+1) matrix."""
-        return np.einsum("p,mp,ip->im", self.weights, self.basis, funcs, optimize=True)
-
 
 def face_rule(mesh: Mesh, face_id: int, k: int, degree: int | None = None) -> FaceRule:
     """Rule on one face, exact through ``degree`` (default 2k+6)."""
     a, b = face_endpoints(mesh, face_id)
-    t, w, basis = _edge_table(k, 2 * k + 6 if degree is None else degree)
+    t, w, basis = edge_table(k, 2 * k + 6 if degree is None else degree)
     length = mesh.faces[face_id].length
     return FaceRule(
         points=a[None, :] + t[:, None] * (b - a)[None, :],

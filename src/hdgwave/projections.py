@@ -12,7 +12,8 @@ The volume projections work on blocks of same-domain elements
 (``BlockTables``): the exact fields are sampled once per block and every
 element's system is one slice of a single batched solve.  The one-element
 entry points ``project_acoustic``, ``project_elastic`` and
-``project_volume_scalar`` are blocks of one.
+``project_volume_scalar`` take the blocks of one that ``Assembler.tables``
+returns.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .local_solver import BlockTables, ElementTables, ModelParams, stack_tables
+from .local_solver import BlockTables, ModelParams, gather
 from .mesh import Mesh, face_rule
 
 
@@ -45,10 +46,9 @@ def _project_volume_scalars(blk: BlockTables, vals: np.ndarray) -> np.ndarray:
     return np.linalg.solve(_gram(blk), mom)[:, :, 0]
 
 
-def project_volume_scalar(tables: ElementTables, fn) -> np.ndarray:
-    """Element-wise L2 projection onto the scalar space, by Gram solve."""
-    blk = stack_tables([tables])
-    return _project_volume_scalars(blk, blk.sample_volume(fn))[0]
+def project_volume_scalar(tables: BlockTables, fn) -> np.ndarray:
+    """L2 projection onto the scalar space of a one-element block, by Gram solve."""
+    return _project_volume_scalars(tables, tables.sample_volume(fn))[0]
 
 
 def _project_pairs(blk: BlockTables, tau: float, vec_fn, scalar_fn):
@@ -123,11 +123,11 @@ class ProjectedPair:
     residual: float
 
 
-def project_acoustic(tables: ElementTables, params: ModelParams, q_fn, v_fn,
+def project_acoustic(tables: BlockTables, params: ModelParams, q_fn, v_fn,
                      tau: float | None = None) -> ProjectedPair:
     """Flux-matching projection of an exact (flux, scalar) acoustic pair."""
     tau = params.tau_a if tau is None else tau
-    vec, sc, res = _project_pairs(stack_tables([tables]), tau, *_one_pair(q_fn, v_fn))
+    vec, sc, res = _project_pairs(tables, tau, *_one_pair(q_fn, v_fn))
     return ProjectedPair(vec=vec[0, 0].reshape(-1), scalar=sc[0, 0],
                          residual=float(res[0]))
 
@@ -139,7 +139,7 @@ class ProjectedElastic:
     residual: float
 
 
-def project_elastic(tables: ElementTables, params: ModelParams, sigma_fn, u_fn,
+def project_elastic(tables: BlockTables, params: ModelParams, sigma_fn, u_fn,
                     tau: float | None = None) -> ProjectedElastic:
     """Row-wise flux-matching projection of an exact (stress, displacement) pair.
 
@@ -148,15 +148,8 @@ def project_elastic(tables: ElementTables, params: ModelParams, sigma_fn, u_fn,
     tensor-valued polynomial space.
     """
     tau = params.tau_e if tau is None else tau
-    sig, u, res = _project_pairs(stack_tables([tables]), tau, sigma_fn, u_fn)
+    sig, u, res = _project_pairs(tables, tau, sigma_fn, u_fn)
     return ProjectedElastic(sigma=sig[0], u=u[0], residual=float(res[0]))
-
-
-def gather(coefs: dict[int, np.ndarray], keys: np.ndarray) -> np.ndarray:
-    """Stack per-element (or per-face) coefficient vectors along a leading axis."""
-    return np.array([coefs[int(key)] for key in keys.reshape(-1)]).reshape(
-        keys.shape + (-1,)
-    )
 
 
 def compute_theta(assembler, solution, fields) -> float:

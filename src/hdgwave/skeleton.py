@@ -7,10 +7,13 @@ basis.  Each interior face equates the sum of the adjacent elements'
 outward numerical-flux moments to zero; interface faces instead couple the
 two fields through the normal-velocity and traction matching conditions.
 
-Two assembly routes produce the same solution and share every block: the
-condensed route scatters the per-element Schur complements, while the
-monolithic route keeps all volume unknowns alongside the trace unknowns.
-The second exists to cross-check the first.
+Assembly, recovery and the residual checks work block by block on the
+arrays of ``local_solver`` (``BlockLocals``, ``BlockTables``), looping over
+blocks and local faces only.  Two assembly routes produce the same solution
+and share every block: the condensed route scatters the Schur complements
+of the elements' shapes, while the monolithic route keeps all volume
+unknowns alongside the trace unknowns.  The second exists to cross-check
+the first.
 """
 
 from __future__ import annotations
@@ -23,8 +26,22 @@ import scipy.sparse as sp
 from scipy.io import mmwrite
 from scipy.sparse.linalg import splu
 
-from .local_solver import Assembler, LocalSystem, ModelParams, reconstruct_flux
-from .mesh import FaceKind, Mesh, elastic_side_normal, face_rule
+from .local_solver import (
+    Assembler,
+    BlockLocals,
+    ModelParams,
+    gather,
+    hooke_inverse_apply,
+    reconstruct_flux,
+)
+from .mesh import (
+    ACOUSTIC_TRACE_KINDS,
+    ELASTIC_TRACE_KINDS,
+    FaceKind,
+    Mesh,
+    elastic_side_normal,
+    face_rule,
+)
 
 
 class SingularSkeletonSystem(RuntimeError):
@@ -82,22 +99,17 @@ def build_dof_map(mesh: Mesh, k: int) -> DofMap:
 
 
 def _fixed_traces(mesh: Mesh, k: int, data: ProblemData):
-    """Face-basis coefficients of the eliminated Dirichlet traces."""
-    fixed_uhat: dict[int, np.ndarray] = {}
-    fixed_vhat: dict[int, np.ndarray] = {}
+    """Face-basis coefficients of the eliminated Dirichlet traces, one row
+    per face (zero on the faces whose trace is an unknown)."""
+    fixed_uhat = np.zeros((mesh.n_faces, 2 * (k + 1)), dtype=complex)
+    fixed_vhat = np.zeros((mesh.n_faces, k + 1), dtype=complex)
     for fid, face in enumerate(mesh.faces):
-        if face.kind is FaceKind.GAMMA_AD:
-            if data.dirichlet is None:
-                fixed_vhat[fid] = np.zeros(k + 1, dtype=complex)
-            else:
-                fr = face_rule(mesh, fid, k)
-                fixed_vhat[fid] = fr.moments(data.dirichlet(fr.points))
-        elif face.kind is FaceKind.ELASTIC_BOUNDARY:
-            if data.u_dirichlet is None:
-                fixed_uhat[fid] = np.zeros(2 * (k + 1), dtype=complex)
-            else:
-                fr = face_rule(mesh, fid, k)
-                fixed_uhat[fid] = fr.moments(data.u_dirichlet(fr.points))
+        if face.kind is FaceKind.GAMMA_AD and data.dirichlet is not None:
+            fr = face_rule(mesh, fid, k)
+            fixed_vhat[fid] = fr.moments(data.dirichlet(fr.points))
+        elif face.kind is FaceKind.ELASTIC_BOUNDARY and data.u_dirichlet is not None:
+            fr = face_rule(mesh, fid, k)
+            fixed_uhat[fid] = fr.moments(data.u_dirichlet(fr.points))
     return fixed_uhat, fixed_vhat
 
 
@@ -106,47 +118,26 @@ class AssembledSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
     dofmap: DofMap
-    locals_: list[LocalSystem]
-    fixed_uhat: dict[int, np.ndarray]
-    fixed_vhat: dict[int, np.ndarray]
+    locals_: list[BlockLocals]
+    fixed_uhat: np.ndarray      # (n_faces, 2(k+1))
+    fixed_vhat: np.ndarray      # (n_faces, k+1)
     n_volume: int
     volume_offsets: np.ndarray | None
 
 
-def _element_columns(mesh: Mesh, dofmap: DofMap, loc: LocalSystem, elem: int,
-                     fixed_uhat, fixed_vhat, trace_base: int):
-    """Skeleton columns per local face, or None plus the fixed coefficients."""
-    blk = loc.trace_dim // 3
-    cols: list[np.ndarray | None] = []
-    fixed_full = np.zeros(loc.trace_dim, dtype=complex)
-    for le, fid in enumerate(mesh.element_faces[elem]):
-        face = mesh.faces[fid]
-        if loc.kind == "elastic":
-            if face.kind is FaceKind.ELASTIC_BOUNDARY:
-                fixed_full[le * blk : (le + 1) * blk] = fixed_uhat[fid]
-                cols.append(None)
-            else:
-                cols.append(trace_base + dofmap.uhat_offset[fid] + np.arange(blk))
-        else:
-            if face.kind is FaceKind.GAMMA_AD:
-                fixed_full[le * blk : (le + 1) * blk] = fixed_vhat[fid]
-                cols.append(None)
-            else:
-                cols.append(trace_base + dofmap.vhat_offset[fid] + np.arange(blk))
-    return cols, fixed_full
-
-
-def _row_info(face_kind: FaceKind, kind: str, dofmap: DofMap, fid: int):
-    """Global row offset and orientation sign for one element-side flux block."""
-    if kind == "elastic":
-        if face_kind is FaceKind.INTERIOR_E:
-            return dofmap.uhat_offset[fid], 1.0
-        if face_kind is FaceKind.GAMMA:
-            return dofmap.uhat_offset[fid], -1.0
-        return None, 0.0
-    if face_kind is FaceKind.GAMMA_AD:
-        return None, 0.0
-    return dofmap.vhat_offset[fid], 1.0
+def _local_faces(mesh: Mesh, dofmap: DofMap, loc: BlockLocals):
+    """Skeleton offset (-1: eliminated) and flux-row sign (0: no row) of each
+    element face of a block.  Interface rows are those of the fluid side, so
+    the solid flux enters them with the opposite sign."""
+    faces = mesh.element_faces[loc.elems]
+    if loc.kind == "elastic":
+        offset = dofmap.uhat_offset[faces]
+        # interface faces are the only ones that carry both traces
+        sign = np.where(dofmap.vhat_offset[faces] >= 0, -1.0, 1.0)
+    else:
+        offset = dofmap.vhat_offset[faces]
+        sign = np.ones(faces.shape)
+    return faces, offset, np.where(offset >= 0, sign, 0.0)
 
 
 def assemble_system(assembler: Assembler, data: ProblemData,
@@ -159,7 +150,9 @@ def assemble_system(assembler: Assembler, data: ProblemData,
     vol_off = None
     n_vol = 0
     if monolithic:
-        dims = np.array([loc.volume_dim for loc in locals_], dtype=int)
+        dims = np.zeros(mesh.n_elements, dtype=int)
+        for loc in locals_:
+            dims[loc.elems] = loc.ops.volume_dim
         vol_off = np.concatenate([[0], np.cumsum(dims)])
         n_vol = int(vol_off[-1])
     trace_base = n_vol
@@ -170,48 +163,52 @@ def assemble_system(assembler: Assembler, data: ProblemData,
     vals_l: list[np.ndarray] = []
     rhs = np.zeros(n_total, dtype=complex)
 
-    def add_block(r_idx: np.ndarray, c_idx: np.ndarray, block: np.ndarray) -> None:
-        rows_l.append(np.repeat(r_idx, len(c_idx)))
-        cols_l.append(np.tile(c_idx, len(r_idx)))
-        vals_l.append(np.asarray(block, dtype=complex).ravel())
+    def add(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, keep) -> None:
+        """Entries vals at (rows, cols) where keep holds, all broadcast together."""
+        shape = np.broadcast_shapes(rows.shape, cols.shape, vals.shape, np.shape(keep))
+        mask = np.broadcast_to(keep, shape)
+        for out, arr in ((rows_l, rows), (cols_l, cols), (vals_l, vals)):
+            out.append(np.broadcast_to(arr, shape)[mask])
 
-    for elem, loc in enumerate(locals_):
-        blk = loc.trace_dim // 3
-        cols, fixed_full = _element_columns(
-            mesh, dofmap, loc, elem, fixed_uhat, fixed_vhat, trace_base
-        )
-        for le, fid in enumerate(mesh.element_faces[elem]):
-            row0, sign = _row_info(mesh.faces[fid].kind, loc.kind, dofmap, fid)
-            if row0 is None:
-                continue
-            r_idx = trace_base + row0 + np.arange(blk)
-            r_sl = slice(le * blk, (le + 1) * blk)
-            flux_cols = loc.flux_trace if monolithic else loc.condensed_map
-            for lc in range(3):
-                block = flux_cols[r_sl, lc * blk : (lc + 1) * blk]
-                if monolithic and lc != le:
-                    continue  # the direct trace block is face-diagonal
-                if cols[lc] is None:
-                    rhs[r_idx] -= sign * (block @ fixed_full[lc * blk : (lc + 1) * blk])
-                else:
-                    add_block(r_idx, cols[lc], sign * block)
-            if monolithic:
-                v_idx = vol_off[elem] + np.arange(loc.volume_dim)
-                add_block(r_idx, v_idx, sign * loc.flux_volume[r_sl])
-            else:
-                rhs[r_idx] -= sign * loc.rhs_trace[r_sl]
+    for loc in locals_:
+        nb = len(loc.elems)
+        blk = loc.ops.trace_dim // 3
+        faces, offset, sign = _local_faces(mesh, dofmap, loc)
+        fixed = (fixed_uhat if loc.kind == "elastic" else fixed_vhat)[faces].reshape(nb, -1)
+        idx = trace_base + offset[..., None] + np.arange(blk)  # (nb, 3, blk)
+        known = offset >= 0
+        r_idx, r_sign = idx[..., None, None], sign[..., None, None, None]
+        c_idx, c_known = idx[:, None, None], known[:, None, None, :, None]
+        r_known = known[..., None, None, None]
         if monolithic:
-            v_idx = vol_off[elem] + np.arange(loc.volume_dim)
-            add_block(v_idx, v_idx, loc.matrix)
-            for lc in range(3):
-                bblock = loc.trace_coupling[:, lc * blk : (lc + 1) * blk]
-                if cols[lc] is None:
-                    rhs[v_idx] += bblock @ fixed_full[lc * blk : (lc + 1) * blk]
-                else:
-                    add_block(v_idx, cols[lc], -bblock)
-            rhs[v_idx] += loc.source_moments
+            # the direct trace block is face-diagonal
+            diag = np.eye(3, dtype=bool)[None, :, None, :, None]
+            flux_trace = loc.ops.flux_trace[loc.shape].reshape(nb, 3, blk, 3, blk)
+            add(r_idx, c_idx, r_sign * flux_trace, r_known & c_known & diag)
+            v_idx = vol_off[loc.elems, None] + np.arange(loc.ops.volume_dim)
+            flux_volume = loc.ops.flux_volume[loc.shape].reshape(nb, 3, blk, -1)
+            add(idx[..., None], v_idx[:, None, None], sign[..., None, None] * flux_volume,
+                known[..., None, None])
+            add(v_idx[..., None], v_idx[:, None], loc.ops.matrix[loc.shape], True)
+            coupling = loc.ops.trace_coupling[loc.shape]
+            add(v_idx[..., None, None], idx[:, None], -coupling.reshape(nb, -1, 3, blk),
+                known[:, None, :, None])
+            rhs[v_idx] += (coupling @ fixed[..., None])[..., 0] + loc.source_moments
+        else:
+            condensed = loc.ops.condensed_map[loc.shape].reshape(nb, 3, blk, 3, blk)
+            add(r_idx, c_idx, r_sign * condensed, r_known & c_known)
+            # per element and row face: the flux of each eliminated trace,
+            # then that of the source, subtracted one at a time in element
+            # order, so that the rounding does not depend on the blocking
+            by_face = condensed.transpose(0, 1, 3, 2, 4)  # (nb, row face, column face, ...)
+            terms = np.concatenate(
+                [(by_face @ fixed.reshape(nb, 1, 3, blk, 1))[..., 0],
+                 loc.rhs_trace.reshape(nb, 3, 1, blk)], axis=2) * sign[..., None, None]
+            used = np.concatenate([~known, np.ones((nb, 1), dtype=bool)], axis=1)
+            use = known[:, :, None] & used[:, None, :]
+            np.subtract.at(rhs, np.broadcast_to(idx[:, :, None], terms.shape)[use], terms[use])
 
-    _face_terms(assembler, data, dofmap, add_block, rhs, trace_base)
+    _face_terms(assembler, data, dofmap, add, rhs, trace_base)
 
     matrix = sp.coo_matrix(
         (np.concatenate(vals_l), (np.concatenate(rows_l), np.concatenate(cols_l))),
@@ -230,7 +227,7 @@ def assemble_system(assembler: Assembler, data: ProblemData,
 
 
 def _face_terms(assembler: Assembler, data: ProblemData, dofmap: DofMap,
-                add_block, rhs: np.ndarray, trace_base: int) -> None:
+                add, rhs: np.ndarray, trace_base: int) -> None:
     """Boundary-data moments and the interface coupling blocks (once per face)."""
     mesh, k, params = assembler.mesh, assembler.k, assembler.params
     kp1 = k + 1
@@ -254,11 +251,11 @@ def _face_terms(assembler: Assembler, data: ProblemData, dofmap: DofMap,
             ux_idx = u0 + np.arange(kp1)
             uy_idx = u0 + kp1 + np.arange(kp1)
             # normal-velocity row couples to the displacement trace ...
-            add_block(v_idx, ux_idx, -s * n_e[0] * eye)
-            add_block(v_idx, uy_idx, -s * n_e[1] * eye)
+            add(v_idx[:, None], ux_idx, -s * n_e[0] * eye, True)
+            add(v_idx[:, None], uy_idx, -s * n_e[1] * eye, True)
             # ... and the traction row to the scalar trace
-            add_block(ux_idx, v_idx, rho_f * s * n_a[0] * eye)
-            add_block(uy_idx, v_idx, rho_f * s * n_a[1] * eye)
+            add(ux_idx[:, None], v_idx, rho_f * s * n_a[0] * eye, True)
+            add(uy_idx[:, None], v_idx, rho_f * s * n_a[1] * eye, True)
             if (data.grad_v_inc is None and data.g1 is None
                     and data.v_inc is None and data.g2 is None):
                 continue
@@ -284,8 +281,10 @@ def solve_assembled(system: AssembledSystem) -> np.ndarray:
         x = lu.solve(system.rhs)
     except RuntimeError as exc:
         raise SingularSkeletonSystem(f"sparse factorization failed: {exc}") from exc
+    # relative to the right-hand side alone, so that the check does not
+    # loosen on problems whose data are small; a zero rhs solves exactly
     residual = float(np.linalg.norm(system.matrix @ x - system.rhs))
-    scale = max(1.0, float(np.linalg.norm(system.rhs)))
+    scale = float(np.linalg.norm(system.rhs))
     if not np.isfinite(residual) or residual > 1e-10 * scale:
         raise SingularSkeletonSystem(
             f"face-system residual {residual:.3e} exceeds 1e-10 x {scale:.3e}"
@@ -309,51 +308,46 @@ class FieldSolution:
     n_skeleton: int
 
 
+def _face_values(skeleton: np.ndarray, offsets: np.ndarray, fixed: np.ndarray) -> np.ndarray:
+    """Trace coefficients of every face (n_faces, width): solved or fixed."""
+    vals = fixed.copy()
+    known = offsets >= 0
+    vals[known] = skeleton[offsets[known, None] + np.arange(fixed.shape[1])]
+    return vals
+
+
 def recover_fields(assembler: Assembler, system: AssembledSystem,
                    x: np.ndarray) -> FieldSolution:
     mesh = assembler.mesh
     dofmap = system.dofmap
-    trace_base = system.n_volume
-    skeleton = x[trace_base:]
+    skeleton = x[system.n_volume :]
+    uhat_all = _face_values(skeleton, dofmap.uhat_offset, system.fixed_uhat)
+    vhat_all = _face_values(skeleton, dofmap.vhat_offset, system.fixed_vhat)
 
     parts: dict[str, dict[int, np.ndarray]] = {
         name: {} for name in ("sigma", "u", "gamma", "q", "v")
     }
     volume: dict[int, np.ndarray] = {}
     traces: dict[int, np.ndarray] = {}
-    for elem, loc in enumerate(system.locals_):
-        blk = loc.trace_dim // 3
-        tr = np.zeros(loc.trace_dim, dtype=complex)
-        for le, fid in enumerate(mesh.element_faces[elem]):
-            sl = slice(le * blk, (le + 1) * blk)
-            if loc.kind == "elastic":
-                off = dofmap.uhat_offset[fid]
-                tr[sl] = skeleton[off : off + blk] if off >= 0 else system.fixed_uhat[fid]
-            else:
-                off = dofmap.vhat_offset[fid]
-                tr[sl] = skeleton[off : off + blk] if off >= 0 else system.fixed_vhat[fid]
+    for loc in system.locals_:
+        faces = mesh.element_faces[loc.elems]
+        face_vals = uhat_all if loc.kind == "elastic" else vhat_all
+        tr = face_vals[faces].reshape(len(loc.elems), -1)
         if system.volume_offsets is not None:
-            vol = x[system.volume_offsets[elem] : system.volume_offsets[elem + 1]]
+            vol = x[system.volume_offsets[loc.elems, None] + np.arange(loc.ops.volume_dim)]
         else:
-            vol = loc.lift_map @ tr + loc.rhs_volume
-        volume[elem] = vol
-        traces[elem] = tr
-        for name, sl in loc.slices.items():
-            parts[name][elem] = vol[sl]
+            vol = (loc.ops.lift_map[loc.shape] @ tr[..., None])[..., 0] + loc.rhs_volume
+        keys = loc.elems.tolist()
+        volume.update(zip(keys, vol))
+        traces.update(zip(keys, tr))
+        for name, sl in loc.ops.slices.items():
+            parts[name].update(zip(keys, vol[:, sl]))
 
-    kp1 = assembler.k + 1
-    uhat: dict[int, np.ndarray] = {}
-    vhat: dict[int, np.ndarray] = {}
-    for fid, face in enumerate(mesh.faces):
-        uo, vo = dofmap.uhat_offset[fid], dofmap.vhat_offset[fid]
-        if uo >= 0:
-            uhat[fid] = skeleton[uo : uo + 2 * kp1]
-        elif face.kind is FaceKind.ELASTIC_BOUNDARY:
-            uhat[fid] = system.fixed_uhat[fid]
-        if vo >= 0:
-            vhat[fid] = skeleton[vo : vo + kp1]
-        elif face.kind is FaceKind.GAMMA_AD:
-            vhat[fid] = system.fixed_vhat[fid]
+    kinds = [face.kind for face in mesh.faces]
+    uhat = {fid: uhat_all[fid] for fid, kind in enumerate(kinds)
+            if kind in ELASTIC_TRACE_KINDS}
+    vhat = {fid: vhat_all[fid] for fid, kind in enumerate(kinds)
+            if kind in ACOUSTIC_TRACE_KINDS}
 
     return FieldSolution(
         mesh=mesh,
@@ -400,18 +394,16 @@ def conservation_report(assembler: Assembler, data: ProblemData,
     kp1 = k + 1
     s, rho_f = params.s, params.rho_f
 
-    flux: dict[int, list[np.ndarray]] = {}
-    for elem in range(mesh.n_elements):
-        tab = assembler.tables(elem)
-        flux[elem] = reconstruct_flux(
-            tab, params, solution.volume[elem], solution.traces[elem]
-        )
+    flux: dict[int, np.ndarray] = {}
+    for blk in assembler.blocks():
+        volume = gather(solution.volume, blk.elems)
+        traces = gather(solution.traces, blk.elems)
+        flux.update(zip(blk.elems.tolist(), reconstruct_flux(blk, params, volume, traces)))
 
     report = {"interior_jump": 0.0, "gamma_velocity": 0.0,
               "gamma_traction": 0.0, "neumann": 0.0, "flux_scale": 0.0}
     for elem_f in flux.values():
-        for m in elem_f:
-            report["flux_scale"] = max(report["flux_scale"], float(np.abs(m).max()))
+        report["flux_scale"] = max(report["flux_scale"], float(np.abs(elem_f).max()))
 
     for fid, face in enumerate(mesh.faces):
         if face.kind in (FaceKind.INTERIOR_A, FaceKind.INTERIOR_E):
@@ -466,44 +458,32 @@ def energy_quantities(assembler: Assembler, solution: FieldSolution) -> dict[str
     squared face mismatch of the displacement and its trace; fluid part the
     same with the mass-weighted flux and scalar mismatch.
     """
-    from .local_solver import hooke_inverse_apply  # local import avoids cycles
-
     params = assembler.params
-    mesh = assembler.mesh
     re_s = params.s.real
     e_solid = 0.0
     e_fluid = 0.0
-    kp1 = assembler.k + 1
-    for elem in range(mesh.n_elements):
-        tab = assembler.tables(elem)
-        w = tab.weights
-        n_p = tab.n_scalar
-        vol = solution.volume[elem]
-        tr = solution.traces[elem]
-        if tab.domain == "E":
-            sig = np.einsum("j,jqrc->qrc", vol[: tab.stress_vals.shape[0]],
-                            tab.stress_vals)
+    for blk in assembler.blocks():
+        nb, n_p = blk.scalar.shape[:2]
+        vol = gather(solution.volume, blk.elems)
+        tr = gather(solution.traces, blk.elems)
+        if blk.domain == "E":
+            n_sig = blk.stress_vals.shape[1]
+            sig = blk.stress_at_points(vol[:, :n_sig])
             comp = hooke_inverse_apply(sig, params.lam, params.mu)
             e_solid += re_s * float(
-                np.einsum("q,qrc->", w, (comp * sig.conj()).real)
+                np.einsum("eq,eqrc->", blk.weights, (comp * sig.conj()).real)
             )
-            uc = vol[tab.stress_vals.shape[0] : tab.stress_vals.shape[0] + 2 * n_p]
-            for f, ft in enumerate(tab.faces):
-                th = tr[f * 2 * kp1 : (f + 1) * 2 * kp1]
-                ux = ft.scalar.T @ uc[:n_p] - ft.basis.T @ th[:kp1]
-                uy = ft.scalar.T @ uc[n_p:] - ft.basis.T @ th[kp1:]
-                mism = float(np.sum(ft.weights * (np.abs(ux) ** 2 + np.abs(uy) ** 2)))
-                e_solid += (params.s * params.tau_e).real * mism
+            u_f = blk.at_face_points(vol[:, n_sig : n_sig + 2 * n_p].reshape(nb, 2, n_p))
+            mism = u_f - blk.traces_at_face_points(tr.reshape(nb, 3, 2, -1))
+            e_solid += (params.s * params.tau_e).real * float(
+                np.einsum("efp,efpc->", blk.face_weights, np.abs(mism) ** 2)
+            )
         else:
-            qc = vol[: 2 * n_p]
-            qv = np.stack([tab.scalar.T @ qc[:n_p], tab.scalar.T @ qc[n_p:]], axis=1)
-            e_fluid += re_s * params.rho_f * float(
-                np.einsum("q,qr->", w, np.abs(qv) ** 2)
+            q = blk.at_points(vol[:, : 2 * n_p].reshape(nb, 2, n_p))
+            e_fluid += re_s * params.rho_f * blk.l2sq(q)
+            mism = (blk.at_face_points(vol[:, 2 * n_p :])
+                    - blk.traces_at_face_points(tr.reshape(nb, 3, -1)))
+            e_fluid += (params.s * params.tau_a).real * params.rho_f * float(
+                np.einsum("efp,efp->", blk.face_weights, np.abs(mism) ** 2)
             )
-            vc = vol[2 * n_p :]
-            for f, ft in enumerate(tab.faces):
-                vv = ft.scalar.T @ vc - ft.basis.T @ tr[f * kp1 : (f + 1) * kp1]
-                e_fluid += (params.s * params.tau_a).real * params.rho_f * float(
-                    np.sum(ft.weights * np.abs(vv) ** 2)
-                )
     return {"elastic": e_solid, "acoustic": e_fluid}

@@ -16,9 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-from .local_solver import Assembler, ModelParams, hooke_apply
+from .local_solver import Assembler, ModelParams, gather, hooke_apply
 from .mesh import FaceKind, Mesh, build_structured_coupled, refine
-from .projections import compute_theta, gather
+from .projections import compute_theta
 from .skeleton import FieldSolution, ProblemData, solve_problem
 
 

@@ -2,7 +2,7 @@
 
 ``compute_errors`` and ``compute_theta`` work on stacked blocks of
 same-domain elements.  The references below walk the elements one at a
-time with the per-element tables and projections, so any mix-up of the
+time with one-element tables and projections, so any mix-up of the
 element, face, or component axes in the batched code shows up as a
 mismatch.  Block sizes of one and seven split every domain into blocks
 with a remainder; the default size is exercised on a mesh whose fluid
@@ -47,32 +47,32 @@ def l2sq(w, diff):
     return float(np.sum(w.reshape((-1,) + (1,) * (diff.ndim - 1)) * np.abs(diff) ** 2))
 
 
-def vector_values(tab, coef):
-    n = tab.n_scalar
-    return np.stack([tab.scalar.T @ coef[:n], tab.scalar.T @ coef[n:]], axis=1)
+def vector_values(sv, coef):
+    n = sv.shape[0]
+    return np.stack([sv.T @ coef[:n], sv.T @ coef[n:]], axis=1)
 
 
 def reference_errors(asm, sol, exact):
     mesh, k = asm.mesh, asm.k
     acc = defaultdict(float)
     for elem in range(mesh.n_elements):
-        tab = asm.tables(elem)
-        w, pts = tab.weights, tab.points
+        tab = asm.tables(elem)  # a block of one
+        w, pts, sv, h = tab.weights[0], tab.points[0], tab.scalar[0], tab.h[0]
         if tab.domain == "E":
-            sig_h = np.einsum("j,jqrc->qrc", sol.parts["sigma"][elem], tab.stress_vals)
+            sig_h = np.einsum("j,jqrc->qrc", sol.parts["sigma"][elem], tab.stress_vals[0])
             acc["sigma"] += l2sq(w, sig_h - exact.sigma(pts))
-            acc["u"] += l2sq(w, vector_values(tab, sol.parts["u"][elem]) - exact.u(pts))
-            g_h = tab.scalar.T @ sol.parts["gamma"][elem]
+            acc["u"] += l2sq(w, vector_values(sv, sol.parts["u"][elem]) - exact.u(pts))
+            g_h = sv.T @ sol.parts["gamma"][elem]
             acc["gamma"] += 2.0 * l2sq(w, g_h - exact.gamma_p(pts))
             for fid in mesh.element_faces[elem]:
                 defect = project_face(mesh, fid, k, exact.u) - sol.uhat[fid]
-                acc["uhat"] += tab.h * float(np.sum(np.abs(defect) ** 2))
+                acc["uhat"] += h * float(np.sum(np.abs(defect) ** 2))
         else:
-            acc["q"] += l2sq(w, vector_values(tab, sol.parts["q"][elem]) - exact.q(pts))
-            acc["v"] += l2sq(w, tab.scalar.T @ sol.parts["v"][elem] - exact.v(pts))
+            acc["q"] += l2sq(w, vector_values(sv, sol.parts["q"][elem]) - exact.q(pts))
+            acc["v"] += l2sq(w, sv.T @ sol.parts["v"][elem] - exact.v(pts))
             for fid in mesh.element_faces[elem]:
                 defect = project_face(mesh, fid, k, exact.v) - sol.vhat[fid]
-                acc["vhat"] += tab.h * float(np.sum(np.abs(defect) ** 2))
+                acc["vhat"] += h * float(np.sum(np.abs(defect) ** 2))
     return {name: np.sqrt(val) for name, val in acc.items()}
 
 
@@ -81,19 +81,19 @@ def reference_theta(asm, sol, exact):
     total = 0.0
     for elem in range(asm.mesh.n_elements):
         tab = asm.tables(elem)
-        w, sv = tab.weights, tab.scalar
+        w, sv = tab.weights[0], tab.scalar[0]
         if tab.domain == "E":
             pe = project_elastic(tab, params, exact.sigma, exact.u)
             sig_p = np.einsum("rcj,jq->qrc", pe.sigma, sv)
-            sig_h = np.einsum("j,jqrc->qrc", parts["sigma"][elem], tab.stress_vals)
+            sig_h = np.einsum("j,jqrc->qrc", parts["sigma"][elem], tab.stress_vals[0])
             total += l2sq(w, sig_p - sig_h)
             u_p = np.einsum("rj,jq->qr", pe.u, sv)
-            total += l2sq(w, u_p - vector_values(tab, parts["u"][elem]))
+            total += l2sq(w, u_p - vector_values(sv, parts["u"][elem]))
             g_p = project_volume_scalar(tab, exact.gamma_p)
             total += 2.0 * l2sq(w, sv.T @ (g_p - parts["gamma"][elem]))
         else:
             pa = project_acoustic(tab, params, exact.q, exact.v)
-            total += l2sq(w, vector_values(tab, pa.vec - parts["q"][elem]))
+            total += l2sq(w, vector_values(sv, pa.vec - parts["q"][elem]))
             total += l2sq(w, sv.T @ (pa.scalar - parts["v"][elem]))
     return float(np.sqrt(total))
 

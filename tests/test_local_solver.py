@@ -1,5 +1,5 @@
 """Element-level systems: material laws, polynomial consistency, the
-condensation algebra, and the pointwise flux route.
+condensation algebra, the pointwise flux route, and the per-shape sharing.
 
 The consistency oracle: for a polynomial exact solution of element degree,
 feeding the exact face traces and the exact source through the local solve
@@ -17,16 +17,12 @@ from hdgwave.local_solver import (
     Assembler,
     ModelParams,
     SingularLocalSystem,
-    assemble_acoustic_local,
-    assemble_elastic_local,
-    build_element_tables,
     hooke_apply,
     hooke_inverse_apply,
     lame_parameters,
     reconstruct_flux,
 )
 from hdgwave.mesh import FaceKind, build_structured_coupled, face_rule, load_mesh
-from hdgwave.quadbasis import build_reference_basis
 
 S = 2.0 - 1.0j
 
@@ -183,242 +179,303 @@ class PolyElastic:
         return self.s2rho * self.u(p) - div
 
 
-def exact_acoustic_traces(mesh, elem, tables, k, v_fn):
-    t = np.zeros(3 * (k + 1), dtype=complex)
-    for f, ft in enumerate(tables.faces):
-        fr = face_rule(mesh, ft.face_id, k)
-        vals = v_fn(fr.points)
-        t[f * (k + 1):(f + 1) * (k + 1)] = (fr.basis * fr.weights) @ vals
-    return t
+def exact_traces(asm, blk, fn):
+    """Face projections of an exact trace for every element of a block,
+    component-major per face, as (nb, trace dim)."""
+    k = asm.k
+    rows = []
+    for fids in blk.face_ids:
+        per_face = []
+        for fid in fids:
+            fr = face_rule(asm.mesh, fid, k)
+            per_face.append(fr.moments(fn(fr.points)))
+        rows.append(np.concatenate(per_face))
+    return np.array(rows)
 
 
-def exact_elastic_traces(mesh, elem, tables, k, u_fn):
-    kp1 = k + 1
-    t = np.zeros(3 * 2 * kp1, dtype=complex)
-    for f, ft in enumerate(tables.faces):
-        fr = face_rule(mesh, ft.face_id, k)
-        vals = u_fn(fr.points)
-        blk = slice(f * 2 * kp1, (f + 1) * 2 * kp1)
-        t[blk] = np.concatenate(
-            [(fr.basis * fr.weights) @ vals[:, 0], (fr.basis * fr.weights) @ vals[:, 1]]
-        )
-    return t
+def solved_blocks(asm, fn, **sources):
+    """Per block: tables, local systems, exact traces and the volume
+    unknowns they lift to."""
+    for blk, loc in zip(asm.blocks(), asm.all_locals(**sources)):
+        assert np.array_equal(blk.elems, loc.elems)
+        t = exact_traces(asm, blk, fn)
+        vol = (loc.ops.lift_map[loc.shape] @ t[..., None])[..., 0] + loc.rhs_volume
+        flux = (loc.ops.condensed_map[loc.shape] @ t[..., None])[..., 0] + loc.rhs_trace
+        yield blk, loc, t, vol, flux
+
+
+def face_moment(blk, f, vals):
+    """Moments of point values (nb, nfq) on local face f, per element."""
+    return np.einsum("ep,emp,ep->em", blk.face_weights[:, f], blk.face_basis[:, f], vals)
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_acoustic_local_consistency(k):
     params = ModelParams(s=S)
     mesh = acoustic_mesh(1)
-    ref = build_reference_basis(k)
     exact = PolyAcoustic(params.s, params.c, k)
-    for elem in range(mesh.n_elements):
-        tab = build_element_tables(mesh, elem, ref)
-        loc = assemble_acoustic_local(tab, params, source=exact.f)
-        t = exact_acoustic_traces(mesh, elem, tab, k, exact.v)
-        vol = loc.lift_map @ t + loc.rhs_volume
-        n_p = tab.n_scalar
-        sv = tab.scalar
-        q_h = np.stack([sv.T @ vol[:n_p], sv.T @ vol[n_p:2 * n_p]], axis=1)
-        v_h = sv.T @ vol[2 * n_p:]
-        assert np.abs(q_h - exact.q(tab.points)).max() < 1e-11
-        assert np.abs(v_h - exact.v(tab.points)).max() < 1e-11
+    asm = Assembler(mesh, k, params)
+    for blk, loc, t, vol, flux in solved_blocks(asm, exact.v, f_acoustic=exact.f):
+        n_p = blk.n_scalar
+        nb = len(blk.elems)
+        q_h = blk.at_points(vol[:, : 2 * n_p].reshape(nb, 2, n_p))
+        v_h = blk.at_points(vol[:, 2 * n_p :])
+        assert np.abs(q_h - exact.q(blk.points.reshape(-1, 2)).reshape(q_h.shape)).max() < 1e-11
+        assert np.abs(v_h - exact.v(blk.points.reshape(-1, 2)).reshape(v_h.shape)).max() < 1e-11
         # flux moments reduce to moments of q.n: the penalty term is the
         # difference between v and its own face projection
-        flux = loc.condensed_map @ t + loc.rhs_trace
-        for f, ft in enumerate(tab.faces):
-            qn = exact.q(ft.points) @ ft.normal
-            mom = np.einsum("p,mp,p->m", ft.weights, ft.basis, qn)
-            assert np.abs(flux[f * (k + 1):(f + 1) * (k + 1)] - mom).max() < 1e-11
+        for f in range(3):
+            pts = blk.face_points[:, f]
+            qn = np.einsum("epc,ec->ep", exact.q(pts.reshape(-1, 2)).reshape(pts.shape),
+                           blk.normals[:, f])
+            mom = face_moment(blk, f, qn)
+            assert np.abs(flux[:, f * (k + 1):(f + 1) * (k + 1)] - mom).max() < 1e-11
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_elastic_local_consistency(k):
     params = ModelParams.from_young_poisson(1.0, 0.3, s=S)
     mesh = elastic_mesh(1)
-    ref = build_reference_basis(k)
     exact = PolyElastic(params.s, params.rho_e, params.lam, params.mu, k)
     kp1 = k + 1
-    for elem in range(mesh.n_elements):
-        tab = build_element_tables(mesh, elem, ref)
-        loc = assemble_elastic_local(tab, params, source=exact.f)
-        t = exact_elastic_traces(mesh, elem, tab, k, exact.u)
-        vol = loc.lift_map @ t + loc.rhs_volume
-        n_sig = tab.stress_vals.shape[0]
-        n_p = tab.n_scalar
-        sig_h = np.einsum("j,jqrc->qrc", vol[:n_sig], tab.stress_vals)
-        assert np.abs(sig_h - exact.sigma(tab.points)).max() < 1e-10
-        uc = vol[n_sig:n_sig + 2 * n_p]
-        u_h = np.stack([tab.scalar.T @ uc[:n_p], tab.scalar.T @ uc[n_p:]], axis=1)
-        assert np.abs(u_h - exact.u(tab.points)).max() < 1e-10
-        gc = vol[n_sig + 2 * n_p:]
-        g_scalar = tab.scalar.T @ gc
-        gam_h = np.zeros((len(tab.points), 2, 2), dtype=complex)
+    asm = Assembler(mesh, k, params)
+    for blk, loc, t, vol, flux in solved_blocks(asm, exact.u, f_elastic=exact.f):
+        nb, n_p = len(blk.elems), blk.n_scalar
+        n_sig = blk.stress_vals.shape[1]
+        pts = blk.points.reshape(-1, 2)
+        sig_h = blk.stress_at_points(vol[:, :n_sig])
+        assert np.abs(sig_h - exact.sigma(pts).reshape(sig_h.shape)).max() < 1e-10
+        u_h = blk.at_points(vol[:, n_sig:n_sig + 2 * n_p].reshape(nb, 2, n_p))
+        assert np.abs(u_h - exact.u(pts).reshape(u_h.shape)).max() < 1e-10
+        g_scalar = blk.at_points(vol[:, n_sig + 2 * n_p:]).reshape(-1)
+        gam_h = np.zeros((len(pts), 2, 2), dtype=complex)
         gam_h[:, 0, 1] = g_scalar
         gam_h[:, 1, 0] = -g_scalar
-        assert np.abs(gam_h - exact.gamma(tab.points)).max() < 1e-10
-        flux = loc.condensed_map @ t + loc.rhs_trace
-        for f, ft in enumerate(tab.faces):
-            sn = np.einsum("prc,c->pr", exact.sigma(ft.points), ft.normal)
-            mom = np.concatenate(
-                [
-                    np.einsum("p,mp,p->m", ft.weights, ft.basis, sn[:, 0]),
-                    np.einsum("p,mp,p->m", ft.weights, ft.basis, sn[:, 1]),
-                ]
-            )
-            blk = slice(f * 2 * kp1, (f + 1) * 2 * kp1)
-            assert np.abs(flux[blk] - mom).max() < 1e-10
+        assert np.abs(gam_h - exact.gamma(pts)).max() < 1e-10
+        for f in range(3):
+            fpts = blk.face_points[:, f]
+            sn = np.einsum("eprc,ec->epr", exact.sigma(fpts.reshape(-1, 2)).reshape(
+                fpts.shape[:2] + (2, 2)), blk.normals[:, f])
+            mom = np.concatenate([face_moment(blk, f, sn[..., 0]),
+                                  face_moment(blk, f, sn[..., 1])], axis=1)
+            assert np.abs(flux[:, f * 2 * kp1:(f + 1) * 2 * kp1] - mom).max() < 1e-10
 
 
 # -- condensation algebra --------------------------------------------------
 
 
-@pytest.mark.parametrize("domain,assemble", [("A", assemble_acoustic_local),
-                                             ("E", assemble_elastic_local)])
-def test_schur_complement_matches_direct_elimination(domain, assemble):
+def unit_source(domain):
+    if domain == "A":
+        return dict(f_acoustic=lambda p: np.ones(len(p)))
+    return dict(f_elastic=lambda p: np.ones((len(p), 2)))
+
+
+@pytest.mark.parametrize("domain", ["A", "E"])
+def test_schur_complement_matches_direct_elimination(domain):
     params = ModelParams(s=S)
     mesh = acoustic_mesh(1) if domain == "A" else elastic_mesh(1)
-    ref = build_reference_basis(2)
-    tab = build_element_tables(mesh, 0, ref)
-    loc = assemble(tab, params, source=lambda p: (
-        np.ones(len(p)) if domain == "A" else np.ones((len(p), 2))))
+    (loc,) = Assembler(mesh, 2, params).all_locals(**unit_source(domain))
+    ops, rows = loc.ops, loc.shape
     rng = np.random.default_rng(8)
-    t = rng.normal(size=loc.trace_dim) + 1j * rng.normal(size=loc.trace_dim)
-    # direct route: eliminate the volume block explicitly
-    x = np.linalg.solve(loc.matrix, loc.trace_coupling @ t + (loc.matrix @ loc.rhs_volume))
-    direct = loc.flux_volume @ x + loc.flux_trace @ t
-    schur = loc.condensed_map @ t + loc.rhs_trace
+    n = len(loc.elems)
+    t = rng.normal(size=(n, ops.trace_dim)) + 1j * rng.normal(size=(n, ops.trace_dim))
+    # direct route: eliminate the volume block of each element explicitly
+    a = ops.matrix[rows]
+    x = np.linalg.solve(a, ((ops.trace_coupling[rows] @ t[..., None])[..., 0]
+                            + loc.source_moments)[..., None])[..., 0]
+    direct = ((ops.flux_volume[rows] @ x[..., None])
+              + (ops.flux_trace[rows] @ t[..., None]))[..., 0]
+    schur = (ops.condensed_map[rows] @ t[..., None])[..., 0] + loc.rhs_trace
     assert np.abs(direct - schur).max() < 1e-11
     # and the lift map is exactly that elimination
-    assert np.abs((loc.lift_map @ t + loc.rhs_volume) - x).max() < 1e-11
+    lifted = (ops.lift_map[rows] @ t[..., None])[..., 0] + loc.rhs_volume
+    assert np.abs(lifted - x).max() < 1e-11
+    # the source lift solves the volume block against the source moments
+    assert np.abs((a @ loc.rhs_volume[..., None])[..., 0] - loc.source_moments).max() < 1e-12
+
+
+def pointwise_vs_condensed(params, domain, k=2):
+    mesh = acoustic_mesh(1) if domain == "A" else elastic_mesh(1)
+    asm = Assembler(mesh, k, params)
+    (blk,), (loc,) = list(asm.blocks()), asm.all_locals()
+    rng = np.random.default_rng(9)
+    n = len(loc.elems)
+    t = rng.normal(size=(n, loc.ops.trace_dim)) + 1j * rng.normal(size=(n, loc.ops.trace_dim))
+    vol = (loc.ops.lift_map[loc.shape] @ t[..., None])[..., 0] + loc.rhs_volume
+    pointwise = reconstruct_flux(blk, params, vol, t).reshape(n, -1)
+    algebraic = (loc.ops.condensed_map[loc.shape] @ t[..., None])[..., 0] + loc.rhs_trace
+    return pointwise, algebraic
 
 
 @pytest.mark.parametrize("domain", ["A", "E"])
 def test_pointwise_flux_matches_condensed_moments(domain):
     params = ModelParams.from_young_poisson(1.0, 0.3, s=S)
-    mesh = acoustic_mesh(1) if domain == "A" else elastic_mesh(1)
-    ref = build_reference_basis(2)
-    tab = build_element_tables(mesh, 0, ref)
-    assemble = assemble_acoustic_local if domain == "A" else assemble_elastic_local
-    loc = assemble(tab, params)
-    rng = np.random.default_rng(9)
-    t = rng.normal(size=loc.trace_dim) + 1j * rng.normal(size=loc.trace_dim)
-    vol = loc.lift_map @ t + loc.rhs_volume
-    pointwise = np.concatenate(reconstruct_flux(tab, params, vol, t))
-    algebraic = loc.condensed_map @ t + loc.rhs_trace
+    pointwise, algebraic = pointwise_vs_condensed(params, domain)
     assert np.abs(pointwise - algebraic).max() < 1e-11
 
 
-def test_per_face_tau_override_changes_only_the_penalty():
-    params = ModelParams(s=S)
-    mesh = acoustic_mesh(1)
-    ref = build_reference_basis(1)
-    tab = build_element_tables(mesh, 0, ref)
-    base = assemble_acoustic_local(tab, params)
-    bumped = assemble_acoustic_local(tab, params, tau=(2.0, 2.0, 2.0))
-    assert np.abs(base.condensed_map - bumped.condensed_map).max() > 1e-3
-    rng = np.random.default_rng(10)
-    t = rng.normal(size=base.trace_dim)
-    vol_b = bumped.lift_map @ t + bumped.rhs_volume
-    pw = np.concatenate(reconstruct_flux(tab, params, vol_b, t, tau=(2.0, 2.0, 2.0)))
-    alg = bumped.condensed_map @ t + bumped.rhs_trace
-    assert np.abs(pw - alg).max() < 1e-11
+def test_pointwise_flux_identity_holds_at_tau_a_2():
+    # a larger fluid penalty changes the condensed map, and the pointwise
+    # flux follows it
+    base = pointwise_vs_condensed(ModelParams(s=S), "A", k=1)[1]
+    pointwise, algebraic = pointwise_vs_condensed(ModelParams(s=S, tau_a=2.0), "A", k=1)
+    assert np.abs(base - algebraic).max() > 1e-3
+    assert np.abs(pointwise - algebraic).max() < 1e-11
 
 
 def test_reconstruct_flux_accepts_zero_tau():
     params = ModelParams(s=S)
-    mesh = acoustic_mesh(1)
-    ref = build_reference_basis(1)
-    tab = build_element_tables(mesh, 0, ref)
-    loc = assemble_acoustic_local(tab, params)
+    asm = Assembler(acoustic_mesh(1), 1, params)
+    (blk,), (loc,) = list(asm.blocks()), asm.all_locals()
     rng = np.random.default_rng(11)
-    t = rng.normal(size=loc.trace_dim)
-    vol = loc.lift_map @ t + loc.rhs_volume
-    out = reconstruct_flux(tab, params, vol, t, tau=0.0)
-    assert len(out) == 3 and all(np.all(np.isfinite(c)) for c in out)
-
-
-def test_domain_mismatch_rejected():
-    params = ModelParams(s=S)
-    ref = build_reference_basis(1)
-    tab_a = build_element_tables(acoustic_mesh(1), 0, ref)
-    tab_e = build_element_tables(elastic_mesh(1), 0, ref)
-    with pytest.raises(ValueError):
-        assemble_elastic_local(tab_a, params)
-    with pytest.raises(ValueError):
-        assemble_acoustic_local(tab_e, params)
+    t = rng.normal(size=(len(loc.elems), loc.ops.trace_dim))
+    vol = (loc.ops.lift_map[loc.shape] @ t[..., None])[..., 0] + loc.rhs_volume
+    out = reconstruct_flux(blk, params, vol, t, tau=0.0)
+    assert out.shape == (len(loc.elems), 3, 2) and np.all(np.isfinite(out))
 
 
 def test_zero_data_gives_zero_volume_fields():
     params = ModelParams(s=S)
-    mesh = elastic_mesh(1)
-    ref = build_reference_basis(2)
-    tab = build_element_tables(mesh, 0, ref)
-    loc = assemble_elastic_local(tab, params)
+    (loc,) = Assembler(elastic_mesh(1), 2, params).all_locals()
     assert np.abs(loc.rhs_volume).max() == 0.0
-    assert np.abs(loc.lift_map @ np.zeros(loc.trace_dim) + loc.rhs_volume).max() == 0.0
+    assert np.abs(loc.rhs_trace).max() == 0.0
+    zero = np.zeros((len(loc.elems), loc.ops.trace_dim, 1))
+    assert np.abs((loc.ops.lift_map[loc.shape] @ zero)[..., 0] + loc.rhs_volume).max() == 0.0
 
 
-# -- assembler caching -----------------------------------------------------
+# -- per-shape sharing -----------------------------------------------------
+
+
+def n_shapes(asm):
+    return sum(len(asm._shapes(d).ops.reps) for d in ("E", "A")
+               if np.any(asm.mesh.tri_domain == d))
+
+
+def scaled(mesh, factor):
+    mesh.vertices = mesh.vertices * factor
+    for face in mesh.faces:
+        face.length *= factor
+    mesh.h_e *= factor
+    mesh.h_a *= factor
+    return mesh
 
 
 def test_assembler_shares_blocks_between_congruent_elements():
     mesh = acoustic_mesh(2)  # all 8 triangles are translates of two shapes
-    params = ModelParams(s=S)
-    asm = Assembler(mesh, 1, params)
-    locs = asm.all_locals()
-    sigs = {asm._signature(e) for e in range(mesh.n_elements)}
-    assert len(sigs) == 2
-    by_sig = {}
-    for e in range(mesh.n_elements):
-        by_sig.setdefault(asm._signature(e), []).append(e)
-    for group in by_sig.values():
-        first = locs[group[0]]
-        for e in group[1:]:
-            assert locs[e].condensed_map is first.condensed_map
-            # per-element geometry is not shared
-            assert locs[e].elem != first.elem
+    asm = Assembler(mesh, 1, ModelParams(s=S))
+    (loc,) = asm.all_locals()
+    assert n_shapes(asm) == 2 and loc.ops.condensed_map.shape[0] == 2
+    # the two shapes alternate: the lower and the upper triangle of a cell
+    assert np.array_equal(loc.shape, np.tile(loc.shape[:2], 4))
+    assert loc.shape[0] != loc.shape[1]
 
 
-def test_assembler_matches_uncached_route():
+def test_shape_key_is_dimensionless():
+    # rounding edges to an absolute 1e-12 merged distinct elements of a tiny
+    # mesh; relative to each element's size, every jittered element keeps
+    # its own shape at any scale
+    for factor in (1.0, 1e-10, 1e6):
+        mesh = scaled(build_structured_coupled(
+            2, (-2.0, -2.0, 2.0, 2.0), (-1.0, -1.0, 1.0, 1.0), jitter=0.15, seed=5), factor)
+        assert n_shapes(Assembler(mesh, 1, ModelParams(s=S))) == mesh.n_elements == 128
+    assert n_shapes(Assembler(scaled(acoustic_mesh(2), 1e-10), 1, ModelParams(s=S))) == 2
+
+
+def one_element_mesh(tmp_path, tri, domain):
+    kind = "gammaAD" if domain == "A" else "elasticBoundary"
+    path = tmp_path / "one.mesh"
+    path.write_text(
+        "hdgmesh v1\nvertices 3\n"
+        + "".join(f"{x:.17g} {y:.17g}\n" for x, y in tri)
+        + f"triangles 1\n0 1 2 {domain}\n"
+        f"faces 3\n0 1 {kind}\n1 2 {kind}\n0 2 {kind}\n"
+    )
+    return load_mesh(str(path))
+
+
+def test_assembler_matches_uncached_route(tmp_path):
+    # an element that shares its shape's operators gets the same system as
+    # when it is assembled on its own
     mesh = acoustic_mesh(2)
     params = ModelParams(s=S)
-    asm = Assembler(mesh, 2, params)
     src = lambda p: np.sin(p[:, 0]) * np.cos(p[:, 1])
+    (loc,) = Assembler(mesh, 2, params).all_locals(f_acoustic=src)
     for elem in (0, 3, 5):
-        cached = asm.local_system(elem, source=src)
-        fresh_tab = build_element_tables(mesh, elem, asm.ref)
-        fresh = assemble_acoustic_local(fresh_tab, params, source=src)
-        assert np.abs(cached.condensed_map - fresh.condensed_map).max() < 1e-13
-        assert np.abs(cached.rhs_trace - fresh.rhs_trace).max() < 1e-13
-        assert np.abs(cached.rhs_volume - fresh.rhs_volume).max() < 1e-13
+        i = int(np.flatnonzero(loc.elems == elem)[0])
+        alone = one_element_mesh(tmp_path, mesh.triangle(elem), "A")
+        (fresh,) = Assembler(alone, 2, params).all_locals(f_acoustic=src)
+        for name in ("matrix", "lift_map", "condensed_map"):
+            shared = getattr(loc.ops, name)[loc.shape[i]]
+            assert np.abs(shared - getattr(fresh.ops, name)[0]).max() < 1e-13
+        for name in ("rhs_volume", "rhs_trace", "source_moments"):
+            assert np.abs(getattr(loc, name)[i] - getattr(fresh, name)[0]).max() < 1e-13
+
+
+def similar_triangles_mesh(tmp_path, domain):
+    # triangles 0 and 1 have the same shape and orientation, 1 twice as big;
+    # triangle 2 fills the gap between them
+    inner, outer = ("interiorA", "gammaAD") if domain == "A" else ("interiorE", "elasticBoundary")
+    path = tmp_path / "similar.mesh"
+    path.write_text(
+        "hdgmesh v1\nvertices 5\n0 0\n1 0\n0 1\n3 0\n1 2\n"
+        f"triangles 3\n0 1 2 {domain}\n1 3 4 {domain}\n2 1 4 {domain}\n"
+        f"faces 7\n0 1 {outer}\n1 2 {inner}\n0 2 {outer}\n1 3 {outer}\n"
+        f"3 4 {outer}\n1 4 {inner}\n2 4 {outer}\n"
+    )
+    return load_mesh(str(path))
+
+
+@pytest.mark.parametrize("domain", ["A", "E"])
+def test_similar_elements_of_different_size_do_not_share(tmp_path, domain):
+    mesh = similar_triangles_mesh(tmp_path, domain)
+    params = ModelParams(s=S)
+    source = {"f_acoustic": lambda p: np.sin(p[:, 0]) * np.cos(p[:, 1])} if domain == "A" \
+        else {"f_elastic": lambda p: np.column_stack([np.sin(p[:, 0]), p[:, 0] * p[:, 1]])}
+    (loc,) = Assembler(mesh, 2, params).all_locals(**source)
+    assert loc.shape[0] != loc.shape[1]
+    for elem in (0, 1):
+        alone = one_element_mesh(tmp_path, mesh.triangle(elem), domain)
+        (fresh,) = Assembler(alone, 2, params).all_locals(**source)
+        for name in ("matrix", "lift_map", "condensed_map"):
+            shared = getattr(loc.ops, name)[loc.shape[elem]]
+            scale = np.abs(shared).max()
+            assert np.abs(shared - getattr(fresh.ops, name)[0]).max() < 1e-13 * scale
+        for name in ("rhs_volume", "rhs_trace", "source_moments"):
+            assert np.abs(getattr(loc, name)[elem] - getattr(fresh, name)[0]).max() < 1e-13
 
 
 def test_assembler_tables_translate_points():
     mesh = acoustic_mesh(2)
     asm = Assembler(mesh, 1, ModelParams(s=S))
-    t0, t5 = asm.tables(0), asm.tables(5)
-    if asm._signature(0) == asm._signature(5):
-        shift = mesh.triangle(5)[0] - mesh.triangle(0)[0]
-        assert np.allclose(t5.points, t0.points + shift)
+    ref_pts = asm.ref.quad.points
     for elem in range(mesh.n_elements):
         tab = asm.tables(elem)
-        assert np.allclose(tab.verts, mesh.triangle(elem))
-        for le, ft in enumerate(tab.faces):
-            assert ft.face_id == mesh.element_faces[elem, le]
+        tri = mesh.triangle(elem)
+        mapped = tri[0] + ref_pts @ np.column_stack([tri[1] - tri[0], tri[2] - tri[0]]).T
+        assert np.allclose(tab.points[0], mapped, rtol=0.0, atol=1e-15)
+        assert np.array_equal(tab.face_ids[0], mesh.element_faces[elem])
+    # a shape's points move onto each of its elements
+    shapes = asm._shapes("A")
+    for elem in range(mesh.n_elements):
+        rep = shapes.ops.reps[shapes.shape[elem]]
+        shift = mesh.triangle(elem)[0] - mesh.triangle(rep)[0]
+        assert np.array_equal(asm.tables(elem).points, asm.tables(rep).points + shift)
 
 
 def test_assembler_tables_use_each_face_rule():
-    # structured meshes reuse tables per translation class; the face rule
-    # of a reused element must still be its face's own, bit for bit
+    # elements share their shape's tables; the face rule of each element
+    # must still be its face's own, bit for bit
     mesh = build_structured_coupled(4, (-2.0, -2.0, 2.0, 2.0), (-1.0, -1.0, 1.0, 1.0))
     k = 2
     asm = Assembler(mesh, k, ModelParams(s=S))
-    for elem in range(mesh.n_elements):
-        for ft in asm.tables(elem).faces:
-            fr = face_rule(mesh, ft.face_id, k)
-            assert np.array_equal(ft.points, fr.points)
-            assert np.array_equal(ft.weights, fr.weights)
-            assert np.array_equal(ft.basis, fr.basis)
+    for blk in asm.blocks():
+        for fids, pts, wts, basis in zip(blk.face_ids, blk.face_points, blk.face_weights,
+                                         blk.face_basis):
+            for f, fid in enumerate(fids):
+                fr = face_rule(mesh, fid, k)
+                assert np.array_equal(pts[f], fr.points)
+                assert np.array_equal(wts[f], fr.weights)
+                assert np.array_equal(basis[f], fr.basis)
 
 
 def test_both_sides_of_a_face_see_its_face_rule():
@@ -426,8 +483,7 @@ def test_both_sides_of_a_face_see_its_face_rule():
         2, (-2.0, -2.0, 2.0, 2.0), (-1.0, -1.0, 1.0, 1.0), jitter=0.15, seed=3
     )
     k = 2
-    ref = build_reference_basis(k)
-    tables = [build_element_tables(mesh, e, ref) for e in range(mesh.n_elements)]
+    asm = Assembler(mesh, k, ModelParams(s=S))
     kinds = set()
     for fid, face in enumerate(mesh.faces):
         if len(face.sides) != 2:
@@ -435,12 +491,13 @@ def test_both_sides_of_a_face_see_its_face_rule():
         kinds.add(face.kind)
         fr = face_rule(mesh, fid, k)
         for side in face.sides:
-            ft = tables[side.element].faces[side.local_edge]
-            assert ft.face_id == fid
-            assert np.array_equal(ft.points, fr.points)
-            assert np.array_equal(ft.weights, fr.weights)
-            assert np.array_equal(ft.basis, fr.basis)
-            assert np.array_equal(ft.normal, side.sign * face.normal)
+            tab = asm.tables(side.element)
+            f = side.local_edge
+            assert tab.face_ids[0, f] == fid
+            assert np.array_equal(tab.face_points[0, f], fr.points)
+            assert np.array_equal(tab.face_weights[0, f], fr.weights)
+            assert np.array_equal(tab.face_basis[0, f], fr.basis)
+            assert np.array_equal(tab.normals[0, f], side.sign * face.normal)
     assert kinds == {FaceKind.INTERIOR_A, FaceKind.INTERIOR_E, FaceKind.GAMMA}
 
 
@@ -452,15 +509,10 @@ def test_both_sides_of_a_face_see_its_face_rule():
 def test_pivot_check_is_scale_free(domain, scale):
     # local blocks scale with powers of h; a well-shaped element of any size
     # must assemble (an absolute pivot floor rejected h ~ 1e-7)
-    mesh = build_structured_coupled(2, (0.0, 0.0, 1.0, 1.0), domain=domain)
-    mesh.vertices = mesh.vertices * scale
-    for face in mesh.faces:
-        face.length *= scale
-    mesh.h_e *= scale
-    mesh.h_a *= scale
+    mesh = scaled(build_structured_coupled(2, (0.0, 0.0, 1.0, 1.0), domain=domain), scale)
     for k in (1, 3):
         locs = Assembler(mesh, k, ModelParams(s=S)).all_locals()
-        assert all(np.isfinite(loc.condensed_map).all() for loc in locs)
+        assert all(np.isfinite(loc.ops.condensed_map).all() for loc in locs)
 
 
 @pytest.mark.parametrize("domain,kind", [("A", "gammaAD"), ("E", "elasticBoundary")])

@@ -10,7 +10,7 @@ degree-k face space.  The tests check those defining equations directly
 import numpy as np
 import pytest
 
-from hdgwave.local_solver import Assembler, ModelParams, build_element_tables
+from hdgwave.local_solver import Assembler, ModelParams
 from hdgwave.mesh import build_structured_coupled
 from hdgwave.projections import (
     face_rule,
@@ -19,7 +19,6 @@ from hdgwave.projections import (
     project_face,
     project_volume_scalar,
 )
-from hdgwave.quadbasis import build_reference_basis
 
 S = 2.0 - 1.0j
 PARAMS = ModelParams.from_young_poisson(1.0, 0.3, s=S)
@@ -104,24 +103,43 @@ def test_face_projection_error_is_orthogonal_to_face_space():
 # -- volume projection -----------------------------------------------------
 
 
+class Element:
+    """The tables of one element with the element axis dropped."""
+
+    def __init__(self, block):
+        self.block = block
+        self.points, self.weights = block.points[0], block.weights[0]
+        self.scalar = block.scalar[0]
+        self.n_scalar = block.n_scalar
+
+    def faces(self):
+        """Per local face: points, weights, basis, outward normal, scalar traces."""
+        blk = self.block
+        return zip(blk.face_points[0], blk.face_weights[0], blk.face_basis[0],
+                   blk.normals[0], blk.face_scalar[0])
+
+
+def first_element(k):
+    mesh = build_structured_coupled(1, (0.0, 0.0, 1.0, 1.0))
+    return Assembler(mesh, k, PARAMS).tables(0)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_volume_projection_reproduces_polynomials(k):
-    mesh = build_structured_coupled(1, (0.0, 0.0, 1.0, 1.0))
-    ref = build_reference_basis(k)
-    tab = build_element_tables(mesh, 0, ref)
+    tab = first_element(k)
+    one = Element(tab)
     poly = lambda p: (0.2 + 0.4 * p[:, 0] + 0.7 * p[:, 1]) ** k
     coef = project_volume_scalar(tab, poly)
-    recon = tab.scalar.T @ coef
-    assert np.abs(recon - poly(tab.points)).max() < 1e-12
+    recon = one.scalar.T @ coef
+    assert np.abs(recon - poly(one.points)).max() < 1e-12
 
 
 def test_volume_projection_defect_orthogonal_to_space():
-    mesh = build_structured_coupled(1, (0.0, 0.0, 1.0, 1.0))
-    ref = build_reference_basis(2)
-    tab = build_element_tables(mesh, 0, ref)
+    tab = first_element(2)
+    one = Element(tab)
     coef = project_volume_scalar(tab, smooth_v)
-    defect = smooth_v(tab.points) - tab.scalar.T @ coef
-    moments = np.einsum("q,iq,q->i", tab.weights, tab.scalar, defect)
+    defect = smooth_v(one.points) - one.scalar.T @ coef
+    moments = np.einsum("q,iq,q->i", one.weights, one.scalar, defect)
     assert np.abs(moments).max() < 1e-14
 
 
@@ -145,14 +163,15 @@ def test_acoustic_projection_residual_and_defining_equations(k, tau):
     proj = project_acoustic(tab, PARAMS, smooth_q, smooth_v, tau=tau)
     assert proj.residual < 1e-12
 
-    n_k = tab.n_scalar
+    one = Element(tab)
+    n_k = one.n_scalar
     n_km1 = n_k - (k + 1)
-    w, sv = tab.weights, tab.scalar
-    q_defect = smooth_q(tab.points) - np.stack(
+    w, sv = one.weights, one.scalar
+    q_defect = smooth_q(one.points) - np.stack(
         [sv.T @ proj.vec[:n_k], sv.T @ proj.vec[n_k:]], axis=1
     )
-    v_defect = smooth_v(tab.points) - sv.T @ proj.scalar
-    scale = max(1.0, np.abs(smooth_q(tab.points)).max())
+    v_defect = smooth_v(one.points) - sv.T @ proj.scalar
+    scale = max(1.0, np.abs(smooth_q(one.points)).max())
     # moments against every degree-(k-1) function vanish
     for comp in range(2):
         m = np.einsum("q,iq,q->i", w, sv[:n_km1], q_defect[:, comp])
@@ -160,13 +179,13 @@ def test_acoustic_projection_residual_and_defining_equations(k, tau):
     m = np.einsum("q,iq,q->i", w, sv[:n_km1], v_defect)
     assert np.abs(m).max() < 1e-12 * scale
     # face flux moments match against the full degree-k face space
-    for ft in tab.faces:
-        flux_exact = smooth_q(ft.points) @ ft.normal - tau * smooth_v(ft.points)
+    for pts, fw, fb, normal, svf in one.faces():
+        flux_exact = smooth_q(pts) @ normal - tau * smooth_v(pts)
         q_h = np.stack(
-            [ft.scalar.T @ proj.vec[:n_k], ft.scalar.T @ proj.vec[n_k:]], axis=1
+            [svf.T @ proj.vec[:n_k], svf.T @ proj.vec[n_k:]], axis=1
         )
-        flux_proj = q_h @ ft.normal - tau * (ft.scalar.T @ proj.scalar)
-        m = np.einsum("p,mp,p->m", ft.weights, ft.basis, flux_exact - flux_proj)
+        flux_proj = q_h @ normal - tau * (svf.T @ proj.scalar)
+        m = np.einsum("p,mp,p->m", fw, fb, flux_exact - flux_proj)
         assert np.abs(m).max() < 1e-12 * scale
 
 
@@ -203,12 +222,13 @@ def test_flux_matching_projection_reproduces_polynomials(k):
         return out
 
     proj = project_acoustic(tab, PARAMS, poly_q, poly_v)
-    n_k = tab.n_scalar
-    sv = tab.scalar
+    one = Element(tab)
+    n_k = one.n_scalar
+    sv = one.scalar
     q_h = np.stack([sv.T @ proj.vec[:n_k], sv.T @ proj.vec[n_k:]], axis=1)
     v_h = sv.T @ proj.scalar
-    assert np.abs(q_h - poly_q(tab.points)).max() < 1e-11
-    assert np.abs(v_h - poly_v(tab.points)).max() < 1e-11
+    assert np.abs(q_h - poly_q(one.points)).max() < 1e-11
+    assert np.abs(v_h - poly_v(one.points)).max() < 1e-11
 
 
 def test_projection_works_on_jittered_elements():

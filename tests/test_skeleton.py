@@ -98,7 +98,7 @@ def test_monolithic_system_is_larger_but_recovers_same_fields():
     asm = Assembler(mesh, 1, case.params)
     system_c = assemble_system(asm, case.data)
     system_m = assemble_system(asm, case.data, monolithic=True)
-    n_vol = sum(loc.volume_dim for loc in system_m.locals_)
+    n_vol = sum(len(loc.elems) * loc.ops.volume_dim for loc in system_m.locals_)
     assert system_m.matrix.shape[0] == system_c.matrix.shape[0] + n_vol
     assert system_m.n_volume == n_vol and system_c.n_volume == 0
 
@@ -227,6 +227,31 @@ def test_singular_system_raises_typed_error():
     )
     with pytest.raises(SingularSkeletonSystem):
         solve_assembled(bad)
+
+
+def test_residual_bound_is_relative_to_the_rhs(monkeypatch):
+    # a solution whose residual is 1e-8 of a small rhs must be refused; an
+    # absolute floor of 1e-10 let it through whenever ||rhs|| < 1
+    import hdgwave.skeleton as skeleton
+
+    class Sloppy:
+        def __init__(self, matrix):
+            pass
+
+        def solve(self, rhs):
+            return rhs + np.array([0.0, 1e-8 * np.linalg.norm(rhs)])
+
+    monkeypatch.setattr(skeleton, "splu", Sloppy)
+    system = AssembledSystem(
+        matrix=sp.identity(2, dtype=complex, format="csr"),
+        rhs=np.array([1e-3, 0.0], dtype=complex), dofmap=None, locals_=[],
+        fixed_uhat=None, fixed_vhat=None, n_volume=0, volume_offsets=None,
+    )
+    with pytest.raises(SingularSkeletonSystem, match="residual"):
+        solve_assembled(system)
+    # a zero right-hand side solves exactly and passes
+    system.rhs = np.zeros(2, dtype=complex)
+    assert np.array_equal(solve_assembled(system), np.zeros(2))
 
 
 # -- serialization of the assembled system ------------------------------------

@@ -6,6 +6,7 @@ differentiation via sympy.  Rates themselves are covered by the acceptance
 suite; here the harness plumbing is what is under test.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -15,10 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdgwave.local_solver import Assembler
-from hdgwave.mesh import elastic_side_normal, face_geometry
-from hdgwave.skeleton import solve_problem
+from hdgwave.mesh import build_structured_coupled, elastic_side_normal, face_geometry
+from hdgwave.skeleton import ProblemData, solve_problem
 from hdgwave.verify import (
     ConvergenceReport,
+    ExactFields,
+    compute_errors,
     eoc,
     make_case,
     make_polynomial_case,
@@ -329,3 +332,52 @@ def test_theta_vanishes_when_solution_is_projection():
     asm = Assembler(mesh, 1, case.params)
     sol, _ = solve_problem(mesh, 1, case.params, case.data, assembler=asm)
     assert compute_theta(asm, sol, case.exact) < 1e-10
+
+
+# -- scale invariance -----------------------------------------------------------
+
+
+def rescaled(case, mesh, length):
+    """The same problem on the mesh stretched by ``length``: every field is
+    composed with x / length, and each term scales with its derivatives."""
+
+    def at(fn, power):
+        return lambda pts, *normal: fn(pts / length, *normal) / length**power
+
+    d, e = case.data, case.exact
+    data = ProblemData(f=at(d.f, 2), f_elastic=at(d.f_elastic, 2),
+                       dirichlet=at(d.dirichlet, 0), v_inc=at(d.v_inc, 0),
+                       grad_v_inc=at(d.grad_v_inc, 1), g1=at(d.g1, 1), g2=at(d.g2, 1))
+    exact = ExactFields(v=at(e.v, 0), q=at(e.q, 1), u=at(e.u, 0), sigma=at(e.sigma, 1),
+                        gamma_p=at(e.gamma_p, 1))
+    p = case.params
+    params = dataclasses.replace(p, s=p.s / length, tau_e=p.tau_e / length,
+                                 tau_a=p.tau_a / length)
+    mesh.vertices = mesh.vertices * length
+    for face in mesh.faces:
+        face.length *= length
+    mesh.h_e *= length
+    mesh.h_a *= length
+    return params, data, exact
+
+
+def test_errors_scale_with_the_problem():
+    # the discrete problem is scale-equivariant: stretching the domain by L
+    # (with s and both tau over L) multiplies each error by a fixed power
+    # of L, to round-off
+    case = make_case("coupled63")
+    k, length = 2, 1e6
+
+    def errors(scale):
+        mesh = build_structured_coupled(2, (-2.0, -2.0, 2.0, 2.0), (-1.0, -1.0, 1.0, 1.0),
+                                        jitter=0.15, seed=5)
+        params, data, exact = rescaled(case, mesh, scale)
+        asm = Assembler(mesh, k, params)
+        sol, _ = solve_problem(mesh, k, params, data, assembler=asm)
+        return compute_errors(asm, sol, exact)
+
+    base, big = errors(1.0), errors(length)
+    powers = {"v": 1, "u": 1, "vhat": 1, "uhat": 1, "q": 0, "sigma": 0, "gamma": 0}
+    assert base.keys() == powers.keys()
+    for name, power in powers.items():
+        assert big[name] == pytest.approx(base[name] * length**power, rel=1e-10), name
