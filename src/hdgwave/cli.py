@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -218,6 +218,10 @@ def _mode_solve(cfg: RunConfig, case, mesh) -> int:
     for name in sorted(errors):
         print(f"err_{name}={errors[name]:.6e}")
     print(f"theta={theta:.6e}")
+    stats = asdict(system.solve_stats)
+    if cfg.verbose:
+        for name, value in stats.items():
+            print(f"solve.{name}={value}")
     payload = {
         "case": case.name,
         "k": cfg.k,
@@ -225,6 +229,7 @@ def _mode_solve(cfg: RunConfig, case, mesh) -> int:
         "h": mesh.h,
         "errors": errors,
         "theta": theta,
+        "solve": stats,
     }
     with open(os.path.join(out, "report.json"), "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

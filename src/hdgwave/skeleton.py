@@ -14,6 +14,15 @@ and share every block: the condensed route scatters the Schur complements
 of the elements' shapes, while the monolithic route keeps all volume
 unknowns alongside the trace unknowns.  The second exists to cross-check
 the first.
+
+The trace system is LU-factored by SuperLU with a minimum-degree ordering
+of A + A^T.  The matrix is structurally symmetric: a face's rows couple to
+the traces of the faces of its neighbouring elements, which couple back to
+it, and the two interface rows couple the scalar and the displacement
+traces in both directions.  An ordering of A + A^T therefore sees the
+pattern the factors will have, where SuperLU's default COLAMD orders A^T A
+and overestimates the fill (26.8M against 11.5M entries on the coupled63
+k=3 system of 61,696 unknowns).
 """
 
 from __future__ import annotations
@@ -46,6 +55,24 @@ from .mesh import (
 
 class SingularSkeletonSystem(RuntimeError):
     """Raised when the global face system cannot be solved reliably."""
+
+
+# SuperLU's column ordering for the structurally symmetric trace system
+ORDERING = "MMD_AT_PLUS_A"
+
+
+@dataclass
+class SolveStats:
+    """What one sparse solve did: the column ordering, the order ``n`` and the
+    stored entries ``nnz`` of the matrix, the entries SuperLU stores for L and
+    U (``lu_fill``), and ``residual_rel`` = ||A x - b|| / ||b|| (the absolute
+    residual when b = 0)."""
+
+    ordering: str
+    n: int
+    nnz: int
+    lu_fill: int
+    residual_rel: float
 
 
 @dataclass
@@ -123,6 +150,7 @@ class AssembledSystem:
     fixed_vhat: np.ndarray      # (n_faces, k+1)
     n_volume: int
     volume_offsets: np.ndarray | None
+    solve_stats: SolveStats | None = None  # set by solve_assembled
 
 
 def _local_faces(mesh: Mesh, dofmap: DofMap, loc: BlockLocals):
@@ -276,15 +304,23 @@ def _face_terms(assembler: Assembler, data: ProblemData, dofmap: DofMap,
 
 
 def solve_assembled(system: AssembledSystem) -> np.ndarray:
+    """Solve the assembled system; records what the solve did in
+    ``system.solve_stats``, also when the residual check then fails."""
+    matrix = system.matrix
     try:
-        lu = splu(system.matrix.tocsc())
+        lu = splu(matrix.tocsc(), permc_spec=ORDERING)
         x = lu.solve(system.rhs)
     except RuntimeError as exc:
         raise SingularSkeletonSystem(f"sparse factorization failed: {exc}") from exc
     # relative to the right-hand side alone, so that the check does not
     # loosen on problems whose data are small; a zero rhs solves exactly
-    residual = float(np.linalg.norm(system.matrix @ x - system.rhs))
+    residual = float(np.linalg.norm(matrix @ x - system.rhs))
     scale = float(np.linalg.norm(system.rhs))
+    # SuperLU.nnz is free; L.nnz + U.nnz would copy both factors out
+    system.solve_stats = SolveStats(
+        ordering=ORDERING, n=matrix.shape[0], nnz=matrix.nnz, lu_fill=lu.nnz,
+        residual_rel=residual / scale if scale else residual,
+    )
     if not np.isfinite(residual) or residual > 1e-10 * scale:
         raise SingularSkeletonSystem(
             f"face-system residual {residual:.3e} exceeds 1e-10 x {scale:.3e}"

@@ -199,6 +199,21 @@ def test_solve_reports_errors_and_theta(tmp_path, capsys):
     assert payload["theta"] > 0.0
 
 
+def test_solve_reports_what_the_solve_did(tmp_path, capsys):
+    rc = main(["solve", "--case", "coupled63", "--k", "1", "--verbose",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    out = capsys.readouterr().out
+    payload = json.loads((tmp_path / "report.json").read_text())
+    stats = payload["solve"]
+    assert set(stats) == {"ordering", "n", "nnz", "lu_fill", "residual_rel"}
+    assert stats["ordering"] == "MMD_AT_PLUS_A" and stats["n"] == payload["N"]
+    assert stats["lu_fill"] >= stats["nnz"] > 0
+    assert 0.0 <= stats["residual_rel"] < 1e-10
+    for name, value in stats.items():
+        assert f"solve.{name}={value}\n" in out
+
+
 def test_solve_dump_system_writes_matrix_market(tmp_path):
     rc = main(["solve", "--case", "acoustic61", "--k", "1", "--dump-system",
                "--out", str(tmp_path)])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.io as sio
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from hdgwave.local_solver import Assembler, ModelParams
 from hdgwave.mesh import FaceKind, build_structured_coupled
@@ -235,7 +236,9 @@ def test_residual_bound_is_relative_to_the_rhs(monkeypatch):
     import hdgwave.skeleton as skeleton
 
     class Sloppy:
-        def __init__(self, matrix):
+        nnz = 2  # entries of the factors, as SuperLU reports them
+
+        def __init__(self, matrix, **options):
             pass
 
         def solve(self, rhs):
@@ -252,6 +255,26 @@ def test_residual_bound_is_relative_to_the_rhs(monkeypatch):
     # a zero right-hand side solves exactly and passes
     system.rhs = np.zeros(2, dtype=complex)
     assert np.array_equal(solve_assembled(system), np.zeros(2))
+
+
+def test_trace_system_is_ordered_on_a_plus_a_transpose():
+    case = make_case("coupled63")
+    mesh = build_structured_coupled(2, *COUPLED_BOXES, jitter=0.15, seed=1)
+    system = assemble_system(Assembler(mesh, 2, case.params), case.data)
+    matrix = system.matrix
+    # the premise of the ordering: A and A^T store the same pattern
+    pattern = matrix.copy()
+    pattern.data[:] = 1.0
+    assert (pattern != pattern.T).nnz == 0
+
+    x = solve_assembled(system)
+    stats = system.solve_stats
+    assert (stats.ordering, stats.n, stats.nnz) == ("MMD_AT_PLUS_A", matrix.shape[0], matrix.nnz)
+    assert stats.residual_rel < 1e-10
+    colamd = splu(matrix.tocsc(), permc_spec="COLAMD")
+    assert stats.lu_fill < colamd.nnz
+    reference = colamd.solve(system.rhs)
+    assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
 
 
 # -- serialization of the assembled system ------------------------------------
