@@ -1,31 +1,30 @@
-"""Element spaces for the stress unknown: the cubic bubble and the
-divergence-free curl enrichment.
+"""Element spaces for the stress unknown: matrix polynomials plus the
+divergence-free curl-bubble enrichment.
 
-A 2D skew matrix field is M(p) = [[0, p], [-p, 0]] for a scalar polynomial
-p; its row-wise matrix curl equals grad p.  The stress space on a triangle K
-is the full matrix polynomial space of degree k plus the k+1 enrichment
-members curl(b_K * grad p) with p ranging over the exact-degree-k monomials,
-where b_K is the product of the three barycentric coordinates.  Because b_K
-vanishes on the element boundary, every enrichment member is row-wise
-divergence free and has zero matrix-normal trace on all three faces,
-so the enrichment never touches the numerical flux.
+The stress space on a triangle K is the full matrix polynomial space of
+degree k plus the k+1 members curl(b_K grad p) (row-wise curls), p =
+u1^a u2^(k-a) in u = (x - v0)/h, with b_K the product of the barycentric
+coordinates.  As b_K vanishes on the boundary, every member is row-wise
+divergence free with zero normal trace on all faces: the enrichment never
+touches the numerical flux.
 
-The enrichment is built as explicit 2D polynomial coefficient arrays in
-scaled local coordinates (x - v0)/h; the stored divergence comes from
-coefficient-level differentiation, so its ~1e-15 magnitude is a computed
-cancellation, not an assumption.
+With x = v0 + J xi, b_K is b = xi1 xi2 (1 - xi1 - xi2) and a member maps as
+J^-T S J^T / det J, S = curl_xi(b grad_xi p), its row divergence as
+J^-T div_xi S / det J.  The reference members for p = xi1^c xi2^(k-c) are
+built once per degree from exact integer coefficients, so their stored
+divergences are exactly zero.  A triangle's members are the change of basis
+C(J) expanding ((J/h) xi)_1^a ((J/h) xi)_2^(k-a) in those monomials, applied
+to the mapped reference members and scaled to unit L2 norm.
+``StressTables`` does this for a batch of triangles at once.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
-from .quadbasis import ReferenceBasis, map_to_physical, scalar_space_dim
-
-
-def spin_space_dim(k: int) -> int:
-    return scalar_space_dim(k)
+from .quadbasis import ReferenceBasis, _monomial_values, monomial_exponents, scalar_space_dim
 
 
 def stress_space_dim(k: int) -> int:
@@ -33,50 +32,139 @@ def stress_space_dim(k: int) -> int:
     return 2 * (k + 1) * (k + 2) + (k + 1)
 
 
-def barycentric_coefficients(triangle) -> np.ndarray:
-    """Row i holds (c0, cx, cy) of the i-th barycentric coordinate."""
-    tri = np.asarray(triangle, dtype=float)
-    vandermonde = np.column_stack([np.ones(3), tri[:, 0], tri[:, 1]])
-    return np.linalg.inv(vandermonde).T
-
-
 def barycentric_coords(triangle, points) -> np.ndarray:
+    """Barycentric coordinates (n, 3) of points in a triangle."""
+    tri = np.asarray(triangle, dtype=float)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    coef = barycentric_coefficients(triangle)
-    ones = np.column_stack([np.ones(len(pts)), pts])
-    return ones @ coef.T
+    return np.column_stack([np.ones(len(pts)), pts]) @ np.linalg.inv(
+        np.column_stack([np.ones(3), tri]))
 
 
-def bubble_matrix_2d(triangle, points):
-    """Product of the three barycentric coordinates, 1/27 at the barycenter,
-    zero on the boundary."""
-    pts = np.asarray(points, dtype=float)
-    squeeze = pts.ndim == 1
-    lam = barycentric_coords(triangle, pts)
-    values = np.prod(lam, axis=1)
-    return float(values[0]) if squeeze else values
+@lru_cache(maxsize=None)
+def reference_members(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The reference members S_c = curl_xi(b grad_xi xi1^c xi2^(k-c)),
+    b = xi1 xi2 (1 - xi1 - xi2), and their row divergences, as coefficients
+    over ``monomial_exponents(k + 1)``: (n_mono, k+1, 2, 2) and
+    (n_mono, k+1, 2).  Every coefficient is an integer."""
+    exps = monomial_exponents(k + 2)
+    index = {(int(i), int(j)): m for m, (i, j) in enumerate(exps)}
+    n = len(exps)
+    der = np.zeros((2, n, n))  # d/dxi1 and d/dxi2 on coefficient vectors
+    for m, (i, j) in enumerate(index):
+        if i:
+            der[0, index[(i - 1, j)], m] = i
+        if j:
+            der[1, index[(i, j - 1)], m] = j
+    w = np.zeros((n, k + 1, 2))  # w[:, c, r] = b d/dxi_r xi1^c xi2^(k-c)
+    for c in range(k + 1):
+        for r, (factor, i, j) in enumerate(((c, c - 1, k - c), (k - c, c, k - c - 1))):
+            for (bi, bj), v in (((1, 1), 1), ((2, 1), -1), ((1, 2), -1)):
+                if factor:
+                    w[index[(i + bi, j + bj)], c, r] += factor * v
+    flat = w.reshape(n, -1)
+    members = np.stack([-(der[1] @ flat), der[0] @ flat], axis=-1).reshape(n, k + 1, 2, 2)
+    divs = np.einsum("amn,ncra->mcr", der, members)
+    keep = scalar_space_dim(k + 1)
+    return members[:keep], divs[:keep]
 
 
-def _polyder_x(c: np.ndarray) -> np.ndarray:
-    return npoly.polyder(c, axis=0) if c.shape[0] > 1 else np.zeros((1, c.shape[1]))
+def _monomial_change(g: np.ndarray, k: int) -> np.ndarray:
+    """C (nb, k+1, k+1) with (g xi)_1^a (g xi)_2^(k-a) = sum_c C[a, c]
+    xi1^c xi2^(k-c), for each matrix g (nb, 2, 2)."""
+    out = np.empty((len(g), k + 1, k + 1))
+    for a in range(k + 1):
+        poly = np.ones((len(g), 1))  # coefficients of xi1^c xi2^(deg-c)
+        for row in (0,) * a + (1,) * (k - a):
+            nxt = np.zeros((len(g), poly.shape[1] + 1))
+            nxt[:, 1:] += poly * g[:, row, 0, None]
+            nxt[:, :-1] += poly * g[:, row, 1, None]
+            poly = nxt
+        out[:, a] = poly
+    return out
 
 
-def _polyder_y(c: np.ndarray) -> np.ndarray:
-    return npoly.polyder(c, axis=1) if c.shape[1] > 1 else np.zeros((c.shape[0], 1))
+class StressTables:
+    """The stress basis of a batch of triangles x = v0 + J xi, evaluated at
+    reference points xi (nb, n, 2).
 
-
-def _polymul2d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of two 2D coefficient arrays (c[i, j] <-> x^i y^j).
-
-    Rows padded to the product's width turn the 2D product into one 1D
-    convolution of the flattened arrays, with no carry between rows.
+    Member layout as in ``StressBasis``.  The enrichment coefficients
+    ``coef`` (nb, k+1, k+1) combine the mapped reference members.
+    Construction checks each member's norm against the norms of the terms
+    it sums, and the rank of each triangle's basis (normalized Gram at the
+    quadrature points); errors name the triangle by ``names``.  ``volume``
+    holds the basis at the reference quadrature points ``points``.
     """
-    rows, cols = a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1
-    pa = np.zeros((a.shape[0], cols))
-    pa[:, : a.shape[1]] = a
-    pb = np.zeros((b.shape[0], cols))
-    pb[:, : b.shape[1]] = b
-    return np.convolve(pa.ravel(), pb.ravel())[: rows * cols].reshape(rows, cols)
+
+    def __init__(self, ref: ReferenceBasis, jac: np.ndarray, h: np.ndarray,
+                 names=None, check_rank: bool = True):
+        k, nb = ref.k, len(jac)
+        names = np.arange(nb) if names is None else names
+        self.ref, self.jac = ref, jac
+        self.inv = np.linalg.inv(jac)
+        self.det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+        self.dim_tensor = 4 * ref.n_scalar
+        self.dim = self.dim_tensor + k + 1
+        self.points = np.broadcast_to(ref.quad.points, (nb,) + ref.quad.points.shape)
+        weights = ref.quad.weights * np.abs(self.det)[:, None]
+
+        terms = self._mapped(self.points, np.broadcast_to(np.eye(k + 1), (nb, k + 1, k + 1)))
+        change = _monomial_change(jac / h[:, None, None], k)
+        raw = np.einsum("eac,ecqrs->eaqrs", change, terms)
+        norm = np.sqrt(np.einsum("eq,eaqrs->ea", weights, raw**2))
+        # against the norms of the terms it sums, so size does not change the verdict
+        bound = np.abs(change) @ np.sqrt(np.einsum("eq,ecqrs->ec", weights, terms**2))[..., None]
+        bad = np.argwhere(~(norm > 1e-13 * bound[..., 0]))
+        if bad.size:
+            raise RuntimeError(f"element {names[bad[0, 0]]}: enrichment member "
+                               f"{bad[0, 1]} numerically zero")
+        self.coef = change / norm[..., None]
+        self.volume = self.eval(self.points)
+
+        if check_rank:
+            flat = self.volume.reshape(nb, self.dim, -1)
+            gram = (flat * np.repeat(weights, 4, axis=1)[:, None]) @ flat.transpose(0, 2, 1)
+            scale = np.sqrt(np.diagonal(gram, axis1=1, axis2=2))
+            eigmin = np.linalg.eigvalsh(gram / (scale[:, :, None] * scale[:, None]))[:, 0]
+            bad = np.flatnonzero(~(eigmin >= 1e-10))
+            if bad.size:
+                raise RuntimeError(
+                    f"element {names[bad[0]]}: stress basis rank deficient "
+                    f"(min Gram eigenvalue {eigmin[bad[0]]:.3e})"
+                )
+
+    def _mapped(self, xi: np.ndarray, coef: np.ndarray, div: bool = False) -> np.ndarray:
+        """coef-combinations of the mapped reference members (nb, k+1, n, 2, 2),
+        or of their row divergences (nb, k+1, n, 2)."""
+        members = reference_members(self.ref.k)[int(div)]
+        local = np.einsum("eac,mc...->eam...", coef, members)
+        inv_t = self.inv.transpose(0, 2, 1)[:, None, None] / self.det[:, None, None, None, None]
+        if div:
+            mapped = (inv_t @ local[..., None])[..., 0]
+        else:
+            mapped = inv_t @ local @ self.jac.transpose(0, 2, 1)[:, None, None]
+        nb, n = xi.shape[:2]
+        mono = _monomial_values(monomial_exponents(self.ref.k + 1), xi.reshape(-1, 2))
+        vals = (mono.reshape(-1, nb, n).transpose(1, 2, 0)
+                @ np.moveaxis(mapped, 2, 1).reshape(nb, len(mono), -1))
+        return np.moveaxis(vals.reshape((nb, n) + members.shape[1:]), 1, 2)
+
+    def eval(self, xi: np.ndarray, div: bool = False) -> np.ndarray:
+        """Basis values (nb, dim, n, 2, 2), or with ``div`` the row-wise
+        divergences (nb, dim, n, 2): d/dx of column 0 plus d/dy of column 1."""
+        nb, n = xi.shape[:2]
+        if div:
+            grads = self.ref.eval_grads(xi.reshape(-1, 2)).reshape(-1, nb, n, 2)
+            grads = grads.transpose(1, 0, 2, 3) @ self.inv[:, None]
+            columns = grads[..., 0], grads[..., 1]
+        else:
+            vals = self.ref.eval_values(xi.reshape(-1, 2)).reshape(-1, nb, n, 1)
+            columns = np.moveaxis(vals * np.eye(2)[:, None, None, None], 2, 1)
+        out = np.zeros((nb, self.dim, n, 2) + ((2,) if not div else ()))
+        n_s = self.ref.n_scalar
+        for slot in range(4):  # slot (r, c) holds column c of row r
+            out[:, slot * n_s : (slot + 1) * n_s, :, slot // 2] = columns[slot % 2]
+        out[:, self.dim_tensor :] = self._mapped(xi, self.coef, div)
+        return out
 
 
 class StressBasis:
@@ -85,127 +173,32 @@ class StressBasis:
     Index layout: the first 4*dim(P_k) members put scalar basis function i
     into matrix slot (r, c), slot-major in the order (0,0), (0,1), (1,0),
     (1,1); the final k+1 members are the unit-L2-normalized enrichment.
+    A ``StressTables`` of one triangle, evaluated at physical points.
     """
-
-    _SLOTS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
     def __init__(self, k: int, triangle, ref: ReferenceBasis, check_rank: bool = True):
         if ref.k != k:
             raise ValueError("reference basis degree mismatch")
         self.k = k
         self.triangle = np.asarray(triangle, dtype=float)
-        self.ref = ref
         self.v0 = self.triangle[0]
         edges = self.triangle[(1, 2, 0), :] - self.triangle
-        self.h = float(np.max(np.linalg.norm(edges, axis=1)))
-        jac = np.column_stack([self.triangle[1] - self.v0, self.triangle[2] - self.v0])
-        self.inv_jacobian = np.linalg.inv(jac)
-        self.n_scalar = ref.n_scalar
-        self.dim_tensor = 4 * self.n_scalar
-        self.dim_bubble = k + 1
-        self.dim = self.dim_tensor + self.dim_bubble
-        self._build_bubbles(check_rank)
+        h = np.max(np.linalg.norm(edges, axis=1), keepdims=True)
+        jac = (self.triangle[1:] - self.v0).T[None]
+        self.tables = StressTables(ref, jac, h, check_rank=check_rank)
+        self.dim_tensor = self.tables.dim_tensor
+        self.dim = self.tables.dim
 
-    # -- construction -------------------------------------------------
-
-    def _build_bubbles(self, check_rank: bool) -> None:
-        h = self.h
-        bary = barycentric_coefficients(self.triangle)
-        # compose each barycentric with x = v0 + h*u: affine coefficients in u
-        lam_u = []
-        for c0, cx, cy in bary:
-            arr = np.zeros((2, 2))
-            arr[0, 0] = c0 + cx * self.v0[0] + cy * self.v0[1]
-            arr[1, 0] = cx * h
-            arr[0, 1] = cy * h
-            lam_u.append(arr)
-        bubble = _polymul2d(_polymul2d(lam_u[0], lam_u[1]), lam_u[2])
-
-        phys = map_to_physical(self.ref, self.triangle)
-        uq = (phys.points - self.v0) / h
-
-        self._bubble_comp: list[tuple[np.ndarray, ...]] = []
-        self._bubble_div: list[tuple[np.ndarray, np.ndarray]] = []
-        for a in range(self.k + 1):
-            b = self.k - a
-            p = np.zeros((a + 1, b + 1))
-            p[a, b] = 1.0
-            # physical derivatives carry 1/h per order in the u frame
-            px = _polyder_x(p) / h
-            py = _polyder_y(p) / h
-            w1 = _polymul2d(bubble, px)
-            w2 = _polymul2d(bubble, py)
-            comp = (
-                -_polyder_y(w1) / h,  # (0,0)
-                _polyder_x(w1) / h,   # (0,1)
-                -_polyder_y(w2) / h,  # (1,0)
-                _polyder_x(w2) / h,   # (1,1)
-            )
-            div = (
-                _polyder_x(comp[0]) / h + _polyder_y(comp[1]) / h,
-                _polyder_x(comp[2]) / h + _polyder_y(comp[3]) / h,
-            )
-            vals = np.stack(
-                [npoly.polyval2d(uq[:, 0], uq[:, 1], c) for c in comp]
-            )
-            norm = float(np.sqrt(np.sum(phys.weights * np.sum(vals**2, axis=0))))
-            if norm < 1e-14:
-                raise RuntimeError("enrichment member numerically zero")
-            self._bubble_comp.append(tuple(c / norm for c in comp))
-            self._bubble_div.append(tuple(d / norm for d in div))
-
-        if check_rank:
-            vals = self.eval(phys.points)
-            flat = vals.reshape(self.dim, -1)
-            gram = (flat * np.repeat(phys.weights, 4)) @ flat.T
-            scale = np.sqrt(np.diag(gram))
-            gram = gram / np.outer(scale, scale)
-            eigmin = float(np.linalg.eigvalsh(gram)[0])
-            if eigmin < 1e-10:
-                raise RuntimeError(
-                    f"stress basis rank deficient (min Gram eigenvalue {eigmin:.3e})"
-                )
-
-    # -- evaluation ----------------------------------------------------
-
-    def _scalar_values(self, points_phys: np.ndarray) -> np.ndarray:
-        return self.ref.eval_values((points_phys - self.v0) @ self.inv_jacobian.T)
-
-    def _scalar_grads(self, points_phys: np.ndarray) -> np.ndarray:
-        g = self.ref.eval_grads((points_phys - self.v0) @ self.inv_jacobian.T)
-        return np.einsum("dc,nmd->nmc", self.inv_jacobian, g)
-
-    def _bubble_values(self, points_phys: np.ndarray) -> np.ndarray:
-        u = (points_phys - self.v0) / self.h
-        out = np.empty((self.dim_bubble, len(u), 2, 2))
-        for j, comp in enumerate(self._bubble_comp):
-            for slot, (r, c) in enumerate(self._SLOTS):
-                out[j, :, r, c] = npoly.polyval2d(u[:, 0], u[:, 1], comp[slot])
-        return out
+    def _xi(self, points_phys) -> np.ndarray:
+        pts = np.atleast_2d(np.asarray(points_phys, dtype=float))
+        return ((pts - self.v0) @ self.tables.inv[0].T)[None]
 
     def eval(self, points_phys) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points_phys, dtype=float))
-        sv = self._scalar_values(pts)
-        out = np.zeros((self.dim, sv.shape[1], 2, 2))
-        n = self.n_scalar
-        for slot, (r, c) in enumerate(self._SLOTS):
-            out[slot * n : (slot + 1) * n, :, r, c] = sv
-        out[self.dim_tensor :] = self._bubble_values(pts)
-        return out
+        return self.tables.eval(self._xi(points_phys))[0]
 
     def eval_div(self, points_phys) -> np.ndarray:
         """Row-wise divergence (d/dx of column 0 plus d/dy of column 1)."""
-        pts = np.atleast_2d(np.asarray(points_phys, dtype=float))
-        sg = self._scalar_grads(pts)
-        out = np.zeros((self.dim, sg.shape[1], 2))
-        n = self.n_scalar
-        for slot, (r, c) in enumerate(self._SLOTS):
-            out[slot * n : (slot + 1) * n, :, r] = sg[:, :, c]
-        u = (pts - self.v0) / self.h
-        for j, div in enumerate(self._bubble_div):
-            out[self.dim_tensor + j, :, 0] = npoly.polyval2d(u[:, 0], u[:, 1], div[0])
-            out[self.dim_tensor + j, :, 1] = npoly.polyval2d(u[:, 0], u[:, 1], div[1])
-        return out
+        return self.tables.eval(self._xi(points_phys), div=True)[0]
 
     def eval_normal(self, points_phys, normal) -> np.ndarray:
         """Matrix-normal trace: values contracted with a unit normal."""

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .elastic_spaces import build_stress_basis
+from .elastic_spaces import StressTables
 from .mesh import Mesh, edge_table
 from .quadbasis import build_reference_basis
 
@@ -355,7 +355,10 @@ def _elastic_blocks(tab: BlockTables, grads, stress_div, params: ModelParams):
     a[:, i_u, i_s] = m_us
     a[:, ux, ux] = m_ux
     a[:, uy, uy] = m_ux
-    return a, b, c, d, {"sigma": i_s, "u": i_u, "gamma": i_g}
+    scale = np.repeat(1.0 / tab.h[:, None], n_vol, axis=1)
+    scale[:, 4 * n_p : n_sig] = 1.0
+    scale[:, i_u] = (params.rho_e * abs(params.s) ** 2 * tab.h**2 + tau * tab.h)[:, None] ** -0.5
+    return a, b, c, d, {"sigma": i_s, "u": i_u, "gamma": i_g}, scale
 
 
 def _acoustic_blocks(tab: BlockTables, grads, params: ModelParams):
@@ -407,14 +410,21 @@ def _acoustic_blocks(tab: BlockTables, grads, params: ModelParams):
 
     a[:, i_v, i_q] = m_vq
     a[:, i_v, i_v] = m_vv
-    return a, b, c, d, {"q": i_q, "v": i_v}
+    scale = np.repeat(1.0 / tab.h[:, None], n_vol, axis=1)
+    scale[:, i_v] = (abs(params.s / params.c) ** 2 * tab.h**2 + tau * tab.h)[:, None] ** -0.5
+    return a, b, c, d, {"q": i_q, "v": i_v}, scale
 
 
-def _check_pivots(lu: np.ndarray, elems: np.ndarray) -> None:
-    # relative to each element's largest pivot only: local blocks scale with
-    # powers of the element size, so an absolute floor flags small elements
+def _check_pivots(matrix: np.ndarray, scale: np.ndarray, elems: np.ndarray) -> None:
+    """Raise on a pivot of D A D, D = diag(scale), below 1e-12 of the largest.
+
+    D is 1/h on the P_k stress, spin and flux, 1 on the unit-L2 enrichment,
+    and (m |s|^2 h^2 + tau h)^(-1/2), m = rho_E or 1/c^2, on the displacement
+    or scalar: every block of D A D is then of size one, and the check sees
+    the element's shape and s h and tau h, not its size."""
+    lu, _ = lu_factor(scale[:, :, None] * matrix * scale[:, None])
     diag = np.abs(np.diagonal(lu, axis1=1, axis2=2))
-    bad = np.flatnonzero(diag.min(axis=1) <= 1e-13 * diag.max(axis=1))
+    bad = np.flatnonzero(diag.min(axis=1) <= 1e-12 * diag.max(axis=1))
     if bad.size:
         i = bad[0]
         raise SingularLocalSystem(
@@ -546,7 +556,7 @@ class Assembler:
     def _shape_operators(self, reps: np.ndarray, domain: str):
         """Shape-dependent tables and factored matrices of representative
         elements, one per shape."""
-        ref, k = self.ref, self.k
+        ref = self.ref
         nb = len(reps)
         verts = self._verts[reps]
         jac, h = self._jacobians(reps)
@@ -557,10 +567,10 @@ class Assembler:
         points = verts[:, 0, None] + ref.quad.points @ jac.transpose(0, 2, 1)
 
         # the scalar basis on each face, through the inverse affine map
+        face_xi = np.stack([(rules["face_points"][:, f] - verts[:, 0, None])
+                            @ inv.transpose(0, 2, 1) for f in range(3)], axis=1)
         face_scalar = np.stack([
-            ref.eval_values(((rules["face_points"][:, f] - verts[:, 0, None])
-                             @ inv.transpose(0, 2, 1)).reshape(-1, 2))
-            .reshape(-1, nb, n_fq).transpose(1, 0, 2)
+            ref.eval_values(face_xi[:, f].reshape(-1, 2)).reshape(-1, nb, n_fq).transpose(1, 0, 2)
             for f in range(3)], axis=1)
         moments = np.stack([
             _t(_pair(rules["face_weights"][:, f], rules["face_basis"][:, f], face_scalar[:, f]))
@@ -568,26 +578,23 @@ class Assembler:
         normals = self._signs[reps, :, None] * self._face_normal[rules["face_ids"]]
         parts = dict(points=points, weights=ref.quad.weights * np.abs(det)[:, None], h=h,
                      normals=normals, face_scalar=face_scalar, scalar_moments=moments)
-        grads = np.einsum("edc,nmd->enmc", inv, ref.grads)
+        # inv^T grad, bit for bit the einsum "edc,nmd->enmc" without its slow loop
+        grads = (ref.grads[..., 0, None] * inv[:, None, None, 0]
+                 + ref.grads[..., 1, None] * inv[:, None, None, 1])
         if domain == "E":
-            vals, divs = [], []
-            for tri, pts, face_pts in zip(verts, points, rules["face_points"]):
-                basis = build_stress_basis(k, tri, ref)
-                vals.append(basis.eval(np.concatenate([pts, face_pts.reshape(-1, 2)])))
-                divs.append(basis.eval_div(pts))
-            vals = np.array(vals)
-            nq = points.shape[1]
-            on_faces = vals[:, :, nq:].reshape(vals.shape[:2] + (3, n_fq, 2, 2))
-            parts.update(stress_vals=np.ascontiguousarray(vals[:, :, :nq]),
+            stress = StressTables(ref, jac, h, names=reps)
+            on_faces = stress.eval(face_xi.reshape(nb, -1, 2)).reshape(nb, -1, 3, n_fq, 2, 2)
+            parts.update(stress_vals=stress.volume,
                          stress_n=np.einsum("ejfprc,efc->efjpr", on_faces, normals))
             tab = self._stack(reps, domain, rules, parts)
-            a, b, c, d, slices = _elastic_blocks(tab, grads, np.array(divs), self.params)
+            divs = stress.eval(stress.points, div=True)
+            a, b, c, d, slices, scale = _elastic_blocks(tab, grads, divs, self.params)
         else:
             tab = self._stack(reps, domain, rules, parts)
-            a, b, c, d, slices = _acoustic_blocks(tab, grads, self.params)
+            a, b, c, d, slices, scale = _acoustic_blocks(tab, grads, self.params)
 
+        _check_pivots(a, scale, reps)
         lu, piv = lu_factor(a)
-        _check_pivots(lu, reps)
         lift = lu_solve((lu, piv), b)
         ops = dict(matrix=a, trace_coupling=b, flux_volume=c, flux_trace=d, lu=lu,
                    piv=piv, lift_map=lift, condensed_map=c @ lift + d)

@@ -94,7 +94,9 @@ def _project_pairs(blk: BlockTables, tau: float, vec_fn, scalar_fn):
     # the matrix is real: solve for the real and imaginary parts together
     xri = np.linalg.solve(a, np.concatenate([b.real, b.imag], axis=2))
     x = xri[..., :m] + 1j * xri[..., m:]
-    res = np.linalg.norm(a @ x - b, axis=1) / np.maximum(1.0, np.linalg.norm(b, axis=1))
+    # relative to ||b||; a zero right-hand side has the exact solution zero
+    res, size = np.linalg.norm(a @ x - b, axis=1), np.linalg.norm(b, axis=1)
+    res = np.divide(res, size, out=np.where(res > 0, np.inf, 0.0), where=size > 0)
     coef = x.transpose(0, 2, 1)  # (nb, m, n)
     return (coef[:, :, : 2 * n_k].reshape(nb, m, 2, n_k), coef[:, :, 2 * n_k :],
             res.max(axis=1))

@@ -5,8 +5,11 @@ import json
 import numpy as np
 import pytest
 import scipy.io as sio
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hdgwave.cli import (
+    _KEYS,
     ConfigError,
     RunConfig,
     _build_parser,
@@ -98,6 +101,37 @@ def test_malformed_config_line_rejected(tmp_path):
     path.write_text("just a line without equals\n")
     with pytest.raises(ConfigError, match="expected key=value"):
         parse(["study", "--config", str(path)])
+
+
+_VALUES = ["1", "0", "7", "-3", "2,-1", "2", "nan", "inf", "1e400", "0.3", "0.7",
+           "true", "off", "banana", "1,2,3", "", "9" * 5000]
+_LINES = st.one_of(
+    st.text(max_size=40),
+    st.builds("{}{}{}".format, st.sampled_from(sorted(_KEYS) + ["K", "mode", ""]),
+              st.sampled_from(["=", " = ", "==", " "]),
+              st.one_of(st.sampled_from(_VALUES), st.text(max_size=20))),
+)
+_CONFIG_FILES = st.one_of(
+    st.lists(_LINES, max_size=6).map(lambda lines: "\n".join(lines).encode("utf-8")),
+    st.text().map(lambda text: text.encode("utf-8")),
+    st.binary(max_size=60),
+)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(content=_CONFIG_FILES)
+def test_config_reader_parses_or_rejects_any_file(tmp_path, content):
+    # any file either parses or raises ConfigError, and from the command line
+    # a rejected file exits 2; no other exception escapes
+    path = tmp_path / "run.cfg"
+    path.write_bytes(content)
+    argv = ["study", "--config", str(path), "--out", str(tmp_path)]
+    try:
+        load_config_file(str(path))
+        parse(argv)
+    except ConfigError:
+        assert main(argv) == 2
 
 
 def test_missing_config_file_rejected():

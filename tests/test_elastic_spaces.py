@@ -15,15 +15,13 @@ import pytest
 import sympy as sp
 
 import hdgwave
-
+import hdgwave.elastic_spaces as elastic_spaces
 from hdgwave.elastic_spaces import (
     barycentric_coords,
-    bubble_matrix_2d,
     build_stress_basis,
-    spin_space_dim,
     stress_space_dim,
 )
-from hdgwave.quadbasis import build_reference_basis, map_to_physical
+from hdgwave.quadbasis import build_reference_basis, map_to_physical, scalar_space_dim
 
 REF_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 SKEW_TRI = np.array([[0.1, -0.2], [1.3, 0.1], [0.4, 1.1]])
@@ -47,7 +45,7 @@ def random_triangles(count, seed=42):
 
 def test_space_dimensions():
     assert [stress_space_dim(k) for k in (1, 2, 3, 4)] == [14, 27, 44, 65]
-    assert [spin_space_dim(k) for k in (1, 2, 3, 4)] == [3, 6, 10, 15]
+    assert [scalar_space_dim(k) for k in (1, 2, 3, 4)] == [3, 6, 10, 15]  # spin
 
 
 def test_barycentric_coordinates_partition_of_unity():
@@ -59,14 +57,18 @@ def test_barycentric_coordinates_partition_of_unity():
     assert np.abs(lam_v - np.eye(3)).max() < 1e-13
 
 
+def bubble(tri, pts):
+    return np.prod(barycentric_coords(tri, pts), axis=1)
+
+
 def test_bubble_frozen_point_values():
     # product of barycentrics: (1/3)^3 at the barycenter of any triangle
-    assert bubble_matrix_2d(SKEW_TRI, SKEW_TRI.mean(axis=0)) == pytest.approx(1.0 / 27.0)
+    assert bubble(SKEW_TRI, SKEW_TRI.mean(axis=0))[0] == pytest.approx(1.0 / 27.0)
     # on the reference triangle at (1/4, 1/4): (1/2)(1/4)(1/4) = 1/32
-    assert bubble_matrix_2d(REF_TRI, np.array([0.25, 0.25])) == pytest.approx(1.0 / 32.0)
+    assert bubble(REF_TRI, np.array([0.25, 0.25]))[0] == pytest.approx(1.0 / 32.0)
     # zero on the boundary
     edge_mid = 0.5 * (SKEW_TRI[0] + SKEW_TRI[1])
-    assert abs(bubble_matrix_2d(SKEW_TRI, edge_mid)) < 1e-15
+    assert abs(bubble(SKEW_TRI, edge_mid)[0]) < 1e-15
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -185,3 +187,45 @@ def test_import_leaves_scipy_signal_unloaded():
         check=True, timeout=120,
     )
     assert done.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_enrichment_norm_check_does_not_depend_on_size(k):
+    # the norm check compares each member with the terms it sums, so a
+    # triangle of size 1e-6 or 1e6 passes as the unit one does; its unit-L2
+    # members are the unit ones over the size, its P_k members unchanged
+    ref = build_reference_basis(k)
+    for tri in random_triangles(3, seed=300 + k):
+        pts = map_to_physical(ref, tri).points
+        base = build_stress_basis(k, tri, ref)
+        want = base.eval(pts)
+        for size in (1e-6, 1e6):
+            basis = build_stress_basis(k, size * tri, ref)
+            got = basis.eval(size * pts)
+            t = basis.dim_tensor
+            assert np.abs(got[:t] - want[:t]).max() <= 1e-12 * np.abs(want[:t]).max()
+            assert np.abs(size * got[t:] - want[t:]).max() <= 1e-12 * np.abs(want[t:]).max()
+            div = basis.eval_div(size * pts)[t:]
+            assert np.abs(div).max() == 0.0
+
+
+@pytest.mark.parametrize("size", [1e-6, 1.0, 1e6])
+def test_vanishing_enrichment_member_is_rejected_at_any_size(monkeypatch, size):
+    # a member whose terms cancel fails the norm check whatever the size
+    real = elastic_spaces._monomial_change
+
+    def cancelling(g, k):
+        change = real(g, k)
+        change[:, 1] = 0.0
+        return change
+
+    monkeypatch.setattr(elastic_spaces, "_monomial_change", cancelling)
+    with pytest.raises(RuntimeError, match="enrichment member 1 numerically zero"):
+        build_stress_basis(2, size * SKEW_TRI, build_reference_basis(2))
+
+
+def test_reference_members_have_integer_coefficients_and_zero_divergence():
+    for k in range(1, 7):
+        members, divs = elastic_spaces.reference_members(k)
+        assert np.array_equal(members, np.round(members)) and np.abs(members).max() > 0
+        assert not divs.any()

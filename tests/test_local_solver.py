@@ -22,6 +22,7 @@ from hdgwave.local_solver import (
     lame_parameters,
     reconstruct_flux,
 )
+from hdgwave.elastic_spaces import build_stress_basis
 from hdgwave.mesh import FaceKind, build_structured_coupled, face_rule, load_mesh
 
 S = 2.0 - 1.0j
@@ -515,6 +516,19 @@ def test_pivot_check_is_scale_free(domain, scale):
         assert all(np.isfinite(loc.ops.condensed_map).all() for loc in locs)
 
 
+@pytest.mark.parametrize("length", [1e-6, 1e8])
+def test_pivot_check_is_scale_free_on_a_jittered_coupled_mesh(length):
+    # the same problem on the mesh stretched by L (s and both tau over L) has
+    # the same local matrices up to powers of L, so it assembles at any L
+    # (the unscaled pivots of one solid element fell to 1.7e-14 and 6.0e-17)
+    mesh = scaled(build_structured_coupled(
+        2, (-2.0, -2.0, 2.0, 2.0), (-1.0, -1.0, 1.0, 1.0), jitter=0.15, seed=5), length)
+    params = ModelParams(s=S / length, tau_e=1.0 / length, tau_a=1.0 / length)
+    locs = Assembler(mesh, 3, params).all_locals()
+    assert sum(len(loc.elems) for loc in locs) == mesh.n_elements
+    assert all(np.isfinite(loc.ops.condensed_map).all() for loc in locs)
+
+
 @pytest.mark.parametrize("domain,kind", [("A", "gammaAD"), ("E", "elasticBoundary")])
 def test_degenerate_element_raises(tmp_path, domain, kind):
     # a sliver of aspect ratio 1e12 still passes the mesh checks
@@ -526,3 +540,52 @@ def test_degenerate_element_raises(tmp_path, domain, kind):
     )
     with pytest.raises(SingularLocalSystem, match="element 0"):
         Assembler(load_mesh(str(path)), 2, ModelParams(s=S)).all_locals()
+
+
+# -- batched stress tables ---------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_batched_stress_tables_match_the_one_triangle_basis(k):
+    mesh = build_structured_coupled(
+        1, (-2.0, -2.0, 2.0, 2.0), (-1.0, -1.0, 1.0, 1.0), jitter=0.15, seed=4)
+    asm = Assembler(mesh, k, ModelParams(s=S))
+    shapes = asm._shapes("E")
+    ops, parts = shapes.ops, shapes.parts
+    n_p = asm.ref.n_scalar
+    n_sig = ops.slices["sigma"].stop
+    ux = slice(n_sig, n_sig + n_p)
+    uy = slice(n_sig + n_p, n_sig + 2 * n_p)
+    assert len(ops.reps) == np.count_nonzero(mesh.tri_domain == "E") > 1
+    for row, rep in enumerate(ops.reps):
+        basis = build_stress_basis(k, mesh.triangle(rep), asm.ref)
+        pts, w = parts["points"][row], parts["weights"][row]
+        vals = basis.eval(pts)
+        assert np.abs(parts["stress_vals"][row] - vals).max() <= 1e-12 * np.abs(vals).max()
+        tab = asm.tables(rep)
+        for f in range(3):
+            want = basis.eval_normal(tab.face_points[0, f], parts["normals"][row, f])
+            got = parts["stress_n"][row, f]
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(vals).max()
+        # the divergences enter the matrix as int p_i div(tau_j)
+        div = basis.eval_div(pts)
+        for c, cols in enumerate((ux, uy)):
+            want = np.einsum("q,iq,jq->ji", w, asm.ref.values, div[..., c])
+            got = ops.matrix[row, : basis.dim, cols]
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_rank_deficient_stress_basis_names_its_element(tmp_path):
+    # element 1 is a sliver on which the degree-4 stress basis is
+    # numerically rank deficient; element 0 is well shaped
+    path = tmp_path / "sliver.mesh"
+    path.write_text(
+        "hdgmesh v1\nvertices 4\n-0.61876488 0.7259\n0.79764753 -0.82797513\n"
+        "0.12882564 -0.03100212\n-0.5 -1.0\ntriangles 2\n0 3 1 E\n0 1 2 E\n"
+        "faces 5\n0 1 interiorE\n0 3 elasticBoundary\n1 3 elasticBoundary\n"
+        "1 2 elasticBoundary\n0 2 elasticBoundary\n"
+    )
+    mesh = load_mesh(str(path))
+    assert len(Assembler(mesh, 3, ModelParams(s=S)).all_locals()) == 1
+    with pytest.raises(RuntimeError, match="element 1: stress basis rank deficient"):
+        Assembler(mesh, 4, ModelParams(s=S)).all_locals()

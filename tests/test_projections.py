@@ -244,3 +244,30 @@ def test_projection_works_on_jittered_elements():
         else:
             worst = max(worst, project_elastic(tab, PARAMS, smooth_sigma, smooth_u).residual)
     assert worst < 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_projection_residual_is_relative_to_the_data(k):
+    # data scaled by 2^-60 (exactly, so x scales exactly too): ||b|| << 1,
+    # and the residual must not shrink with it, as an absolute one would
+    tab_a, tab_e = coupled_tables(k)
+    tiny = 2.0**-60
+    scaled = lambda fn: (lambda p: tiny * fn(p))
+    for base, small in (
+        (project_acoustic(tab_a, PARAMS, smooth_q, smooth_v),
+         project_acoustic(tab_a, PARAMS, scaled(smooth_q), scaled(smooth_v))),
+        (project_elastic(tab_e, PARAMS, smooth_sigma, smooth_u),
+         project_elastic(tab_e, PARAMS, scaled(smooth_sigma), scaled(smooth_u))),
+    ):
+        assert 0.0 < base.residual < 1e-12
+        assert small.residual == pytest.approx(base.residual, rel=1e-12, abs=0.0)
+
+
+def test_projection_of_zero_data_has_zero_residual():
+    tab_a, tab_e = coupled_tables(2)
+    zero_vec = lambda p: np.zeros((len(p), 2))
+    zero = lambda p: np.zeros(len(p))
+    proj = project_acoustic(tab_a, PARAMS, zero_vec, zero)
+    assert proj.residual == 0.0 and not proj.vec.any() and not proj.scalar.any()
+    proj = project_elastic(tab_e, PARAMS, lambda p: np.zeros((len(p), 2, 2)), zero_vec)
+    assert proj.residual == 0.0 and not proj.sigma.any() and not proj.u.any()
