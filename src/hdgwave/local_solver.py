@@ -29,7 +29,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .elastic_spaces import StressTables
-from .mesh import Mesh, edge_table
+from .mesh import Mesh, face_rule
 from .quadbasis import build_reference_basis
 
 
@@ -489,14 +489,10 @@ class Assembler:
         self.params = params
         self.ref = build_reference_basis(k, quad_degree)
         self._verts = mesh.vertices[mesh.tri_vertices]
-        ends = np.array([face.vertices for face in mesh.faces])
-        self._face_start = mesh.vertices[ends[:, 0]]
-        self._face_dir = mesh.vertices[ends[:, 1]] - self._face_start
-        self._face_length = np.array([face.length for face in mesh.faces])
-        self._face_normal = np.array([face.normal for face in mesh.faces])
         # +1 where a face's canonical direction follows the element's local
         # edge, i.e. where its stored normal points out of the element
-        self._signs = np.where(ends[mesh.element_faces, 0] == mesh.tri_vertices, 1, -1)
+        self._signs = np.where(
+            mesh.face_vertices[mesh.element_faces, 0] == mesh.tri_vertices, 1, -1)
         self._domains: dict[str, _DomainShapes] = {}
 
     def _jacobians(self, elems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -508,16 +504,10 @@ class Assembler:
 
     def _face_rules(self, elems: np.ndarray) -> dict:
         """The ``face_rule`` of every face of the elements, element-first."""
-        t, w, basis = edge_table(self.k, self.ref.quad.exact_degree)
         fids = self.mesh.element_faces[elems]
-        length = self._face_length[fids]
-        start, direction = self._face_start[fids], self._face_dir[fids]
-        return dict(
-            face_ids=fids,
-            face_points=start[:, :, None, :] + t[:, None] * direction[:, :, None, :],
-            face_weights=w * length[..., None],
-            face_basis=basis / np.sqrt(length)[..., None, None],
-        )
+        rule = face_rule(self.mesh, fids, self.k, self.ref.quad.exact_degree)
+        return dict(face_ids=fids, face_points=rule.points, face_weights=rule.weights,
+                    face_basis=rule.basis)
 
     def _shapes(self, domain: str) -> _DomainShapes:
         cached = self._domains.get(domain)
@@ -575,7 +565,7 @@ class Assembler:
         moments = np.stack([
             _t(_pair(rules["face_weights"][:, f], rules["face_basis"][:, f], face_scalar[:, f]))
             for f in range(3)], axis=1)
-        normals = self._signs[reps, :, None] * self._face_normal[rules["face_ids"]]
+        normals = self._signs[reps, :, None] * self.mesh.face_normal[rules["face_ids"]]
         parts = dict(points=points, weights=ref.quad.weights * np.abs(det)[:, None], h=h,
                      normals=normals, face_scalar=face_scalar, scalar_moments=moments)
         # inv^T grad, bit for bit the einsum "edc,nmd->enmc" without its slow loop

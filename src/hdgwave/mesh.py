@@ -1,14 +1,28 @@
-"""Conforming triangulations of coupled solid/fluid domains.
+"""Conforming triangulations of coupled solid/fluid domains, stored as arrays.
 
 Structured criss-cross meshes over axis-aligned boxes: every grid cell is
 split along its bottom-left to top-right diagonal, cells inside the inner
-box are solid (domain ``E``), the rest fluid (domain ``A``).  Each face
-stores one global frame: canonical endpoint order is lexicographic in the
-coordinates, the unit normal is the tangent rotated by -90 degrees, and
-every adjacent element records the sign relating its outward normal to the
-stored one.  ``face_rule`` integrates along that canonical direction, so both
-neighbours of a face share its quadrature and basis.  Red refinement
-quarters each triangle and child boundary faces inherit the parent kind.
+box are solid (domain ``E``), the rest fluid (domain ``A``).  Red refinement
+quarters each triangle and child faces on a parent face inherit its kind.
+
+A mesh is a set of arrays.  Over the elements: ``tri_vertices`` (CCW),
+``tri_domain`` and ``element_faces``, the face of each local edge (0, 1),
+(1, 2), (2, 0).  Over the faces, numbered in lexicographic order of their
+vertex pairs (lower id first):
+
+- ``face_vertices`` in canonical order, the endpoint with the
+  lexicographically smaller coordinates first;
+- ``face_kind``, indices into ``KINDS``;
+- ``face_normal``, the unit tangent of the canonical direction rotated by
+  -90 degrees, and ``face_length``;
+- ``face_element``, ``face_local_edge`` and ``face_sign`` per side, the
+  lower element first.  The sign is +1 where the stored normal points out
+  of the element.  A boundary face has no second side: -1 there for the
+  element and the edge, 0 for the sign.
+
+All of them come from one ``np.unique`` over the sorted vertex pairs of the
+local edges.  ``face_rule`` integrates along the canonical direction, so
+both neighbours of a face share its quadrature and basis.
 
 The plain-text ``hdgmesh v1`` format serializes vertices, triangles with
 their domain tag, and faces with their kind; adjacency, normals, and
@@ -36,6 +50,9 @@ class FaceKind(str, Enum):
     ELASTIC_BOUNDARY = "elasticBoundary"
 
 
+KINDS = tuple(FaceKind)  # ``Mesh.face_kind`` holds indices into this tuple
+_CODE = {kind: code for code, kind in enumerate(KINDS)}
+
 ELASTIC_TRACE_KINDS = frozenset(
     {FaceKind.INTERIOR_E, FaceKind.GAMMA, FaceKind.ELASTIC_BOUNDARY}
 )
@@ -43,32 +60,22 @@ ACOUSTIC_TRACE_KINDS = frozenset(
     {FaceKind.INTERIOR_A, FaceKind.GAMMA, FaceKind.GAMMA_AD, FaceKind.GAMMA_AN}
 )
 
-_LOCAL_EDGES = ((0, 1), (1, 2), (2, 0))
-
-
-@dataclass(frozen=True)
-class FaceSide:
-    element: int
-    local_edge: int
-    sign: int  # +1 when the stored normal points out of this element
-
-
-@dataclass
-class Face:
-    vertices: tuple[int, int]  # canonical (lexicographic by coordinates) order
-    kind: FaceKind
-    normal: np.ndarray
-    length: float
-    sides: tuple[FaceSide, ...]
+_LOCAL_EDGES = np.array([(0, 1), (1, 2), (2, 0)])
 
 
 @dataclass
 class Mesh:
-    vertices: np.ndarray       # (nv, 2)
-    tri_vertices: np.ndarray   # (nt, 3) CCW
-    tri_domain: np.ndarray     # (nt,) of 'E'/'A'
-    faces: list[Face]
-    element_faces: np.ndarray  # (nt, 3) face index per local edge
+    vertices: np.ndarray         # (nv, 2)
+    tri_vertices: np.ndarray     # (nt, 3) CCW
+    tri_domain: np.ndarray       # (nt,) of 'E'/'A'
+    element_faces: np.ndarray    # (nt, 3) face of each local edge
+    face_vertices: np.ndarray    # (nf, 2) canonical order
+    face_kind: np.ndarray        # (nf,) indices into KINDS
+    face_normal: np.ndarray      # (nf, 2) unit
+    face_length: np.ndarray      # (nf,)
+    face_element: np.ndarray     # (nf, 2) adjacent elements, -1 for none
+    face_local_edge: np.ndarray  # (nf, 2) their local edges, -1 for none
+    face_sign: np.ndarray        # (nf, 2) +1/-1, 0 for none
     h_e: float = 0.0
     h_a: float = 0.0
 
@@ -78,169 +85,191 @@ class Mesh:
 
     @property
     def n_faces(self) -> int:
-        return len(self.faces)
+        return self.face_kind.shape[0]
 
     @property
     def h(self) -> float:
         return max(self.h_e, self.h_a)
 
-    def triangle(self, elem: int) -> np.ndarray:
-        return self.vertices[self.tri_vertices[elem]]
-
-    def element_diameter(self, elem: int) -> float:
-        tri = self.triangle(elem)
-        return float(
-            max(np.linalg.norm(tri[(i + 1) % 3] - tri[i]) for i in range(3))
-        )
-
-    def faces_of_kind(self, *kinds: FaceKind) -> list[int]:
-        wanted = set(kinds)
-        return [i for i, f in enumerate(self.faces) if f.kind in wanted]
+    def is_kind(self, *kinds: FaceKind) -> np.ndarray:
+        """Mask of the faces whose kind is one of ``kinds``."""
+        return np.isin(self.face_kind, [_CODE[kind] for kind in kinds])
 
 
-def _signed_area(tri: np.ndarray) -> float:
-    return 0.5 * float(
-        (tri[1, 0] - tri[0, 0]) * (tri[2, 1] - tri[0, 1])
-        - (tri[2, 0] - tri[0, 0]) * (tri[1, 1] - tri[0, 1])
-    )
+def _signed_areas(tri: np.ndarray) -> np.ndarray:
+    """Signed areas of triangles (nt, 3, 2), positive when CCW."""
+    return 0.5 * ((tri[:, 1, 0] - tri[:, 0, 0]) * (tri[:, 2, 1] - tri[:, 0, 1])
+                  - (tri[:, 2, 0] - tri[:, 0, 0]) * (tri[:, 1, 1] - tri[:, 0, 1]))
 
 
-def _lex_less(p: np.ndarray, q: np.ndarray) -> bool:
-    if p[0] != q[0]:
-        return p[0] < q[0]
-    return p[1] < q[1]
+def _diameters(tri: np.ndarray) -> np.ndarray:
+    """Longest edge of each triangle (nt, 3, 2)."""
+    edges = tri[:, (1, 2, 0)] - tri
+    return np.sqrt(np.vecdot(edges, edges)).max(axis=1)
+
+
+def _face_index(pairs: np.ndarray, nv: int, query: np.ndarray) -> np.ndarray:
+    """Face of each vertex pair of ``query`` (m, 2) in either order, -1 where
+    it names none; ``pairs`` are the faces' sorted pairs, in face order."""
+    query = np.sort(query, axis=1)
+    keys = pairs[:, 0] * nv + pairs[:, 1]  # ascending with the face numbering
+    wanted = np.where((query[:, 0] >= 0) & (query[:, 1] < nv),
+                      query[:, 0] * nv + query[:, 1], -1)
+    at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    return np.where(keys[at] == wanted, at, -1)
 
 
 def _assemble(
     vertices: np.ndarray,
     tri_vertices: np.ndarray,
     tri_domain: np.ndarray,
-    kind_override: dict[tuple[int, int], FaceKind] | None,
-    boundary_classifier: Callable[[np.ndarray, str], FaceKind] | None,
+    listed: tuple[np.ndarray, np.ndarray] | None = None,
+    classify: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> Mesh:
-    """Build faces, adjacency, and normals from raw triangles.
+    """Build faces, adjacency, normals and kinds from raw triangles.
 
-    Interior kinds follow the adjacent domains; boundary faces take their
-    kind from ``kind_override`` (sorted vertex pair) or, failing that, from
-    ``boundary_classifier(midpoint, domain)``.
+    Faces with two sides take their kind from the adjacent domains.  The
+    ``listed`` faces, vertex pairs (m, 2) with kind codes (m,), give the
+    kinds of boundary faces and must agree with the adjacency elsewhere;
+    each must name a distinct edge.  Boundary faces left over get
+    ``classify(midpoints, domains)``.
     """
     vertices = np.asarray(vertices, dtype=float)
-    tri_vertices = np.asarray(tri_vertices, dtype=int).copy()
+    tris = np.asarray(tri_vertices, dtype=int).copy()
     tri_domain = np.asarray(tri_domain)
+    if not len(tris):
+        raise ValueError("mesh has no triangles")
+    flip = _signed_areas(vertices[tris]) < 0.0
+    tris[flip] = tris[flip][:, [0, 2, 1]]
 
-    for t in range(tri_vertices.shape[0]):
-        if _signed_area(vertices[tri_vertices[t]]) < 0.0:
-            tri_vertices[t, [1, 2]] = tri_vertices[t, [2, 1]]
+    # one row per local edge, element-major: row 3 t + e is local edge e of t
+    pairs, inverse, counts = np.unique(
+        np.sort(tris[:, _LOCAL_EDGES].reshape(-1, 2), axis=1),
+        axis=0, return_inverse=True, return_counts=True)
+    inverse = inverse.reshape(-1)
+    crowded = np.flatnonzero(counts > 2)
+    if len(crowded):
+        a, b = pairs[crowded[0]]
+        raise ValueError(f"face ({a}, {b}) shared by more than two triangles")
+    element_faces = inverse.reshape(-1, 3)
 
-    edge_sides: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for t, tri in enumerate(tri_vertices):
-        for le, (i0, i1) in enumerate(_LOCAL_EDGES):
-            key = tuple(sorted((int(tri[i0]), int(tri[i1]))))
-            edge_sides.setdefault(key, []).append((t, le))
+    ends = np.cumsum(counts)
+    rows = np.argsort(inverse, kind="stable")
+    sides = np.stack([rows[ends - counts], np.where(counts == 2, rows[ends - 1], -1)], axis=1)
+    has = sides >= 0
+    face_element = np.where(has, sides // 3, -1)
+    face_local_edge = np.where(has, sides % 3, -1)
 
-    faces: list[Face] = []
-    element_faces = np.full((tri_vertices.shape[0], 3), -1, dtype=int)
-    for key in sorted(edge_sides):
-        sides_raw = edge_sides[key]
-        if len(sides_raw) > 2:
-            raise ValueError(f"face {key} shared by more than two triangles")
-        a, b = key
-        if _lex_less(vertices[b], vertices[a]):
-            a, b = b, a
-        direction = vertices[b] - vertices[a]
-        length = float(np.linalg.norm(direction))
-        if length <= 0.0:
-            raise ValueError(f"zero-length face {key}")
-        tangent = direction / length
-        normal = np.array([tangent[1], -tangent[0]])
+    pa, pb = vertices[pairs[:, 0]], vertices[pairs[:, 1]]
+    swap = (pb[:, 0] < pa[:, 0]) | ((pb[:, 0] == pa[:, 0]) & (pb[:, 1] < pa[:, 1]))
+    face_vertices = np.where(swap[:, None], pairs[:, ::-1], pairs)
+    direction = vertices[face_vertices[:, 1]] - vertices[face_vertices[:, 0]]
+    length = np.sqrt(np.vecdot(direction, direction))
+    flat = np.flatnonzero(~(length > 0.0))
+    if len(flat):
+        a, b = pairs[flat[0]]
+        raise ValueError(f"zero-length face ({a}, {b})")
+    tangent = direction / length[:, None]
+    normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=1)
+    # a side's local edge runs along the canonical direction exactly when
+    # the stored normal points out of its (CCW) element
+    start = tris[np.where(has, face_element, 0), np.where(has, face_local_edge, 0)]
+    face_sign = np.where(has, np.where(start == face_vertices[:, :1], 1, -1), 0)
 
-        sides = []
-        for t, le in sides_raw:
-            tri = vertices[tri_vertices[t]]
-            i0, i1 = _LOCAL_EDGES[le]
-            d = tri[i1] - tri[i0]
-            outward = np.array([d[1], -d[0]])  # CCW + clockwise rotation
-            sign = 1 if float(outward @ normal) > 0.0 else -1
-            sides.append(FaceSide(t, le, sign))
-            element_faces[t, le] = len(faces)
+    solid = has & (tri_domain[face_element] == "E")
+    two = counts == 2
+    implied = np.where(solid.all(axis=1), _CODE[FaceKind.INTERIOR_E],
+                       np.where(solid.any(axis=1), _CODE[FaceKind.GAMMA],
+                                _CODE[FaceKind.INTERIOR_A]))
+    kind = np.full(len(pairs), -1)
+    if listed is not None:
+        listed_pairs, listed_codes = (np.asarray(x, dtype=int) for x in listed)
+        at = _face_index(pairs, len(vertices), listed_pairs)
 
-        domains = sorted(tri_domain[s.element] for s in sides)
-        key_sorted = (min(key), max(key))
-        if len(sides) == 2:
-            if domains == ["A", "A"]:
-                kind = FaceKind.INTERIOR_A
-            elif domains == ["E", "E"]:
-                kind = FaceKind.INTERIOR_E
-            else:
-                kind = FaceKind.GAMMA
-            forced = kind_override.get(key_sorted) if kind_override else None
-            if forced is not None and forced != kind:
-                raise ValueError(
-                    f"face {key} adjacency implies {kind.value}, file says {forced.value}"
-                )
-        else:
-            kind = kind_override.get(key_sorted) if kind_override else None
-            if kind is None and boundary_classifier is not None:
-                midpoint = 0.5 * (vertices[a] + vertices[b])
-                kind = boundary_classifier(midpoint, domains[0])
-            if kind is None:
-                raise ValueError(f"boundary face {key} has no kind assignment")
+        def record(i: int) -> str:
+            a, b = listed_pairs[i]
+            return f"face record {i} ({a} {b} {KINDS[listed_codes[i]].value})"
 
-        faces.append(
-            Face(
-                vertices=(a, b),
-                kind=kind,
-                normal=normal,
-                length=length,
-                sides=tuple(sides),
-            )
-        )
+        if np.any(at < 0):
+            raise ValueError(f"{record(np.flatnonzero(at < 0)[0])} names no edge "
+                             "of the triangulation")
+        _, first = np.unique(at, return_index=True)
+        repeats = np.setdiff1d(np.arange(len(at)), first)
+        if len(repeats):
+            j = repeats[0]
+            raise ValueError(f"{record(j)} repeats the edge of face record "
+                             f"{np.flatnonzero(at == at[j])[0]}")
+        kind[at] = listed_codes
+        clash = np.flatnonzero(two & (kind >= 0) & (kind != implied))
+        if len(clash):
+            f = clash[0]
+            raise ValueError(f"face ({pairs[f, 0]}, {pairs[f, 1]}) adjacency implies "
+                             f"{KINDS[implied[f]].value}, file says {KINDS[kind[f]].value}")
+    kind = np.where(two, implied, kind)
+    open_ = np.flatnonzero(kind < 0)
+    if len(open_) and classify is not None:
+        kind[open_] = classify(0.5 * (pa[open_] + pb[open_]),
+                               tri_domain[face_element[open_, 0]])
+        open_ = np.flatnonzero(kind < 0)
+    if len(open_):
+        a, b = pairs[open_[0]]
+        raise ValueError(f"boundary face ({a}, {b}) has no kind assignment")
 
+    h = _diameters(vertices[tris])
+    in_e = tri_domain == "E"
     mesh = Mesh(
         vertices=vertices,
-        tri_vertices=tri_vertices,
+        tri_vertices=tris,
         tri_domain=tri_domain,
-        faces=faces,
         element_faces=element_faces,
+        face_vertices=face_vertices,
+        face_kind=kind.astype(np.int8),
+        face_normal=normal,
+        face_length=length,
+        face_element=face_element,
+        face_local_edge=face_local_edge,
+        face_sign=face_sign,
+        h_e=float(h[in_e].max(initial=0.0)),
+        h_a=float(h[~in_e].max(initial=0.0)),
     )
-    mesh.h_e, mesh.h_a = _domain_diameters(mesh)
     validate_mesh(mesh)
     return mesh
 
 
-def _domain_diameters(mesh: Mesh) -> tuple[float, float]:
-    h_e = h_a = 0.0
-    for t in range(mesh.n_elements):
-        h = mesh.element_diameter(t)
-        if mesh.tri_domain[t] == "E":
-            h_e = max(h_e, h)
-        else:
-            h_a = max(h_a, h)
-    return h_e, h_a
-
-
 def validate_mesh(mesh: Mesh) -> None:
-    """Raise on degenerate triangles, broken adjacency, or bad face frames."""
-    for t in range(mesh.n_elements):
-        tri = mesh.triangle(t)
-        h = mesh.element_diameter(t)
-        if _signed_area(tri) <= 1e-14 * h * h:
-            raise ValueError(f"triangle {t} degenerate or mis-ordered")
-    for i, face in enumerate(mesh.faces):
-        if abs(np.linalg.norm(face.normal) - 1.0) > 1e-14:
-            raise ValueError(f"face {i} normal not unit length")
-        if not 1 <= len(face.sides) <= 2:
-            raise ValueError(f"face {i} has {len(face.sides)} sides")
-        domains = sorted(mesh.tri_domain[s.element] for s in face.sides)
-        if face.kind == FaceKind.GAMMA and domains != ["A", "E"]:
-            raise ValueError(f"gamma face {i} not between one solid and one fluid element")
-        if face.kind in (FaceKind.INTERIOR_A, FaceKind.INTERIOR_E) and len(face.sides) != 2:
-            raise ValueError(f"interior face {i} has one side")
-        if len(face.sides) == 2 and face.sides[0].sign * face.sides[1].sign != -1:
-            raise ValueError(f"face {i} outward normals do not oppose")
-        for s in face.sides:
-            if mesh.element_faces[s.element, s.local_edge] != i:
-                raise ValueError(f"face {i} adjacency table inconsistent")
+    """Raise on degenerate triangles, broken adjacency, or bad face frames,
+    naming the first element or face at fault."""
+    tri = mesh.vertices[mesh.tri_vertices]
+    h = _diameters(tri)
+    flat = np.flatnonzero(_signed_areas(tri) <= 1e-14 * h * h)
+    if len(flat):
+        raise ValueError(f"triangle {flat[0]} degenerate or mis-ordered")
+
+    has = mesh.face_element >= 0
+    elem = np.where(has, mesh.face_element, 0)
+    n_sides = has.sum(axis=1)
+    between = (n_sides == 2) & (np.sort(mesh.tri_domain[elem], axis=1) == ["A", "E"]).all(axis=1)
+    linked = mesh.element_faces[elem, np.where(has, mesh.face_local_edge, 0)]
+    normal_sq = np.vecdot(mesh.face_normal, mesh.face_normal)
+    # one row per check, in the order a face is checked
+    checks = [
+        (np.abs(np.sqrt(normal_sq) - 1.0) > 1e-14, "face {f} normal not unit length"),
+        (n_sides == 0, "face {f} has {n} sides"),
+        (mesh.is_kind(FaceKind.GAMMA) & ~between,
+         "gamma face {f} not between one solid and one fluid element"),
+        (mesh.is_kind(FaceKind.INTERIOR_A, FaceKind.INTERIOR_E) & (n_sides != 2),
+         "interior face {f} has one side"),
+        ((n_sides == 2) & (mesh.face_sign[:, 0] * mesh.face_sign[:, 1] != -1),
+         "face {f} outward normals do not oppose"),
+        ((has & (linked != np.arange(mesh.n_faces)[:, None])).any(axis=1),
+         "face {f} adjacency table inconsistent"),
+    ]
+    failed = np.stack([mask for mask, _ in checks])
+    faulty = np.flatnonzero(failed.any(axis=0))
+    if len(faulty):
+        f = faulty[0]
+        message = checks[np.flatnonzero(failed[:, f])[0]][1]
+        raise ValueError(message.format(f=f, n=n_sides[f]))
 
 
 def _grid_count(lo: float, hi: float, n_per_unit: int, what: str) -> int:
@@ -251,9 +280,11 @@ def _grid_count(lo: float, hi: float, n_per_unit: int, what: str) -> int:
     return int(round(cells))
 
 
-def _on_grid(value: float, origin: float, spacing: float) -> bool:
+def _grid_line(value: float, origin: float, spacing: float, what: str) -> int:
     steps = (value - origin) / spacing
-    return abs(steps - round(steps)) < 1e-9
+    if abs(steps - round(steps)) >= 1e-9:
+        raise ValueError(f"interface not resolvable: inner {what} bounds off-grid")
+    return int(round(steps))
 
 
 def build_structured_coupled(
@@ -263,7 +294,7 @@ def build_structured_coupled(
     *,
     dirichlet_only: bool = True,
     domain: str = "A",
-    neumann_predicate: Callable[[np.ndarray], bool] | None = None,
+    neumann_predicate: Callable[[np.ndarray], np.ndarray] | None = None,
     jitter: float = 0.0,
     seed: int = 0,
 ) -> Mesh:
@@ -277,15 +308,17 @@ def build_structured_coupled(
     interface is not resolvable and a ValueError is raised.
 
     With ``dirichlet_only`` every fluid boundary face is Dirichlet; otherwise
-    faces whose midpoint satisfies ``neumann_predicate`` (default: the
-    x = xmax side) become Neumann.
+    the faces whose midpoints ``neumann_predicate`` marks become Neumann.
+    The predicate maps midpoints (n, 2) to a boolean mask (n,); the default
+    marks the x = xmax side.
 
     ``jitter`` displaces every lattice vertex away from the domain boundary
     and the transmission interface by a uniform random offset of at most
     ``jitter`` cell widths per coordinate (seeded, hence reproducible).
     This yields quasi-uniform meshes free of the lattice superconvergence
     that nested structured grids exhibit; boundary and interface geometry
-    are preserved exactly.
+    are preserved exactly.  Which vertices stay put is decided by their
+    lattice indices, so it does not depend on the size of the box.
     """
     if n_per_unit < 1:
         raise ValueError("n_per_unit must be a positive integer")
@@ -296,6 +329,7 @@ def build_structured_coupled(
     ny = _grid_count(y0, y1, n_per_unit, "outer y")
     spacing = 1.0 / n_per_unit
 
+    i0 = i1 = j0 = j1 = -1  # lattice lines of the inner box
     if inner_box is not None:
         ix0, iy0, ix1, iy1 = (float(v) for v in inner_box)
         if not (ix1 > ix0 and iy1 > iy0):
@@ -303,154 +337,88 @@ def build_structured_coupled(
         if not (x0 < ix0 and ix1 < x1 and y0 < iy0 and iy1 < y1):
             raise ValueError("interface not resolvable: inner box must lie strictly "
                              "inside the outer box")
-        for v, o in ((ix0, x0), (ix1, x0)):
-            if not _on_grid(v, o, spacing):
-                raise ValueError("interface not resolvable: inner x bounds off-grid")
-        for v, o in ((iy0, y0), (iy1, y0)):
-            if not _on_grid(v, o, spacing):
-                raise ValueError("interface not resolvable: inner y bounds off-grid")
+        i0, i1 = (_grid_line(v, x0, spacing, "x") for v in (ix0, ix1))
+        j0, j1 = (_grid_line(v, y0, spacing, "y") for v in (iy0, iy1))
     if domain not in ("A", "E"):
         raise ValueError("domain must be 'A' or 'E'")
 
-    xs = x0 + spacing * np.arange(nx + 1)
-    ys = y0 + spacing * np.arange(ny + 1)
-    vid = lambda i, j: j * (nx + 1) + i
-    vertices = np.array([[xs[i], ys[j]] for j in range(ny + 1) for i in range(nx + 1)])
+    def on_ring(col, row, scale=1):
+        """Lattice points (scale 1) or doubled face midpoints (scale 2) on
+        the inner box boundary."""
+        a0, a1, b0, b1 = (scale * v for v in (i0, i1, j0, j1))
+        return ((((col == a0) | (col == a1)) & (b0 <= row) & (row <= b1))
+                | (((row == b0) | (row == b1)) & (a0 <= col) & (col <= a1)))
+
+    col, row = (idx.ravel() for idx in np.meshgrid(np.arange(nx + 1), np.arange(ny + 1)))
+    vertices = np.column_stack([x0 + spacing * col, y0 + spacing * row])
 
     if jitter:
         if not 0.0 < jitter <= 0.2:
             raise ValueError("jitter must lie in (0, 0.2] cell widths")
         rng = np.random.default_rng(seed)
         offsets = rng.uniform(-jitter * spacing, jitter * spacing, size=vertices.shape)
-        movable = np.ones(len(vertices), dtype=bool)
-        for v, (x, y) in enumerate(vertices):
-            on_outer = (abs(x - x0) < 1e-12 or abs(x - x1) < 1e-12
-                        or abs(y - y0) < 1e-12 or abs(y - y1) < 1e-12)
-            on_inner = False
-            if inner_box is not None:
-                on_inner = (((abs(x - ix0) < 1e-12 or abs(x - ix1) < 1e-12)
-                             and iy0 - 1e-12 <= y <= iy1 + 1e-12)
-                            or ((abs(y - iy0) < 1e-12 or abs(y - iy1) < 1e-12)
-                                and ix0 - 1e-12 <= x <= ix1 + 1e-12))
-            if on_outer or on_inner:
-                movable[v] = False
-        vertices = vertices + offsets * movable[:, None]
+        fixed = (col == 0) | (col == nx) | (row == 0) | (row == ny)
+        if inner_box is not None:
+            fixed |= on_ring(col, row)
+        vertices = vertices + offsets * ~fixed[:, None]
 
-    tris = []
-    domains = []
-    for j in range(ny):
-        for i in range(nx):
-            cx = x0 + (i + 0.5) * spacing
-            cy = y0 + (j + 0.5) * spacing
-            if inner_box is not None and ix0 < cx < ix1 and iy0 < cy < iy1:
-                cell_domain = "E"
-            else:
-                cell_domain = domain if inner_box is None else "A"
-            bl, br = vid(i, j), vid(i + 1, j)
-            tl, tr = vid(i, j + 1), vid(i + 1, j + 1)
-            tris.append((bl, br, tr))  # diagonal bl -> tr, fixed for every cell
-            tris.append((bl, tr, tl))
-            domains.extend([cell_domain, cell_domain])
+    # cells row by row, each split along its diagonal bl -> tr
+    cell_i, cell_j = (idx.ravel() for idx in np.meshgrid(np.arange(nx), np.arange(ny)))
+    bl = cell_j * (nx + 1) + cell_i
+    br, tl, tr = bl + 1, bl + nx + 1, bl + nx + 2
+    tris = np.stack([bl, br, tr, bl, tr, tl], axis=1).reshape(-1, 3)
+    solid = (i0 <= cell_i) & (cell_i < i1) & (j0 <= cell_j) & (cell_j < j1)
+    domains = np.repeat(np.where(solid, "E", "A" if inner_box is not None else domain), 2)
 
-    if jitter:
-        tv = vertices[np.array(tris)]
-        signed = ((tv[:, 1, 0] - tv[:, 0, 0]) * (tv[:, 2, 1] - tv[:, 0, 1])
-                  - (tv[:, 1, 1] - tv[:, 0, 1]) * (tv[:, 2, 0] - tv[:, 0, 0]))
-        if float(signed.min()) <= 0.0:
-            raise ValueError("jitter produced an inverted triangle; lower the amplitude")
+    if jitter and float(_signed_areas(vertices[tris]).min()) <= 0.0:
+        raise ValueError("jitter produced an inverted triangle; lower the amplitude")
 
-    def classify_boundary(midpoint: np.ndarray, dom: str) -> FaceKind:
-        if dom == "E":
-            return FaceKind.ELASTIC_BOUNDARY
-        if dirichlet_only:
-            return FaceKind.GAMMA_AD
-        pred = neumann_predicate or (lambda p: abs(p[0] - x1) < 1e-12)
-        return FaceKind.GAMMA_AN if pred(midpoint) else FaceKind.GAMMA_AD
+    neumann = neumann_predicate or (lambda p: p[:, 0] > x1 - 0.25 * spacing)
 
-    mesh = _assemble(vertices, np.array(tris), np.array(domains), None, classify_boundary)
+    def classify_boundary(midpoints: np.ndarray, doms: np.ndarray) -> np.ndarray:
+        fluid = (np.full(len(midpoints), _CODE[FaceKind.GAMMA_AD]) if dirichlet_only
+                 else np.where(np.asarray(neumann(midpoints), dtype=bool),
+                               _CODE[FaceKind.GAMMA_AN], _CODE[FaceKind.GAMMA_AD]))
+        return np.where(doms == "E", _CODE[FaceKind.ELASTIC_BOUNDARY], fluid)
+
+    mesh = _assemble(vertices, tris, domains, classify=classify_boundary)
 
     if inner_box is not None:
-        for i, face in enumerate(mesh.faces):
-            if face.kind != FaceKind.GAMMA:
-                continue
-            mid = 0.5 * (mesh.vertices[face.vertices[0]] + mesh.vertices[face.vertices[1]])
-            on_x = (abs(mid[0] - ix0) < 1e-12 or abs(mid[0] - ix1) < 1e-12) and iy0 <= mid[1] <= iy1
-            on_y = (abs(mid[1] - iy0) < 1e-12 or abs(mid[1] - iy1) < 1e-12) and ix0 <= mid[0] <= ix1
-            if not (on_x or on_y):
-                raise ValueError(f"gamma face {i} strays from the inner box boundary")
+        ends = mesh.face_vertices
+        stray = np.flatnonzero(mesh.is_kind(FaceKind.GAMMA)
+                               & ~on_ring(col[ends].sum(axis=1), row[ends].sum(axis=1), 2))
+        if len(stray):
+            raise ValueError(f"gamma face {stray[0]} strays from the inner box boundary")
     return mesh
 
 
 def refine(mesh: Mesh) -> Mesh:
     """Red refinement: quarter every triangle through the edge midpoints.
 
-    Child faces lying on a parent face inherit its kind; fresh interior
-    faces get their kind from the adjacent domains.
+    Midpoints are numbered in the order the triangles first reach their
+    faces.  Child faces lying on a parent face inherit its kind; fresh
+    interior faces get their kind from the adjacent domains.
     """
-    vertices = [v for v in mesh.vertices]
-    midpoint_of: dict[tuple[int, int], int] = {}
+    nv, nf = len(mesh.vertices), mesh.n_faces
+    _, first = np.unique(mesh.element_faces, return_index=True)
+    order = np.argsort(first)
+    mid = np.empty(nf, dtype=int)
+    mid[order] = nv + np.arange(nf)
+    ends = mesh.vertices[mesh.face_vertices]
+    vertices = np.concatenate([mesh.vertices, 0.5 * (ends[order, 0] + ends[order, 1])])
 
-    def midpoint(a: int, b: int) -> int:
-        key = (min(a, b), max(a, b))
-        idx = midpoint_of.get(key)
-        if idx is None:
-            idx = len(vertices)
-            vertices.append(0.5 * (mesh.vertices[a] + mesh.vertices[b]))
-            midpoint_of[key] = idx
-        return idx
-
-    tris = []
-    domains = []
-    for t, (a, b, c) in enumerate(mesh.tri_vertices):
-        mab, mbc, mca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        for child in ((a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)):
-            tris.append(child)
-            domains.append(mesh.tri_domain[t])
-
-    kind_override: dict[tuple[int, int], FaceKind] = {}
-    for face in mesh.faces:
-        a, b = face.vertices
-        m = midpoint_of[(min(a, b), max(a, b))]
-        for pair in ((a, m), (m, b)):
-            kind_override[(min(pair), max(pair))] = face.kind
-
-    return _assemble(np.array(vertices), np.array(tris), np.array(domains),
-                     kind_override, None)
-
-
-@dataclass(frozen=True)
-class FaceFrame:
-    midpoint: np.ndarray
-    tangent: np.ndarray
-    normal: np.ndarray
-    length: float
-
-
-def face_geometry(mesh: Mesh, face_id: int) -> FaceFrame:
-    """Midpoint, unit tangent (canonical direction), unit normal, length.
-
-    The frame is right-handed in the sense that the normal is the tangent
-    rotated by -90 degrees.
-    """
-    face = mesh.faces[face_id]
-    pa = mesh.vertices[face.vertices[0]]
-    pb = mesh.vertices[face.vertices[1]]
-    tangent = (pb - pa) / face.length
-    return FaceFrame(
-        midpoint=0.5 * (pa + pb),
-        tangent=tangent,
-        normal=face.normal,
-        length=face.length,
-    )
-
-
-def face_endpoints(mesh: Mesh, face_id: int) -> tuple[np.ndarray, np.ndarray]:
-    face = mesh.faces[face_id]
-    return mesh.vertices[face.vertices[0]], mesh.vertices[face.vertices[1]]
+    a, b, c = mesh.tri_vertices.T
+    mab, mbc, mca = mid[mesh.element_faces].T
+    tris = np.stack([a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca],
+                    axis=1).reshape(-1, 3)
+    start, end = mesh.face_vertices.T
+    halves = np.stack([start, mid, mid, end], axis=1).reshape(-1, 2)
+    return _assemble(vertices, tris, np.repeat(mesh.tri_domain, 4),
+                     listed=(halves, np.repeat(mesh.face_kind, 2)))
 
 
 @functools.lru_cache(maxsize=None)
-def edge_table(k: int, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _edge_table(k: int, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gauss nodes and weights on [0, 1] and the edge basis of degree k there."""
     rule = make_edge_quadrature(degree)
     return rule.points, rule.weights, edge_basis_values(k, rule.points)
@@ -458,123 +426,153 @@ def edge_table(k: int, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 @dataclass
 class FaceRule:
-    """Quadrature and orthonormal basis along a face's canonical direction.
+    """Quadrature and orthonormal basis along faces' canonical directions.
 
-    Every face integral goes through one rule per face, so both neighbours
-    of a face test against identical basis values at identical points.
+    Every face integral goes through these rules, so both neighbours of a
+    face test against identical basis values at identical points.  A rule
+    over several faces carries their axes in front.
     """
 
-    points: np.ndarray   # (n, 2)
-    weights: np.ndarray  # (n,) physical measure
-    basis: np.ndarray    # (k+1, n), orthonormal in L2 of the face
+    points: np.ndarray   # (..., n, 2)
+    weights: np.ndarray  # (..., n) physical measure
+    basis: np.ndarray    # (..., k+1, n), orthonormal in L2 of each face
 
     def moments(self, vals) -> np.ndarray:
-        """Moments of point values against the basis.
+        """Moments of point values (..., n) against the basis, (..., k+1).
 
-        Vector values of shape (n, 2) give the component-major stack
+        Vector values (..., n, 2) give the component-major stack
         (x modes, then y modes).
         """
         vals = np.asarray(vals, dtype=complex)
-        if vals.ndim == 2:
-            return np.concatenate([self.moments(vals[:, 0]), self.moments(vals[:, 1])])
-        return np.einsum("p,mp,p->m", self.weights, self.basis, vals)
+        if vals.ndim > self.weights.ndim:
+            return np.concatenate([self.moments(vals[..., 0]),
+                                   self.moments(vals[..., 1])], axis=-1)
+        return np.einsum("...p,...mp,...p->...m", self.weights, self.basis, vals)
+
+    def sample(self, fn, *normals) -> np.ndarray:
+        """Values (..., n, ...) of a pointwise function at every point, from
+        one call; ``normals`` (..., 2), one per face, reach it per point."""
+        n = self.weights.shape[-1]
+        per_point = [np.repeat(np.reshape(v, (-1, 2)), n, axis=0) for v in normals]
+        vals = np.asarray(fn(self.points.reshape(-1, 2), *per_point), dtype=complex)
+        return vals.reshape(self.points.shape[:-1] + vals.shape[1:])
 
 
-def face_rule(mesh: Mesh, face_id: int, k: int, degree: int | None = None) -> FaceRule:
-    """Rule on one face, exact through ``degree`` (default 2k+6)."""
-    a, b = face_endpoints(mesh, face_id)
-    t, w, basis = edge_table(k, 2 * k + 6 if degree is None else degree)
-    length = mesh.faces[face_id].length
+def face_rule(mesh: Mesh, face_id, k: int, degree: int | None = None) -> FaceRule:
+    """Rule on one face, or on each face of an array of ids, exact through
+    ``degree`` (default 2k+6)."""
+    ends = mesh.vertices[mesh.face_vertices[face_id]]
+    a, b = ends[..., 0, :], ends[..., 1, :]
+    t, w, basis = _edge_table(k, 2 * k + 6 if degree is None else degree)
+    length = mesh.face_length[face_id]
     return FaceRule(
-        points=a[None, :] + t[:, None] * (b - a)[None, :],
-        weights=w * length,
-        basis=basis / np.sqrt(length),
+        points=a[..., None, :] + t[:, None] * (b - a)[..., None, :],
+        weights=w * length[..., None],
+        basis=basis / np.sqrt(length)[..., None, None],
     )
 
 
-def elastic_side_normal(mesh: Mesh, face_id: int) -> np.ndarray:
-    """Outward normal of the solid element adjacent to an interface face."""
-    face = mesh.faces[face_id]
-    for side in face.sides:
-        if mesh.tri_domain[side.element] == "E":
-            return side.sign * face.normal
-    raise ValueError(f"face {face_id} has no solid side")
+def elastic_side_normal(mesh: Mesh, face_id) -> np.ndarray:
+    """Outward normal of the solid element adjacent to an interface face, or
+    to each face of an array of ids."""
+    ids = np.asarray(face_id)
+    elem = mesh.face_element[ids]
+    solid = (elem >= 0) & (mesh.tri_domain[elem] == "E")
+    lacking = np.flatnonzero(~solid.any(axis=-1))
+    if len(lacking):
+        raise ValueError(f"face {ids.reshape(-1)[lacking[0]]} has no solid side")
+    sign = np.where(solid[..., 0], mesh.face_sign[ids, 0], mesh.face_sign[ids, 1])
+    return sign[..., None] * mesh.face_normal[ids]
 
 
 def save_mesh(mesh: Mesh, path) -> None:
     """Write the ``hdgmesh v1`` plain-text format."""
-    lines = ["hdgmesh v1"]
-    lines.append(f"vertices {mesh.vertices.shape[0]}")
-    for v in mesh.vertices:
-        lines.append(f"{v[0]:.17g} {v[1]:.17g}")
+    kinds = np.array([kind.value for kind in KINDS])[mesh.face_kind]
+    lines = ["hdgmesh v1", f"vertices {mesh.vertices.shape[0]}"]
+    lines += [f"{x:.17g} {y:.17g}" for x, y in mesh.vertices.tolist()]
     lines.append(f"triangles {mesh.n_elements}")
-    for tri, dom in zip(mesh.tri_vertices, mesh.tri_domain):
-        lines.append(f"{tri[0]} {tri[1]} {tri[2]} {dom}")
+    lines += [f"{a} {b} {c} {dom}"
+              for (a, b, c), dom in zip(mesh.tri_vertices.tolist(), mesh.tri_domain.tolist())]
     lines.append(f"faces {mesh.n_faces}")
-    for face in mesh.faces:
-        lines.append(f"{face.vertices[0]} {face.vertices[1]} {face.kind.value}")
+    lines += [f"{a} {b} {kind}"
+              for (a, b), kind in zip(mesh.face_vertices.tolist(), kinds.tolist())]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
+def _reject(ok: np.ndarray, what: str, lines: list[str], why: str = "") -> None:
+    """Raise on the first record whose entry of ``ok`` is False."""
+    bad = np.flatnonzero(~np.asarray(ok, dtype=bool))
+    if len(bad):
+        raise ValueError(f"bad {what} record {bad[0]}{why}: {lines[bad[0]]!r}")
+
+
+def _numbers(rows: list[list[str]], width: int, dtype, what: str,
+             lines: list[str]) -> np.ndarray:
+    """Fields of records as numbers, one row per record."""
+    try:
+        return np.array(rows, dtype=str).astype(dtype).reshape(-1, width)
+    except (ValueError, OverflowError):
+        # name the first record that does not convert
+        for i, row in enumerate(rows):
+            try:
+                np.array(row, dtype=str).astype(dtype)
+            except (ValueError, OverflowError):
+                raise ValueError(f"bad {what} record {i}: {lines[i]!r}") from None
+        raise
+
+
 def load_mesh(path) -> Mesh:
-    """Read ``hdgmesh v1``; adjacency, normals, and kinds are revalidated."""
+    """Read ``hdgmesh v1``; adjacency, normals, and kinds are revalidated.
+
+    Every face record must name a distinct edge of the triangulation.
+    """
     with open(path) as fh:
         tokens = [line.strip() for line in fh if line.strip()]
     if not tokens or tokens[0] != "hdgmesh v1":
         raise ValueError("not an hdgmesh v1 file")
     pos = 1
 
-    def expect_section(name: str) -> int:
+    def section(name: str, what: str, width: int) -> tuple[list[str], list[list[str]]]:
+        """The lines and fields of a section's records, each ``width`` wide."""
         nonlocal pos
         if pos >= len(tokens):
             raise ValueError(f"file ends before the '{name} <count>' line")
         parts = tokens[pos].split()
-        if len(parts) != 2 or parts[0] != name:
+        if len(parts) != 2 or parts[0] != name or not parts[1].isdecimal():
             raise ValueError(f"expected '{name} <count>' at line {pos + 1}")
         pos += 1
         count = int(parts[1])
         if pos + count > len(tokens):
             raise ValueError(f"{name} section expects {count} records, "
                              f"file has only {len(tokens) - pos}")
-        return count
+        lines = tokens[pos : pos + count]
+        pos += count
+        rows = [line.split() for line in lines]
+        _reject([len(row) == width for row in rows], what, lines)
+        return lines, rows
 
-    nv = expect_section("vertices")
-    vertices = np.empty((nv, 2))
-    for i in range(nv):
-        coords = [float(x) for x in tokens[pos + i].split()]
-        if len(coords) != 2 or not np.all(np.isfinite(coords)):
-            raise ValueError(f"bad vertex record {i}: {tokens[pos + i]!r}")
-        vertices[i] = coords
-    pos += nv
-    nt = expect_section("triangles")
-    tris = np.empty((nt, 3), dtype=int)
-    domains = np.empty(nt, dtype="<U1")
-    for i in range(nt):
-        parts = tokens[pos + i].split()
-        if len(parts) != 4 or parts[3] not in ("E", "A"):
-            raise ValueError(f"bad triangle record: {tokens[pos + i]!r}")
-        ids = [int(p) for p in parts[:3]]
-        if not all(0 <= v < nv for v in ids):
-            raise ValueError(f"triangle record {i} has a vertex id outside "
-                             f"[0, {nv}): {tokens[pos + i]!r}")
-        tris[i] = ids
-        domains[i] = parts[3]
-    pos += nt
-    nf = expect_section("faces")
-    kind_override: dict[tuple[int, int], FaceKind] = {}
-    for i in range(nf):
-        parts = tokens[pos + i].split()
-        if len(parts) != 3:
-            raise ValueError(f"bad face record: {tokens[pos + i]!r}")
-        try:
-            kind = FaceKind(parts[2])
-        except ValueError as exc:
-            raise ValueError(f"unknown face kind {parts[2]!r}") from exc
-        a, b = int(parts[0]), int(parts[1])
-        kind_override[(min(a, b), max(a, b))] = kind
+    lines, rows = section("vertices", "vertex", 2)
+    vertices = _numbers(rows, 2, float, "vertex", lines)
+    _reject(np.isfinite(vertices).all(axis=1), "vertex", lines)
+    nv = len(vertices)
 
-    mesh = _assemble(vertices, tris, domains, kind_override, None)
-    if mesh.n_faces != nf:
-        raise ValueError(f"file lists {nf} faces, triangulation has {mesh.n_faces}")
+    lines, rows = section("triangles", "triangle", 4)
+    domains = np.array([row[3] for row in rows], dtype=str)
+    _reject(np.isin(domains, ["E", "A"]), "triangle", lines)
+    tris = _numbers([row[:3] for row in rows], 3, int, "triangle", lines)
+    _reject(((tris >= 0) & (tris < nv)).all(axis=1), "triangle", lines,
+            f" (a vertex id outside [0, {nv}))")
+
+    lines, rows = section("faces", "face", 3)
+    names = np.array([row[2] for row in rows], dtype=str)
+    values = np.array([kind.value for kind in KINDS])
+    _reject(np.isin(names, values), "face", lines, " (unknown face kind)")
+    pairs = _numbers([row[:2] for row in rows], 2, int, "face", lines)
+    order = np.argsort(values)
+    codes = order[np.searchsorted(values[order], names)]
+
+    mesh = _assemble(vertices, tris, domains, listed=(pairs, codes))
+    if mesh.n_faces != len(rows):
+        raise ValueError(f"file lists {len(rows)} faces, triangulation has {mesh.n_faces}")
     return mesh

@@ -81,7 +81,8 @@ class ProblemData:
 
     Point arrays have shape (n, 2).  ``neumann`` receives the outward unit
     normal of the fluid domain, ``g1``/``g2`` receive the outward normal of
-    the solid domain; both may depend on it.
+    the solid domain; both may depend on it.  Every face of a kind is
+    sampled in one call, so the normals come as one row (n, 2) per point.
     """
 
     f: Callable | None = None            # fluid volume source -> (n,)
@@ -111,18 +112,14 @@ class DofMap:
 
 
 def build_dof_map(mesh: Mesh, k: int) -> DofMap:
-    uhat = np.full(mesh.n_faces, -1, dtype=int)
-    vhat = np.full(mesh.n_faces, -1, dtype=int)
-    next_free = 0
-    for fid, face in enumerate(mesh.faces):
-        if face.kind in _VHAT_UNKNOWN:
-            vhat[fid] = next_free
-            next_free += k + 1
-        if face.kind in _UHAT_UNKNOWN:
-            uhat[fid] = next_free
-            next_free += 2 * (k + 1)
-    return DofMap(mesh=mesh, k=k, uhat_offset=uhat, vhat_offset=vhat,
-                  n_dofs=next_free)
+    """Face by face, the scalar trace's k+1 unknowns, then the displacement
+    trace's 2(k+1)."""
+    has_v = mesh.is_kind(*_VHAT_UNKNOWN)
+    has_u = mesh.is_kind(*_UHAT_UNKNOWN)
+    width = has_v * (k + 1) + has_u * 2 * (k + 1)
+    start = np.cumsum(width) - width
+    return DofMap(mesh=mesh, k=k, uhat_offset=np.where(has_u, start + has_v * (k + 1), -1),
+                  vhat_offset=np.where(has_v, start, -1), n_dofs=int(width.sum()))
 
 
 def _fixed_traces(mesh: Mesh, k: int, data: ProblemData):
@@ -130,13 +127,12 @@ def _fixed_traces(mesh: Mesh, k: int, data: ProblemData):
     per face (zero on the faces whose trace is an unknown)."""
     fixed_uhat = np.zeros((mesh.n_faces, 2 * (k + 1)), dtype=complex)
     fixed_vhat = np.zeros((mesh.n_faces, k + 1), dtype=complex)
-    for fid, face in enumerate(mesh.faces):
-        if face.kind is FaceKind.GAMMA_AD and data.dirichlet is not None:
-            fr = face_rule(mesh, fid, k)
-            fixed_vhat[fid] = fr.moments(data.dirichlet(fr.points))
-        elif face.kind is FaceKind.ELASTIC_BOUNDARY and data.u_dirichlet is not None:
-            fr = face_rule(mesh, fid, k)
-            fixed_uhat[fid] = fr.moments(data.u_dirichlet(fr.points))
+    for kind, fn, out in ((FaceKind.GAMMA_AD, data.dirichlet, fixed_vhat),
+                          (FaceKind.ELASTIC_BOUNDARY, data.u_dirichlet, fixed_uhat)):
+        faces = np.flatnonzero(mesh.is_kind(kind))
+        if fn is not None and len(faces):
+            fr = face_rule(mesh, faces, k)
+            out[faces] = fr.moments(fr.sample(fn))
     return fixed_uhat, fixed_vhat
 
 
@@ -256,51 +252,55 @@ def assemble_system(assembler: Assembler, data: ProblemData,
 
 def _face_terms(assembler: Assembler, data: ProblemData, dofmap: DofMap,
                 add, rhs: np.ndarray, trace_base: int) -> None:
-    """Boundary-data moments and the interface coupling blocks (once per face)."""
+    """Boundary-data moments and the interface coupling blocks, all faces of
+    a kind at once."""
     mesh, k, params = assembler.mesh, assembler.k, assembler.params
     kp1 = k + 1
     eye = np.eye(kp1)
     s, rho_f = params.s, params.rho_f
 
-    for fid, face in enumerate(mesh.faces):
-        if face.kind is FaceKind.GAMMA_AN:
-            if data.neumann is None:
-                continue
-            r_idx = trace_base + dofmap.vhat_offset[fid] + np.arange(kp1)
-            side = face.sides[0]
-            n_out = side.sign * face.normal
-            fr = face_rule(mesh, fid, k)
-            rhs[r_idx] += fr.moments(data.neumann(fr.points, n_out))
-        elif face.kind is FaceKind.GAMMA:
-            n_e = elastic_side_normal(mesh, fid)
-            n_a = -n_e
-            v_idx = trace_base + dofmap.vhat_offset[fid] + np.arange(kp1)
-            u0 = trace_base + dofmap.uhat_offset[fid]
-            ux_idx = u0 + np.arange(kp1)
-            uy_idx = u0 + kp1 + np.arange(kp1)
-            # normal-velocity row couples to the displacement trace ...
-            add(v_idx[:, None], ux_idx, -s * n_e[0] * eye, True)
-            add(v_idx[:, None], uy_idx, -s * n_e[1] * eye, True)
-            # ... and the traction row to the scalar trace
-            add(ux_idx[:, None], v_idx, rho_f * s * n_a[0] * eye, True)
-            add(uy_idx[:, None], v_idx, rho_f * s * n_a[1] * eye, True)
-            if (data.grad_v_inc is None and data.g1 is None
-                    and data.v_inc is None and data.g2 is None):
-                continue
-            fr = face_rule(mesh, fid, k)
-            if data.grad_v_inc is not None:
-                gv = np.asarray(data.grad_v_inc(fr.points), dtype=complex)
-                rhs[v_idx] -= fr.moments(gv @ n_a)
-            if data.g1 is not None:
-                rhs[v_idx] += fr.moments(data.g1(fr.points, n_e))
-            if data.v_inc is not None:
-                vi = fr.moments(data.v_inc(fr.points))
-                rhs[ux_idx] -= rho_f * s * n_a[0] * vi
-                rhs[uy_idx] -= rho_f * s * n_a[1] * vi
-            if data.g2 is not None:
-                g2m = fr.moments(data.g2(fr.points, n_e))
-                rhs[ux_idx] += g2m[:kp1]
-                rhs[uy_idx] += g2m[kp1:]
+    neumann = np.flatnonzero(mesh.is_kind(FaceKind.GAMMA_AN))
+    if data.neumann is not None and len(neumann):
+        fr = face_rule(mesh, neumann, k)
+        n_out = mesh.face_sign[neumann, :1] * mesh.face_normal[neumann]
+        rhs[trace_base + dofmap.vhat_offset[neumann, None] + np.arange(kp1)] += \
+            fr.moments(fr.sample(data.neumann, n_out))
+
+    gamma = np.flatnonzero(mesh.is_kind(FaceKind.GAMMA))
+    if not len(gamma):
+        return
+    n_e = elastic_side_normal(mesh, gamma)
+    n_a = -n_e
+    v_idx = trace_base + dofmap.vhat_offset[gamma, None] + np.arange(kp1)
+    ux_idx = trace_base + dofmap.uhat_offset[gamma, None] + np.arange(kp1)
+    uy_idx = ux_idx + kp1
+    # normal-velocity row couples to the displacement trace ...
+    add(v_idx[..., None], ux_idx[:, None], -s * n_e[:, 0, None, None] * eye, True)
+    add(v_idx[..., None], uy_idx[:, None], -s * n_e[:, 1, None, None] * eye, True)
+    # ... and the traction row to the scalar trace
+    add(ux_idx[..., None], v_idx[:, None], rho_f * s * n_a[:, 0, None, None] * eye, True)
+    add(uy_idx[..., None], v_idx[:, None], rho_f * s * n_a[:, 1, None, None] * eye, True)
+    if (data.grad_v_inc is None and data.g1 is None
+            and data.v_inc is None and data.g2 is None):
+        return
+    fr = face_rule(mesh, gamma, k)
+    if data.grad_v_inc is not None:
+        rhs[v_idx] -= fr.moments(_normal_part(fr.sample(data.grad_v_inc), n_a))
+    if data.g1 is not None:
+        rhs[v_idx] += fr.moments(fr.sample(data.g1, n_e))
+    if data.v_inc is not None:
+        vi = fr.moments(fr.sample(data.v_inc))
+        rhs[ux_idx] -= rho_f * s * n_a[:, 0, None] * vi
+        rhs[uy_idx] -= rho_f * s * n_a[:, 1, None] * vi
+    if data.g2 is not None:
+        g2m = fr.moments(fr.sample(data.g2, n_e))
+        rhs[ux_idx] += g2m[:, :kp1]
+        rhs[uy_idx] += g2m[:, kp1:]
+
+
+def _normal_part(vals: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Normal component of face-point vectors (nf, n, 2), one normal per face."""
+    return (vals @ normals[:, :, None])[..., 0]
 
 
 def solve_assembled(system: AssembledSystem) -> np.ndarray:
@@ -379,11 +379,10 @@ def recover_fields(assembler: Assembler, system: AssembledSystem,
         for name, sl in loc.ops.slices.items():
             parts[name].update(zip(keys, vol[:, sl]))
 
-    kinds = [face.kind for face in mesh.faces]
-    uhat = {fid: uhat_all[fid] for fid, kind in enumerate(kinds)
-            if kind in ELASTIC_TRACE_KINDS}
-    vhat = {fid: vhat_all[fid] for fid, kind in enumerate(kinds)
-            if kind in ACOUSTIC_TRACE_KINDS}
+    elastic = np.flatnonzero(mesh.is_kind(*ELASTIC_TRACE_KINDS))
+    acoustic = np.flatnonzero(mesh.is_kind(*ACOUSTIC_TRACE_KINDS))
+    uhat = dict(zip(elastic.tolist(), uhat_all[elastic]))
+    vhat = dict(zip(acoustic.tolist(), vhat_all[acoustic]))
 
     return FieldSolution(
         mesh=mesh,
@@ -430,60 +429,58 @@ def conservation_report(assembler: Assembler, data: ProblemData,
     kp1 = k + 1
     s, rho_f = params.s, params.rho_f
 
-    flux: dict[int, np.ndarray] = {}
+    # outward flux moments of every element face, per domain
+    flux = {"E": np.zeros((mesh.n_elements, 3, 2 * kp1), dtype=complex),
+            "A": np.zeros((mesh.n_elements, 3, kp1), dtype=complex)}
     for blk in assembler.blocks():
         volume = gather(solution.volume, blk.elems)
         traces = gather(solution.traces, blk.elems)
-        flux.update(zip(blk.elems.tolist(), reconstruct_flux(blk, params, volume, traces)))
+        flux[blk.domain][blk.elems] = reconstruct_flux(blk, params, volume, traces)
+
+    def side_flux(domain: str, faces: np.ndarray, side) -> np.ndarray:
+        return flux[domain][mesh.face_element[faces, side], mesh.face_local_edge[faces, side]]
+
+    def worst(vals: np.ndarray) -> float:
+        return float(np.abs(vals).max(initial=0.0))
 
     report = {"interior_jump": 0.0, "gamma_velocity": 0.0,
-              "gamma_traction": 0.0, "neumann": 0.0, "flux_scale": 0.0}
-    for elem_f in flux.values():
-        report["flux_scale"] = max(report["flux_scale"], float(np.abs(elem_f).max()))
+              "gamma_traction": 0.0, "neumann": 0.0,
+              "flux_scale": max(worst(flux["E"]), worst(flux["A"]))}
+    for domain, kind in (("A", FaceKind.INTERIOR_A), ("E", FaceKind.INTERIOR_E)):
+        faces = np.flatnonzero(mesh.is_kind(kind))
+        report["interior_jump"] = max(report["interior_jump"], worst(
+            side_flux(domain, faces, 0) + side_flux(domain, faces, 1)))
 
-    for fid, face in enumerate(mesh.faces):
-        if face.kind in (FaceKind.INTERIOR_A, FaceKind.INTERIOR_E):
-            total = sum(flux[side.element][side.local_edge] for side in face.sides)
-            report["interior_jump"] = max(report["interior_jump"],
-                                          float(np.abs(total).max()))
-        elif face.kind is FaceKind.GAMMA:
-            e_side = next(sd for sd in face.sides
-                          if mesh.tri_domain[sd.element] == "E")
-            a_side = next(sd for sd in face.sides
-                          if mesh.tri_domain[sd.element] == "A")
-            fe = flux[e_side.element][e_side.local_edge]
-            fa = flux[a_side.element][a_side.local_edge]
-            n_e = elastic_side_normal(mesh, fid)
-            n_a = -n_e
-            uh = solution.uhat[fid]
-            vh = solution.vhat[fid]
-            fr = face_rule(mesh, fid, k)
-            r1 = fa - s * (n_e[0] * uh[:kp1] + n_e[1] * uh[kp1:])
-            if data.grad_v_inc is not None:
-                gv = np.asarray(data.grad_v_inc(fr.points), dtype=complex)
-                r1 += fr.moments(gv @ n_a)
-            if data.g1 is not None:
-                r1 -= fr.moments(data.g1(fr.points, n_e))
-            report["gamma_velocity"] = max(report["gamma_velocity"],
-                                           float(np.abs(r1).max()))
-            v_tot = vh.astype(complex).copy()
-            if data.v_inc is not None:
-                v_tot += fr.moments(data.v_inc(fr.points))
-            r2 = -np.concatenate([fe[:kp1], fe[kp1:]]) + rho_f * s * np.concatenate(
-                [n_a[0] * v_tot, n_a[1] * v_tot]
-            )
-            if data.g2 is not None:
-                r2 -= fr.moments(data.g2(fr.points, n_e))
-            report["gamma_traction"] = max(report["gamma_traction"],
-                                           float(np.abs(r2).max()))
-        elif face.kind is FaceKind.GAMMA_AN:
-            side = face.sides[0]
-            r = flux[side.element][side.local_edge].astype(complex).copy()
-            if data.neumann is not None:
-                fr = face_rule(mesh, fid, k)
-                n_out = side.sign * face.normal
-                r -= fr.moments(data.neumann(fr.points, n_out))
-            report["neumann"] = max(report["neumann"], float(np.abs(r).max()))
+    gamma = np.flatnonzero(mesh.is_kind(FaceKind.GAMMA))
+    if len(gamma):
+        solid_first = mesh.tri_domain[mesh.face_element[gamma, 0]] == "E"
+        fe = np.where(solid_first[:, None], side_flux("E", gamma, 0), side_flux("E", gamma, 1))
+        fa = np.where(solid_first[:, None], side_flux("A", gamma, 1), side_flux("A", gamma, 0))
+        n_e = elastic_side_normal(mesh, gamma)
+        n_a = -n_e
+        uh = gather(solution.uhat, gamma)
+        fr = face_rule(mesh, gamma, k)
+        r1 = fa - s * (n_e[:, :1] * uh[:, :kp1] + n_e[:, 1:] * uh[:, kp1:])
+        if data.grad_v_inc is not None:
+            r1 += fr.moments(_normal_part(fr.sample(data.grad_v_inc), n_a))
+        if data.g1 is not None:
+            r1 -= fr.moments(fr.sample(data.g1, n_e))
+        report["gamma_velocity"] = worst(r1)
+        v_tot = gather(solution.vhat, gamma).astype(complex)
+        if data.v_inc is not None:
+            v_tot += fr.moments(fr.sample(data.v_inc))
+        r2 = -fe + rho_f * s * np.concatenate([n_a[:, :1] * v_tot, n_a[:, 1:] * v_tot], axis=1)
+        if data.g2 is not None:
+            r2 -= fr.moments(fr.sample(data.g2, n_e))
+        report["gamma_traction"] = worst(r2)
+
+    neumann = np.flatnonzero(mesh.is_kind(FaceKind.GAMMA_AN))
+    r = side_flux("A", neumann, 0)
+    if data.neumann is not None and len(neumann):
+        fr = face_rule(mesh, neumann, k)
+        n_out = mesh.face_sign[neumann, :1] * mesh.face_normal[neumann]
+        r = r - fr.moments(fr.sample(data.neumann, n_out))
+    report["neumann"] = worst(r)
     return report
 
 

@@ -175,10 +175,10 @@ def make_case(name: str, *, grid: int | None = None, **overrides) -> Manufacture
             return -q(pts)
 
         def g1(pts, n_e):
-            return -s * (u(pts) @ n_e)
+            return -s * (u(pts) * n_e).sum(axis=-1)
 
         def g2(pts, n_e):
-            return -np.einsum("nrc,c->nr", sigma(pts), n_e)
+            return -(sigma(pts) * n_e[..., None, :]).sum(axis=-1)
 
         def coupled_mesh(level: int) -> Mesh:
             # Non-nested ladder: refining by fresh construction (rather than
@@ -323,11 +323,11 @@ def make_polynomial_case(kind: str, k: int, *, grid: int | None = None,
         s, rho_f = params.s, params.rho_f
 
         def g1(pts, n_e):
-            return -(q(pts) + s * u(pts)) @ n_e
+            return -((q(pts) + s * u(pts)) * n_e).sum(axis=-1)
 
         def g2(pts, n_e):
-            sig_n = np.einsum("nrc,c->nr", sigma(pts), n_e)
-            return -sig_n - rho_f * s * v(pts)[:, None] * n_e[None, :]
+            sig_n = (sigma(pts) * n_e[..., None, :]).sum(axis=-1)
+            return -sig_n - rho_f * s * v(pts)[:, None] * n_e
 
         return ManufacturedCase(
             name=f"poly-coupled-k{k}",

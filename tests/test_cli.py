@@ -19,7 +19,7 @@ from hdgwave.cli import (
     main,
     parse_config,
 )
-from hdgwave.mesh import build_structured_coupled, save_mesh
+from hdgwave.mesh import build_structured_coupled, load_mesh, save_mesh, validate_mesh
 
 # -- low-level parsers --------------------------------------------------------
 
@@ -275,8 +275,19 @@ def _break_triangle_id(lines):
     return lines
 
 
-@pytest.mark.parametrize("edit", [_break_triangle_id, lambda lines: lines[:-1]],
-                         ids=["triangle-id-equal-to-nv", "truncated"])
+def _replace(record, by):
+    return lambda lines: [by if line == record else line for line in lines]
+
+
+@pytest.mark.parametrize("edit", [
+    _break_triangle_id,
+    lambda lines: lines[:-1],
+    # 4-8 is the diagonal of the upper right cell, 5-7 no edge at all
+    _replace("4 8 interiorA", "5 7 interiorA"),
+    # a second record for the Dirichlet face 0-1 would make it Neumann
+    _replace("4 8 interiorA", "0 1 gammaAN"),
+], ids=["triangle-id-equal-to-nv", "truncated", "face-record-names-no-edge",
+        "face-record-repeats-an-edge"])
 def test_malformed_mesh_file_exits_2(tmp_path, capsys, edit):
     path = tmp_path / "bad.mesh"
     save_mesh(build_structured_coupled(2, (0.0, 0.0, 1.0, 1.0)), str(path))
@@ -286,6 +297,55 @@ def test_malformed_mesh_file_exits_2(tmp_path, capsys, edit):
     assert rc == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+_MESH_TOKENS = ["0", "1", "2", "-1", "7", "24", "25", "55", "56", "0.5", "-0", "1_0", "1e400",
+                "nan", "inf", "x", "A", "E", "gamma", "gammaAD", "gammaAN", "interiorA",
+                "interiorE", "elasticBoundary", "vertices", "faces", "9" * 30]
+_MESH_EDITS = st.lists(
+    st.tuples(st.sampled_from(["delete", "duplicate", "move", "token", "drop", "append"]),
+              st.integers(0, 10**6), st.integers(0, 10**6), st.sampled_from(_MESH_TOKENS)),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=_MESH_EDITS)
+def test_mesh_reader_loads_or_rejects_any_file(tmp_path, edits):
+    # lines and tokens of a small valid coupled file, deleted, duplicated,
+    # moved or replaced: the file either loads as a valid mesh or raises
+    # ValueError, and from the command line a rejected file exits 2
+    path = tmp_path / "fuzz.mesh"
+    save_mesh(build_structured_coupled(1, (-2.0, -2.0, 2.0, 2.0), (-1.0, -1.0, 1.0, 1.0)),
+              str(path))
+    lines = path.read_text().splitlines()
+    for op, at, to, token in edits:
+        i = at % len(lines)
+        fields = lines[i].split()
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(to % len(lines), lines[i])
+        elif op == "move":
+            lines.insert(to % len(lines), lines.pop(i))
+        elif op == "token" and fields:
+            fields[to % len(fields)] = token
+        elif op == "drop" and fields:
+            del fields[to % len(fields)]
+        elif op == "append":
+            fields.append(token)
+        if op in ("token", "drop", "append"):
+            lines[i] = " ".join(fields)
+        if not lines:
+            lines = [token]
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        mesh = load_mesh(str(path))
+    except ValueError:
+        assert main(["solve", "--case", "coupled63", "--mesh", str(path),
+                     "--out", str(tmp_path)]) == 2
+        return
+    validate_mesh(mesh)
 
 
 def test_selftest_passes(tmp_path, capsys):

@@ -23,7 +23,7 @@ from hdgwave.local_solver import (
     reconstruct_flux,
 )
 from hdgwave.elastic_spaces import build_stress_basis
-from hdgwave.mesh import FaceKind, build_structured_coupled, face_rule, load_mesh
+from hdgwave.mesh import KINDS, FaceKind, build_structured_coupled, face_rule, load_mesh
 
 S = 2.0 - 1.0j
 
@@ -347,6 +347,10 @@ def test_zero_data_gives_zero_volume_fields():
 # -- per-shape sharing -----------------------------------------------------
 
 
+def triangle(mesh, elem):
+    return mesh.vertices[mesh.tri_vertices[elem]]
+
+
 def n_shapes(asm):
     return sum(len(asm._shapes(d).ops.reps) for d in ("E", "A")
                if np.any(asm.mesh.tri_domain == d))
@@ -354,8 +358,7 @@ def n_shapes(asm):
 
 def scaled(mesh, factor):
     mesh.vertices = mesh.vertices * factor
-    for face in mesh.faces:
-        face.length *= factor
+    mesh.face_length = mesh.face_length * factor
     mesh.h_e *= factor
     mesh.h_a *= factor
     return mesh
@@ -403,7 +406,7 @@ def test_assembler_matches_uncached_route(tmp_path):
     (loc,) = Assembler(mesh, 2, params).all_locals(f_acoustic=src)
     for elem in (0, 3, 5):
         i = int(np.flatnonzero(loc.elems == elem)[0])
-        alone = one_element_mesh(tmp_path, mesh.triangle(elem), "A")
+        alone = one_element_mesh(tmp_path, triangle(mesh, elem), "A")
         (fresh,) = Assembler(alone, 2, params).all_locals(f_acoustic=src)
         for name in ("matrix", "lift_map", "condensed_map"):
             shared = getattr(loc.ops, name)[loc.shape[i]]
@@ -435,7 +438,7 @@ def test_similar_elements_of_different_size_do_not_share(tmp_path, domain):
     (loc,) = Assembler(mesh, 2, params).all_locals(**source)
     assert loc.shape[0] != loc.shape[1]
     for elem in (0, 1):
-        alone = one_element_mesh(tmp_path, mesh.triangle(elem), domain)
+        alone = one_element_mesh(tmp_path, triangle(mesh, elem), domain)
         (fresh,) = Assembler(alone, 2, params).all_locals(**source)
         for name in ("matrix", "lift_map", "condensed_map"):
             shared = getattr(loc.ops, name)[loc.shape[elem]]
@@ -451,7 +454,7 @@ def test_assembler_tables_translate_points():
     ref_pts = asm.ref.quad.points
     for elem in range(mesh.n_elements):
         tab = asm.tables(elem)
-        tri = mesh.triangle(elem)
+        tri = triangle(mesh, elem)
         mapped = tri[0] + ref_pts @ np.column_stack([tri[1] - tri[0], tri[2] - tri[0]]).T
         assert np.allclose(tab.points[0], mapped, rtol=0.0, atol=1e-15)
         assert np.array_equal(tab.face_ids[0], mesh.element_faces[elem])
@@ -459,7 +462,7 @@ def test_assembler_tables_translate_points():
     shapes = asm._shapes("A")
     for elem in range(mesh.n_elements):
         rep = shapes.ops.reps[shapes.shape[elem]]
-        shift = mesh.triangle(elem)[0] - mesh.triangle(rep)[0]
+        shift = triangle(mesh, elem)[0] - triangle(mesh, rep)[0]
         assert np.array_equal(asm.tables(elem).points, asm.tables(rep).points + shift)
 
 
@@ -486,19 +489,17 @@ def test_both_sides_of_a_face_see_its_face_rule():
     k = 2
     asm = Assembler(mesh, k, ModelParams(s=S))
     kinds = set()
-    for fid, face in enumerate(mesh.faces):
-        if len(face.sides) != 2:
-            continue
-        kinds.add(face.kind)
+    for fid in np.flatnonzero((mesh.face_element >= 0).all(axis=1)):
+        kinds.add(KINDS[mesh.face_kind[fid]])
         fr = face_rule(mesh, fid, k)
-        for side in face.sides:
-            tab = asm.tables(side.element)
-            f = side.local_edge
+        for elem, f, sign in zip(mesh.face_element[fid], mesh.face_local_edge[fid],
+                                 mesh.face_sign[fid]):
+            tab = asm.tables(elem)
             assert tab.face_ids[0, f] == fid
             assert np.array_equal(tab.face_points[0, f], fr.points)
             assert np.array_equal(tab.face_weights[0, f], fr.weights)
             assert np.array_equal(tab.face_basis[0, f], fr.basis)
-            assert np.array_equal(tab.normals[0, f], side.sign * face.normal)
+            assert np.array_equal(tab.normals[0, f], sign * mesh.face_normal[fid])
     assert kinds == {FaceKind.INTERIOR_A, FaceKind.INTERIOR_E, FaceKind.GAMMA}
 
 
@@ -558,7 +559,7 @@ def test_batched_stress_tables_match_the_one_triangle_basis(k):
     uy = slice(n_sig + n_p, n_sig + 2 * n_p)
     assert len(ops.reps) == np.count_nonzero(mesh.tri_domain == "E") > 1
     for row, rep in enumerate(ops.reps):
-        basis = build_stress_basis(k, mesh.triangle(rep), asm.ref)
+        basis = build_stress_basis(k, triangle(mesh, rep), asm.ref)
         pts, w = parts["points"][row], parts["weights"][row]
         vals = basis.eval(pts)
         assert np.abs(parts["stress_vals"][row] - vals).max() <= 1e-12 * np.abs(vals).max()

@@ -5,6 +5,7 @@ grid over a w x h box has 2*w*h*n^2 triangles, and edge counts follow from
 3T = 2*interior + boundary.
 """
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -15,16 +16,16 @@ from hypothesis import strategies as st
 from hdgwave.mesh import (
     ACOUSTIC_TRACE_KINDS,
     ELASTIC_TRACE_KINDS,
+    KINDS,
     FaceKind,
     build_structured_coupled,
     elastic_side_normal,
-    face_endpoints,
-    face_geometry,
     load_mesh,
     refine,
     save_mesh,
     validate_mesh,
 )
+from hdgwave.verify import make_case
 
 
 def unit_square(n=2, **kw):
@@ -36,10 +37,15 @@ def annulus(n=1, **kw):
 
 
 def kind_counts(mesh):
-    out = {}
-    for face in mesh.faces:
-        out[face.kind] = out.get(face.kind, 0) + 1
-    return out
+    return Counter(KINDS[code] for code in mesh.face_kind)
+
+
+def faces_of_kind(mesh, *kinds):
+    return set(np.flatnonzero(mesh.is_kind(*kinds)).tolist())
+
+
+def endpoints(mesh, fid):
+    return mesh.vertices[mesh.face_vertices[fid]]
 
 
 def test_unit_square_n2_counts():
@@ -80,15 +86,15 @@ def test_neumann_classification_predicate():
     assert counts[FaceKind.GAMMA_AN] == 2
     assert counts[FaceKind.GAMMA_AD] == 6
     top = unit_square(2, dirichlet_only=False,
-                      neumann_predicate=lambda p: p[1] > 1.0 - 1e-9)
+                      neumann_predicate=lambda p: p[:, 1] > 1.0 - 1e-9)
     assert kind_counts(top)[FaceKind.GAMMA_AN] == 2
 
 
 def test_trace_kind_partitions():
     mesh = annulus(1)
-    elastic = set(mesh.faces_of_kind(*ELASTIC_TRACE_KINDS))
-    acoustic = set(mesh.faces_of_kind(*ACOUSTIC_TRACE_KINDS))
-    gammas = set(mesh.faces_of_kind(FaceKind.GAMMA))
+    elastic = faces_of_kind(mesh, *ELASTIC_TRACE_KINDS)
+    acoustic = faces_of_kind(mesh, *ACOUSTIC_TRACE_KINDS)
+    gammas = faces_of_kind(mesh, FaceKind.GAMMA)
     # interface faces carry both trace fields
     assert gammas <= elastic and gammas <= acoustic
     assert elastic & acoustic == gammas
@@ -96,39 +102,44 @@ def test_trace_kind_partitions():
 
 def test_face_orientation_and_geometry():
     mesh = unit_square(2)
-    for fid, face in enumerate(mesh.faces):
-        a, b = face_endpoints(mesh, fid)
+    for fid in range(mesh.n_faces):
+        a, b = endpoints(mesh, fid)
         # canonical order: lexicographically smaller endpoint first
         assert (a[0], a[1]) <= (b[0], b[1])
-        frame = face_geometry(mesh, fid)
-        assert frame.length == pytest.approx(np.linalg.norm(b - a), rel=1e-14)
+        assert mesh.face_length[fid] == pytest.approx(np.linalg.norm(b - a), rel=1e-14)
         tangent = (b - a) / np.linalg.norm(b - a)
-        assert np.allclose(frame.tangent, tangent)
+        normal = mesh.face_normal[fid]
         # normal is the tangent rotated by -90 degrees, unit length
-        assert np.allclose(frame.normal, [tangent[1], -tangent[0]])
-        for side in face.sides:
-            tri = mesh.triangle(side.element)
-            centroid = tri.mean(axis=0)
-            outward = side.sign * face.normal
+        assert np.allclose(normal, [tangent[1], -tangent[0]])
+        assert np.allclose([-normal[1], normal[0]], tangent)
+        for elem, sign in zip(mesh.face_element[fid], mesh.face_sign[fid]):
+            if elem < 0:
+                continue
+            centroid = mesh.vertices[mesh.tri_vertices[elem]].mean(axis=0)
+            outward = sign * normal
             # outward normal points away from the element centroid
-            assert np.dot(frame.midpoint - centroid, outward) > 0.0
+            assert np.dot(0.5 * (a + b) - centroid, outward) > 0.0
 
 
 def test_interior_faces_have_two_sides_with_opposite_signs():
     mesh = annulus(1)
-    for face in mesh.faces:
-        if face.kind in (FaceKind.INTERIOR_A, FaceKind.INTERIOR_E, FaceKind.GAMMA):
-            assert len(face.sides) == 2
-            assert {side.sign for side in face.sides} == {-1, 1}
+    two_sided = mesh.is_kind(FaceKind.INTERIOR_A, FaceKind.INTERIOR_E, FaceKind.GAMMA)
+    for fid in range(mesh.n_faces):
+        elems, signs = mesh.face_element[fid], mesh.face_sign[fid]
+        if two_sided[fid]:
+            assert (elems >= 0).all()
+            assert set(signs.tolist()) == {-1, 1}
         else:
-            assert len(face.sides) == 1
+            assert elems[0] >= 0 and elems[1] == -1 and signs[1] == 0
 
 
 def test_elastic_side_normal_points_into_fluid():
     mesh = annulus(1)
-    for fid in mesh.faces_of_kind(FaceKind.GAMMA):
+    gammas = sorted(faces_of_kind(mesh, FaceKind.GAMMA))
+    for fid, row in zip(gammas, elastic_side_normal(mesh, np.array(gammas))):
         n_e = elastic_side_normal(mesh, fid)
-        mid = face_geometry(mesh, fid).midpoint
+        assert np.array_equal(n_e, row)
+        mid = endpoints(mesh, fid).mean(axis=0)
         # the solid is the inner square, so its outward normal points away
         # from the origin
         assert np.dot(n_e, mid) > 0.0
@@ -149,8 +160,8 @@ def test_refine_multiplies_elements_and_inherits_kinds():
 
 def test_refine_keeps_gamma_faces_on_the_interface():
     fine = refine(refine(annulus(1)))
-    for fid in fine.faces_of_kind(FaceKind.GAMMA):
-        a, b = face_endpoints(fine, fid)
+    for fid in faces_of_kind(fine, FaceKind.GAMMA):
+        a, b = endpoints(fine, fid)
         for p in (a, b):
             assert max(abs(p[0]), abs(p[1])) == pytest.approx(1.0, abs=1e-12)
 
@@ -205,7 +216,7 @@ def test_jitter_amplitude_validated():
 def test_all_triangles_positively_oriented():
     for mesh in (unit_square(3), annulus(2, jitter=0.15, seed=1)):
         for elem in range(mesh.n_elements):
-            tri = mesh.triangle(elem)
+            tri = mesh.vertices[mesh.tri_vertices[elem]]
             area2 = (tri[1, 0] - tri[0, 0]) * (tri[2, 1] - tri[0, 1]) - (
                 tri[1, 1] - tri[0, 1]
             ) * (tri[2, 0] - tri[0, 0])
@@ -215,8 +226,10 @@ def test_all_triangles_positively_oriented():
 def test_element_diameter_and_h():
     mesh = unit_square(2)
     # every triangle is a half-cell with hypotenuse sqrt(2)/2
+    tri = mesh.vertices[mesh.tri_vertices]
+    diameters = np.linalg.norm(np.roll(tri, -1, axis=1) - tri, axis=2).max(axis=1)
     for elem in range(mesh.n_elements):
-        assert mesh.element_diameter(elem) == pytest.approx(np.sqrt(2.0) / 2.0)
+        assert diameters[elem] == pytest.approx(np.sqrt(2.0) / 2.0)
     assert mesh.h == pytest.approx(np.sqrt(2.0) / 2.0)
 
 
@@ -230,7 +243,7 @@ def test_save_load_round_trip(tmp_path):
     assert back.n_faces == mesh.n_faces
     assert np.allclose(back.vertices, mesh.vertices)
     assert np.array_equal(back.tri_vertices, mesh.tri_vertices)
-    assert [f.kind for f in back.faces] == [f.kind for f in mesh.faces]
+    assert np.array_equal(back.face_kind, mesh.face_kind)
     validate_mesh(back)
 
 
@@ -302,3 +315,166 @@ def test_load_accepts_or_rejects_any_triangle_ids(tmp_path_factory, n_tris, edit
         return
     assert mesh.tri_vertices.min() >= 0
     assert mesh.tri_vertices.max() < len(_FUZZ_VERTICES)
+
+
+# -- reader: face records -------------------------------------------------------
+
+_SQUARE = ("hdgmesh v1\nvertices 4\n0 0\n1 0\n1 1\n0 1\ntriangles 2\n0 1 2 A\n0 2 3 A\n"
+           "faces 5\n0 1 gammaAD\n1 2 gammaAD\n2 3 gammaAD\n0 3 gammaAD\n0 2 interiorA\n")
+
+
+@pytest.mark.parametrize("record,message", [
+    # the triangles share the diagonal 0-2; 1-3 is no edge of theirs
+    ("1 3 interiorA", r"face record 4 \(1 3 interiorA\) names no edge"),
+    # a second record for face 0-1 would silently turn it into a Neumann face
+    ("0 1 gammaAN", r"face record 4 \(0 1 gammaAN\) repeats the edge of face record 0"),
+], ids=["no-edge", "repeated"])
+def test_load_rejects_face_records_that_miss_or_repeat_an_edge(tmp_path, record, message):
+    path = tmp_path / "square.mesh"
+    path.write_text(_SQUARE)
+    assert load_mesh(str(path)).n_faces == 5
+    path.write_text(_SQUARE.replace("0 2 interiorA", record))
+    with pytest.raises(ValueError, match=message):
+        load_mesh(str(path))
+
+
+# -- face numbering against a plain-Python oracle -------------------------------
+
+
+def face_oracle(mesh, boundary_kind):
+    """The face table by plain Python: a sorted dict of edges, each with its
+    sides (element, local edge, sign of the stored normal seen from it)."""
+    verts = mesh.vertices.tolist()
+    edges = {}
+    for elem, tri in enumerate(mesh.tri_vertices.tolist()):
+        for edge, (i, j) in enumerate(((0, 1), (1, 2), (2, 0))):
+            edges.setdefault(tuple(sorted((tri[i], tri[j]))), []).append((elem, edge, i, j))
+    rows = []
+    for (a, b), sides in sorted(edges.items()):
+        start, end = (a, b) if verts[a] <= verts[b] else (b, a)
+        dx, dy = verts[end][0] - verts[start][0], verts[end][1] - verts[start][1]
+        normal = (dy, -dx)  # not normalized: only its direction matters here
+        entries = []
+        for elem, edge, i, j in sides:
+            tri = mesh.tri_vertices[elem].tolist()
+            ex = verts[tri[j]][0] - verts[tri[i]][0]
+            ey = verts[tri[j]][1] - verts[tri[i]][1]
+            outward = (ey, -ex)  # CCW element: the edge turned clockwise
+            dot = outward[0] * normal[0] + outward[1] * normal[1]
+            entries.append((elem, edge, 1 if dot > 0 else -1))
+        domains = sorted(str(mesh.tri_domain[elem]) for elem, *_ in sides)
+        if len(sides) == 2:
+            kind = {("A", "A"): FaceKind.INTERIOR_A, ("E", "E"): FaceKind.INTERIOR_E,
+                    ("A", "E"): FaceKind.GAMMA}[tuple(domains)]
+        else:
+            kind = boundary_kind((a, b), domains[0])
+        rows.append(((start, end), kind, entries))
+    return rows
+
+
+def _dirichlet_kind(pair, domain):
+    return FaceKind.ELASTIC_BOUNDARY if domain == "E" else FaceKind.GAMMA_AD
+
+
+def _oracle_meshes(tmp_path):
+    listed = unit_square(3, dirichlet_only=False)
+    path = tmp_path / "listed.mesh"
+    save_mesh(listed, str(path))
+    records = {}
+    for line in path.read_text().splitlines()[-listed.n_faces:]:
+        a, b, kind = line.split()
+        records[tuple(sorted((int(a), int(b))))] = FaceKind(kind)
+    return [
+        (annulus(2, jitter=0.15, seed=7), _dirichlet_kind),
+        (make_case("acoustic61").mesh_at(2), _dirichlet_kind),
+        (load_mesh(str(path)), lambda pair, domain: records[pair]),
+    ]
+
+
+def test_face_numbering_matches_plain_python_oracle(tmp_path):
+    for mesh, boundary_kind in _oracle_meshes(tmp_path):
+        rows = face_oracle(mesh, boundary_kind)
+        assert mesh.n_faces == len(rows)
+        assert mesh.face_vertices.tolist() == [list(ends) for ends, _, _ in rows]
+        assert [KINDS[code] for code in mesh.face_kind] == [kind for _, kind, _ in rows]
+        for fid, (_, _, entries) in enumerate(rows):
+            padded = entries + [(-1, -1, 0)] * (2 - len(entries))
+            assert mesh.face_element[fid].tolist() == [e for e, _, _ in padded]
+            assert mesh.face_local_edge[fid].tolist() == [le for _, le, _ in padded]
+            assert mesh.face_sign[fid].tolist() == [sg for _, _, sg in padded]
+            for elem, edge, _ in entries:
+                assert mesh.element_faces[elem, edge] == fid
+        assert (mesh.element_faces >= 0).all()
+
+
+def test_save_load_save_is_byte_identical(tmp_path):
+    for i, (mesh, _) in enumerate(_oracle_meshes(tmp_path)):
+        first, second = tmp_path / f"first{i}.mesh", tmp_path / f"second{i}.mesh"
+        save_mesh(mesh, str(first))
+        save_mesh(load_mesh(str(first)), str(second))
+        assert first.read_bytes() == second.read_bytes()
+
+
+# -- validation names the first element or face at fault ------------------------
+
+
+def _broken(mesh, **arrays):
+    return dataclasses.replace(mesh, **{name: value.copy() for name, value in arrays.items()})
+
+
+def test_validate_names_the_first_face_at_fault():
+    mesh = annulus(1)
+    f, g = np.flatnonzero(mesh.face_element[:, 1] >= 0)[[2, 6]]
+    sign = mesh.face_sign.copy()
+    sign[[f, g], 1] *= -1
+    with pytest.raises(ValueError, match=f"^face {f} outward normals do not oppose$"):
+        validate_mesh(_broken(mesh, face_sign=sign))
+    faces = mesh.element_faces.copy()
+    faces[mesh.face_element[g, 0], mesh.face_local_edge[g, 0]] = g + 1
+    with pytest.raises(ValueError, match=f"^face {g} adjacency table inconsistent$"):
+        validate_mesh(_broken(mesh, element_faces=faces))
+    normal = mesh.face_normal.copy()
+    normal[[f + 1, g]] *= 1.5
+    # the first face at fault decides, whichever check it fails
+    with pytest.raises(ValueError, match=f"^face {f} outward normals do not oppose$"):
+        validate_mesh(_broken(mesh, face_normal=normal, face_sign=sign))
+    with pytest.raises(ValueError, match=f"^face {f + 1} normal not unit length$"):
+        validate_mesh(_broken(mesh, face_normal=normal))
+    kind = mesh.face_kind.copy()
+    kind[mesh.is_kind(FaceKind.GAMMA_AD)] = KINDS.index(FaceKind.GAMMA)
+    first = int(np.flatnonzero(mesh.is_kind(FaceKind.GAMMA_AD))[0])
+    with pytest.raises(ValueError, match=f"^gamma face {first} not between one solid"):
+        validate_mesh(_broken(mesh, face_kind=kind))
+
+
+def test_validate_names_the_first_degenerate_triangle():
+    mesh = unit_square(2)
+    vertices = mesh.vertices.copy()
+    vertices[4] = vertices[0]  # the centre vertex onto a corner
+    first = int(np.flatnonzero((mesh.tri_vertices == 4).any(axis=1))[0])
+    with pytest.raises(ValueError, match=f"^triangle {first} degenerate or mis-ordered$"):
+        validate_mesh(_broken(mesh, vertices=vertices))
+
+
+# -- jitter mask by lattice index ------------------------------------------------
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-13])
+def test_jitter_mask_is_dimensionless(scale):
+    # the box shrunk by ``scale`` with the grid refined to match has the
+    # same lattice: the same vertices move, by the same offsets times scale
+    n = 2
+
+    def build(factor, **kw):
+        return build_structured_coupled(
+            int(round(n / factor)), tuple(factor * v for v in (-2, -2, 2, 2)),
+            tuple(factor * v for v in (-1, -1, 1, 1)), **kw)
+
+    offsets = build(1.0, jitter=0.15, seed=3).vertices - build(1.0).vertices
+    small = build(scale, jitter=0.15, seed=3)
+    small_offsets = small.vertices - build(scale).vertices
+    movable = (offsets != 0).any(axis=1)
+    assert np.array_equal((small_offsets != 0).any(axis=1), movable)
+    assert 0 < movable.sum() < len(movable)
+    assert np.allclose(small_offsets, scale * offsets, rtol=1e-9, atol=0.0)
+    assert kind_counts(small) == kind_counts(build(1.0))
