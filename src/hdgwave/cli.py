@@ -94,6 +94,7 @@ _KEYS: dict[str, tuple[str, object]] = {
 
 def load_config_file(path: str) -> dict[str, str]:
     pairs: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     try:
         with open(path, encoding="utf-8") as handle:
             for lineno, raw in enumerate(handle, start=1):
@@ -102,8 +103,12 @@ def load_config_file(path: str) -> dict[str, str]:
                     continue
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected key=value")
-                key, value = line.split("=", 1)
-                pairs[key.strip()] = value.strip()
+                key, value = (part.strip() for part in line.split("=", 1))
+                if key in first_line:
+                    raise ConfigError(f"{path}:{lineno}: key '{key}' already set on line "
+                                      f"{first_line[key]}")
+                first_line[key] = lineno
+                pairs[key] = value
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     return pairs
@@ -267,8 +272,7 @@ def _mode_selftest(cfg: RunConfig) -> int:
         assembler = Assembler(mesh, 1, case.params)
         solution, _ = solve_problem(mesh, 1, case.params, ProblemData(),
                                     assembler=assembler)
-        top = max(np.abs(vec).max() if vec.size else 0.0
-                  for vec in solution.volume.values())
+        top = max(np.abs(vol).max() for vol in solution.volume.values())
         energies = energy_quantities(assembler, solution)
         if top > 1e-12 or max(energies.values()) > 1e-20:
             raise AssertionError(

@@ -110,7 +110,11 @@ class StressTables:
         terms = self._mapped(self.points, np.broadcast_to(np.eye(k + 1), (nb, k + 1, k + 1)))
         change = _monomial_change(jac / h[:, None, None], k)
         raw = np.einsum("eac,ecqrs->eaqrs", change, terms)
-        norm = np.sqrt(np.einsum("eq,eaqrs->ea", weights, raw**2))
+        # einsum sums in another order when the triangle axis has length one;
+        # a lone triangle goes in twice, so that its norms are bit for bit
+        # those it gets in any batch, whatever the block size
+        twice = slice(None) if nb > 1 else [0, 0]
+        norm = np.sqrt(np.einsum("eq,eaqrs->ea", weights[twice], raw[twice]**2))[:nb]
         # against the norms of the terms it sums, so size does not change the verdict
         bound = np.abs(change) @ np.sqrt(np.einsum("eq,ecqrs->ec", weights, terms**2))[..., None]
         bad = np.argwhere(~(norm > 1e-13 * bound[..., 0]))

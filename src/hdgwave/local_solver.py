@@ -216,13 +216,6 @@ class BlockTables:
         return mom.reshape(mom.shape[:3] + vals.shape[3:])
 
 
-def gather(coefs: dict[int, np.ndarray], keys: np.ndarray) -> np.ndarray:
-    """Stack per-element (or per-face) coefficient vectors along a leading axis."""
-    return np.array([coefs[int(key)] for key in keys.reshape(-1)]).reshape(
-        keys.shape + (-1,)
-    )
-
-
 @dataclass
 class ShapeOperators:
     """The element matrices of one domain, one row per distinct element shape.
@@ -437,10 +430,11 @@ def reconstruct_flux(tables: BlockTables, params: ModelParams,
                      tau: float | None = None) -> np.ndarray:
     """Numerical flux coefficients per element and face, from the definition.
 
-    ``volume`` (nb, n_vol) and ``traces`` (nb, n_tr) are the elements'
-    unknowns.  Solid: moments of sigma_h n - tau (u_h - u_hat); fluid:
-    moments of q_h . n - tau (v_h - v_hat), both in the element's outward
-    orientation and the face's orthonormal basis, as (nb, 3, trace block).
+    ``volume`` (nb, n_vol) and ``traces`` (nb, n_tr), or (nb, 3, n_tr / 3),
+    are the elements' unknowns.  Solid: moments of sigma_h n - tau
+    (u_h - u_hat); fluid: moments of q_h . n - tau (v_h - v_hat), both in
+    the element's outward orientation and the face's orthonormal basis, as
+    (nb, 3, trace block).
     ``tau=0`` is accepted here (it just drops the penalty part), although
     the solver itself refuses it.
     """

@@ -53,13 +53,6 @@ class FaceKind(str, Enum):
 KINDS = tuple(FaceKind)  # ``Mesh.face_kind`` holds indices into this tuple
 _CODE = {kind: code for code, kind in enumerate(KINDS)}
 
-ELASTIC_TRACE_KINDS = frozenset(
-    {FaceKind.INTERIOR_E, FaceKind.GAMMA, FaceKind.ELASTIC_BOUNDARY}
-)
-ACOUSTIC_TRACE_KINDS = frozenset(
-    {FaceKind.INTERIOR_A, FaceKind.GAMMA, FaceKind.GAMMA_AD, FaceKind.GAMMA_AN}
-)
-
 _LOCAL_EDGES = np.array([(0, 1), (1, 2), (2, 0)])
 
 

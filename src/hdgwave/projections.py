@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .local_solver import BlockTables, ModelParams, gather
+from .local_solver import BlockTables, ModelParams
 from .mesh import Mesh, face_rule
 
 
@@ -168,20 +168,21 @@ def compute_theta(assembler, solution, fields) -> float:
     total = 0.0
     for blk in assembler.blocks():
         nb, n_k = blk.scalar.shape[:2]
+        rows = solution.row[blk.elems]
         if blk.domain == "E":
             sig_p, u_p, _ = _project_pairs(blk, params.tau_e, fields.sigma, fields.u)
             g_p = _project_volume_scalars(blk, blk.sample_volume(fields.gamma_p))
-            sig_h = blk.stress_at_points(gather(parts["sigma"], blk.elems))
+            sig_h = blk.stress_at_points(parts["sigma"][rows])
             total += blk.l2sq(blk.at_points(sig_p) - sig_h)
-            u_h = gather(parts["u"], blk.elems).reshape(nb, 2, n_k)
+            u_h = parts["u"][rows].reshape(nb, 2, n_k)
             total += blk.l2sq(blk.at_points(u_p - u_h))
-            g_h = gather(parts["gamma"], blk.elems)
+            g_h = parts["gamma"][rows]
             total += 2.0 * blk.l2sq(blk.at_points(g_p - g_h))
         else:
             pair = _one_pair(fields.q, fields.v)
             q_p, v_p, _ = _project_pairs(blk, params.tau_a, *pair)
-            q_h = gather(parts["q"], blk.elems).reshape(nb, 2, n_k)
+            q_h = parts["q"][rows].reshape(nb, 2, n_k)
             total += blk.l2sq(blk.at_points(q_p[:, 0] - q_h))
-            v_h = gather(parts["v"], blk.elems)
+            v_h = parts["v"][rows]
             total += blk.l2sq(blk.at_points(v_p[:, 0] - v_h))
     return float(np.sqrt(total))

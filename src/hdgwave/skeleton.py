@@ -39,13 +39,10 @@ from .local_solver import (
     Assembler,
     BlockLocals,
     ModelParams,
-    gather,
     hooke_inverse_apply,
     reconstruct_flux,
 )
 from .mesh import (
-    ACOUSTIC_TRACE_KINDS,
-    ELASTIC_TRACE_KINDS,
     FaceKind,
     Mesh,
     elastic_side_normal,
@@ -250,6 +247,32 @@ def assemble_system(assembler: Assembler, data: ProblemData,
     )
 
 
+def _data_moments(mesh: Mesh, k: int, data: ProblemData) -> dict[str, np.ndarray]:
+    """Face-basis moments of the given boundary and interface data, all faces
+    of a kind at once: ``neumann`` on the Neumann faces, sampled with the
+    fluid's outward normal, and on the interface faces ``grad_v_inc`` (its
+    normal part against the fluid's outward normal), ``g1``, ``v_inc`` and
+    ``g2``, the two ``g`` sampled with the solid's outward normal."""
+    out = {}
+    neumann = np.flatnonzero(mesh.is_kind(FaceKind.GAMMA_AN))
+    if data.neumann is not None and len(neumann):
+        fr = face_rule(mesh, neumann, k)
+        n_out = mesh.face_sign[neumann, :1] * mesh.face_normal[neumann]
+        out["neumann"] = fr.moments(fr.sample(data.neumann, n_out))
+    given = {name: fn for name in ("grad_v_inc", "g1", "v_inc", "g2")
+             if (fn := getattr(data, name)) is not None}
+    gamma = np.flatnonzero(mesh.is_kind(FaceKind.GAMMA))
+    if given and len(gamma):
+        fr = face_rule(mesh, gamma, k)
+        n_e = elastic_side_normal(mesh, gamma)
+        for name, fn in given.items():
+            vals = fr.sample(fn, n_e) if name in ("g1", "g2") else fr.sample(fn)
+            if name == "grad_v_inc":
+                vals = (vals @ -n_e[:, :, None])[..., 0]
+            out[name] = fr.moments(vals)
+    return out
+
+
 def _face_terms(assembler: Assembler, data: ProblemData, dofmap: DofMap,
                 add, rhs: np.ndarray, trace_base: int) -> None:
     """Boundary-data moments and the interface coupling blocks, all faces of
@@ -258,13 +281,12 @@ def _face_terms(assembler: Assembler, data: ProblemData, dofmap: DofMap,
     kp1 = k + 1
     eye = np.eye(kp1)
     s, rho_f = params.s, params.rho_f
+    moments = _data_moments(mesh, k, data)
 
-    neumann = np.flatnonzero(mesh.is_kind(FaceKind.GAMMA_AN))
-    if data.neumann is not None and len(neumann):
-        fr = face_rule(mesh, neumann, k)
-        n_out = mesh.face_sign[neumann, :1] * mesh.face_normal[neumann]
+    if "neumann" in moments:
+        neumann = np.flatnonzero(mesh.is_kind(FaceKind.GAMMA_AN))
         rhs[trace_base + dofmap.vhat_offset[neumann, None] + np.arange(kp1)] += \
-            fr.moments(fr.sample(data.neumann, n_out))
+            moments["neumann"]
 
     gamma = np.flatnonzero(mesh.is_kind(FaceKind.GAMMA))
     if not len(gamma):
@@ -280,27 +302,16 @@ def _face_terms(assembler: Assembler, data: ProblemData, dofmap: DofMap,
     # ... and the traction row to the scalar trace
     add(ux_idx[..., None], v_idx[:, None], rho_f * s * n_a[:, 0, None, None] * eye, True)
     add(uy_idx[..., None], v_idx[:, None], rho_f * s * n_a[:, 1, None, None] * eye, True)
-    if (data.grad_v_inc is None and data.g1 is None
-            and data.v_inc is None and data.g2 is None):
-        return
-    fr = face_rule(mesh, gamma, k)
-    if data.grad_v_inc is not None:
-        rhs[v_idx] -= fr.moments(_normal_part(fr.sample(data.grad_v_inc), n_a))
-    if data.g1 is not None:
-        rhs[v_idx] += fr.moments(fr.sample(data.g1, n_e))
-    if data.v_inc is not None:
-        vi = fr.moments(fr.sample(data.v_inc))
-        rhs[ux_idx] -= rho_f * s * n_a[:, 0, None] * vi
-        rhs[uy_idx] -= rho_f * s * n_a[:, 1, None] * vi
-    if data.g2 is not None:
-        g2m = fr.moments(fr.sample(data.g2, n_e))
-        rhs[ux_idx] += g2m[:, :kp1]
-        rhs[uy_idx] += g2m[:, kp1:]
-
-
-def _normal_part(vals: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """Normal component of face-point vectors (nf, n, 2), one normal per face."""
-    return (vals @ normals[:, :, None])[..., 0]
+    if "grad_v_inc" in moments:
+        rhs[v_idx] -= moments["grad_v_inc"]
+    if "g1" in moments:
+        rhs[v_idx] += moments["g1"]
+    if "v_inc" in moments:
+        rhs[ux_idx] -= rho_f * s * n_a[:, 0, None] * moments["v_inc"]
+        rhs[uy_idx] -= rho_f * s * n_a[:, 1, None] * moments["v_inc"]
+    if "g2" in moments:
+        rhs[ux_idx] += moments["g2"][:, :kp1]
+        rhs[uy_idx] += moments["g2"][:, kp1:]
 
 
 def solve_assembled(system: AssembledSystem) -> np.ndarray:
@@ -330,18 +341,27 @@ def solve_assembled(system: AssembledSystem) -> np.ndarray:
 
 @dataclass
 class FieldSolution:
-    """Recovered coefficients of every field, per element and per face."""
+    """Recovered coefficients of every field, as arrays over elements and faces.
 
-    mesh: Mesh
-    k: int
-    params: ModelParams
-    volume: dict[int, np.ndarray]
-    parts: dict[str, dict[int, np.ndarray]]
-    traces: dict[int, np.ndarray]
-    uhat: dict[int, np.ndarray]
-    vhat: dict[int, np.ndarray]
+    ``volume[domain]`` is (n_domain_elements, volume_dim), one row of volume
+    unknowns per element of the domain ("E" or "A"; only domains that have
+    elements), the rows in element order.  ``row`` (n_elements,) is the row
+    of each element in its domain's array, so the unknowns of elements
+    ``elems`` are ``volume[domain][row[elems]]``.  ``parts[name]`` is the
+    column slice of one field, a view of its domain's array: sigma, u and
+    gamma on solid elements, q and v on fluid ones.  ``uhat``
+    (n_faces, 2(k+1)) and ``vhat`` (n_faces, k+1) are the solved or fixed
+    trace coefficients of every face, zero where a face has no such trace;
+    the traces of elements ``elems`` are ``uhat[mesh.element_faces[elems]]``.
+    ``dof_values`` is the solved vector of skeleton unknowns.
+    """
+
+    volume: dict[str, np.ndarray]
+    parts: dict[str, np.ndarray]
+    row: np.ndarray
+    uhat: np.ndarray
+    vhat: np.ndarray
     dof_values: np.ndarray
-    n_skeleton: int
 
 
 def _face_values(skeleton: np.ndarray, offsets: np.ndarray, fixed: np.ndarray) -> np.ndarray:
@@ -357,45 +377,29 @@ def recover_fields(assembler: Assembler, system: AssembledSystem,
     mesh = assembler.mesh
     dofmap = system.dofmap
     skeleton = x[system.n_volume :]
-    uhat_all = _face_values(skeleton, dofmap.uhat_offset, system.fixed_uhat)
-    vhat_all = _face_values(skeleton, dofmap.vhat_offset, system.fixed_vhat)
+    uhat = _face_values(skeleton, dofmap.uhat_offset, system.fixed_uhat)
+    vhat = _face_values(skeleton, dofmap.vhat_offset, system.fixed_vhat)
 
-    parts: dict[str, dict[int, np.ndarray]] = {
-        name: {} for name in ("sigma", "u", "gamma", "q", "v")
-    }
-    volume: dict[int, np.ndarray] = {}
-    traces: dict[int, np.ndarray] = {}
+    row = np.empty(mesh.n_elements, dtype=int)
+    blocks: dict[str, list[np.ndarray]] = {}
+    slices: dict[str, dict[str, slice]] = {}
     for loc in system.locals_:
-        faces = mesh.element_faces[loc.elems]
-        face_vals = uhat_all if loc.kind == "elastic" else vhat_all
-        tr = face_vals[faces].reshape(len(loc.elems), -1)
+        domain = "E" if loc.kind == "elastic" else "A"
         if system.volume_offsets is not None:
             vol = x[system.volume_offsets[loc.elems, None] + np.arange(loc.ops.volume_dim)]
         else:
+            faces = mesh.element_faces[loc.elems]
+            tr = (uhat if domain == "E" else vhat)[faces].reshape(len(loc.elems), -1)
             vol = (loc.ops.lift_map[loc.shape] @ tr[..., None])[..., 0] + loc.rhs_volume
-        keys = loc.elems.tolist()
-        volume.update(zip(keys, vol))
-        traces.update(zip(keys, tr))
-        for name, sl in loc.ops.slices.items():
-            parts[name].update(zip(keys, vol[:, sl]))
-
-    elastic = np.flatnonzero(mesh.is_kind(*ELASTIC_TRACE_KINDS))
-    acoustic = np.flatnonzero(mesh.is_kind(*ACOUSTIC_TRACE_KINDS))
-    uhat = dict(zip(elastic.tolist(), uhat_all[elastic]))
-    vhat = dict(zip(acoustic.tolist(), vhat_all[acoustic]))
-
-    return FieldSolution(
-        mesh=mesh,
-        k=assembler.k,
-        params=assembler.params,
-        volume=volume,
-        parts=parts,
-        traces=traces,
-        uhat=uhat,
-        vhat=vhat,
-        dof_values=skeleton,
-        n_skeleton=dofmap.n_dofs,
-    )
+        done = blocks.setdefault(domain, [])
+        row[loc.elems] = sum(map(len, done)) + np.arange(len(loc.elems))
+        done.append(vol)
+        slices[domain] = loc.ops.slices
+    volume = {domain: np.concatenate(vols) for domain, vols in blocks.items()}
+    parts = {name: volume[domain][:, sl]
+             for domain, named in slices.items() for name, sl in named.items()}
+    return FieldSolution(volume=volume, parts=parts, row=row, uhat=uhat, vhat=vhat,
+                         dof_values=skeleton)
 
 
 def solve_problem(mesh: Mesh, k: int, params: ModelParams, data: ProblemData,
@@ -433,9 +437,10 @@ def conservation_report(assembler: Assembler, data: ProblemData,
     flux = {"E": np.zeros((mesh.n_elements, 3, 2 * kp1), dtype=complex),
             "A": np.zeros((mesh.n_elements, 3, kp1), dtype=complex)}
     for blk in assembler.blocks():
-        volume = gather(solution.volume, blk.elems)
-        traces = gather(solution.traces, blk.elems)
-        flux[blk.domain][blk.elems] = reconstruct_flux(blk, params, volume, traces)
+        vol = solution.volume[blk.domain][solution.row[blk.elems]]
+        traces = (solution.uhat if blk.domain == "E" else solution.vhat)[blk.face_ids]
+        flux[blk.domain][blk.elems] = reconstruct_flux(blk, params, vol, traces)
+    moments = _data_moments(mesh, k, data)
 
     def side_flux(domain: str, faces: np.ndarray, side) -> np.ndarray:
         return flux[domain][mesh.face_element[faces, side], mesh.face_local_edge[faces, side]]
@@ -458,29 +463,17 @@ def conservation_report(assembler: Assembler, data: ProblemData,
         fa = np.where(solid_first[:, None], side_flux("A", gamma, 1), side_flux("A", gamma, 0))
         n_e = elastic_side_normal(mesh, gamma)
         n_a = -n_e
-        uh = gather(solution.uhat, gamma)
-        fr = face_rule(mesh, gamma, k)
-        r1 = fa - s * (n_e[:, :1] * uh[:, :kp1] + n_e[:, 1:] * uh[:, kp1:])
-        if data.grad_v_inc is not None:
-            r1 += fr.moments(_normal_part(fr.sample(data.grad_v_inc), n_a))
-        if data.g1 is not None:
-            r1 -= fr.moments(fr.sample(data.g1, n_e))
+        uh = solution.uhat[gamma]
+        # data that are not given enter as 0, which moves no residual's size
+        r1 = (fa - s * (n_e[:, :1] * uh[:, :kp1] + n_e[:, 1:] * uh[:, kp1:])
+              + moments.get("grad_v_inc", 0.0) - moments.get("g1", 0.0))
         report["gamma_velocity"] = worst(r1)
-        v_tot = gather(solution.vhat, gamma).astype(complex)
-        if data.v_inc is not None:
-            v_tot += fr.moments(fr.sample(data.v_inc))
+        v_tot = solution.vhat[gamma] + moments.get("v_inc", 0.0)
         r2 = -fe + rho_f * s * np.concatenate([n_a[:, :1] * v_tot, n_a[:, 1:] * v_tot], axis=1)
-        if data.g2 is not None:
-            r2 -= fr.moments(fr.sample(data.g2, n_e))
-        report["gamma_traction"] = worst(r2)
+        report["gamma_traction"] = worst(r2 - moments.get("g2", 0.0))
 
     neumann = np.flatnonzero(mesh.is_kind(FaceKind.GAMMA_AN))
-    r = side_flux("A", neumann, 0)
-    if data.neumann is not None and len(neumann):
-        fr = face_rule(mesh, neumann, k)
-        n_out = mesh.face_sign[neumann, :1] * mesh.face_normal[neumann]
-        r = r - fr.moments(fr.sample(data.neumann, n_out))
-    report["neumann"] = worst(r)
+    report["neumann"] = worst(side_flux("A", neumann, 0) - moments.get("neumann", 0.0))
     return report
 
 
@@ -497,8 +490,8 @@ def energy_quantities(assembler: Assembler, solution: FieldSolution) -> dict[str
     e_fluid = 0.0
     for blk in assembler.blocks():
         nb, n_p = blk.scalar.shape[:2]
-        vol = gather(solution.volume, blk.elems)
-        tr = gather(solution.traces, blk.elems)
+        vol = solution.volume[blk.domain][solution.row[blk.elems]]
+        tr = (solution.uhat if blk.domain == "E" else solution.vhat)[blk.face_ids]
         if blk.domain == "E":
             n_sig = blk.stress_vals.shape[1]
             sig = blk.stress_at_points(vol[:, :n_sig])

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .local_solver import Assembler, ModelParams, gather, hooke_apply
+from .local_solver import Assembler, ModelParams, hooke_apply
 from .mesh import FaceKind, Mesh, build_structured_coupled, refine
 from .projections import compute_theta
 from .skeleton import FieldSolution, ProblemData, solve_problem
@@ -355,24 +355,25 @@ def compute_errors(assembler: Assembler, solution: FieldSolution,
     acc = dict.fromkeys(("sigma", "u", "gamma", "q", "v", "uhat", "vhat"), 0.0)
     for blk in assembler.blocks():
         nb, n_p = blk.scalar.shape[:2]
+        rows = solution.row[blk.elems]
         if blk.domain == "E":
             u_ex, face_u = blk.sample(exact.u)
-            sig_h = blk.stress_at_points(gather(parts["sigma"], blk.elems))
+            sig_h = blk.stress_at_points(parts["sigma"][rows])
             acc["sigma"] += blk.l2sq(sig_h - blk.sample_volume(exact.sigma))
-            u_h = blk.at_points(gather(parts["u"], blk.elems).reshape(nb, 2, n_p))
+            u_h = blk.at_points(parts["u"][rows].reshape(nb, 2, n_p))
             acc["u"] += blk.l2sq(u_h - u_ex)
-            g_h = blk.at_points(gather(parts["gamma"], blk.elems))
+            g_h = blk.at_points(parts["gamma"][rows])
             acc["gamma"] += 2.0 * blk.l2sq(g_h - blk.sample_volume(exact.gamma_p))
             # (nb, 3, k+1, 2) moments -> component-major trace layout
             proj = blk.face_moments(face_u).transpose(0, 1, 3, 2).reshape(nb, 3, -1)
-            trace_err = proj - gather(solution.uhat, blk.face_ids)
+            trace_err = proj - solution.uhat[blk.face_ids]
             acc["uhat"] += float(blk.h @ np.sum(np.abs(trace_err) ** 2, axis=(1, 2)))
         else:
             v_ex, face_v = blk.sample(exact.v)
-            q_h = blk.at_points(gather(parts["q"], blk.elems).reshape(nb, 2, n_p))
+            q_h = blk.at_points(parts["q"][rows].reshape(nb, 2, n_p))
             acc["q"] += blk.l2sq(q_h - blk.sample_volume(exact.q))
-            acc["v"] += blk.l2sq(blk.at_points(gather(parts["v"], blk.elems)) - v_ex)
-            trace_err = blk.face_moments(face_v) - gather(solution.vhat, blk.face_ids)
+            acc["v"] += blk.l2sq(blk.at_points(parts["v"][rows]) - v_ex)
+            trace_err = blk.face_moments(face_v) - solution.vhat[blk.face_ids]
             acc["vhat"] += float(blk.h @ np.sum(np.abs(trace_err) ** 2, axis=(1, 2)))
 
     names = []

@@ -58,18 +58,19 @@ def reference_errors(asm, sol, exact):
     for elem in range(mesh.n_elements):
         tab = asm.tables(elem)  # a block of one
         w, pts, sv, h = tab.weights[0], tab.points[0], tab.scalar[0], tab.h[0]
+        row = sol.row[elem]  # the element's row in its domain's arrays
         if tab.domain == "E":
-            sig_h = np.einsum("j,jqrc->qrc", sol.parts["sigma"][elem], tab.stress_vals[0])
+            sig_h = np.einsum("j,jqrc->qrc", sol.parts["sigma"][row], tab.stress_vals[0])
             acc["sigma"] += l2sq(w, sig_h - exact.sigma(pts))
-            acc["u"] += l2sq(w, vector_values(sv, sol.parts["u"][elem]) - exact.u(pts))
-            g_h = sv.T @ sol.parts["gamma"][elem]
+            acc["u"] += l2sq(w, vector_values(sv, sol.parts["u"][row]) - exact.u(pts))
+            g_h = sv.T @ sol.parts["gamma"][row]
             acc["gamma"] += 2.0 * l2sq(w, g_h - exact.gamma_p(pts))
             for fid in mesh.element_faces[elem]:
                 defect = project_face(mesh, fid, k, exact.u) - sol.uhat[fid]
                 acc["uhat"] += h * float(np.sum(np.abs(defect) ** 2))
         else:
-            acc["q"] += l2sq(w, vector_values(sv, sol.parts["q"][elem]) - exact.q(pts))
-            acc["v"] += l2sq(w, sv.T @ sol.parts["v"][elem] - exact.v(pts))
+            acc["q"] += l2sq(w, vector_values(sv, sol.parts["q"][row]) - exact.q(pts))
+            acc["v"] += l2sq(w, sv.T @ sol.parts["v"][row] - exact.v(pts))
             for fid in mesh.element_faces[elem]:
                 defect = project_face(mesh, fid, k, exact.v) - sol.vhat[fid]
                 acc["vhat"] += h * float(np.sum(np.abs(defect) ** 2))
@@ -82,19 +83,20 @@ def reference_theta(asm, sol, exact):
     for elem in range(asm.mesh.n_elements):
         tab = asm.tables(elem)
         w, sv = tab.weights[0], tab.scalar[0]
+        row = sol.row[elem]
         if tab.domain == "E":
             pe = project_elastic(tab, params, exact.sigma, exact.u)
             sig_p = np.einsum("rcj,jq->qrc", pe.sigma, sv)
-            sig_h = np.einsum("j,jqrc->qrc", parts["sigma"][elem], tab.stress_vals[0])
+            sig_h = np.einsum("j,jqrc->qrc", parts["sigma"][row], tab.stress_vals[0])
             total += l2sq(w, sig_p - sig_h)
             u_p = np.einsum("rj,jq->qr", pe.u, sv)
-            total += l2sq(w, u_p - vector_values(sv, parts["u"][elem]))
+            total += l2sq(w, u_p - vector_values(sv, parts["u"][row]))
             g_p = project_volume_scalar(tab, exact.gamma_p)
-            total += 2.0 * l2sq(w, sv.T @ (g_p - parts["gamma"][elem]))
+            total += 2.0 * l2sq(w, sv.T @ (g_p - parts["gamma"][row]))
         else:
             pa = project_acoustic(tab, params, exact.q, exact.v)
-            total += l2sq(w, vector_values(sv, pa.vec - parts["q"][elem]))
-            total += l2sq(w, sv.T @ (pa.scalar - parts["v"][elem]))
+            total += l2sq(w, vector_values(sv, pa.vec - parts["q"][row]))
+            total += l2sq(w, sv.T @ (pa.scalar - parts["v"][row]))
     return float(np.sqrt(total))
 
 

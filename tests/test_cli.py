@@ -1,6 +1,10 @@
 """Command-line interface: parsing, precedence, exit codes, and artifacts."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,6 +105,17 @@ def test_malformed_config_line_rejected(tmp_path):
     path.write_text("just a line without equals\n")
     with pytest.raises(ConfigError, match="expected key=value"):
         parse(["study", "--config", str(path)])
+
+
+def test_repeated_config_key_rejected(tmp_path, capsys):
+    # a repeated key is an error, not a silent override by the later line
+    path = tmp_path / "run.cfg"
+    path.write_text("case = coupled63\nk = 1\n# comment\ncase=acoustic61\n")
+    with pytest.raises(ConfigError, match=r"run\.cfg:4: key 'case' already set on line 1"):
+        load_config_file(str(path))
+    assert main(["study", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "key 'case' already set on line 1" in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()
 
 
 _VALUES = ["1", "0", "7", "-3", "2,-1", "2", "nan", "inf", "1e400", "0.3", "0.7",
@@ -220,6 +235,24 @@ def test_study_csv_is_byte_deterministic(tmp_path):
     assert main(["study", "--k", "1", "--levels", "2", "--out", str(d1)]) == 0
     assert main(["study", "--k", "1", "--levels", "2", "--out", str(d2)]) == 0
     assert (d1 / "report.csv").read_bytes() == (d2 / "report.csv").read_bytes()
+
+
+def test_convergence_script_writes_the_study_reports(tmp_path, capsys):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    subprocess.run([sys.executable, str(root / "scripts" / "run_convergence.py"),
+                    "--case", "acoustic61", "--k", "1", "--levels", "2",
+                    "--out", str(tmp_path / "script")],
+                   check=True, env=env, capture_output=True)
+    run_dir = tmp_path / "script" / "acoustic61_k1"
+    assert sorted(p.name for p in run_dir.iterdir()) == [
+        "plot_acoustic61_k1.dat", "report.csv", "report.json"]
+    assert main(["study", "--case", "acoustic61", "--k", "1", "--levels", "2",
+                 "--out", str(tmp_path / "cli")]) == 0
+    capsys.readouterr()
+    assert (run_dir / "report.csv").read_bytes() == (tmp_path / "cli" / "report.csv").read_bytes()
+    assert json.loads((run_dir / "report.json").read_text())["case"] == "acoustic61"
 
 
 def test_solve_reports_errors_and_theta(tmp_path, capsys):

@@ -229,3 +229,19 @@ def test_reference_members_have_integer_coefficients_and_zero_divergence():
         members, divs = elastic_spaces.reference_members(k)
         assert np.array_equal(members, np.round(members)) and np.abs(members).max() > 0
         assert not divs.any()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_tables_of_a_lone_triangle_match_those_in_a_batch(k):
+    # a triangle's tables do not depend on the batch it is built in, so a
+    # block of one element gets the same bits as any larger block
+    ref = build_reference_basis(k)
+    tris = np.array(random_triangles(5, seed=400 + k))
+    jac = np.stack([tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]], axis=2)
+    edges = tris[:, (1, 2, 0)] - tris
+    h = np.sqrt(np.sum(edges**2, axis=2)).max(axis=1)
+    batch = elastic_spaces.StressTables(ref, jac, h)
+    for i in range(len(tris)):
+        lone = elastic_spaces.StressTables(ref, jac[i : i + 1], h[i : i + 1])
+        assert lone.coef.tobytes() == batch.coef[i : i + 1].tobytes()
+        assert lone.volume.tobytes() == np.ascontiguousarray(batch.volume[i : i + 1]).tobytes()

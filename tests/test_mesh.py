@@ -14,8 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdgwave.mesh import (
-    ACOUSTIC_TRACE_KINDS,
-    ELASTIC_TRACE_KINDS,
     KINDS,
     FaceKind,
     build_structured_coupled,
@@ -92,8 +90,9 @@ def test_neumann_classification_predicate():
 
 def test_trace_kind_partitions():
     mesh = annulus(1)
-    elastic = faces_of_kind(mesh, *ELASTIC_TRACE_KINDS)
-    acoustic = faces_of_kind(mesh, *ACOUSTIC_TRACE_KINDS)
+    elastic = faces_of_kind(mesh, FaceKind.INTERIOR_E, FaceKind.GAMMA, FaceKind.ELASTIC_BOUNDARY)
+    acoustic = faces_of_kind(mesh, FaceKind.INTERIOR_A, FaceKind.GAMMA, FaceKind.GAMMA_AD,
+                             FaceKind.GAMMA_AN)
     gammas = faces_of_kind(mesh, FaceKind.GAMMA)
     # interface faces carry both trace fields
     assert gammas <= elastic and gammas <= acoustic

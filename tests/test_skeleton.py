@@ -6,6 +6,7 @@ import scipy.io as sio
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+import hdgwave.local_solver as local_solver
 from hdgwave.local_solver import Assembler, ModelParams
 from hdgwave.mesh import KINDS, FaceKind, build_structured_coupled
 from hdgwave.projections import project_face
@@ -78,9 +79,44 @@ def test_monolithic_matches_condensed_acoustic(k):
     sol_m, _ = solve_problem(mesh, k, case.params, case.data, monolithic=True)
     scale = max(np.abs(sol_c.dof_values).max(), 1e-30)
     assert np.abs(sol_c.dof_values - sol_m.dof_values).max() < 1e-9 * scale
-    for elem in sol_c.volume:
-        vs = max(np.abs(sol_c.volume[elem]).max(), scale)
-        assert np.abs(sol_c.volume[elem] - sol_m.volume[elem]).max() < 1e-9 * vs
+    assert sol_c.volume.keys() == sol_m.volume.keys() == {"A"}
+    vol_c, vol_m = sol_c.volume["A"], sol_m.volume["A"]
+    assert vol_c.shape == vol_m.shape == (mesh.n_elements, 3 * (k + 1) * (k + 2) // 2)
+    # one scale per element (row), not one for the whole domain
+    vs = np.maximum(np.abs(vol_c).max(axis=1), scale)
+    assert np.all(np.abs(vol_c - vol_m).max(axis=1) < 1e-9 * vs)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_recovered_fields_do_not_depend_on_the_block_size(monkeypatch):
+    # blocks of 1 and 7 split both domains (32 solid, 96 fluid elements)
+    # with a remainder; the default size leaves one partial block each
+    case = make_case("coupled63")
+    mesh = build_structured_coupled(2, *COUPLED_BOXES, jitter=0.15, seed=5)
+    sols = []
+    for size in (1, 7, local_solver.BLOCK_SIZE):
+        monkeypatch.setattr(local_solver, "BLOCK_SIZE", size)
+        sols.append(solve_problem(mesh, 2, case.params, case.data)[0])
+    fields = {"E": ("sigma", "u", "gamma"), "A": ("q", "v")}
+    for sol in sols:
+        assert sol.volume.keys() == fields.keys()
+        for domain, names in fields.items():
+            elems = np.flatnonzero(mesh.tri_domain == domain)
+            assert np.array_equal(sol.row[elems], np.arange(len(elems)))
+            for name in names:
+                assert np.shares_memory(sol.parts[name], sol.volume[domain])
+            # the parts tile their domain's columns in order
+            tiled = np.concatenate([sol.parts[name] for name in names], axis=1)
+            assert same_bits(tiled, sol.volume[domain])
+        assert sol.parts.keys() == {"sigma", "u", "gamma", "q", "v"}
+    ref = sols[-1]
+    for sol in sols[:-1]:
+        for domain in fields:
+            assert same_bits(sol.volume[domain], ref.volume[domain])
+        assert same_bits(sol.uhat, ref.uhat) and same_bits(sol.vhat, ref.vhat)
 
 
 @pytest.mark.parametrize("k", [1, 2])
