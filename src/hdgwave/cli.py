@@ -316,6 +316,13 @@ def main(argv: list[str] | None = None) -> int:
             case = _case_from_config(cfg)  # validates case name and parameters
         # a malformed mesh file is rejected before any assembly work
         mesh = load_mesh(cfg.mesh) if cfg.mode == "solve" and cfg.mesh else None
+        # the error norms need the case's exact fields on every domain of the mesh
+        if mesh is not None:
+            for domain, exact, what in (("E", case.exact.sigma, "solid"),
+                                        ("A", case.exact.v, "fluid")):
+                if exact is None and (mesh.tri_domain == domain).any():
+                    raise ConfigError(f"case '{case.name}' has no exact fields for the "
+                                      f"{what} domain ({domain}) of mesh {cfg.mesh}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .elastic_spaces import StressTables
-from .mesh import Mesh, face_rule
+from .mesh import FaceRule, Mesh, face_rule
 from .quadbasis import build_reference_basis
 
 
@@ -129,10 +129,12 @@ BLOCK_SIZE = 256  # elements (or element shapes) per batch
 class BlockTables:
     """The tables of a block of same-domain elements, stacked element-first.
 
-    Face arrays carry a local-face axis after the element axis.  Face points,
-    weights and basis are those of each face's ``face_rule``, so both
-    neighbours of a face integrate it identically and face moments of a
-    block match ``FaceRule.moments`` face by face.
+    Face arrays carry a local-face axis after the element axis.  ``faces``
+    is the ``face_rule`` of ``face_ids``: points (nb, 3, nfq, 2), weights
+    (nb, 3, nfq) and basis (nb, 3, k+1, nfq), so both neighbours of a face
+    integrate it identically.  Face values are sampled with
+    ``faces.sample`` and integrated with ``faces.moments``, which returns
+    the component-major trace layout (nb, 3, m (k+1)) of m components.
     """
 
     elems: np.ndarray           # (nb,)
@@ -144,9 +146,7 @@ class BlockTables:
     scalar: np.ndarray          # (nb, n_scalar, nq), the reference values
     stress_vals: np.ndarray | None  # (nb, n_stress, nq, 2, 2), solid blocks
     face_ids: np.ndarray        # (nb, 3)
-    face_points: np.ndarray     # (nb, 3, nfq, 2)
-    face_weights: np.ndarray    # (nb, 3, nfq)
-    face_basis: np.ndarray      # (nb, 3, k+1, nfq)
+    faces: FaceRule             # the rules of the faces, element-first
     normals: np.ndarray         # (nb, 3, 2) outward
     face_scalar: np.ndarray     # (nb, 3, n_scalar, nfq) scalar basis on the faces
     scalar_moments: np.ndarray  # (nb, 3, n_scalar, k+1)
@@ -173,8 +173,8 @@ class BlockTables:
     def traces_at_face_points(self, coef: np.ndarray) -> np.ndarray:
         """Values at the face points of face-basis coefficients
         (nb, 3, ..., k+1), as (nb, 3, nfq, ...)."""
-        nb, _, kp1, nfq = self.face_basis.shape
-        vals = coef.reshape(nb, 3, -1, kp1) @ self.face_basis
+        nb, _, kp1, nfq = self.faces.basis.shape
+        vals = coef.reshape(nb, 3, -1, kp1) @ self.faces.basis
         return vals.transpose(0, 1, 3, 2).reshape((nb, 3, nfq) + coef.shape[2:-1])
 
     def stress_at_points(self, coef: np.ndarray) -> np.ndarray:
@@ -190,30 +190,10 @@ class BlockTables:
         vals = np.asarray(fn(self.points.reshape(-1, 2)), dtype=complex)
         return vals.reshape(self.points.shape[:2] + vals.shape[1:])
 
-    def sample(self, fn) -> tuple[np.ndarray, np.ndarray]:
-        """Values of a pointwise function at the volume points (nb, nq, ...)
-        and at the face points (nb, 3, nfq, ...), from one call."""
-        vol = self.points.reshape(-1, 2)
-        pts = np.concatenate([vol, self.face_points.reshape(-1, 2)])
-        vals = np.asarray(fn(pts), dtype=complex)
-        tail = vals.shape[1:]
-        return (vals[: len(vol)].reshape(self.points.shape[:2] + tail),
-                vals[len(vol) :].reshape(self.face_points.shape[:3] + tail))
-
     def l2sq(self, vals: np.ndarray) -> float:
         """Sum over the block of the squared L2 norms of values (nb, nq, ...)."""
         sq = np.abs(vals.reshape(vals.shape[:2] + (-1,))) ** 2
         return float(np.einsum("eq,eqr->", self.weights, sq))
-
-    def face_moments(self, vals: np.ndarray) -> np.ndarray:
-        """Moments against the face basis of values (nb, 3, nfq, ...).
-
-        Returns (nb, 3, k+1, ...): one column of moments per trailing index.
-        """
-        flat = vals.reshape(vals.shape[:3] + (-1,))
-        # the same products, summed in the same order, as ``FaceRule.moments``
-        mom = np.einsum("efp,efmp,efpr->efmr", self.face_weights, self.face_basis, flat)
-        return mom.reshape(mom.shape[:3] + vals.shape[3:])
 
 
 @dataclass
@@ -226,7 +206,6 @@ class ShapeOperators:
     of each shape.
     """
 
-    kind: str
     reps: np.ndarray
     matrix: np.ndarray          # (n_shapes, n_vol, n_vol)
     trace_coupling: np.ndarray  # (n_shapes, n_vol, n_tr)
@@ -257,16 +236,13 @@ class BlockLocals:
     traces + rhs_volume`` its volume unknowns.
     """
 
+    domain: str                 # "E" or "A"
     elems: np.ndarray           # (nb,)
     shape: np.ndarray           # (nb,) row of each element in ``ops``
     ops: ShapeOperators
     source_moments: np.ndarray  # (nb, n_vol)
     rhs_volume: np.ndarray      # (nb, n_vol)
     rhs_trace: np.ndarray       # (nb, n_tr)
-
-    @property
-    def kind(self) -> str:
-        return self.ops.kind
 
 
 def _pair(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -322,7 +298,7 @@ def _elastic_blocks(tab: BlockTables, grads, stress_div, params: ModelParams):
     m_ux = params.rho_e * params.s**2 * _pair(w, sv, sv)
 
     for f in range(3):
-        fw, fb = tab.face_weights[:, f], tab.face_basis[:, f]
+        fw, fb = tab.faces.weights[:, f], tab.faces.basis[:, f]
         svf, tn = tab.face_scalar[:, f], tab.stress_n[:, f]
         fm = tab.scalar_moments[:, f]  # (nb, n_p, k+1)
         x0, y0 = f * blk, f * blk + kp1
@@ -380,7 +356,7 @@ def _acoustic_blocks(tab: BlockTables, grads, params: ModelParams):
     m_vv = (params.s / params.c) ** 2 * mass_s.astype(complex)
 
     for f in range(3):
-        fw, fb, svf = tab.face_weights[:, f], tab.face_basis[:, f], tab.face_scalar[:, f]
+        fw, fb, svf = tab.faces.weights[:, f], tab.faces.basis[:, f], tab.face_scalar[:, f]
         fm = tab.scalar_moments[:, f]  # (nb, n_p, k+1)
         n0 = tab.normals[:, f, 0, None, None]
         n1 = tab.normals[:, f, 1, None, None]
@@ -445,14 +421,13 @@ def reconstruct_flux(tables: BlockTables, params: ModelParams,
         sig_n = np.einsum("ej,efjpc->efpc", volume[:, :n_sig], tables.stress_n)
         u_val = tables.at_face_points(volume[:, n_sig : n_sig + 2 * n_p].reshape(nb, 2, n_p))
         uhat_val = tables.traces_at_face_points(traces.reshape(nb, 3, 2, -1))
-        mom = tables.face_moments(sig_n - tau * (u_val - uhat_val))  # (nb, 3, k+1, 2)
-        return mom.transpose(0, 1, 3, 2).reshape(nb, 3, -1)
+        return tables.faces.moments(sig_n - tau * (u_val - uhat_val))
     tau = params.tau_a if tau is None else tau
     q_val = tables.at_face_points(volume[:, : 2 * n_p].reshape(nb, 2, n_p))
     v_val = tables.at_face_points(volume[:, 2 * n_p :])
     vhat_val = tables.traces_at_face_points(traces.reshape(nb, 3, -1))
     q_n = np.einsum("efpc,efc->efp", q_val, tables.normals)
-    return tables.face_moments(q_n - tau * (v_val - vhat_val))
+    return tables.faces.moments(q_n - tau * (v_val - vhat_val))
 
 
 @dataclass
@@ -476,12 +451,11 @@ class Assembler:
     user callables (sources, boundary data) are the element's own.
     """
 
-    def __init__(self, mesh: Mesh, k: int, params: ModelParams,
-                 quad_degree: int | None = None):
+    def __init__(self, mesh: Mesh, k: int, params: ModelParams):
         self.mesh = mesh
         self.k = k
         self.params = params
-        self.ref = build_reference_basis(k, quad_degree)
+        self.ref = build_reference_basis(k)
         self._verts = mesh.vertices[mesh.tri_vertices]
         # +1 where a face's canonical direction follows the element's local
         # edge, i.e. where its stored normal points out of the element
@@ -495,13 +469,6 @@ class Assembler:
         jac = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]], axis=2)
         edges = verts[:, (1, 2, 0)] - verts
         return jac, np.sqrt(np.vecdot(edges, edges)).max(axis=1)
-
-    def _face_rules(self, elems: np.ndarray) -> dict:
-        """The ``face_rule`` of every face of the elements, element-first."""
-        fids = self.mesh.element_faces[elems]
-        rule = face_rule(self.mesh, fids, self.k, self.ref.quad.exact_degree)
-        return dict(face_ids=fids, face_points=rule.points, face_weights=rule.weights,
-                    face_basis=rule.basis)
 
     def _shapes(self, domain: str) -> _DomainShapes:
         cached = self._domains.get(domain)
@@ -532,8 +499,7 @@ class Assembler:
                     if name not in out:
                         out[name] = np.empty_like(arr, shape=(len(reps),) + arr.shape[1:])
                     out[name][start : start + len(chunk)] = arr
-        kind = "elastic" if domain == "E" else "acoustic"
-        result = _DomainShapes(shape, parts, ShapeOperators(kind, reps, slices=slices, **ops))
+        result = _DomainShapes(shape, parts, ShapeOperators(reps, slices=slices, **ops))
         self._domains[domain] = result
         return result
 
@@ -546,20 +512,21 @@ class Assembler:
         jac, h = self._jacobians(reps)
         det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
         inv = np.linalg.inv(jac)
-        rules = self._face_rules(reps)
-        n_fq = rules["face_points"].shape[2]
+        face_ids = self.mesh.element_faces[reps]
+        faces = face_rule(self.mesh, face_ids, self.k)
+        n_fq = faces.weights.shape[2]
         points = verts[:, 0, None] + ref.quad.points @ jac.transpose(0, 2, 1)
 
         # the scalar basis on each face, through the inverse affine map
-        face_xi = np.stack([(rules["face_points"][:, f] - verts[:, 0, None])
+        face_xi = np.stack([(faces.points[:, f] - verts[:, 0, None])
                             @ inv.transpose(0, 2, 1) for f in range(3)], axis=1)
         face_scalar = np.stack([
             ref.eval_values(face_xi[:, f].reshape(-1, 2)).reshape(-1, nb, n_fq).transpose(1, 0, 2)
             for f in range(3)], axis=1)
         moments = np.stack([
-            _t(_pair(rules["face_weights"][:, f], rules["face_basis"][:, f], face_scalar[:, f]))
+            _t(_pair(faces.weights[:, f], faces.basis[:, f], face_scalar[:, f]))
             for f in range(3)], axis=1)
-        normals = self._signs[reps, :, None] * self.mesh.face_normal[rules["face_ids"]]
+        normals = self._signs[reps, :, None] * self.mesh.face_normal[face_ids]
         parts = dict(points=points, weights=ref.quad.weights * np.abs(det)[:, None], h=h,
                      normals=normals, face_scalar=face_scalar, scalar_moments=moments)
         # inv^T grad, bit for bit the einsum "edc,nmd->enmc" without its slow loop
@@ -570,11 +537,11 @@ class Assembler:
             on_faces = stress.eval(face_xi.reshape(nb, -1, 2)).reshape(nb, -1, 3, n_fq, 2, 2)
             parts.update(stress_vals=stress.volume,
                          stress_n=np.einsum("ejfprc,efc->efjpr", on_faces, normals))
-            tab = self._stack(reps, domain, rules, parts)
+            tab = self._stack(reps, domain, faces, parts)
             divs = stress.eval(stress.points, div=True)
             a, b, c, d, slices, scale = _elastic_blocks(tab, grads, divs, self.params)
         else:
-            tab = self._stack(reps, domain, rules, parts)
+            tab = self._stack(reps, domain, faces, parts)
             a, b, c, d, slices, scale = _acoustic_blocks(tab, grads, self.params)
 
         _check_pivots(a, scale, reps)
@@ -591,9 +558,11 @@ class Assembler:
         shift = self._verts[elems, 0] - self._verts[shapes.ops.reps[rows], 0]
         return shapes.parts["points"][rows] + shift[:, None], shapes.parts["weights"][rows]
 
-    def _stack(self, elems: np.ndarray, domain: str, rules: dict, parts: dict) -> BlockTables:
+    def _stack(self, elems: np.ndarray, domain: str, faces: FaceRule,
+               parts: dict) -> BlockTables:
         scalar = np.broadcast_to(self.ref.values, (len(elems),) + self.ref.values.shape)
-        return BlockTables(elems=elems, domain=domain, k=self.k, scalar=scalar, **rules,
+        return BlockTables(elems=elems, domain=domain, k=self.k, scalar=scalar,
+                           face_ids=self.mesh.element_faces[elems], faces=faces,
                            **{"stress_vals": None, "stress_n": None, **parts})
 
     def _block(self, elems: np.ndarray, domain: str) -> BlockTables:
@@ -601,7 +570,8 @@ class Assembler:
         rows = shapes.shape[elems]
         parts = {name: arr[rows] for name, arr in shapes.parts.items()}
         parts["points"], _ = self._volume_points(shapes, elems)
-        return self._stack(elems, domain, self._face_rules(elems), parts)
+        faces = face_rule(self.mesh, self.mesh.element_faces[elems], self.k)
+        return self._stack(elems, domain, faces, parts)
 
     def tables(self, elem: int) -> BlockTables:
         """The tables of one element, as a block of one."""
@@ -644,5 +614,5 @@ class Assembler:
                                                             self.ref.values)
                 rhs_volume = lu_solve((ops.lu[rows], ops.piv[rows]), moments[..., None])[..., 0]
                 rhs_trace = (ops.flux_volume[rows] @ rhs_volume[..., None])[..., 0]
-            out.append(BlockLocals(elems, rows, ops, moments, rhs_volume, rhs_trace))
+            out.append(BlockLocals(domain, elems, rows, ops, moments, rhs_volume, rhs_trace))
         return out

@@ -421,9 +421,11 @@ def _edge_table(k: int, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
 class FaceRule:
     """Quadrature and orthonormal basis along faces' canonical directions.
 
-    Every face integral goes through these rules, so both neighbours of a
-    face test against identical basis values at identical points.  A rule
-    over several faces carries their axes in front.
+    The one face path: every face sample and every face moment of the
+    package goes through these rules, so both neighbours of a face test
+    against identical basis values at identical points.  A rule over an
+    array of face ids carries its axes in front; the tables of a block of
+    elements hold the rule of their (nb, 3) faces, element-first.
     """
 
     points: np.ndarray   # (..., n, 2)
@@ -433,13 +435,15 @@ class FaceRule:
     def moments(self, vals) -> np.ndarray:
         """Moments of point values (..., n) against the basis, (..., k+1).
 
-        Vector values (..., n, 2) give the component-major stack
-        (x modes, then y modes).
+        Values with m trailing components (..., n, m) give the
+        component-major stack (..., m (k+1)): the k+1 moments of component
+        0, then those of component 1, and so on (x modes, then y modes for
+        a vector).
         """
         vals = np.asarray(vals, dtype=complex)
         if vals.ndim > self.weights.ndim:
-            return np.concatenate([self.moments(vals[..., 0]),
-                                   self.moments(vals[..., 1])], axis=-1)
+            return np.concatenate([self.moments(vals[..., j]) for j in range(vals.shape[-1])],
+                                  axis=-1)
         return np.einsum("...p,...mp,...p->...m", self.weights, self.basis, vals)
 
     def sample(self, fn, *normals) -> np.ndarray:

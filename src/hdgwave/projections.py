@@ -31,7 +31,7 @@ def project_face(mesh: Mesh, face_id: int, k: int, fn,
     """Coefficients of the face-wise L2 projection of a scalar function, or
     component-major (x modes, then y modes) ones of a vector function."""
     fr = face_rule(mesh, face_id, k, degree)
-    return fr.moments(fn(fr.points))
+    return fr.moments(fr.sample(fn))
 
 
 def _gram(blk: BlockTables) -> np.ndarray:
@@ -61,8 +61,8 @@ def _project_pairs(blk: BlockTables, tau: float, vec_fn, scalar_fn):
     coefficients (nb, m, 2, n_scalar), the scalar ones (nb, m, n_scalar) and
     the worst relative residual over the pairs of each element (nb,).
     """
-    vec, face_vec = blk.sample(vec_fn)
-    scalar, face_scalar = blk.sample(scalar_fn)
+    vec, face_vec = blk.sample_volume(vec_fn), blk.faces.sample(vec_fn)
+    scalar, face_scalar = blk.sample_volume(scalar_fn), blk.faces.sample(scalar_fn)
     nb, n_k = blk.scalar.shape[:2]
     kp1 = blk.k + 1
     n_km1 = n_k - kp1
@@ -89,7 +89,9 @@ def _project_pairs(blk: BlockTables, tau: float, vec_fn, scalar_fn):
     for c, coef in enumerate((nrm[..., 0], nrm[..., 1], -tau)):
         a[:, face_rows, c * n_k : (c + 1) * n_k] = (coef * fm_t).reshape(nb, -1, n_k)
     flux = (face_vec @ blk.normals[:, :, None, :, None])[..., 0] - tau * face_scalar
-    b[:, face_rows] = blk.face_moments(flux).reshape(nb, -1, m)
+    # the moments of pair j are the j-th block of k+1 of each face
+    moments = blk.faces.moments(flux).reshape(nb, 3, m, kp1)
+    b[:, face_rows] = moments.transpose(0, 1, 3, 2).reshape(nb, -1, m)
 
     # the matrix is real: solve for the real and imaginary parts together
     xri = np.linalg.solve(a, np.concatenate([b.real, b.imag], axis=2))

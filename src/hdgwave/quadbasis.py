@@ -186,18 +186,16 @@ class ReferenceBasis:
         return np.einsum("jn,jmd->nmd", self.coeffs, mono)
 
 
-def build_reference_basis(k: int, quad_degree: int | None = None) -> ReferenceBasis:
-    """Scalar basis of degree k with tables at a rule of the given exactness.
+def build_reference_basis(k: int) -> ReferenceBasis:
+    """Scalar basis of degree k with tables at the rule of exactness 2k+6.
 
-    The default rule degree 2k+6 covers every bilinear form assembled from
-    products of the discrete spaces (including the degree k+1 enrichment).
+    That degree covers every bilinear form assembled from products of the
+    discrete spaces (including the degree k+1 enrichment); face rules use
+    the same degree.
     """
     if not 1 <= k <= MAX_BASIS_DEGREE:
         raise ValueError(f"polynomial degree must be in [1, {MAX_BASIS_DEGREE}], got {k}")
-    if quad_degree is None:
-        quad_degree = 2 * k + 6
-    quad_degree = max(quad_degree, 2 * k)
-    quad = make_quadrature(quad_degree)
+    quad = make_quadrature(2 * k + 6)
     exponents = monomial_exponents(k)
     mono = _monomial_values(exponents, quad.points)
     gram = (mono * quad.weights) @ mono.T

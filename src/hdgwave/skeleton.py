@@ -119,20 +119,6 @@ def build_dof_map(mesh: Mesh, k: int) -> DofMap:
                   vhat_offset=np.where(has_v, start, -1), n_dofs=int(width.sum()))
 
 
-def _fixed_traces(mesh: Mesh, k: int, data: ProblemData):
-    """Face-basis coefficients of the eliminated Dirichlet traces, one row
-    per face (zero on the faces whose trace is an unknown)."""
-    fixed_uhat = np.zeros((mesh.n_faces, 2 * (k + 1)), dtype=complex)
-    fixed_vhat = np.zeros((mesh.n_faces, k + 1), dtype=complex)
-    for kind, fn, out in ((FaceKind.GAMMA_AD, data.dirichlet, fixed_vhat),
-                          (FaceKind.ELASTIC_BOUNDARY, data.u_dirichlet, fixed_uhat)):
-        faces = np.flatnonzero(mesh.is_kind(kind))
-        if fn is not None and len(faces):
-            fr = face_rule(mesh, faces, k)
-            out[faces] = fr.moments(fr.sample(fn))
-    return fixed_uhat, fixed_vhat
-
-
 @dataclass
 class AssembledSystem:
     matrix: sp.csr_matrix
@@ -151,7 +137,7 @@ def _local_faces(mesh: Mesh, dofmap: DofMap, loc: BlockLocals):
     element face of a block.  Interface rows are those of the fluid side, so
     the solid flux enters them with the opposite sign."""
     faces = mesh.element_faces[loc.elems]
-    if loc.kind == "elastic":
+    if loc.domain == "E":
         offset = dofmap.uhat_offset[faces]
         # interface faces are the only ones that carry both traces
         sign = np.where(dofmap.vhat_offset[faces] >= 0, -1.0, 1.0)
@@ -165,7 +151,14 @@ def assemble_system(assembler: Assembler, data: ProblemData,
                     monolithic: bool = False) -> AssembledSystem:
     mesh, k = assembler.mesh, assembler.k
     dofmap = build_dof_map(mesh, k)
-    fixed_uhat, fixed_vhat = _fixed_traces(mesh, k, data)
+    moments = _data_moments(mesh, k, data)
+    # the eliminated Dirichlet traces, zero on the faces whose trace is an unknown
+    fixed_uhat = np.zeros((mesh.n_faces, 2 * (k + 1)), dtype=complex)
+    fixed_vhat = np.zeros((mesh.n_faces, k + 1), dtype=complex)
+    for name, kind, fixed in (("dirichlet", FaceKind.GAMMA_AD, fixed_vhat),
+                              ("u_dirichlet", FaceKind.ELASTIC_BOUNDARY, fixed_uhat)):
+        if name in moments:
+            fixed[mesh.is_kind(kind)] = moments[name]
     locals_ = assembler.all_locals(f_acoustic=data.f, f_elastic=data.f_elastic)
 
     vol_off = None
@@ -195,7 +188,7 @@ def assemble_system(assembler: Assembler, data: ProblemData,
         nb = len(loc.elems)
         blk = loc.ops.trace_dim // 3
         faces, offset, sign = _local_faces(mesh, dofmap, loc)
-        fixed = (fixed_uhat if loc.kind == "elastic" else fixed_vhat)[faces].reshape(nb, -1)
+        fixed = (fixed_uhat if loc.domain == "E" else fixed_vhat)[faces].reshape(nb, -1)
         idx = trace_base + offset[..., None] + np.arange(blk)  # (nb, 3, blk)
         known = offset >= 0
         r_idx, r_sign = idx[..., None, None], sign[..., None, None, None]
@@ -229,7 +222,7 @@ def assemble_system(assembler: Assembler, data: ProblemData,
             use = known[:, :, None] & used[:, None, :]
             np.subtract.at(rhs, np.broadcast_to(idx[:, :, None], terms.shape)[use], terms[use])
 
-    _face_terms(assembler, data, dofmap, add, rhs, trace_base)
+    _face_terms(assembler, moments, dofmap, add, rhs, trace_base)
 
     matrix = sp.coo_matrix(
         (np.concatenate(vals_l), (np.concatenate(rows_l), np.concatenate(cols_l))),
@@ -249,16 +242,21 @@ def assemble_system(assembler: Assembler, data: ProblemData,
 
 def _data_moments(mesh: Mesh, k: int, data: ProblemData) -> dict[str, np.ndarray]:
     """Face-basis moments of the given boundary and interface data, all faces
-    of a kind at once: ``neumann`` on the Neumann faces, sampled with the
-    fluid's outward normal, and on the interface faces ``grad_v_inc`` (its
-    normal part against the fluid's outward normal), ``g1``, ``v_inc`` and
-    ``g2``, the two ``g`` sampled with the solid's outward normal."""
+    of a kind at once, one row per face in face order: ``dirichlet`` on the
+    fluid's Dirichlet faces, ``u_dirichlet`` on the solid's boundary faces,
+    ``neumann`` on the Neumann faces, sampled with the fluid's outward
+    normal, and on the interface faces ``grad_v_inc`` (its normal part
+    against the fluid's outward normal), ``g1``, ``v_inc`` and ``g2``, the
+    two ``g`` sampled with the solid's outward normal."""
     out = {}
-    neumann = np.flatnonzero(mesh.is_kind(FaceKind.GAMMA_AN))
-    if data.neumann is not None and len(neumann):
-        fr = face_rule(mesh, neumann, k)
-        n_out = mesh.face_sign[neumann, :1] * mesh.face_normal[neumann]
-        out["neumann"] = fr.moments(fr.sample(data.neumann, n_out))
+    for name, kind in (("dirichlet", FaceKind.GAMMA_AD),
+                       ("u_dirichlet", FaceKind.ELASTIC_BOUNDARY),
+                       ("neumann", FaceKind.GAMMA_AN)):
+        faces = np.flatnonzero(mesh.is_kind(kind))
+        if (fn := getattr(data, name)) is not None and len(faces):
+            fr = face_rule(mesh, faces, k)
+            n_out = mesh.face_sign[faces, :1] * mesh.face_normal[faces]
+            out[name] = fr.moments(fr.sample(fn, n_out) if name == "neumann" else fr.sample(fn))
     given = {name: fn for name in ("grad_v_inc", "g1", "v_inc", "g2")
              if (fn := getattr(data, name)) is not None}
     gamma = np.flatnonzero(mesh.is_kind(FaceKind.GAMMA))
@@ -273,15 +271,14 @@ def _data_moments(mesh: Mesh, k: int, data: ProblemData) -> dict[str, np.ndarray
     return out
 
 
-def _face_terms(assembler: Assembler, data: ProblemData, dofmap: DofMap,
+def _face_terms(assembler: Assembler, moments: dict[str, np.ndarray], dofmap: DofMap,
                 add, rhs: np.ndarray, trace_base: int) -> None:
-    """Boundary-data moments and the interface coupling blocks, all faces of
-    a kind at once."""
+    """Neumann and interface data moments (those of ``_data_moments``) and
+    the interface coupling blocks, all faces of a kind at once."""
     mesh, k, params = assembler.mesh, assembler.k, assembler.params
     kp1 = k + 1
     eye = np.eye(kp1)
     s, rho_f = params.s, params.rho_f
-    moments = _data_moments(mesh, k, data)
 
     if "neumann" in moments:
         neumann = np.flatnonzero(mesh.is_kind(FaceKind.GAMMA_AN))
@@ -384,17 +381,16 @@ def recover_fields(assembler: Assembler, system: AssembledSystem,
     blocks: dict[str, list[np.ndarray]] = {}
     slices: dict[str, dict[str, slice]] = {}
     for loc in system.locals_:
-        domain = "E" if loc.kind == "elastic" else "A"
         if system.volume_offsets is not None:
             vol = x[system.volume_offsets[loc.elems, None] + np.arange(loc.ops.volume_dim)]
         else:
             faces = mesh.element_faces[loc.elems]
-            tr = (uhat if domain == "E" else vhat)[faces].reshape(len(loc.elems), -1)
+            tr = (uhat if loc.domain == "E" else vhat)[faces].reshape(len(loc.elems), -1)
             vol = (loc.ops.lift_map[loc.shape] @ tr[..., None])[..., 0] + loc.rhs_volume
-        done = blocks.setdefault(domain, [])
+        done = blocks.setdefault(loc.domain, [])
         row[loc.elems] = sum(map(len, done)) + np.arange(len(loc.elems))
         done.append(vol)
-        slices[domain] = loc.ops.slices
+        slices[loc.domain] = loc.ops.slices
     volume = {domain: np.concatenate(vols) for domain, vols in blocks.items()}
     parts = {name: volume[domain][:, sl]
              for domain, named in slices.items() for name, sl in named.items()}
@@ -405,8 +401,14 @@ def recover_fields(assembler: Assembler, system: AssembledSystem,
 def solve_problem(mesh: Mesh, k: int, params: ModelParams, data: ProblemData,
                   monolithic: bool = False, assembler: Assembler | None = None,
                   dump_prefix: str | None = None):
-    """Assemble, solve, and recover; returns (solution, assembled system)."""
-    assembler = assembler or Assembler(mesh, k, params)
+    """Assemble, solve, and recover; returns (solution, assembled system).
+
+    A given ``assembler`` must be the one of this mesh object, ``k`` and
+    ``params``."""
+    if assembler is None:
+        assembler = Assembler(mesh, k, params)
+    elif assembler.mesh is not mesh or assembler.k != k or assembler.params != params:
+        raise ValueError("the assembler was built for another mesh, degree or parameters")
     system = assemble_system(assembler, data, monolithic=monolithic)
     if dump_prefix:
         dump_system(dump_prefix, system)
@@ -502,7 +504,7 @@ def energy_quantities(assembler: Assembler, solution: FieldSolution) -> dict[str
             u_f = blk.at_face_points(vol[:, n_sig : n_sig + 2 * n_p].reshape(nb, 2, n_p))
             mism = u_f - blk.traces_at_face_points(tr.reshape(nb, 3, 2, -1))
             e_solid += (params.s * params.tau_e).real * float(
-                np.einsum("efp,efpc->", blk.face_weights, np.abs(mism) ** 2)
+                np.einsum("efp,efpc->", blk.faces.weights, np.abs(mism) ** 2)
             )
         else:
             q = blk.at_points(vol[:, : 2 * n_p].reshape(nb, 2, n_p))
@@ -510,6 +512,6 @@ def energy_quantities(assembler: Assembler, solution: FieldSolution) -> dict[str
             mism = (blk.at_face_points(vol[:, 2 * n_p :])
                     - blk.traces_at_face_points(tr.reshape(nb, 3, -1)))
             e_fluid += (params.s * params.tau_a).real * params.rho_f * float(
-                np.einsum("efp,efp->", blk.face_weights, np.abs(mism) ** 2)
+                np.einsum("efp,efp->", blk.faces.weights, np.abs(mism) ** 2)
             )
     return {"elastic": e_solid, "acoustic": e_fluid}

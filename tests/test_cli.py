@@ -301,6 +301,35 @@ def test_solve_on_mesh_file(tmp_path, capsys):
     assert "elements=32" in capsys.readouterr().out
 
 
+MESHES = {
+    "coupled": lambda: build_structured_coupled(1, (-2.0, -2.0, 2.0, 2.0), (-1.0, -1.0, 1.0, 1.0)),
+    "fluid": lambda: build_structured_coupled(2, (0.0, 0.0, 1.0, 1.0)),
+    "solid": lambda: build_structured_coupled(2, (0.0, 0.0, 1.0, 1.0), domain="E"),
+}
+
+
+@pytest.mark.parametrize("case,mesh", [("acoustic61", "coupled"), ("acoustic61", "solid"),
+                                       ("elastic62", "coupled"), ("elastic62", "fluid")])
+def test_case_without_exact_fields_on_a_mesh_domain_exits_2(tmp_path, capsys, monkeypatch,
+                                                             case, mesh):
+    # rejected before any assembly, not after a full solve with exit 1
+    domain = "solid domain (E)" if case == "acoustic61" else "fluid domain (A)"
+    path = tmp_path / f"{mesh}.mesh"
+    save_mesh(MESHES[mesh](), str(path))
+    monkeypatch.setattr("hdgwave.cli.solve_problem", lambda *a, **kw: pytest.fail("solved"))
+    assert main(["solve", "--case", case, "--mesh", str(path), "--out", str(tmp_path)]) == 2
+    assert f"case '{case}' has no exact fields for the {domain}" in capsys.readouterr().err
+
+
+def test_coupled_case_on_a_fluid_only_mesh_is_accepted(tmp_path, capsys):
+    path = tmp_path / "fluid.mesh"
+    save_mesh(MESHES["fluid"](), str(path))
+    assert main(["solve", "--case", "coupled63", "--mesh", str(path),
+                 "--out", str(tmp_path)]) == 0
+    assert "elements=8" in capsys.readouterr().out
+    assert json.loads((tmp_path / "report.json").read_text())["errors"]["v"] > 0.0
+
+
 def _break_triangle_id(lines):
     header = next(i for i, line in enumerate(lines) if line.startswith("triangles"))
     nv = int(lines[1].split()[1])

@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hdgwave import local_solver
 from hdgwave.local_solver import (
     Assembler,
     ModelParams,
@@ -207,7 +208,7 @@ def solved_blocks(asm, fn, **sources):
 
 def face_moment(blk, f, vals):
     """Moments of point values (nb, nfq) on local face f, per element."""
-    return np.einsum("ep,emp,ep->em", blk.face_weights[:, f], blk.face_basis[:, f], vals)
+    return np.einsum("ep,emp,ep->em", blk.faces.weights[:, f], blk.faces.basis[:, f], vals)
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -226,7 +227,7 @@ def test_acoustic_local_consistency(k):
         # flux moments reduce to moments of q.n: the penalty term is the
         # difference between v and its own face projection
         for f in range(3):
-            pts = blk.face_points[:, f]
+            pts = blk.faces.points[:, f]
             qn = np.einsum("epc,ec->ep", exact.q(pts.reshape(-1, 2)).reshape(pts.shape),
                            blk.normals[:, f])
             mom = face_moment(blk, f, qn)
@@ -254,7 +255,7 @@ def test_elastic_local_consistency(k):
         gam_h[:, 1, 0] = -g_scalar
         assert np.abs(gam_h - exact.gamma(pts)).max() < 1e-10
         for f in range(3):
-            fpts = blk.face_points[:, f]
+            fpts = blk.faces.points[:, f]
             sn = np.einsum("eprc,ec->epr", exact.sigma(fpts.reshape(-1, 2)).reshape(
                 fpts.shape[:2] + (2, 2)), blk.normals[:, f])
             mom = np.concatenate([face_moment(blk, f, sn[..., 0]),
@@ -466,15 +467,18 @@ def test_assembler_tables_translate_points():
         assert np.array_equal(asm.tables(elem).points, asm.tables(rep).points + shift)
 
 
-def test_assembler_tables_use_each_face_rule():
+@pytest.mark.parametrize("block_size", [1, 7, local_solver.BLOCK_SIZE])
+def test_assembler_tables_use_each_face_rule(monkeypatch, block_size):
     # elements share their shape's tables; the face rule of each element
-    # must still be its face's own, bit for bit
+    # must still be its face's own, bit for bit, for any blocking
+    monkeypatch.setattr(local_solver, "BLOCK_SIZE", block_size)
     mesh = build_structured_coupled(4, (-2.0, -2.0, 2.0, 2.0), (-1.0, -1.0, 1.0, 1.0))
     k = 2
     asm = Assembler(mesh, k, ModelParams(s=S))
     for blk in asm.blocks():
-        for fids, pts, wts, basis in zip(blk.face_ids, blk.face_points, blk.face_weights,
-                                         blk.face_basis):
+        assert len(blk.elems) <= block_size
+        for fids, pts, wts, basis in zip(blk.face_ids, blk.faces.points, blk.faces.weights,
+                                         blk.faces.basis):
             for f, fid in enumerate(fids):
                 fr = face_rule(mesh, fid, k)
                 assert np.array_equal(pts[f], fr.points)
@@ -482,7 +486,9 @@ def test_assembler_tables_use_each_face_rule():
                 assert np.array_equal(basis[f], fr.basis)
 
 
-def test_both_sides_of_a_face_see_its_face_rule():
+@pytest.mark.parametrize("block_size", [1, 7, local_solver.BLOCK_SIZE])
+def test_both_sides_of_a_face_see_its_face_rule(monkeypatch, block_size):
+    monkeypatch.setattr(local_solver, "BLOCK_SIZE", block_size)
     mesh = build_structured_coupled(
         2, (-2.0, -2.0, 2.0, 2.0), (-1.0, -1.0, 1.0, 1.0), jitter=0.15, seed=3
     )
@@ -496,9 +502,9 @@ def test_both_sides_of_a_face_see_its_face_rule():
                                  mesh.face_sign[fid]):
             tab = asm.tables(elem)
             assert tab.face_ids[0, f] == fid
-            assert np.array_equal(tab.face_points[0, f], fr.points)
-            assert np.array_equal(tab.face_weights[0, f], fr.weights)
-            assert np.array_equal(tab.face_basis[0, f], fr.basis)
+            assert np.array_equal(tab.faces.points[0, f], fr.points)
+            assert np.array_equal(tab.faces.weights[0, f], fr.weights)
+            assert np.array_equal(tab.faces.basis[0, f], fr.basis)
             assert np.array_equal(tab.normals[0, f], sign * mesh.face_normal[fid])
     assert kinds == {FaceKind.INTERIOR_A, FaceKind.INTERIOR_E, FaceKind.GAMMA}
 
@@ -565,7 +571,7 @@ def test_batched_stress_tables_match_the_one_triangle_basis(k):
         assert np.abs(parts["stress_vals"][row] - vals).max() <= 1e-12 * np.abs(vals).max()
         tab = asm.tables(rep)
         for f in range(3):
-            want = basis.eval_normal(tab.face_points[0, f], parts["normals"][row, f])
+            want = basis.eval_normal(tab.faces.points[0, f], parts["normals"][row, f])
             got = parts["stress_n"][row, f]
             assert np.abs(got - want).max() <= 1e-12 * np.abs(vals).max()
         # the divergences enter the matrix as int p_i div(tau_j)

@@ -88,6 +88,27 @@ def test_face_vector_projection_stacks_components():
     assert np.abs(coef - np.concatenate([cx, cy])).max() < 1e-14
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_face_moments_stack_any_number_of_components(m):
+    # the one face contraction: m trailing components give m blocks of k+1
+    # moments, component-major, each bit for bit the call on that component
+    mesh = build_structured_coupled(
+        1, (-2.0, -2.0, 2.0, 2.0), (-1.0, -1.0, 1.0, 1.0), jitter=0.15, seed=2)
+    k = 2
+    faces = face_rule(mesh, mesh.element_faces[:5], k)  # element-first, (5, 3, ...)
+    rng = np.random.default_rng(m)
+    shape = faces.weights.shape + (m,)
+    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    mom = faces.moments(vals)
+    assert mom.shape == (5, 3, m * (k + 1))
+    for j in range(m):
+        block = mom[..., j * (k + 1) : (j + 1) * (k + 1)]
+        assert np.array_equal(block, faces.moments(vals[..., j]))
+        assert np.array_equal(block, faces.moments(vals[..., j].copy()))
+        oracle = ((faces.basis * faces.weights[..., None, :]) @ vals[..., j, None])[..., 0]
+        assert np.abs(block - oracle).max() < 1e-14
+
+
 def test_face_projection_error_is_orthogonal_to_face_space():
     mesh = build_structured_coupled(2, (0.0, 0.0, 1.0, 1.0))
     k, fid = 3, 2
@@ -115,7 +136,7 @@ class Element:
     def faces(self):
         """Per local face: points, weights, basis, outward normal, scalar traces."""
         blk = self.block
-        return zip(blk.face_points[0], blk.face_weights[0], blk.face_basis[0],
+        return zip(blk.faces.points[0], blk.faces.weights[0], blk.faces.basis[0],
                    blk.normals[0], blk.face_scalar[0])
 
 

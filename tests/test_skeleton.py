@@ -254,6 +254,55 @@ def test_ill_posed_parameters_rejected_before_assembly():
         ModelParams.from_young_poisson(1.0, 0.3, s=1.0j)
 
 
+def test_solve_problem_refuses_an_assembler_of_another_problem(monkeypatch):
+    # the parent solved the assembler's own problem and ignored the rest
+    import hdgwave.skeleton as skeleton
+
+    case = make_case("acoustic61")
+    mesh = case.mesh_at(1)
+    other = ModelParams.from_young_poisson(1.0, 0.3, s=3.0 - 1.0j)
+    monkeypatch.setattr(skeleton, "assemble_system",
+                        lambda *a, **kw: pytest.fail("assembled"))
+    for asm in (Assembler(case.mesh_at(0), 2, case.params),
+                Assembler(build_structured_coupled(4, (0.0, 0.0, 1.0, 1.0)), 2, case.params),
+                Assembler(mesh, 1, case.params), Assembler(mesh, 2, other)):
+        with pytest.raises(ValueError, match="another mesh, degree or parameters"):
+            solve_problem(mesh, 2, case.params, case.data, assembler=asm)
+    monkeypatch.undo()
+    sol, system = solve_problem(mesh, 2, case.params, case.data,
+                                assembler=Assembler(mesh, 2, case.params))
+    assert system.dofmap.mesh is mesh and system.dofmap.k == 2
+    assert sol.vhat.shape == (mesh.n_faces, 3)
+
+
+def test_solve_problem_goes_through_the_patchable_solve_assembled(monkeypatch):
+    # the benchmark replaces skeleton.solve_assembled and reads the mesh, the
+    # matrix and the right-hand side of every system it is handed
+    import hdgwave.skeleton as skeleton
+    import hdgwave.verify as verify
+
+    seen = []
+    original = skeleton.solve_assembled
+
+    def probed(system):
+        seen.append((system.dofmap.mesh, system.matrix, system.rhs))
+        return original(system)
+
+    monkeypatch.setattr(skeleton, "solve_assembled", probed)
+    case = make_case("coupled63")
+    mesh = case.mesh_at(1)
+    asm = Assembler(mesh, 1, case.params)
+    assert verify.solve_problem is skeleton.solve_problem
+    for monolithic in (False, True):
+        sol, system = verify.solve_problem(mesh, 1, case.params, case.data,
+                                           monolithic=monolithic, assembler=asm)
+        assert len(seen) == 1
+        solved_mesh, matrix, rhs = seen.pop()
+        assert solved_mesh is mesh
+        assert matrix is system.matrix and rhs is system.rhs
+        assert matrix.shape == (len(rhs), len(rhs)) and matrix.nnz > 0
+
+
 def test_singular_system_raises_typed_error():
     matrix = sp.csr_matrix(np.zeros((2, 2), dtype=complex))
     bad = AssembledSystem(
