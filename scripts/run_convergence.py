@@ -36,16 +36,9 @@ def run_one(case_name: str, k: int, levels: int | None, nu: float,
     os.makedirs(out_dir, exist_ok=True)
 
     t0 = time.monotonic()
-    report = run_study(case, k, n_levels, verbose=verbose, log=print)
+    report = run_study(case, k, n_levels, log=print if verbose else None)
     elapsed = time.monotonic() - t0
-
-    with open(os.path.join(out_dir, "report.csv"), "w", encoding="utf-8") as fh:
-        fh.write(report.to_csv())
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
-    with open(os.path.join(out_dir, f"plot_{tag}_k{k}.dat"), "w",
-              encoding="utf-8") as fh:
-        fh.write(report.to_dat())
+    report.write(out_dir, tag)
 
     finals = report.final_orders()
     rates = " ".join(f"{name}={rate:.2f}" for name, rate in sorted(finals.items()))

@@ -192,17 +192,9 @@ def _out_dir(cfg: RunConfig) -> str:
 
 
 def _mode_study(cfg: RunConfig, case) -> int:
-    report = run_study(case, cfg.k, cfg.levels, verbose=cfg.verbose, log=print)
-    out = _out_dir(cfg)
-    csv_text = report.to_csv()
-    with open(os.path.join(out, "report.csv"), "w", encoding="utf-8") as fh:
-        fh.write(csv_text)
-    with open(os.path.join(out, "report.json"), "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
-    dat_name = f"plot_{case.name}_k{cfg.k}.dat"
-    with open(os.path.join(out, dat_name), "w", encoding="utf-8") as fh:
-        fh.write(report.to_dat())
-    print(csv_text, end="")
+    report = run_study(case, cfg.k, cfg.levels, log=print if cfg.verbose else None)
+    report.write(_out_dir(cfg), case.name)
+    print(report.to_csv(), end="")
     return 0
 
 
@@ -318,11 +310,10 @@ def main(argv: list[str] | None = None) -> int:
         mesh = load_mesh(cfg.mesh) if cfg.mode == "solve" and cfg.mesh else None
         # the error norms need the case's exact fields on every domain of the mesh
         if mesh is not None:
-            for domain, exact, what in (("E", case.exact.sigma, "solid"),
-                                        ("A", case.exact.v, "fluid")):
-                if exact is None and (mesh.tri_domain == domain).any():
-                    raise ConfigError(f"case '{case.name}' has no exact fields for the "
-                                      f"{what} domain ({domain}) of mesh {cfg.mesh}")
+            try:
+                case.exact.check_covers(mesh)
+            except ValueError as exc:
+                raise ConfigError(f"case '{case.name}' has {exc} (mesh {cfg.mesh})") from None
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quadbasis import ReferenceBasis, _monomial_values, monomial_exponents, scalar_space_dim
+from .quadbasis import (ReferenceBasis, _monomial_values, build_reference_basis,
+                        monomial_exponents, scalar_space_dim)
 
 
 def stress_space_dim(k: int) -> int:
@@ -90,9 +91,9 @@ class StressTables:
     Member layout as in ``StressBasis``.  The enrichment coefficients
     ``coef`` (nb, k+1, k+1) combine the mapped reference members.
     Construction checks each member's norm against the norms of the terms
-    it sums, and the rank of each triangle's basis (normalized Gram at the
-    quadrature points); errors name the triangle by ``names``.  ``volume``
-    holds the basis at the reference quadrature points ``points``.
+    it sums, naming the triangle by ``names``, and with ``check_rank`` the
+    rank of the basis on the reference triangle.  ``volume`` holds the
+    basis at the reference quadrature points ``points``.
     """
 
     def __init__(self, ref: ReferenceBasis, jac: np.ndarray, h: np.ndarray,
@@ -125,16 +126,7 @@ class StressTables:
         self.volume = self.eval(self.points)
 
         if check_rank:
-            flat = self.volume.reshape(nb, self.dim, -1)
-            gram = (flat * np.repeat(weights, 4, axis=1)[:, None]) @ flat.transpose(0, 2, 1)
-            scale = np.sqrt(np.diagonal(gram, axis1=1, axis2=2))
-            eigmin = np.linalg.eigvalsh(gram / (scale[:, :, None] * scale[:, None]))[:, 0]
-            bad = np.flatnonzero(~(eigmin >= 1e-10))
-            if bad.size:
-                raise RuntimeError(
-                    f"element {names[bad[0]]}: stress basis rank deficient "
-                    f"(min Gram eigenvalue {eigmin[bad[0]]:.3e})"
-                )
+            _check_reference_rank(k)
 
     def _mapped(self, xi: np.ndarray, coef: np.ndarray, div: bool = False) -> np.ndarray:
         """coef-combinations of the mapped reference members (nb, k+1, n, 2, 2),
@@ -169,6 +161,26 @@ class StressTables:
             out[:, slot * n_s : (slot + 1) * n_s, :, slot // 2] = columns[slot % 2]
         out[:, self.dim_tensor :] = self._mapped(xi, self.coef, div)
         return out
+
+
+@lru_cache(maxsize=None)
+def _check_reference_rank(k: int) -> None:
+    """Raise unless the degree-k basis has full rank on the reference triangle.
+
+    sigma -> J^-T sigma J^T / det J maps the P_k matrices onto themselves
+    and the reference enrichment onto a triangle's, so every triangle's
+    space has the reference rank; how well a thin triangle's basis is
+    conditioned is left to the pivot check of its local system.
+    """
+    ref = build_reference_basis(k)
+    tab = StressTables(ref, np.eye(2)[None], np.array([np.sqrt(2.0)]), check_rank=False)
+    flat = tab.volume[0].reshape(tab.dim, -1)
+    gram = (flat * np.repeat(ref.quad.weights, 4)) @ flat.T
+    scale = np.sqrt(np.diag(gram))
+    eigmin = np.linalg.eigvalsh(gram / np.outer(scale, scale))[0]
+    if not eigmin >= 1e-10:
+        raise RuntimeError(f"degree {k}: stress basis rank deficient "
+                           f"(min Gram eigenvalue {eigmin:.3e})")
 
 
 class StressBasis:

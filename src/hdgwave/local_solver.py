@@ -112,7 +112,6 @@ def hooke_inverse_apply(m, lam: float, mu: float) -> np.ndarray:
     out = m / (2.0 * mu)
     coef = lam / (2.0 * mu * (2.0 * lam + 2.0 * mu))
     tr = m[..., 0, 0] + m[..., 1, 1]
-    out = out.copy()
     out[..., 0, 0] -= coef * tr
     out[..., 1, 1] -= coef * tr
     return out
@@ -151,10 +150,6 @@ class BlockTables:
     face_scalar: np.ndarray     # (nb, 3, n_scalar, nfq) scalar basis on the faces
     scalar_moments: np.ndarray  # (nb, 3, n_scalar, k+1)
     stress_n: np.ndarray | None  # (nb, 3, n_stress, nfq, 2) normal traces, solid blocks
-
-    @property
-    def n_scalar(self) -> int:
-        return self.scalar.shape[1]
 
     def at_points(self, coef: np.ndarray) -> np.ndarray:
         """Values at the volume points of scalar-basis coefficients
@@ -402,8 +397,7 @@ def _check_pivots(matrix: np.ndarray, scale: np.ndarray, elems: np.ndarray) -> N
 
 
 def reconstruct_flux(tables: BlockTables, params: ModelParams,
-                     volume: np.ndarray, traces: np.ndarray,
-                     tau: float | None = None) -> np.ndarray:
+                     volume: np.ndarray, traces: np.ndarray) -> np.ndarray:
     """Numerical flux coefficients per element and face, from the definition.
 
     ``volume`` (nb, n_vol) and ``traces`` (nb, n_tr), or (nb, 3, n_tr / 3),
@@ -411,23 +405,19 @@ def reconstruct_flux(tables: BlockTables, params: ModelParams,
     (u_h - u_hat); fluid: moments of q_h . n - tau (v_h - v_hat), both in
     the element's outward orientation and the face's orthonormal basis, as
     (nb, 3, trace block).
-    ``tau=0`` is accepted here (it just drops the penalty part), although
-    the solver itself refuses it.
     """
     nb, n_p = tables.scalar.shape[:2]
     if tables.domain == "E":
-        tau = params.tau_e if tau is None else tau
         n_sig = tables.stress_vals.shape[1]
         sig_n = np.einsum("ej,efjpc->efpc", volume[:, :n_sig], tables.stress_n)
         u_val = tables.at_face_points(volume[:, n_sig : n_sig + 2 * n_p].reshape(nb, 2, n_p))
         uhat_val = tables.traces_at_face_points(traces.reshape(nb, 3, 2, -1))
-        return tables.faces.moments(sig_n - tau * (u_val - uhat_val))
-    tau = params.tau_a if tau is None else tau
+        return tables.faces.moments(sig_n - params.tau_e * (u_val - uhat_val))
     q_val = tables.at_face_points(volume[:, : 2 * n_p].reshape(nb, 2, n_p))
     v_val = tables.at_face_points(volume[:, 2 * n_p :])
     vhat_val = tables.traces_at_face_points(traces.reshape(nb, 3, -1))
     q_n = np.einsum("efpc,efc->efp", q_val, tables.normals)
-    return tables.faces.moments(q_n - tau * (v_val - vhat_val))
+    return tables.faces.moments(q_n - params.tau_a * (v_val - vhat_val))
 
 
 @dataclass

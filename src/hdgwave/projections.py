@@ -127,11 +127,10 @@ class ProjectedPair:
     residual: float
 
 
-def project_acoustic(tables: BlockTables, params: ModelParams, q_fn, v_fn,
-                     tau: float | None = None) -> ProjectedPair:
+def project_acoustic(tables: BlockTables, params: ModelParams, q_fn,
+                     v_fn) -> ProjectedPair:
     """Flux-matching projection of an exact (flux, scalar) acoustic pair."""
-    tau = params.tau_a if tau is None else tau
-    vec, sc, res = _project_pairs(tables, tau, *_one_pair(q_fn, v_fn))
+    vec, sc, res = _project_pairs(tables, params.tau_a, *_one_pair(q_fn, v_fn))
     return ProjectedPair(vec=vec[0, 0].reshape(-1), scalar=sc[0, 0],
                          residual=float(res[0]))
 
@@ -143,16 +142,15 @@ class ProjectedElastic:
     residual: float
 
 
-def project_elastic(tables: BlockTables, params: ModelParams, sigma_fn, u_fn,
-                    tau: float | None = None) -> ProjectedElastic:
+def project_elastic(tables: BlockTables, params: ModelParams, sigma_fn,
+                    u_fn) -> ProjectedElastic:
     """Row-wise flux-matching projection of an exact (stress, displacement) pair.
 
     Each stress row together with the matching displacement component forms
     one (vector, scalar) pair; the projected stress lands in the full
     tensor-valued polynomial space.
     """
-    tau = params.tau_e if tau is None else tau
-    sig, u, res = _project_pairs(tables, tau, sigma_fn, u_fn)
+    sig, u, res = _project_pairs(tables, params.tau_e, sigma_fn, u_fn)
     return ProjectedElastic(sigma=sig[0], u=u[0], residual=float(res[0]))
 
 
@@ -162,9 +160,10 @@ def compute_theta(assembler, solution, fields) -> float:
     Sums, over all elements and all fields, the squared L2 defects between
     the flux-matching projections of the exact fields and the computed
     coefficients; the skew part enters through the Frobenius norm of its
-    matrix form (a factor 2 on the generator).  ``fields`` provides the
-    exact callables: sigma (n,2,2), u (n,2), gamma_p (n,), q (n,2), v (n,).
+    matrix form (a factor 2 on the generator).  ``fields`` is the
+    ``ExactFields`` of the problem; it must cover every domain of the mesh.
     """
+    fields.check_covers(assembler.mesh)
     params = assembler.params
     parts = solution.parts
     total = 0.0

@@ -21,8 +21,6 @@ from scipy.special import roots_jacobi, roots_legendre
 MAX_EXACT_DEGREE = 20
 MAX_BASIS_DEGREE = 6
 
-REFERENCE_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-
 
 @dataclass(frozen=True)
 class QuadratureRule:
@@ -31,10 +29,6 @@ class QuadratureRule:
     points: np.ndarray   # (n, 2) triangle coords, or (n,) for edge rules
     weights: np.ndarray  # (n,)
     exact_degree: int
-
-    @property
-    def n_points(self) -> int:
-        return self.weights.size
 
 
 def _check_degree(exact_degree: int) -> None:
@@ -170,7 +164,6 @@ class ReferenceBasis:
     coeffs: np.ndarray
     values: np.ndarray
     grads: np.ndarray
-    monomial_gram_condition: float
 
     @property
     def n_scalar(self) -> int:
@@ -197,10 +190,7 @@ def build_reference_basis(k: int) -> ReferenceBasis:
         raise ValueError(f"polynomial degree must be in [1, {MAX_BASIS_DEGREE}], got {k}")
     quad = make_quadrature(2 * k + 6)
     exponents = monomial_exponents(k)
-    mono = _monomial_values(exponents, quad.points)
-    gram = (mono * quad.weights) @ mono.T
-    condition = float(np.linalg.cond(gram))
-    coeffs, values = _orthonormalize(mono, quad.weights)
+    coeffs, values = _orthonormalize(_monomial_values(exponents, quad.points), quad.weights)
     grads = np.einsum("jn,jmd->nmd", coeffs, _monomial_grads(exponents, quad.points))
     return ReferenceBasis(
         k=k,
@@ -209,54 +199,17 @@ def build_reference_basis(k: int) -> ReferenceBasis:
         coeffs=coeffs,
         values=values,
         grads=grads,
-        monomial_gram_condition=condition,
     )
 
 
-@dataclass
-class PhysicalTables:
-    """Reference tables pushed to one physical triangle."""
-
-    triangle: np.ndarray
-    jacobian: np.ndarray
-    inv_jacobian: np.ndarray
-    det: float
-    points: np.ndarray
-    weights: np.ndarray
-    values: np.ndarray
-    grads: np.ndarray
-
-
-def triangle_jacobian(triangle: np.ndarray):
+def map_to_physical(basis: ReferenceBasis, triangle) -> QuadratureRule:
+    """The reference rule of ``basis`` mapped onto a physical triangle:
+    nodes through the affine map, weights scaled by |det J|."""
     tri = np.asarray(triangle, dtype=float)
     jac = np.column_stack([tri[1] - tri[0], tri[2] - tri[0]])
     det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-    return jac, det
-
-
-def map_to_physical(basis: ReferenceBasis, triangle) -> PhysicalTables:
-    """Push the reference tables onto a physical triangle.
-
-    Values are composed with the affine map (so they equal the reference
-    values at mapped nodes), gradients pick up the inverse-transpose
-    Jacobian, quadrature weights scale with |det J|.
-    """
-    tri = np.asarray(triangle, dtype=float)
-    jac, det = triangle_jacobian(tri)
     scale = float(np.max(np.linalg.norm(tri - tri.mean(axis=0), axis=1)))
     if abs(det) <= 1e-14 * max(scale * scale, 1e-300):
         raise ValueError("degenerate triangle: |det J| below tolerance")
-    inv = np.linalg.inv(jac)
-    points = tri[0] + basis.quad.points @ jac.T
-    weights = basis.quad.weights * abs(det)
-    grads = np.einsum("dc,nmd->nmc", inv, basis.grads)
-    return PhysicalTables(
-        triangle=tri,
-        jacobian=jac,
-        inv_jacobian=inv,
-        det=float(det),
-        points=points,
-        weights=weights,
-        values=basis.values,
-        grads=grads,
-    )
+    return QuadratureRule(tri[0] + basis.quad.points @ jac.T,
+                          basis.quad.weights * abs(det), basis.quad.exact_degree)

@@ -1,7 +1,7 @@
 """Manufactured solutions, error norms, and convergence studies.
 
 Each case bundles exact fields, the matching sources and boundary data,
-and a base mesh; studies refine the mesh, solve, and tabulate errors with
+and its meshes; studies refine the mesh, solve, and tabulate errors with
 observed convergence orders.  Polynomial cases of exact degree k sit inside
 the discrete spaces, so the solver must reproduce them to rounding — a
 consistency check that needs no asymptotics.
@@ -9,15 +9,17 @@ consistency check that needs no asymptotics.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .local_solver import Assembler, ModelParams, hooke_apply
-from .mesh import FaceKind, Mesh, build_structured_coupled, refine
+from .mesh import Mesh, build_structured_coupled, refine
 from .projections import compute_theta
 from .skeleton import FieldSolution, ProblemData, solve_problem
 
@@ -35,35 +37,25 @@ class ExactFields:
     sigma: Callable | None = None    # (n,2) -> (n,2,2)
     gamma_p: Callable | None = None  # (n,2) -> (n,)
 
+    def check_covers(self, mesh: Mesh) -> None:
+        """Raise ValueError unless every domain of ``mesh`` has all its fields."""
+        for domain, what, names in (("E", "solid", ("sigma", "u", "gamma_p")),
+                                    ("A", "fluid", ("q", "v"))):
+            missing = [name for name in names if getattr(self, name) is None]
+            if missing and (mesh.tri_domain == domain).any():
+                raise ValueError(f"no exact fields for the {what} domain ({domain}): "
+                                 f"{', '.join(missing)} not set")
+
 
 @dataclass
 class ManufacturedCase:
+    """A manufactured problem; ``mesh_at(level)`` builds each level's mesh once."""
+
     name: str
     params: ModelParams
     data: ProblemData
     exact: ExactFields
-    base_mesh: Callable[[], Mesh]
-    mesh_builder: Callable[[int], Mesh] | None = None
-    _meshes: dict[int, Mesh] = field(default_factory=dict, repr=False)
-
-    def mesh_at(self, level: int) -> Mesh:
-        if level not in self._meshes:
-            if self.mesh_builder is not None:
-                self._meshes[level] = self.mesh_builder(level)
-            elif level == 0:
-                self._meshes[0] = self.base_mesh()
-            else:
-                self._meshes[level] = refine(self.mesh_at(level - 1))
-        return self._meshes[level]
-
-    @property
-    def fields(self) -> tuple[str, ...]:
-        names = []
-        if self.exact.sigma is not None:
-            names += ["sigma", "u", "gamma"]
-        if self.exact.v is not None:
-            names += ["q", "v"]
-        return tuple(names)
+    mesh_at: Callable[[int], Mesh] = field(repr=False)
 
 
 def _trig_acoustic(params: ModelParams):
@@ -116,18 +108,56 @@ def _trig_elastic(params: ModelParams):
     return u, sigma, f_e, gamma_p
 
 
-def _params_from_overrides(*, s=None, c=None, rho_e=None, rho_f=None, young=None,
-                           poisson=None, tau_e=None, tau_a=None) -> ModelParams:
-    return ModelParams.from_young_poisson(
-        young=1.0 if young is None else young,
-        poisson=0.3 if poisson is None else poisson,
-        s=complex(2.0, -1.0) if s is None else complex(s),
-        c=1.0 if c is None else c,
-        rho_e=1.0 if rho_e is None else rho_e,
-        rho_f=1.0 if rho_f is None else rho_f,
-        tau_e=1.0 if tau_e is None else tau_e,
-        tau_a=1.0 if tau_a is None else tau_a,
-    )
+def _params_from_overrides(*, s=complex(2.0, -1.0), **overrides) -> ModelParams:
+    """The ``ModelParams`` defaults (Young's modulus 1, Poisson ratio 0.3)
+    with material and scheme overrides."""
+    return ModelParams.from_young_poisson(s=complex(s), **overrides)
+
+
+def _case(name: str, params: ModelParams, n0: int, *, acoustic=None, elastic=None,
+          interface=None, ladder: bool = False) -> ManufacturedCase:
+    """Wire fields into a case with its meshes.
+
+    ``acoustic`` is (v, q, f) and ``elastic`` (u, sigma, f_e, gamma_p).
+    With one of them the domain is the unit square, with Dirichlet data
+    from the exact field; with both it is the solid square (-1,1)^2 inside
+    a fluid frame out to (-2,2)^2, Dirichlet on the outer boundary, and
+    ``interface`` holds the transmission data.  Level 0 has ``n0`` cells
+    per unit length; later levels refine it, or with ``ladder`` are built
+    afresh at the ladder's cell counts.
+    """
+    data, exact = dict(interface or {}), {}
+    if acoustic is not None:
+        v, q, f = acoustic
+        data.update(f=f, dirichlet=v)
+        exact.update(v=v, q=q)
+    if elastic is not None:
+        u, sigma, f_e, gamma_p = elastic
+        data["f_elastic"] = f_e
+        exact.update(u=u, sigma=sigma, gamma_p=gamma_p)
+    if acoustic is not None and elastic is not None:
+        boxes, domain = ((-2.0, -2.0, 2.0, 2.0), (-1.0, -1.0, 1.0, 1.0)), "A"
+    else:
+        boxes, domain = ((0.0, 0.0, 1.0, 1.0),), "A" if elastic is None else "E"
+        if elastic is not None:
+            data["u_dirichlet"] = u
+
+    @functools.cache
+    def mesh_at(level: int) -> Mesh:
+        if ladder:
+            # Non-nested ladder: refining by fresh construction (rather than
+            # red subdivision) avoids the superconvergence that nested grids
+            # show on coarse levels, and the final 16 -> 20 step reaches the
+            # settled regime while staying within ~1e5 skeleton unknowns.
+            rungs = (1, 2, 4, 8, 16, 20)
+            n = rungs[level] if level < len(rungs) else rungs[-1] * 2 ** (level - len(rungs) + 1)
+            return build_structured_coupled(n0 * n, *boxes, domain=domain)
+        if level == 0:
+            return build_structured_coupled(n0, *boxes, domain=domain)
+        return refine(mesh_at(level - 1))
+
+    return ManufacturedCase(name=name, params=params, data=ProblemData(**data),
+                            exact=ExactFields(**exact), mesh_at=mesh_at)
 
 
 def make_case(name: str, *, grid: int | None = None, **overrides) -> ManufacturedCase:
@@ -141,29 +171,12 @@ def make_case(name: str, *, grid: int | None = None, **overrides) -> Manufacture
     """
     params = _params_from_overrides(**overrides)
     if name == "acoustic61":
-        n0 = 2 if grid is None else grid
-        v, q, f = _trig_acoustic(params)
-        return ManufacturedCase(
-            name=name,
-            params=params,
-            data=ProblemData(f=f, dirichlet=v),
-            exact=ExactFields(v=v, q=q),
-            base_mesh=lambda: build_structured_coupled(n0, (0.0, 0.0, 1.0, 1.0)),
-        )
+        return _case(name, params, 2 if grid is None else grid,
+                     acoustic=_trig_acoustic(params))
     if name == "elastic62":
-        n0 = 2 if grid is None else grid
-        u, sigma, f_e, gamma_p = _trig_elastic(params)
-        return ManufacturedCase(
-            name=name,
-            params=params,
-            data=ProblemData(f_elastic=f_e, u_dirichlet=u),
-            exact=ExactFields(u=u, sigma=sigma, gamma_p=gamma_p),
-            base_mesh=lambda: build_structured_coupled(
-                n0, (0.0, 0.0, 1.0, 1.0), domain="E"
-            ),
-        )
+        return _case(name, params, 2 if grid is None else grid,
+                     elastic=_trig_elastic(params))
     if name == "coupled63":
-        n0 = 1 if grid is None else grid
         v, q, f = _trig_acoustic(params)
         u, sigma, f_e, gamma_p = _trig_elastic(params)
         s = params.s
@@ -180,30 +193,10 @@ def make_case(name: str, *, grid: int | None = None, **overrides) -> Manufacture
         def g2(pts, n_e):
             return -(sigma(pts) * n_e[..., None, :]).sum(axis=-1)
 
-        def coupled_mesh(level: int) -> Mesh:
-            # Non-nested ladder: refining by fresh construction (rather than
-            # red subdivision) avoids the superconvergence that nested grids
-            # show on coarse levels, and the final 16 -> 20 step reaches the
-            # settled regime while staying within ~1e5 skeleton unknowns.
-            ladder = (1, 2, 4, 8, 16, 20)
-            n = ladder[level] if level < len(ladder) else ladder[-1] * 2 ** (level - len(ladder) + 1)
-            return build_structured_coupled(
-                n0 * n, (-2.0, -2.0, 2.0, 2.0), (-1.0, -1.0, 1.0, 1.0)
-            )
-
-        return ManufacturedCase(
-            name=name,
-            params=params,
-            data=ProblemData(
-                f=f, f_elastic=f_e, dirichlet=v,
-                v_inc=v_inc, grad_v_inc=grad_v_inc, g1=g1, g2=g2,
-            ),
-            exact=ExactFields(v=v, q=q, u=u, sigma=sigma, gamma_p=gamma_p),
-            base_mesh=lambda: build_structured_coupled(
-                n0, (-2.0, -2.0, 2.0, 2.0), (-1.0, -1.0, 1.0, 1.0)
-            ),
-            mesh_builder=coupled_mesh,
-        )
+        return _case(name, params, 1 if grid is None else grid,
+                     acoustic=(v, q, f), elastic=(u, sigma, f_e, gamma_p),
+                     interface=dict(v_inc=v_inc, grad_v_inc=grad_v_inc, g1=g1, g2=g2),
+                     ladder=True)
     raise ValueError(
         f"unknown case '{name}'; expected acoustic61, elastic62, or coupled63"
     )
@@ -295,28 +288,11 @@ def make_polynomial_case(kind: str, k: int, *, grid: int | None = None,
                          **overrides) -> ManufacturedCase:
     """Exact-degree-k polynomial analogue of each named case."""
     params = _params_from_overrides(**overrides)
+    name = f"poly-{kind}-k{k}"
     if kind == "acoustic":
-        v, q, f = _poly_acoustic_fields(params, k)
-        return ManufacturedCase(
-            name=f"poly-acoustic-k{k}",
-            params=params,
-            data=ProblemData(f=f, dirichlet=v),
-            exact=ExactFields(v=v, q=q),
-            base_mesh=lambda: build_structured_coupled(
-                grid or 2, (0.0, 0.0, 1.0, 1.0)
-            ),
-        )
+        return _case(name, params, grid or 2, acoustic=_poly_acoustic_fields(params, k))
     if kind == "elastic":
-        u, sigma, f_e, gamma_p = _poly_elastic_fields(params, k)
-        return ManufacturedCase(
-            name=f"poly-elastic-k{k}",
-            params=params,
-            data=ProblemData(f_elastic=f_e, u_dirichlet=u),
-            exact=ExactFields(u=u, sigma=sigma, gamma_p=gamma_p),
-            base_mesh=lambda: build_structured_coupled(
-                grid or 2, (0.0, 0.0, 1.0, 1.0), domain="E"
-            ),
-        )
+        return _case(name, params, grid or 2, elastic=_poly_elastic_fields(params, k))
     if kind == "coupled":
         v, q, f = _poly_acoustic_fields(params, k)
         u, sigma, f_e, gamma_p = _poly_elastic_fields(params, k)
@@ -329,15 +305,8 @@ def make_polynomial_case(kind: str, k: int, *, grid: int | None = None,
             sig_n = (sigma(pts) * n_e[..., None, :]).sum(axis=-1)
             return -sig_n - rho_f * s * v(pts)[:, None] * n_e
 
-        return ManufacturedCase(
-            name=f"poly-coupled-k{k}",
-            params=params,
-            data=ProblemData(f=f, f_elastic=f_e, dirichlet=v, g1=g1, g2=g2),
-            exact=ExactFields(v=v, q=q, u=u, sigma=sigma, gamma_p=gamma_p),
-            base_mesh=lambda: build_structured_coupled(
-                grid or 1, (-2.0, -2.0, 2.0, 2.0), (-1.0, -1.0, 1.0, 1.0)
-            ),
-        )
+        return _case(name, params, grid or 1, acoustic=(v, q, f),
+                     elastic=(u, sigma, f_e, gamma_p), interface=dict(g1=g1, g2=g2))
     raise ValueError(f"unknown polynomial case kind '{kind}'")
 
 
@@ -351,6 +320,7 @@ def compute_errors(assembler: Assembler, solution: FieldSolution,
     against the face-wise L2 projection of the exact field.  The skew field
     error uses the Frobenius norm of its matrix form.
     """
+    exact.check_covers(assembler.mesh)
     parts = solution.parts
     acc = dict.fromkeys(("sigma", "u", "gamma", "q", "v", "uhat", "vhat"), 0.0)
     for blk in assembler.blocks():
@@ -396,7 +366,7 @@ class StudyRow:
     n_skeleton: int
     h: float
     errors: dict[str, float]
-    theta: float | None
+    theta: float
     orders: dict[str, float]
 
 
@@ -423,7 +393,7 @@ class ConvergenceReport:
                      str(row.n_skeleton), f"{row.h:.6e}"]
             for c in _ERROR_COLUMNS:
                 cells.append(f"{row.errors[c]:.6e}" if c in row.errors else "")
-            cells.append("" if row.theta is None else f"{row.theta:.6e}")
+            cells.append(f"{row.theta:.6e}")
             for c in _ERROR_COLUMNS:
                 cells.append(f"{row.orders[c]:.6e}" if c in row.orders else "")
             cells.append(
@@ -455,23 +425,24 @@ class ConvergenceReport:
 
     def to_dat(self) -> str:
         cols = [c for c in _ERROR_COLUMNS if self.rows and c in self.rows[0].errors]
-        with_theta = bool(self.rows) and self.rows[0].theta is not None
-        header = "# h " + " ".join(f"err_{c}" for c in cols)
-        if with_theta:
-            header += " theta"
-        lines = [header]
+        lines = ["# h " + " ".join(f"err_{c}" for c in cols) + " theta"]
         for row in self.rows:
             cells = [f"{row.h:.6e}"] + [f"{row.errors[c]:.6e}" for c in cols]
-            if with_theta:
-                cells.append(f"{row.theta:.6e}")
-            lines.append(" ".join(cells))
+            lines.append(" ".join(cells + [f"{row.theta:.6e}"]))
         return "\n".join(lines) + "\n"
+
+    def write(self, directory: str, tag: str) -> None:
+        """Write report.csv, report.json and plot_<tag>_k<k>.dat into ``directory``."""
+        for name, text in (("report.csv", self.to_csv()), ("report.json", self.to_json()),
+                           (f"plot_{tag}_k{self.k}.dat", self.to_dat())):
+            with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
 
 
 def run_study(case: ManufacturedCase, k: int, levels: int, *,
-              with_theta: bool = True, verbose: bool = False,
               log=None) -> ConvergenceReport:
-    """Solve on ``levels`` successively refined meshes and tabulate errors."""
+    """Solve on ``levels`` successively refined meshes and tabulate errors;
+    ``log``, when given, receives one line per level."""
     rows: list[StudyRow] = []
     prev: StudyRow | None = None
     for level in range(levels):
@@ -481,12 +452,12 @@ def run_study(case: ManufacturedCase, k: int, levels: int, *,
             mesh, k, case.params, case.data, assembler=assembler
         )
         errors = compute_errors(assembler, solution, case.exact)
-        theta = compute_theta(assembler, solution, case.exact) if with_theta else None
+        theta = compute_theta(assembler, solution, case.exact)
         orders: dict[str, float] = {}
         if prev is not None:
             for name, err in errors.items():
                 orders[name] = eoc(prev.errors[name], err, prev.h, mesh.h)
-            if with_theta and prev.theta:
+            if prev.theta:
                 orders["theta"] = eoc(prev.theta, theta, prev.h, mesh.h)
         row = StudyRow(
             level=level,
@@ -498,7 +469,7 @@ def run_study(case: ManufacturedCase, k: int, levels: int, *,
         )
         rows.append(row)
         prev = row
-        if verbose and log is not None:
+        if log is not None:
             err_txt = " ".join(f"{n}={e:.3e}" for n, e in sorted(errors.items()))
             log(f"{case.name} k={k} level={level} h={mesh.h:.4f} "
                 f"N={row.n_skeleton} {err_txt}")

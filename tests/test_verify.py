@@ -16,12 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdgwave.local_solver import Assembler
-from hdgwave.mesh import FaceKind, build_structured_coupled, elastic_side_normal
+from hdgwave.mesh import FaceKind, build_structured_coupled, elastic_side_normal, refine
 from hdgwave.skeleton import ProblemData, solve_problem
 from hdgwave.verify import (
     ConvergenceReport,
     ExactFields,
     compute_errors,
+    compute_theta,
     eoc,
     make_case,
     make_polynomial_case,
@@ -222,15 +223,9 @@ def test_run_study_row_structure(small_report):
     assert small_report.final_orders() == rows[-1].orders
 
 
-def test_run_study_without_theta():
-    rep = run_study(make_case("acoustic61"), 1, 2, with_theta=False)
-    assert all(r.theta is None for r in rep.rows)
-    assert "theta" not in rep.rows[-1].orders
-
-
 def test_run_study_verbose_logging():
     lines = []
-    run_study(make_case("acoustic61"), 1, 2, verbose=True, log=lines.append)
+    run_study(make_case("acoustic61"), 1, 2, log=lines.append)
     assert len(lines) == 2
     assert "level=0" in lines[0] and "level=1" in lines[1]
 
@@ -317,11 +312,57 @@ def test_mesh_at_caches_levels():
     assert case.mesh_at(1) is case.mesh_at(1)
 
 
+ALL_EXACT = {"v", "q", "u", "sigma", "gamma_p"}
+COUPLED_BOXES = ((-2.0, -2.0, 2.0, 2.0), (-1.0, -1.0, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("name,data,exact,domains,nested", [
+    ("acoustic61", {"f", "dirichlet"}, {"v", "q"}, {"A"}, True),
+    ("elastic62", {"f_elastic", "u_dirichlet"}, {"u", "sigma", "gamma_p"}, {"E"}, True),
+    ("coupled63", {"f", "f_elastic", "dirichlet", "v_inc", "grad_v_inc", "g1", "g2"},
+     ALL_EXACT, {"A", "E"}, False),
+    ("acoustic-k2", {"f", "dirichlet"}, {"v", "q"}, {"A"}, True),
+    ("elastic-k2", {"f_elastic", "u_dirichlet"}, {"u", "sigma", "gamma_p"}, {"E"}, True),
+    ("coupled-k2", {"f", "f_elastic", "dirichlet", "g1", "g2"}, ALL_EXACT, {"A", "E"}, True),
+])
+def test_cases_set_exactly_their_data_fields_and_meshes(name, data, exact, domains, nested):
+    # coupled cases carry no displacement trace, polynomial ones no incident
+    # field; the polynomial coupled case refines its base mesh, coupled63
+    # builds each rung of its ladder afresh
+    kind, _, k = name.partition("-k")
+    case = make_polynomial_case(kind, int(k)) if k else make_case(name)
+
+    def set_members(obj):
+        return {f.name for f in dataclasses.fields(obj) if getattr(obj, f.name) is not None}
+
+    assert set_members(case.data) == data
+    assert set_members(case.exact) == exact
+    mesh0, mesh1 = case.mesh_at(0), case.mesh_at(1)
+    assert set(mesh0.tri_domain) == domains
+    want = refine(mesh0) if nested else build_structured_coupled(2, *COUPLED_BOXES)
+    assert np.array_equal(mesh1.vertices, want.vertices)
+    assert np.array_equal(mesh1.tri_vertices, want.tri_vertices)
+
+
+@pytest.mark.parametrize("measure", [compute_errors, compute_theta])
+def test_exact_fields_missing_on_a_mesh_domain_are_named(measure):
+    # acoustic61 has no solid fields: the coupled mesh is refused before
+    # the first block, not with a TypeError from calling None
+    coupled = make_case("coupled63")
+    mesh = coupled.mesh_at(0)
+    asm = Assembler(mesh, 1, coupled.params)
+    sol, _ = solve_problem(mesh, 1, coupled.params, coupled.data, assembler=asm)
+    exact = make_case("acoustic61").exact
+    with pytest.raises(ValueError, match=r"solid domain \(E\): sigma, u, gamma_p not set"):
+        measure(asm, sol, exact)
+    fluid_only = dataclasses.replace(coupled.exact, q=None)
+    with pytest.raises(ValueError, match=r"fluid domain \(A\): q not set"):
+        measure(asm, sol, fluid_only)
+
+
 def test_theta_vanishes_when_solution_is_projection():
     """On a polynomial case the discrete solution IS the projected exact
     solution, so the projection-distance measure collapses to round-off."""
-    from hdgwave.verify import compute_theta
-
     case = make_polynomial_case("coupled", 1)
     mesh = case.mesh_at(0)
     asm = Assembler(mesh, 1, case.params)
