@@ -1,11 +1,10 @@
 """Element-local systems of the hybridized scheme and their condensation.
 
-Each element couples its volume unknowns (stress/displacement/spin on solid
-elements, flux/pressure-like scalar on fluid ones) to the polynomial traces
-on its three faces.  Eliminating the volume unknowns with a dense complex LU
-leaves the Schur complement, which maps face traces to the moments of the
-numerical flux against the face test space: exactly what the global
-conservation equations consume.
+Each element couples its volume unknowns x (stress/displacement/spin on
+solid elements, flux/pressure-like scalar on fluid ones) to the polynomial
+traces t on its three faces: A x = B t + f, with numerical flux moments
+C x + D t against the face test space.  Eliminating x leaves the Schur
+complement C A^-1 B + D: exactly what the global conservation equations use.
 
 Face trace layout: faces in local-edge order; per face the vector trace
 stacks x-modes then y-modes of the orthonormal face basis (scalar traces
@@ -15,10 +14,10 @@ spin) and (flux, scalar).
 Everything here is array code over blocks of same-domain elements, with the
 element axis first (``BlockTables``, ``BlockLocals``).  The element matrices
 depend on the element's shape alone: its Jacobian and the orientation of
-its faces.  ``Assembler`` therefore forms and factors
-them once per distinct shape of a domain, in batches, and elements index
-into them; sources, face rules and boundary data are always those of the
-element itself.
+its faces.  ``Assembler`` therefore builds and factors them once per
+distinct shape of a domain, in batches, keeps only the maps the condensed
+route reads, and elements index into them; sources, face rules and boundary
+data are always those of the element itself.
 """
 
 from __future__ import annotations
@@ -122,6 +121,7 @@ class SingularLocalSystem(RuntimeError):
 
 
 BLOCK_SIZE = 256  # elements (or element shapes) per batch
+_SOURCE = {"E": "u", "A": "v"}  # the volume unknowns a domain's source tests
 
 
 @dataclass
@@ -193,42 +193,40 @@ class BlockTables:
 
 @dataclass
 class ShapeOperators:
-    """The element matrices of one domain, one row per distinct element shape.
+    """The condensed operators of one domain, one row per distinct element shape.
 
-    ``lu``/``piv`` factor ``matrix``; ``lift_map`` solves it against
-    ``trace_coupling`` and ``condensed_map = flux_volume @ lift_map +
-    flux_trace`` is the Schur complement.  ``reps`` holds the first element
-    of each shape.
+    With A, B, C, D a shape's blocks (``Assembler.shape_blocks``) and E the
+    identity columns of the source unknowns (u or v): ``lift_map`` = A^-1 B,
+    ``condensed_map`` = C A^-1 B + D, ``source_lift`` = A^-1 E and
+    ``source_flux`` = C A^-1 E.  ``pivot_ratio`` is the least over the largest
+    LU pivot of D A D, and ``reps`` holds the first element of each shape.
     """
 
     reps: np.ndarray
-    matrix: np.ndarray          # (n_shapes, n_vol, n_vol)
-    trace_coupling: np.ndarray  # (n_shapes, n_vol, n_tr)
-    flux_volume: np.ndarray     # (n_shapes, n_tr, n_vol)
-    flux_trace: np.ndarray      # (n_shapes, n_tr, n_tr)
-    lu: np.ndarray              # (n_shapes, n_vol, n_vol)
-    piv: np.ndarray             # (n_shapes, n_vol)
     lift_map: np.ndarray        # (n_shapes, n_vol, n_tr)
     condensed_map: np.ndarray   # (n_shapes, n_tr, n_tr)
+    source_lift: np.ndarray     # (n_shapes, n_vol, n_src)
+    source_flux: np.ndarray     # (n_shapes, n_tr, n_src)
+    pivot_ratio: np.ndarray     # (n_shapes,)
     slices: dict[str, slice]
 
     @property
     def volume_dim(self) -> int:
-        return self.matrix.shape[1]
+        return self.lift_map.shape[1]
 
     @property
     def trace_dim(self) -> int:
-        return self.flux_trace.shape[1]
+        return self.lift_map.shape[2]
 
 
 @dataclass
 class BlockLocals:
     """Condensed local systems of a block of same-domain elements.
 
-    Element ``elems[i]`` uses row ``shape[i]`` of every matrix in ``ops``:
+    Element ``elems[i]`` uses row ``shape[i]`` of every array in ``ops``:
     ``condensed_map @ traces + rhs_trace`` yields its numerical flux moments
-    against the face test space (outward orientation), and ``lift_map @
-    traces + rhs_volume`` its volume unknowns.
+    (outward orientation), and ``lift_map @ traces + rhs_volume`` its volume
+    unknowns; both right-hand sides lift the source f in ``source_moments``.
     """
 
     domain: str                 # "E" or "A"
@@ -252,9 +250,10 @@ def _pair(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     nb, m, n = a.shape[:3]
     tail = tuple(range(a.ndim - 1, 2, -1))
-    wa = a * w.reshape((nb, 1, n) + (1,) * (a.ndim - 3))
-    left = wa.transpose((0, 1) + tail + (2,)).reshape(nb, m, -1)
-    return left @ b.transpose((0,) + tail + (2, 1)).reshape(nb, -1, b.shape[1])
+    # weighted straight into the layout of the product, without a second copy
+    left = np.multiply(a.transpose((0, 1) + tail + (2,)),
+                       w.reshape((nb, 1) + (1,) * len(tail) + (n,)), order="C")
+    return left.reshape(nb, m, -1) @ b.transpose((0,) + tail + (2, 1)).reshape(nb, -1, b.shape[1])
 
 
 def _t(m: np.ndarray) -> np.ndarray:
@@ -276,12 +275,14 @@ def _elastic_blocks(tab: BlockTables, grads, stress_div, params: ModelParams):
     ux = slice(n_sig, n_sig + n_p)
     uy = slice(n_sig + n_p, n_sig + n_u)
 
+    # the largest temporaries first, before the blocks are allocated
+    compliance = _t(_pair(w, hooke_inverse_apply(tv, params.lam, params.mu), tv))
     a = np.zeros((nb, n_vol, n_vol), dtype=complex)
     b = np.zeros((nb, n_vol, 3 * blk), dtype=complex)
     c = np.zeros((nb, 3 * blk, n_vol), dtype=complex)
     d = np.zeros((nb, 3 * blk, 3 * blk), dtype=complex)
 
-    a[:, i_s, i_s] = _t(_pair(w, hooke_inverse_apply(tv, params.lam, params.mu), tv))
+    a[:, i_s, i_s] = compliance
     a[:, i_s, ux] = _t(_pair(w, sv, stress_div[..., 0]))
     a[:, i_s, uy] = _t(_pair(w, sv, stress_div[..., 1]))
     # contraction of a stress test matrix with the spin basis M(p)
@@ -322,7 +323,7 @@ def _elastic_blocks(tab: BlockTables, grads, stress_div, params: ModelParams):
     scale = np.repeat(1.0 / tab.h[:, None], n_vol, axis=1)
     scale[:, 4 * n_p : n_sig] = 1.0
     scale[:, i_u] = (params.rho_e * abs(params.s) ** 2 * tab.h**2 + tau * tab.h)[:, None] ** -0.5
-    return a, b, c, d, {"sigma": i_s, "u": i_u, "gamma": i_g}, scale
+    return (a, b, c, d), {"sigma": i_s, "u": i_u, "gamma": i_g}, scale
 
 
 def _acoustic_blocks(tab: BlockTables, grads, params: ModelParams):
@@ -376,24 +377,7 @@ def _acoustic_blocks(tab: BlockTables, grads, params: ModelParams):
     a[:, i_v, i_v] = m_vv
     scale = np.repeat(1.0 / tab.h[:, None], n_vol, axis=1)
     scale[:, i_v] = (abs(params.s / params.c) ** 2 * tab.h**2 + tau * tab.h)[:, None] ** -0.5
-    return a, b, c, d, {"q": i_q, "v": i_v}, scale
-
-
-def _check_pivots(matrix: np.ndarray, scale: np.ndarray, elems: np.ndarray) -> None:
-    """Raise on a pivot of D A D, D = diag(scale), below 1e-12 of the largest.
-
-    D is 1/h on the P_k stress, spin and flux, 1 on the unit-L2 enrichment,
-    and (m |s|^2 h^2 + tau h)^(-1/2), m = rho_E or 1/c^2, on the displacement
-    or scalar: every block of D A D is then of size one, and the check sees
-    the element's shape and s h and tau h, not its size."""
-    lu, _ = lu_factor(scale[:, :, None] * matrix * scale[:, None])
-    diag = np.abs(np.diagonal(lu, axis1=1, axis2=2))
-    bad = np.flatnonzero(diag.min(axis=1) <= 1e-12 * diag.max(axis=1))
-    if bad.size:
-        i = bad[0]
-        raise SingularLocalSystem(
-            f"element {elems[i]}: volume block pivot {diag[i].min():.3e} vanishes"
-        )
+    return (a, b, c, d), {"q": i_q, "v": i_v}, scale
 
 
 def reconstruct_flux(tables: BlockTables, params: ModelParams,
@@ -477,8 +461,7 @@ class Assembler:
         shape[elems] = inverse.reshape(-1)
         reps = elems[first]
 
-        parts: dict[str, np.ndarray] = {}
-        ops: dict[str, np.ndarray] = {}
+        parts, ops = {}, {}  # name -> per-shape array
         for start in range(0, len(reps), BLOCK_SIZE):
             chunk = reps[start : start + BLOCK_SIZE]
             chunk_parts, chunk_ops, slices = self._shape_operators(chunk, domain)
@@ -494,8 +477,38 @@ class Assembler:
         return result
 
     def _shape_operators(self, reps: np.ndarray, domain: str):
-        """Shape-dependent tables and factored matrices of representative
-        elements, one per shape."""
+        """Shape-dependent tables and condensed operators of representative
+        elements, one per shape, from one LU of D A D, D = diag(scale): 1/h on
+        the P_k stress, spin and flux, 1 on the unit-L2 enrichment, and (m |s|^2
+        h^2 + tau h)^(-1/2), m = rho_E or 1/c^2, on the displacement or scalar.
+        Every block of D A D is then of size one, so the pivot check sees the
+        shape, s h and tau h, not the size.  A^-1 [B | E] = D (D A D)^-1 [D B | D E]."""
+        parts, (a, b, c, d), slices, scale = self.shape_blocks(reps, domain)
+        a *= scale[:, :, None]
+        a *= scale[:, None]
+        lu, piv = lu_factor(a)
+        del a
+        diag = np.abs(np.diagonal(lu, axis1=1, axis2=2))
+        bad = np.flatnonzero(diag.min(axis=1) <= 1e-12 * diag.max(axis=1))
+        if bad.size:
+            raise SingularLocalSystem(f"element {reps[bad[0]]}: volume block pivot "
+                                      f"{diag[bad[0]].min():.3e} vanishes")
+        n_tr, eye = b.shape[2], np.eye(b.shape[1])[:, slices[_SOURCE[domain]]]
+        rhs = np.concatenate([b, np.broadcast_to(eye, b.shape[:1] + eye.shape)],
+                             axis=2) * scale[:, :, None]
+        del b
+        sol = lu_solve((lu, piv), rhs)
+        del rhs, lu
+        sol *= scale[:, :, None]
+        flux = c @ sol
+        ops = dict(lift_map=sol[..., :n_tr], condensed_map=flux[..., :n_tr] + d,
+                   source_lift=sol[..., n_tr:], source_flux=flux[..., n_tr:],
+                   pivot_ratio=diag.min(axis=1) / diag.max(axis=1))
+        return parts, ops, slices
+
+    def shape_blocks(self, reps: np.ndarray, domain: str):
+        """Shape-dependent tables, blocks (A, B, C, D) of A x = B t + f and flux
+        moments C x + D t, volume slices and D's diagonal per representative."""
         ref = self.ref
         nb = len(reps)
         verts = self._verts[reps]
@@ -529,17 +542,9 @@ class Assembler:
                          stress_n=np.einsum("ejfprc,efc->efjpr", on_faces, normals))
             tab = self._stack(reps, domain, faces, parts)
             divs = stress.eval(stress.points, div=True)
-            a, b, c, d, slices, scale = _elastic_blocks(tab, grads, divs, self.params)
-        else:
-            tab = self._stack(reps, domain, faces, parts)
-            a, b, c, d, slices, scale = _acoustic_blocks(tab, grads, self.params)
-
-        _check_pivots(a, scale, reps)
-        lu, piv = lu_factor(a)
-        lift = lu_solve((lu, piv), b)
-        ops = dict(matrix=a, trace_coupling=b, flux_volume=c, flux_trace=d, lu=lu,
-                   piv=piv, lift_map=lift, condensed_map=c @ lift + d)
-        return parts, ops, slices
+            return (parts,) + _elastic_blocks(tab, grads, divs, self.params)
+        tab = self._stack(reps, domain, faces, parts)
+        return (parts,) + _acoustic_blocks(tab, grads, self.params)
 
     def _volume_points(self, shapes: _DomainShapes, elems: np.ndarray):
         """Quadrature points and weights: those of each element's shape, the
@@ -586,23 +591,17 @@ class Assembler:
         out = []
         for domain, elems in self._partition():
             shapes = self._shapes(domain)
-            ops = shapes.ops
-            rows = shapes.shape[elems]
+            ops, rows = shapes.ops, shapes.shape[elems]
             source = f_elastic if domain == "E" else f_acoustic
+            src = ops.slices[_SOURCE[domain]]
             moments = np.zeros((len(elems), ops.volume_dim), dtype=complex)
-            rhs_volume = np.zeros_like(moments)
-            rhs_trace = np.zeros((len(elems), ops.trace_dim), dtype=complex)
             if source is not None:
                 points, weights = self._volume_points(shapes, elems)
                 vals = np.asarray(source(points.reshape(-1, 2)), dtype=complex)
                 vals = vals.reshape(points.shape[:2] + vals.shape[1:])
-                if domain == "E":
-                    f = np.einsum("eq,eqc,iq->eci", weights, vals, self.ref.values)
-                    moments[:, ops.slices["u"]] = f.reshape(len(elems), -1)
-                else:
-                    moments[:, ops.slices["v"]] = np.einsum("eq,eq,iq->ei", weights, vals,
-                                                            self.ref.values)
-                rhs_volume = lu_solve((ops.lu[rows], ops.piv[rows]), moments[..., None])[..., 0]
-                rhs_trace = (ops.flux_volume[rows] @ rhs_volume[..., None])[..., 0]
+                f = np.einsum("eq,eq...,iq->e...i", weights, vals, self.ref.values)
+                moments[:, src] = f.reshape(len(elems), -1)
+            rhs_volume = (ops.source_lift[rows] @ moments[:, src, None])[..., 0]
+            rhs_trace = (ops.source_flux[rows] @ moments[:, src, None])[..., 0]
             out.append(BlockLocals(domain, elems, rows, ops, moments, rhs_volume, rhs_trace))
         return out

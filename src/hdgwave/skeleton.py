@@ -10,10 +10,10 @@ two fields through the normal-velocity and traction matching conditions.
 Assembly, recovery and the residual checks work block by block on the
 arrays of ``local_solver`` (``BlockLocals``, ``BlockTables``), looping over
 blocks and local faces only.  Two assembly routes produce the same solution
-and share every block: the condensed route scatters the Schur complements
-of the elements' shapes, while the monolithic route keeps all volume
-unknowns alongside the trace unknowns.  The second exists to cross-check
-the first.
+from the same blocks: the condensed route scatters the Schur complements
+of the elements' shapes, while the monolithic route rebuilds each shape's
+blocks and keeps all volume unknowns alongside the trace unknowns.  The
+second exists to cross-check the first.
 
 The trace system is LU-factored by SuperLU with a minimum-degree ordering
 of A + A^T.  The matrix is structurally symmetric: a face's rows couple to
@@ -62,14 +62,15 @@ ORDERING = "MMD_AT_PLUS_A"
 class SolveStats:
     """What one sparse solve did: the column ordering, the order ``n`` and the
     stored entries ``nnz`` of the matrix, the entries SuperLU stores for L and
-    U (``lu_fill``), and ``residual_rel`` = ||A x - b|| / ||b|| (the absolute
-    residual when b = 0)."""
+    U (``lu_fill``), ``residual_rel`` = ||A x - b|| / ||b|| (||A x - b|| if
+    b = 0), and the elements' least local ``pivot_ratio`` (1 without any)."""
 
     ordering: str
     n: int
     nnz: int
     lu_fill: int
     residual_rel: float
+    local_pivot_ratio: float
 
 
 @dataclass
@@ -195,19 +196,17 @@ def assemble_system(assembler: Assembler, data: ProblemData,
         c_idx, c_known = idx[:, None, None], known[:, None, None, :, None]
         r_known = known[..., None, None, None]
         if monolithic:
+            _, (a, b, c, d), _, _ = assembler.shape_blocks(loc.ops.reps[loc.shape], loc.domain)
             # the direct trace block is face-diagonal
-            diag = np.eye(3, dtype=bool)[None, :, None, :, None]
-            flux_trace = loc.ops.flux_trace[loc.shape].reshape(nb, 3, blk, 3, blk)
-            add(r_idx, c_idx, r_sign * flux_trace, r_known & c_known & diag)
+            add(r_idx, c_idx, r_sign * d.reshape(nb, 3, blk, 3, blk),
+                r_known & c_known & np.eye(3, dtype=bool)[None, :, None, :, None])
             v_idx = vol_off[loc.elems, None] + np.arange(loc.ops.volume_dim)
-            flux_volume = loc.ops.flux_volume[loc.shape].reshape(nb, 3, blk, -1)
-            add(idx[..., None], v_idx[:, None, None], sign[..., None, None] * flux_volume,
-                known[..., None, None])
-            add(v_idx[..., None], v_idx[:, None], loc.ops.matrix[loc.shape], True)
-            coupling = loc.ops.trace_coupling[loc.shape]
-            add(v_idx[..., None, None], idx[:, None], -coupling.reshape(nb, -1, 3, blk),
+            add(idx[..., None], v_idx[:, None, None],
+                sign[..., None, None] * c.reshape(nb, 3, blk, -1), known[..., None, None])
+            add(v_idx[..., None], v_idx[:, None], a, True)
+            add(v_idx[..., None, None], idx[:, None], -b.reshape(nb, -1, 3, blk),
                 known[:, None, :, None])
-            rhs[v_idx] += (coupling @ fixed[..., None])[..., 0] + loc.source_moments
+            rhs[v_idx] += (b @ fixed[..., None])[..., 0] + loc.source_moments
         else:
             condensed = loc.ops.condensed_map[loc.shape].reshape(nb, 3, blk, 3, blk)
             add(r_idx, c_idx, r_sign * condensed, r_known & c_known)
@@ -328,6 +327,8 @@ def solve_assembled(system: AssembledSystem) -> np.ndarray:
     system.solve_stats = SolveStats(
         ordering=ORDERING, n=matrix.shape[0], nnz=matrix.nnz, lu_fill=lu.nnz,
         residual_rel=residual / scale if scale else residual,
+        local_pivot_ratio=min((float(loc.ops.pivot_ratio[loc.shape].min())
+                               for loc in system.locals_), default=1.0),
     )
     if not np.isfinite(residual) or residual > 1e-10 * scale:
         raise SingularSkeletonSystem(

@@ -273,10 +273,12 @@ def test_solve_reports_what_the_solve_did(tmp_path, capsys):
     out = capsys.readouterr().out
     payload = json.loads((tmp_path / "report.json").read_text())
     stats = payload["solve"]
-    assert set(stats) == {"ordering", "n", "nnz", "lu_fill", "residual_rel"}
+    assert set(stats) == {"ordering", "n", "nnz", "lu_fill", "residual_rel",
+                          "local_pivot_ratio"}
     assert stats["ordering"] == "MMD_AT_PLUS_A" and stats["n"] == payload["N"]
     assert stats["lu_fill"] >= stats["nnz"] > 0
     assert 0.0 <= stats["residual_rel"] < 1e-10
+    assert 1e-12 < stats["local_pivot_ratio"] <= 1.0
     for name, value in stats.items():
         assert f"solve.{name}={value}\n" in out
 

@@ -272,21 +272,25 @@ def unit_source(domain):
     return dict(f_elastic=lambda p: np.ones((len(p), 2)))
 
 
+def blocks_of(asm, loc):
+    """A, B, C and D of each element of a block, rebuilt from its shape."""
+    return asm.shape_blocks(loc.ops.reps[loc.shape], loc.domain)[1]
+
+
 @pytest.mark.parametrize("domain", ["A", "E"])
 def test_schur_complement_matches_direct_elimination(domain):
     params = ModelParams(s=S)
     mesh = acoustic_mesh(1) if domain == "A" else elastic_mesh(1)
-    (loc,) = Assembler(mesh, 2, params).all_locals(**unit_source(domain))
+    asm = Assembler(mesh, 2, params)
+    (loc,) = asm.all_locals(**unit_source(domain))
     ops, rows = loc.ops, loc.shape
     rng = np.random.default_rng(8)
     n = len(loc.elems)
     t = rng.normal(size=(n, ops.trace_dim)) + 1j * rng.normal(size=(n, ops.trace_dim))
     # direct route: eliminate the volume block of each element explicitly
-    a = ops.matrix[rows]
-    x = np.linalg.solve(a, ((ops.trace_coupling[rows] @ t[..., None])[..., 0]
-                            + loc.source_moments)[..., None])[..., 0]
-    direct = ((ops.flux_volume[rows] @ x[..., None])
-              + (ops.flux_trace[rows] @ t[..., None]))[..., 0]
+    a, b, c, d = blocks_of(asm, loc)
+    x = np.linalg.solve(a, ((b @ t[..., None])[..., 0] + loc.source_moments)[..., None])[..., 0]
+    direct = ((c @ x[..., None]) + (d @ t[..., None]))[..., 0]
     schur = (ops.condensed_map[rows] @ t[..., None])[..., 0] + loc.rhs_trace
     assert np.abs(direct - schur).max() < 1e-11
     # and the lift map is exactly that elimination
@@ -294,6 +298,80 @@ def test_schur_complement_matches_direct_elimination(domain):
     assert np.abs(lifted - x).max() < 1e-11
     # the source lift solves the volume block against the source moments
     assert np.abs((a @ loc.rhs_volume[..., None])[..., 0] - loc.source_moments).max() < 1e-12
+
+
+def test_source_maps_match_a_direct_solve():
+    # non-polynomial sources on a jittered coupled mesh, where every element
+    # has its own shape: the stored source maps reproduce the direct solve
+    # of each element's volume block and the flux of its solution
+    mesh = build_structured_coupled(
+        2, (-2.0, -2.0, 2.0, 2.0), (-1.0, -1.0, 1.0, 1.0), jitter=0.15, seed=3)
+    asm = Assembler(mesh, 3, ModelParams(s=S))
+    locs = asm.all_locals(
+        f_acoustic=lambda p: np.exp(p[:, 0]) * np.sin(2.0 * p[:, 1]),
+        f_elastic=lambda p: np.column_stack([np.cos(p[:, 0] * p[:, 1]), np.exp(-p[:, 1])]))
+    assert {loc.domain for loc in locs} == {"A", "E"}
+    for loc in locs:
+        a, _, c, _ = blocks_of(asm, loc)
+        x = np.linalg.solve(a, loc.source_moments[..., None])[..., 0]
+        flux = (c @ x[..., None])[..., 0]
+        assert np.abs(loc.rhs_volume - x).max() <= 1e-12 * np.abs(x).max()
+        assert np.abs(loc.rhs_trace - flux).max() <= 1e-12 * np.abs(flux).max()
+
+
+def held_arrays(obj, seen=None):
+    """Every array reachable from an object through its attributes and
+    containers."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from held_arrays(value, seen)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from held_arrays(value, seen)
+    elif hasattr(obj, "__dict__"):
+        yield from held_arrays(vars(obj), seen)
+
+
+def test_assembler_keeps_no_volume_block():
+    # only the maps of the condensed route stay per shape: no volume block
+    # (n_shapes, n_vol, n_vol), neither A nor its factors
+    mesh = build_structured_coupled(
+        2, (-2.0, -2.0, 2.0, 2.0), (-1.0, -1.0, 1.0, 1.0), jitter=0.15, seed=5)
+    asm = Assembler(mesh, 1, ModelParams(s=S))
+    locs = asm.all_locals(**unit_source("A"), **unit_source("E"))
+    n_vol = {loc.ops.volume_dim for loc in locs}
+    assert n_vol.isdisjoint({loc.ops.trace_dim for loc in locs})
+    held = list(held_arrays((asm, locs)))
+    assert any(arr.shape[1:] == loc.ops.lift_map.shape[1:] for arr in held for loc in locs)
+    assert not [arr.shape for arr in held
+                if arr.ndim >= 3 and arr.shape[-1] == arr.shape[-2] in n_vol]
+
+
+def test_each_shape_is_factored_and_solved_once(monkeypatch):
+    # one LU factorization and one stacked solve per shape; sources are
+    # lifted by products, with no solve per element
+    calls = {"factor": 0, "solve": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += len(args[0] if name == "factor" else args[0][0])
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(local_solver, "lu_factor", counted("factor", local_solver.lu_factor))
+    monkeypatch.setattr(local_solver, "lu_solve", counted("solve", local_solver.lu_solve))
+    mesh = build_structured_coupled(
+        2, (-2.0, -2.0, 2.0, 2.0), (-1.0, -1.0, 1.0, 1.0), jitter=0.15, seed=5)
+    asm = Assembler(mesh, 2, ModelParams(s=S))
+    asm.all_locals(**unit_source("A"), **unit_source("E"))
+    assert calls == {"factor": n_shapes(asm), "solve": n_shapes(asm)} == {
+        "factor": mesh.n_elements, "solve": mesh.n_elements}
 
 
 def pointwise_vs_condensed(params, domain, k=2):
@@ -393,12 +471,14 @@ def test_assembler_matches_uncached_route(tmp_path):
     mesh = acoustic_mesh(2)
     params = ModelParams(s=S)
     src = lambda p: np.sin(p[:, 0]) * np.cos(p[:, 1])
-    (loc,) = Assembler(mesh, 2, params).all_locals(f_acoustic=src)
+    asm = Assembler(mesh, 2, params)
+    (loc,) = asm.all_locals(f_acoustic=src)
     for elem in (0, 3, 5):
         i = int(np.flatnonzero(loc.elems == elem)[0])
-        alone = one_element_mesh(tmp_path, triangle(mesh, elem), "A")
-        (fresh,) = Assembler(alone, 2, params).all_locals(f_acoustic=src)
-        for name in ("matrix", "lift_map", "condensed_map"):
+        alone = Assembler(one_element_mesh(tmp_path, triangle(mesh, elem), "A"), 2, params)
+        (fresh,) = alone.all_locals(f_acoustic=src)
+        assert np.abs(blocks_of(asm, loc)[0][i] - blocks_of(alone, fresh)[0][0]).max() < 1e-13
+        for name in ("lift_map", "condensed_map", "source_lift", "source_flux"):
             shared = getattr(loc.ops, name)[loc.shape[i]]
             assert np.abs(shared - getattr(fresh.ops, name)[0]).max() < 1e-13
         for name in ("rhs_volume", "rhs_trace", "source_moments"):
@@ -425,15 +505,19 @@ def test_similar_elements_of_different_size_do_not_share(tmp_path, domain):
     params = ModelParams(s=S)
     source = {"f_acoustic": lambda p: np.sin(p[:, 0]) * np.cos(p[:, 1])} if domain == "A" \
         else {"f_elastic": lambda p: np.column_stack([np.sin(p[:, 0]), p[:, 0] * p[:, 1]])}
-    (loc,) = Assembler(mesh, 2, params).all_locals(**source)
+    asm = Assembler(mesh, 2, params)
+    (loc,) = asm.all_locals(**source)
     assert loc.shape[0] != loc.shape[1]
     for elem in (0, 1):
-        alone = one_element_mesh(tmp_path, triangle(mesh, elem), domain)
-        (fresh,) = Assembler(alone, 2, params).all_locals(**source)
-        for name in ("matrix", "lift_map", "condensed_map"):
-            shared = getattr(loc.ops, name)[loc.shape[elem]]
-            scale = np.abs(shared).max()
-            assert np.abs(shared - getattr(fresh.ops, name)[0]).max() < 1e-13 * scale
+        alone = Assembler(one_element_mesh(tmp_path, triangle(mesh, elem), domain), 2, params)
+        (fresh,) = alone.all_locals(**source)
+        shared = {"matrix": blocks_of(asm, loc)[0][elem]}
+        fresh_ops = {"matrix": blocks_of(alone, fresh)[0][0]}
+        for name in ("lift_map", "condensed_map", "source_lift", "source_flux"):
+            shared[name] = getattr(loc.ops, name)[loc.shape[elem]]
+            fresh_ops[name] = getattr(fresh.ops, name)[0]
+        for name, arr in shared.items():
+            assert np.abs(arr - fresh_ops[name]).max() < 1e-13 * np.abs(arr).max()
         for name in ("rhs_volume", "rhs_trace", "source_moments"):
             assert np.abs(getattr(loc, name)[elem] - getattr(fresh, name)[0]).max() < 1e-13
 
@@ -548,6 +632,7 @@ def test_batched_stress_tables_match_the_one_triangle_basis(k):
     asm = Assembler(mesh, k, ModelParams(s=S))
     shapes = asm._shapes("E")
     ops, parts = shapes.ops, shapes.parts
+    matrix = asm.shape_blocks(ops.reps, "E")[1][0]
     n_p = asm.ref.n_scalar
     n_sig = ops.slices["sigma"].stop
     ux = slice(n_sig, n_sig + n_p)
@@ -567,7 +652,7 @@ def test_batched_stress_tables_match_the_one_triangle_basis(k):
         div = basis.eval_div(pts)
         for c, cols in enumerate((ux, uy)):
             want = np.einsum("q,iq,jq->ji", w, asm.ref.values, div[..., c])
-            got = ops.matrix[row, : basis.dim, cols]
+            got = matrix[row, : basis.dim, cols]
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
