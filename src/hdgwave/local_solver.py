@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import zgecon
 
 from .elastic_spaces import StressTables
 from .mesh import FaceRule, Mesh, face_rule
@@ -117,10 +118,16 @@ def hooke_inverse_apply(m, lam: float, mu: float) -> np.ndarray:
 
 
 class SingularLocalSystem(RuntimeError):
-    """Raised when an element volume block has a vanishing pivot."""
+    """Raised when an element's scaled volume block D A D is too ill-conditioned
+    to solve: its estimated reciprocal 1-norm condition number is at most
+    ``RCOND_FLOOR``."""
 
 
 BLOCK_SIZE = 256  # elements (or element shapes) per batch
+# a solve with D A D can lose about log10(1 / rcond) digits: at 1e-10 the
+# polynomial stress of the tests' thinness ladder stays within 2e-9, and
+# well-shaped meshes pass at k = 6 (cond 1e8 to 1e9)
+RCOND_FLOOR = 1e-10
 _SOURCE = {"E": "u", "A": "v"}  # the volume unknowns a domain's source tests
 
 
@@ -198,8 +205,9 @@ class ShapeOperators:
     With A, B, C, D a shape's blocks (``Assembler.shape_blocks``) and E the
     identity columns of the source unknowns (u or v): ``lift_map`` = A^-1 B,
     ``condensed_map`` = C A^-1 B + D, ``source_lift`` = A^-1 E and
-    ``source_flux`` = C A^-1 E.  ``pivot_ratio`` is the least over the largest
-    LU pivot of D A D, and ``reps`` holds the first element of each shape.
+    ``source_flux`` = C A^-1 E.  ``rcond`` is LAPACK's estimate of the
+    reciprocal 1-norm condition number of D A D, and ``reps`` holds the first
+    element of each shape.
     """
 
     reps: np.ndarray
@@ -207,7 +215,7 @@ class ShapeOperators:
     condensed_map: np.ndarray   # (n_shapes, n_tr, n_tr)
     source_lift: np.ndarray     # (n_shapes, n_vol, n_src)
     source_flux: np.ndarray     # (n_shapes, n_tr, n_src)
-    pivot_ratio: np.ndarray     # (n_shapes,)
+    rcond: np.ndarray           # (n_shapes,)
     slices: dict[str, slice]
 
     @property
@@ -481,18 +489,20 @@ class Assembler:
         elements, one per shape, from one LU of D A D, D = diag(scale): 1/h on
         the P_k stress, spin and flux, 1 on the unit-L2 enrichment, and (m |s|^2
         h^2 + tau h)^(-1/2), m = rho_E or 1/c^2, on the displacement or scalar.
-        Every block of D A D is then of size one, so the pivot check sees the
-        shape, s h and tau h, not the size.  A^-1 [B | E] = D (D A D)^-1 [D B | D E]."""
+        Every block of D A D is then of size one, so its condition number, and
+        the verdict on it, see the shape, s h and tau h, not the size.
+        A^-1 [B | E] = D (D A D)^-1 [D B | D E]."""
         parts, (a, b, c, d), slices, scale = self.shape_blocks(reps, domain)
         a *= scale[:, :, None]
         a *= scale[:, None]
+        anorm = np.abs(a).sum(axis=1).max(axis=1)
         lu, piv = lu_factor(a)
         del a
-        diag = np.abs(np.diagonal(lu, axis1=1, axis2=2))
-        bad = np.flatnonzero(diag.min(axis=1) <= 1e-12 * diag.max(axis=1))
+        rcond = np.array([zgecon(m, norm_1)[0] for m, norm_1 in zip(lu, anorm)])
+        bad = np.flatnonzero(~(rcond > RCOND_FLOOR))
         if bad.size:
-            raise SingularLocalSystem(f"element {reps[bad[0]]}: volume block pivot "
-                                      f"{diag[bad[0]].min():.3e} vanishes")
+            raise SingularLocalSystem(f"element {reps[bad[0]]}: volume block ill-conditioned, "
+                                      f"rcond {rcond[bad[0]]:.3e} <= {RCOND_FLOOR:.0e}")
         n_tr, eye = b.shape[2], np.eye(b.shape[1])[:, slices[_SOURCE[domain]]]
         rhs = np.concatenate([b, np.broadcast_to(eye, b.shape[:1] + eye.shape)],
                              axis=2) * scale[:, :, None]
@@ -502,8 +512,7 @@ class Assembler:
         sol *= scale[:, :, None]
         flux = c @ sol
         ops = dict(lift_map=sol[..., :n_tr], condensed_map=flux[..., :n_tr] + d,
-                   source_lift=sol[..., n_tr:], source_flux=flux[..., n_tr:],
-                   pivot_ratio=diag.min(axis=1) / diag.max(axis=1))
+                   source_lift=sol[..., n_tr:], source_flux=flux[..., n_tr:], rcond=rcond)
         return parts, ops, slices
 
     def shape_blocks(self, reps: np.ndarray, domain: str):
@@ -536,7 +545,7 @@ class Assembler:
         grads = (ref.grads[..., 0, None] * inv[:, None, None, 0]
                  + ref.grads[..., 1, None] * inv[:, None, None, 1])
         if domain == "E":
-            stress = StressTables(ref, jac, h, names=reps)
+            stress = StressTables(ref, jac)
             on_faces = stress.eval(face_xi.reshape(nb, -1, 2)).reshape(nb, -1, 3, n_fq, 2, 2)
             parts.update(stress_vals=stress.volume,
                          stress_n=np.einsum("ejfprc,efc->efjpr", on_faces, normals))

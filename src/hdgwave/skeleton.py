@@ -63,14 +63,14 @@ class SolveStats:
     """What one sparse solve did: the column ordering, the order ``n`` and the
     stored entries ``nnz`` of the matrix, the entries SuperLU stores for L and
     U (``lu_fill``), ``residual_rel`` = ||A x - b|| / ||b|| (||A x - b|| if
-    b = 0), and the elements' least local ``pivot_ratio`` (1 without any)."""
+    b = 0), and the elements' least local ``rcond`` (1 without any)."""
 
     ordering: str
     n: int
     nnz: int
     lu_fill: int
     residual_rel: float
-    local_pivot_ratio: float
+    local_rcond: float
 
 
 @dataclass
@@ -327,7 +327,7 @@ def solve_assembled(system: AssembledSystem) -> np.ndarray:
     system.solve_stats = SolveStats(
         ordering=ORDERING, n=matrix.shape[0], nnz=matrix.nnz, lu_fill=lu.nnz,
         residual_rel=residual / scale if scale else residual,
-        local_pivot_ratio=min((float(loc.ops.pivot_ratio[loc.shape].min())
+        local_rcond=min((float(loc.ops.rcond[loc.shape].min())
                                for loc in system.locals_), default=1.0),
     )
     if not np.isfinite(residual) or residual > 1e-10 * scale:

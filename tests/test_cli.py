@@ -23,6 +23,7 @@ from hdgwave.cli import (
     main,
     parse_config,
 )
+from hdgwave.local_solver import RCOND_FLOOR
 from hdgwave.mesh import build_structured_coupled, load_mesh, save_mesh, validate_mesh
 
 # -- low-level parsers --------------------------------------------------------
@@ -274,11 +275,11 @@ def test_solve_reports_what_the_solve_did(tmp_path, capsys):
     payload = json.loads((tmp_path / "report.json").read_text())
     stats = payload["solve"]
     assert set(stats) == {"ordering", "n", "nnz", "lu_fill", "residual_rel",
-                          "local_pivot_ratio"}
+                          "local_rcond"}
     assert stats["ordering"] == "MMD_AT_PLUS_A" and stats["n"] == payload["N"]
     assert stats["lu_fill"] >= stats["nnz"] > 0
     assert 0.0 <= stats["residual_rel"] < 1e-10
-    assert 1e-12 < stats["local_pivot_ratio"] <= 1.0
+    assert RCOND_FLOOR < stats["local_rcond"] <= 1.0
     for name, value in stats.items():
         assert f"solve.{name}={value}\n" in out
 

@@ -25,6 +25,8 @@ from hdgwave.local_solver import (
 )
 from hdgwave.elastic_spaces import build_stress_basis
 from hdgwave.mesh import KINDS, FaceKind, build_structured_coupled, face_rule, load_mesh
+from hdgwave.skeleton import solve_problem
+from hdgwave.verify import make_polynomial_case
 
 S = 2.0 - 1.0j
 
@@ -582,7 +584,7 @@ def test_both_sides_of_a_face_see_its_face_rule(monkeypatch, block_size):
     assert kinds == {FaceKind.INTERIOR_A, FaceKind.INTERIOR_E, FaceKind.GAMMA}
 
 
-# -- pivot check -------------------------------------------------------------
+# -- local condition verdict -------------------------------------------------
 
 
 @pytest.mark.parametrize("scale", [1e-7, 1e6])
@@ -670,21 +672,59 @@ def two_element_solid_mesh(tmp_path, vertex2):
 
 
 def test_thin_triangle_assembles_while_its_pivots_resolve(tmp_path):
-    # element 1 has h^2/area = 99: its stress basis has the reference rank
-    # at every degree, and only the pivot check of its local system, at
-    # k = 6, finds it too thin
+    # element 1 has h^2/area = 99: the mapped reference enrichment keeps its
+    # local system within the condition floor at every degree up to 6
     mesh = two_element_solid_mesh(tmp_path, "0.12882564 -0.03100212")
-    for k in (3, 4, 5):
+    for k in (3, 4, 5, 6):
         (loc,) = Assembler(mesh, k, ModelParams(s=S)).all_locals()
         assert np.isfinite(loc.ops.condensed_map).all()
-    with pytest.raises(SingularLocalSystem, match="element 1: volume block pivot"):
-        Assembler(mesh, 6, ModelParams(s=S)).all_locals()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_thinness_ladder_is_accurate_or_refused_monotonically(tmp_path, k):
+    # element 1's apex sits 2h/ratio off the midpoint of its longest edge, so
+    # h^2/area = ratio = 10 ... 1e10; on each rung the degree-k polynomial
+    # stress is reproduced to 1e-8, or element 1 is refused, and so is every
+    # thinner rung after it
+    v0, v1 = np.array([-0.61876488, 0.7259]), np.array([0.79764753, -0.82797513])
+    h = np.linalg.norm(v1 - v0)
+    normal = np.array([v0[1] - v1[1], v1[0] - v0[0]]) / h
+    case = make_polynomial_case("elastic", k)
+    verdicts = []
+    for ratio in 10.0 ** np.arange(1, 11):
+        apex = 0.5 * (v0 + v1) + 2.0 * h / ratio * normal
+        mesh = two_element_solid_mesh(tmp_path, " ".join(map(repr, apex.tolist())))
+        asm = Assembler(mesh, k, case.params)
+        try:
+            sol, _ = solve_problem(mesh, k, case.params, case.data, assembler=asm)
+        except SingularLocalSystem as exc:
+            assert str(exc).startswith("element 1: ")
+            verdicts.append(False)
+            continue
+        err = norm = 0.0
+        for blk in asm.blocks():
+            exact = blk.sample_volume(case.exact.sigma)
+            err += blk.l2sq(blk.stress_at_points(sol.parts["sigma"][sol.row[blk.elems]]) - exact)
+            norm += blk.l2sq(exact)
+        assert np.sqrt(err / norm) <= 1e-8, f"h^2/area = {ratio:.0e}"
+        verdicts.append(True)
+    assert verdicts == sorted(verdicts, reverse=True), verdicts
+
+
+def test_jittered_coupled_mesh_assembles_at_degree_six():
+    # the guard from below: the condition floor lets the coarse jittered
+    # coupled63 mesh through at the highest degree the tests use
+    mesh = build_structured_coupled(
+        2, (-2.0, -2.0, 2.0, 2.0), (-1.0, -1.0, 1.0, 1.0), jitter=0.15, seed=5)
+    locs = Assembler(mesh, 6, ModelParams(s=S)).all_locals()
+    assert sum(len(loc.elems) for loc in locs) == mesh.n_elements
+    assert all(np.isfinite(loc.ops.condensed_map).all() for loc in locs)
 
 
 def test_rank_deficient_stress_basis_names_its_element(tmp_path):
     # element 1 is a sliver (h^2/area = 3e10) on which the degree-4 stress
-    # basis is numerically rank deficient: the pivot check of its local
-    # system rejects it and names it
+    # basis is numerically rank deficient: the condition estimate of its
+    # local system rejects it and names it
     mesh = two_element_solid_mesh(tmp_path, "0.0894413251 -0.0510375649")
     with pytest.raises(RuntimeError, match="element 1: "):
         Assembler(mesh, 4, ModelParams(s=S)).all_locals()
