@@ -25,8 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.lapack import zgecon
+from scipy.linalg.lapack import zgecon, zgetrf, zgetrs
 
 from .elastic_spaces import StressTables
 from .mesh import FaceRule, Mesh, face_rule
@@ -118,12 +117,13 @@ def hooke_inverse_apply(m, lam: float, mu: float) -> np.ndarray:
 
 
 class SingularLocalSystem(RuntimeError):
-    """Raised when an element's scaled volume block D A D is too ill-conditioned
-    to solve: its estimated reciprocal 1-norm condition number is at most
-    ``RCOND_FLOOR``."""
+    """Raised when an element's local system is not finite, or its scaled volume
+    block D A D too ill-conditioned to solve: its estimated reciprocal 1-norm
+    condition number is at most ``RCOND_FLOOR``."""
 
 
-BLOCK_SIZE = 256  # elements (or element shapes) per batch
+BLOCK_SIZE = 256  # elements per batch
+SHAPE_CHUNK = 64  # element shapes whose local operators are built together
 # a solve with D A D can lose about log10(1 / rcond) digits: at 1e-10 the
 # polynomial stress of the tests' thinness ladder stays within 2e-9, and
 # well-shaped meshes pass at k = 6 (cond 1e8 to 1e9)
@@ -138,9 +138,10 @@ class BlockTables:
     Face arrays carry a local-face axis after the element axis.  ``faces``
     is the ``face_rule`` of ``face_ids``: points (nb, 3, nfq, 2), weights
     (nb, 3, nfq) and basis (nb, 3, k+1, nfq), so both neighbours of a face
-    integrate it identically.  Face values are sampled with
-    ``faces.sample`` and integrated with ``faces.moments``, which returns
-    the component-major trace layout (nb, 3, m (k+1)) of m components.
+    integrate it identically.  Face values are sampled with ``faces.sample``
+    and integrated with ``faces.moments`` (component-major trace layout
+    (nb, 3, m (k+1)) of m components).  The P_k stress members are
+    ``scalar`` in each matrix slot, so only the ``enrichment`` is stored.
     """
 
     elems: np.ndarray           # (nb,)
@@ -150,7 +151,7 @@ class BlockTables:
     points: np.ndarray          # (nb, nq, 2)
     weights: np.ndarray         # (nb, nq)
     scalar: np.ndarray          # (nb, n_scalar, nq), the reference values
-    stress_vals: np.ndarray | None  # (nb, n_stress, nq, 2, 2), solid blocks
+    enrichment: np.ndarray | None  # (nb, k+1, nq, 2, 2) enrichment members, solid blocks
     face_ids: np.ndarray        # (nb, 3)
     faces: FaceRule             # the rules of the faces, element-first
     normals: np.ndarray         # (nb, 3, 2) outward
@@ -180,12 +181,15 @@ class BlockTables:
         return vals.transpose(0, 1, 3, 2).reshape((nb, 3, nfq) + coef.shape[2:-1])
 
     def stress_at_points(self, coef: np.ndarray) -> np.ndarray:
-        """Values (nb, nq, 2, 2) of stress-basis coefficients (nb, n_stress)."""
-        nb, n_s, nq = self.stress_vals.shape[:3]
-        table = self.stress_vals.reshape(nb, n_s, -1)
-        coef = coef[:, None, :]
-        vals = coef.real @ table + 1j * (coef.imag @ table)
-        return vals.reshape(nb, nq, 2, 2)
+        """Values (nb, nq, 2, 2) of stress-basis coefficients (nb, n_stress):
+        the P_k members are the scalar basis in each matrix slot, slot-major,
+        and the last k+1 the ``enrichment``."""
+        nb, n_e, nq = self.enrichment.shape[:3]
+        n_pk = coef.shape[1] - n_e
+        vals = self.at_points(coef[:, :n_pk].reshape(nb, 4, -1)).reshape(nb, nq, 2, 2)
+        table = self.enrichment.reshape(nb, n_e, -1)
+        enr = coef[:, None, n_pk:]
+        return vals + (enr.real @ table + 1j * (enr.imag @ table)).reshape(nb, nq, 2, 2)
 
     def sample_volume(self, fn) -> np.ndarray:
         """Values (nb, nq, ...) of a pointwise function at the volume points."""
@@ -205,9 +209,9 @@ class ShapeOperators:
     With A, B, C, D a shape's blocks (``Assembler.shape_blocks``) and E the
     identity columns of the source unknowns (u or v): ``lift_map`` = A^-1 B,
     ``condensed_map`` = C A^-1 B + D, ``source_lift`` = A^-1 E and
-    ``source_flux`` = C A^-1 E.  ``rcond`` is LAPACK's estimate of the
-    reciprocal 1-norm condition number of D A D, and ``reps`` holds the first
-    element of each shape.
+    ``source_flux`` = C A^-1 E, the two lifts Fortran-ordered per shape as
+    LAPACK solved them.  ``rcond`` is LAPACK's estimate of the reciprocal
+    1-norm condition number of D A D; ``reps`` holds each shape's first element.
     """
 
     reps: np.ndarray
@@ -268,15 +272,15 @@ def _t(m: np.ndarray) -> np.ndarray:
     return m.transpose(0, 2, 1)
 
 
-def _elastic_blocks(tab: BlockTables, grads, stress_div, params: ModelParams):
+def _elastic_blocks(tab: BlockTables, stress_vals, grads, stress_div, params: ModelParams):
     nb, n_p = tab.scalar.shape[:2]
-    n_sig = tab.stress_vals.shape[1]
+    n_sig = stress_vals.shape[1]
     n_u = 2 * n_p
     n_vol = n_sig + n_u + n_p
     kp1 = tab.k + 1
     blk = 2 * kp1
     tau = params.tau_e
-    w, sv, tv = tab.weights, tab.scalar, tab.stress_vals
+    w, sv, tv = tab.weights, tab.scalar, stress_vals
     i_s = slice(0, n_sig)
     i_u = slice(n_sig, n_sig + n_u)
     i_g = slice(n_sig + n_u, n_vol)
@@ -285,7 +289,7 @@ def _elastic_blocks(tab: BlockTables, grads, stress_div, params: ModelParams):
 
     # the largest temporaries first, before the blocks are allocated
     compliance = _t(_pair(w, hooke_inverse_apply(tv, params.lam, params.mu), tv))
-    a = np.zeros((nb, n_vol, n_vol), dtype=complex)
+    a = np.zeros((nb, n_vol, n_vol), dtype=complex).transpose(0, 2, 1)  # Fortran per shape
     b = np.zeros((nb, n_vol, 3 * blk), dtype=complex)
     c = np.zeros((nb, 3 * blk, n_vol), dtype=complex)
     d = np.zeros((nb, 3 * blk, 3 * blk), dtype=complex)
@@ -343,7 +347,7 @@ def _acoustic_blocks(tab: BlockTables, grads, params: ModelParams):
     qx, qy = slice(0, n_p), slice(n_p, 2 * n_p)
     i_q, i_v = slice(0, 2 * n_p), slice(2 * n_p, n_vol)
 
-    a = np.zeros((nb, n_vol, n_vol), dtype=complex)
+    a = np.zeros((nb, n_vol, n_vol), dtype=complex).transpose(0, 2, 1)  # Fortran per shape
     b = np.zeros((nb, n_vol, 3 * kp1), dtype=complex)
     c = np.zeros((nb, 3 * kp1, n_vol), dtype=complex)
     d = np.zeros((nb, 3 * kp1, 3 * kp1), dtype=complex)
@@ -400,7 +404,7 @@ def reconstruct_flux(tables: BlockTables, params: ModelParams,
     """
     nb, n_p = tables.scalar.shape[:2]
     if tables.domain == "E":
-        n_sig = tables.stress_vals.shape[1]
+        n_sig = tables.stress_n.shape[2]
         sig_n = np.einsum("ej,efjpc->efpc", volume[:, :n_sig], tables.stress_n)
         u_val = tables.at_face_points(volume[:, n_sig : n_sig + 2 * n_p].reshape(nb, 2, n_p))
         uhat_val = tables.traces_at_face_points(traces.reshape(nb, 3, 2, -1))
@@ -470,13 +474,14 @@ class Assembler:
         reps = elems[first]
 
         parts, ops = {}, {}  # name -> per-shape array
-        for start in range(0, len(reps), BLOCK_SIZE):
-            chunk = reps[start : start + BLOCK_SIZE]
+        for start in range(0, len(reps), SHAPE_CHUNK):
+            chunk = reps[start : start + SHAPE_CHUNK]
             chunk_parts, chunk_ops, slices = self._shape_operators(chunk, domain)
             for out, new in ((parts, chunk_parts), (ops, chunk_ops)):
                 for name, arr in new.items():
-                    # empty_like keeps the chunk's memory layout, and with it
-                    # the rounding of later products with these matrices
+                    # empty_like keeps the chunk's memory layout (the maps
+                    # are Fortran-ordered per shape, as LAPACK left them),
+                    # and with it the rounding of later products with them
                     if name not in out:
                         out[name] = np.empty_like(arr, shape=(len(reps),) + arr.shape[1:])
                     out[name][start : start + len(chunk)] = arr
@@ -491,24 +496,31 @@ class Assembler:
         h^2 + tau h)^(-1/2), m = rho_E or 1/c^2, on the displacement or scalar.
         Every block of D A D is then of size one, so its condition number, and
         the verdict on it, see the shape, s h and tau h, not the size.
-        A^-1 [B | E] = D (D A D)^-1 [D B | D E]."""
+        A^-1 [B | E] = D (D A D)^-1 [D B | D E], each shape's matrices
+        Fortran-ordered so that LAPACK factors and solves them in place; every
+        shape of the chunk is judged before any is solved."""
         parts, (a, b, c, d), slices, scale = self.shape_blocks(reps, domain)
         a *= scale[:, :, None]
         a *= scale[:, None]
-        anorm = np.abs(a).sum(axis=1).max(axis=1)
-        lu, piv = lu_factor(a)
-        del a
-        rcond = np.array([zgecon(m, norm_1)[0] for m, norm_1 in zip(lu, anorm)])
+        n_tr, eye = b.shape[2], np.eye(b.shape[1])[:, slices[_SOURCE[domain]]]
+        sol = np.zeros((len(reps), n_tr + eye.shape[1], b.shape[1]), complex).transpose(0, 2, 1)
+        np.multiply(b, scale[:, :, None], out=sol[..., :n_tr])  # [D B | D E], solved in place
+        np.multiply(eye, scale[:, :, None], out=sol[..., n_tr:])
+        finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(sol).all(axis=(1, 2))
+        if not finite.all():
+            raise SingularLocalSystem(f"element {reps[finite.argmin()]}: local system not finite")
+        anorm = np.abs(a, order="C").sum(axis=1).max(axis=1)  # summed as over C order
+        # info > 0: U has an exact zero pivot, so rcond is 0
+        lus = [zgetrf(m, overwrite_a=True) for m in a]
+        rcond = np.array([0.0 if info else zgecon(lu, norm_1)[0]
+                          for (lu, _, info), norm_1 in zip(lus, anorm)])
         bad = np.flatnonzero(~(rcond > RCOND_FLOOR))
         if bad.size:
             raise SingularLocalSystem(f"element {reps[bad[0]]}: volume block ill-conditioned, "
                                       f"rcond {rcond[bad[0]]:.3e} <= {RCOND_FLOOR:.0e}")
-        n_tr, eye = b.shape[2], np.eye(b.shape[1])[:, slices[_SOURCE[domain]]]
-        rhs = np.concatenate([b, np.broadcast_to(eye, b.shape[:1] + eye.shape)],
-                             axis=2) * scale[:, :, None]
-        del b
-        sol = lu_solve((lu, piv), rhs)
-        del rhs, lu
+        for i, (lu, piv, _) in enumerate(lus):
+            sol[i] = zgetrs(lu, piv, sol[i], overwrite_b=True)[0]
+        del a, lus
         sol *= scale[:, :, None]
         flux = c @ sol
         ops = dict(lift_map=sol[..., :n_tr], condensed_map=flux[..., :n_tr] + d,
@@ -547,11 +559,11 @@ class Assembler:
         if domain == "E":
             stress = StressTables(ref, jac)
             on_faces = stress.eval(face_xi.reshape(nb, -1, 2)).reshape(nb, -1, 3, n_fq, 2, 2)
-            parts.update(stress_vals=stress.volume,
+            parts.update(enrichment=stress.volume[:, stress.dim_tensor :],
                          stress_n=np.einsum("ejfprc,efc->efjpr", on_faces, normals))
             tab = self._stack(reps, domain, faces, parts)
             divs = stress.eval(stress.points, div=True)
-            return (parts,) + _elastic_blocks(tab, grads, divs, self.params)
+            return (parts,) + _elastic_blocks(tab, stress.volume, grads, divs, self.params)
         tab = self._stack(reps, domain, faces, parts)
         return (parts,) + _acoustic_blocks(tab, grads, self.params)
 
@@ -567,7 +579,7 @@ class Assembler:
         scalar = np.broadcast_to(self.ref.values, (len(elems),) + self.ref.values.shape)
         return BlockTables(elems=elems, domain=domain, k=self.k, scalar=scalar,
                            face_ids=self.mesh.element_faces[elems], faces=faces,
-                           **{"stress_vals": None, "stress_n": None, **parts})
+                           **{"enrichment": None, "stress_n": None, **parts})
 
     def _block(self, elems: np.ndarray, domain: str) -> BlockTables:
         shapes = self._shapes(domain)

@@ -496,7 +496,7 @@ def energy_quantities(assembler: Assembler, solution: FieldSolution) -> dict[str
         vol = solution.volume[blk.domain][solution.row[blk.elems]]
         tr = (solution.uhat if blk.domain == "E" else solution.vhat)[blk.face_ids]
         if blk.domain == "E":
-            n_sig = blk.stress_vals.shape[1]
+            n_sig = blk.stress_n.shape[2]
             sig = blk.stress_at_points(vol[:, :n_sig])
             comp = hooke_inverse_apply(sig, params.lam, params.mu)
             e_solid += re_s * float(

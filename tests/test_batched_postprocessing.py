@@ -26,6 +26,7 @@ from hdgwave.projections import (
 )
 from hdgwave.skeleton import solve_problem
 from hdgwave.verify import compute_errors, make_case
+from stress_members import stress_members
 
 REL = 1e-12
 
@@ -60,7 +61,8 @@ def reference_errors(asm, sol, exact):
         w, pts, sv, h = tab.weights[0], tab.points[0], tab.scalar[0], tab.h[0]
         row = sol.row[elem]  # the element's row in its domain's arrays
         if tab.domain == "E":
-            sig_h = np.einsum("j,jqrc->qrc", sol.parts["sigma"][row], tab.stress_vals[0])
+            sig_h = np.einsum("j,jqrc->qrc", sol.parts["sigma"][row],
+                              stress_members(sv, tab.enrichment[0]))
             acc["sigma"] += l2sq(w, sig_h - exact.sigma(pts))
             acc["u"] += l2sq(w, vector_values(sv, sol.parts["u"][row]) - exact.u(pts))
             g_h = sv.T @ sol.parts["gamma"][row]
@@ -87,7 +89,8 @@ def reference_theta(asm, sol, exact):
         if tab.domain == "E":
             pe = project_elastic(tab, params, exact.sigma, exact.u)
             sig_p = np.einsum("rcj,jq->qrc", pe.sigma, sv)
-            sig_h = np.einsum("j,jqrc->qrc", parts["sigma"][row], tab.stress_vals[0])
+            sig_h = np.einsum("j,jqrc->qrc", parts["sigma"][row],
+                              stress_members(sv, tab.enrichment[0]))
             total += l2sq(w, sig_p - sig_h)
             u_p = np.einsum("rj,jq->qr", pe.u, sv)
             total += l2sq(w, u_p - vector_values(sv, parts["u"][row]))

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
 from hdgwave import local_solver
 from hdgwave.local_solver import (
@@ -27,6 +28,7 @@ from hdgwave.elastic_spaces import build_stress_basis
 from hdgwave.mesh import KINDS, FaceKind, build_structured_coupled, face_rule, load_mesh
 from hdgwave.skeleton import solve_problem
 from hdgwave.verify import make_polynomial_case
+from stress_members import stress_members
 
 S = 2.0 - 1.0j
 
@@ -245,9 +247,13 @@ def test_elastic_local_consistency(k):
     asm = Assembler(mesh, k, params)
     for blk, loc, t, vol, flux in solved_blocks(asm, exact.u, f_elastic=exact.f):
         nb, n_p = len(blk.elems), blk.scalar.shape[1]
-        n_sig = blk.stress_vals.shape[1]
+        n_sig = loc.ops.slices["sigma"].stop
         pts = blk.points.reshape(-1, 2)
         sig_h = blk.stress_at_points(vol[:, :n_sig])
+        for e in range(nb):
+            members = stress_members(blk.scalar[e], blk.enrichment[e])
+            want = np.einsum("j,jqrc->qrc", vol[e, :n_sig], members)
+            assert np.abs(sig_h[e] - want).max() <= 1e-13 * np.abs(want).max()
         assert np.abs(sig_h - exact.sigma(pts).reshape(sig_h.shape)).max() < 1e-10
         u_h = blk.at_points(vol[:, n_sig:n_sig + 2 * n_p].reshape(nb, 2, n_p))
         assert np.abs(u_h - exact.u(pts).reshape(u_h.shape)).max() < 1e-10
@@ -356,24 +362,100 @@ def test_assembler_keeps_no_volume_block():
 
 
 def test_each_shape_is_factored_and_solved_once(monkeypatch):
-    # one LU factorization and one stacked solve per shape; sources are
-    # lifted by products, with no solve per element
+    # one LU factorization and one solve per shape; sources are lifted by
+    # products, with no solve per element
     calls = {"factor": 0, "solve": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            calls[name] += len(args[0] if name == "factor" else args[0][0])
+            calls[name] += 1
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(local_solver, "lu_factor", counted("factor", local_solver.lu_factor))
-    monkeypatch.setattr(local_solver, "lu_solve", counted("solve", local_solver.lu_solve))
+    monkeypatch.setattr(local_solver, "zgetrf", counted("factor", local_solver.zgetrf))
+    monkeypatch.setattr(local_solver, "zgetrs", counted("solve", local_solver.zgetrs))
     mesh = build_structured_coupled(
         2, (-2.0, -2.0, 2.0, 2.0), (-1.0, -1.0, 1.0, 1.0), jitter=0.15, seed=5)
     asm = Assembler(mesh, 2, ModelParams(s=S))
     asm.all_locals(**unit_source("A"), **unit_source("E"))
     assert calls == {"factor": n_shapes(asm), "solve": n_shapes(asm)} == {
         "factor": mesh.n_elements, "solve": mesh.n_elements}
+
+
+def stacked_scipy_operators(asm, domain):
+    """A domain's condensed operators of every shape at once, from SciPy's
+    stacked ``lu_factor`` and ``lu_solve`` of D A D against [D B | D E]."""
+    reps = asm._shapes(domain).ops.reps
+    _, (a, b, c, d), slices, scale = asm.shape_blocks(reps, domain)
+    a = a * scale[:, :, None] * scale[:, None]
+    eye = np.eye(b.shape[1])[:, slices[local_solver._SOURCE[domain]]]
+    rhs = np.concatenate([b, np.broadcast_to(eye, b.shape[:1] + eye.shape)],
+                         axis=2) * scale[:, :, None]
+    sol = lu_solve(lu_factor(a), rhs)
+    sol *= scale[:, :, None]
+    flux = c @ sol
+    n_tr = b.shape[2]
+    return dict(lift_map=sol[..., :n_tr], condensed_map=flux[..., :n_tr] + d,
+                source_lift=sol[..., n_tr:], source_flux=flux[..., n_tr:])
+
+
+@pytest.mark.parametrize("chunk", [1, 7, local_solver.SHAPE_CHUNK])
+def test_in_place_operators_equal_the_stacked_scipy_ones(monkeypatch, chunk):
+    # factoring each shape in place, in chunks of any size, moves no bit of
+    # the operators against SciPy's stacked LU of the whole domain
+    monkeypatch.setattr(local_solver, "SHAPE_CHUNK", chunk)
+    mesh = build_structured_coupled(
+        2, (-2.0, -2.0, 2.0, 2.0), (-1.0, -1.0, 1.0, 1.0), jitter=0.15, seed=5)
+    asm = Assembler(mesh, 3, ModelParams(s=S))
+    for domain in ("E", "A"):
+        ops = asm._shapes(domain).ops
+        assert len(ops.reps) > 7
+        for name, want in stacked_scipy_operators(asm, domain).items():
+            assert np.array_equal(getattr(ops, name), want), (domain, name)
+
+
+def test_assembler_keeps_no_full_stress_table():
+    # per shape only the k+1 enrichment members of the stress basis are
+    # kept: no array (n, n_stress, ...) stays reachable after assembly
+    mesh = build_structured_coupled(
+        2, (-2.0, -2.0, 2.0, 2.0), (-1.0, -1.0, 1.0, 1.0), jitter=0.15, seed=5)
+    k = 3
+    asm = Assembler(mesh, k, ModelParams(s=S))
+    locs = asm.all_locals(**unit_source("A"), **unit_source("E"))
+    n_stress = next(loc.ops.slices["sigma"].stop for loc in locs if loc.domain == "E")
+    held = list(held_arrays((asm, locs)))
+    assert not [arr.shape for arr in held if arr.ndim >= 2 and arr.shape[1] == n_stress]
+    assert any(arr.ndim == 5 and arr.shape[1:3] == (3, n_stress) for arr in held)  # stress_n
+    assert any(arr.ndim == 5 and arr.shape[1] == k + 1 for arr in held)  # enrichment
+
+
+@pytest.mark.parametrize("domain", ["A", "E"])
+def test_non_finite_block_names_its_element_before_any_solve(monkeypatch, domain):
+    # a NaN in one shape's volume block is refused with the element's number
+    # before any shape of its chunk is solved (LAPACK would carry it into the
+    # operators)
+    mesh = build_structured_coupled(
+        2, (-2.0, -2.0, 2.0, 2.0), (-1.0, -1.0, 1.0, 1.0), jitter=0.15, seed=5)
+    asm = Assembler(mesh, 2, ModelParams(s=S))
+    shape_blocks, zgetrs = asm.shape_blocks, local_solver.zgetrs
+    victim = np.flatnonzero(mesh.tri_domain == domain)[3]
+    events = []
+
+    def poisoned(reps, dom):
+        parts, (a, b, c, d), slices, scale = shape_blocks(reps, dom)
+        a[reps == victim, 1, 2] = np.nan
+        events.append("poisoned" if victim in reps else "clean")
+        return parts, (a, b, c, d), slices, scale
+
+    def logged(*args, **kwargs):
+        events.append("solve")
+        return zgetrs(*args, **kwargs)
+
+    monkeypatch.setattr(asm, "shape_blocks", poisoned)
+    monkeypatch.setattr(local_solver, "zgetrs", logged)
+    with pytest.raises(SingularLocalSystem, match=f"element {victim}: .*not finite"):
+        asm._shapes(domain)
+    assert events[-1] == "poisoned"
 
 
 def pointwise_vs_condensed(params, domain, k=2):
@@ -611,6 +693,7 @@ def test_pivot_check_is_scale_free_on_a_jittered_coupled_mesh(length):
     assert all(np.isfinite(loc.ops.condensed_map).all() for loc in locs)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("domain,kind", [("A", "gammaAD"), ("E", "elasticBoundary")])
 def test_degenerate_element_raises(tmp_path, domain, kind):
     # a sliver of aspect ratio 1e12 still passes the mesh checks
@@ -644,7 +727,8 @@ def test_batched_stress_tables_match_the_one_triangle_basis(k):
         basis = build_stress_basis(k, triangle(mesh, rep), asm.ref)
         pts, w = parts["points"][row], parts["weights"][row]
         vals = basis.eval(pts)
-        assert np.abs(parts["stress_vals"][row] - vals).max() <= 1e-12 * np.abs(vals).max()
+        members = stress_members(asm.ref.values, parts["enrichment"][row])
+        assert np.abs(members - vals).max() <= 1e-12 * np.abs(vals).max()
         tab = asm.tables(rep)
         for f in range(3):
             want = basis.eval_normal(tab.faces.points[0, f], parts["normals"][row, f])
