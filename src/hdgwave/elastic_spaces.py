@@ -74,8 +74,9 @@ class StressTables:
     Member layout as in ``StressBasis``.  ``coef`` (nb, k+1) scales each
     mapped reference member to unit L2 norm on its triangle.  With
     ``check_rank`` construction checks the rank of the basis on the
-    reference triangle.  ``volume`` holds the basis at the reference
-    quadrature points ``points``.
+    reference triangle.  ``enrichment`` (nb, k+1, nq, 2, 2) holds the
+    enrichment members at the reference quadrature points ``points``;
+    ``eval`` gives every member anywhere.
     """
 
     def __init__(self, ref: ReferenceBasis, jac: np.ndarray, check_rank: bool = True):
@@ -94,7 +95,7 @@ class StressTables:
         # those it gets in any batch, whatever the block size
         twice = slice(None) if nb > 1 else [0, 0]
         self.coef = 1.0 / np.sqrt(np.einsum("eq,eaqrs->ea", weights[twice], terms[twice]**2))[:nb]
-        self.volume = self.eval(self.points)
+        self.enrichment = self._mapped(self.points, self.coef)
 
         if check_rank:
             _check_reference_rank(k)
@@ -145,7 +146,7 @@ def _check_reference_rank(k: int) -> None:
     """
     ref = build_reference_basis(k)
     tab = StressTables(ref, np.eye(2)[None], check_rank=False)
-    flat = tab.volume[0].reshape(tab.dim, -1)
+    flat = tab.eval(tab.points)[0].reshape(tab.dim, -1)
     gram = (flat * np.repeat(ref.quad.weights, 4)) @ flat.T
     scale = np.sqrt(np.diag(gram))
     eigmin = np.linalg.eigvalsh(gram / np.outer(scale, scale))[0]

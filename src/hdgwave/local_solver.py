@@ -11,6 +11,11 @@ stacks x-modes then y-modes of the orthonormal face basis (scalar traces
 use the k+1 modes directly).  Volume ordering is (stress, displacement,
 spin) and (flux, scalar).
 
+Both domains build on one (vector, scalar) pair (``_mixed_blocks``): the
+fluid (q, v), and on solid elements stress row r with u_r; the enrichment,
+free of divergence and normal trace, enters only the compliance, the spin
+and (sigma, grad w), so the full stress basis is never evaluated.
+
 Everything here is array code over blocks of same-domain elements, with the
 element axis first (``BlockTables``, ``BlockLocals``).  The element matrices
 depend on the element's shape alone: its Jacobian and the orientation of
@@ -141,7 +146,9 @@ class BlockTables:
     integrate it identically.  Face values are sampled with ``faces.sample``
     and integrated with ``faces.moments`` (component-major trace layout
     (nb, 3, m (k+1)) of m components).  The P_k stress members are
-    ``scalar`` in each matrix slot, so only the ``enrichment`` is stored.
+    ``scalar`` in each matrix slot, so only the ``enrichment`` is stored;
+    their normal traces are ``face_scalar`` times the ``normals``, and the
+    enrichment's are zero.
     """
 
     elems: np.ndarray           # (nb,)
@@ -157,7 +164,6 @@ class BlockTables:
     normals: np.ndarray         # (nb, 3, 2) outward
     face_scalar: np.ndarray     # (nb, 3, n_scalar, nfq) scalar basis on the faces
     scalar_moments: np.ndarray  # (nb, 3, n_scalar, k+1)
-    stress_n: np.ndarray | None  # (nb, 3, n_stress, nfq, 2) normal traces, solid blocks
 
     def at_points(self, coef: np.ndarray) -> np.ndarray:
         """Values at the volume points of scalar-basis coefficients
@@ -272,77 +278,15 @@ def _t(m: np.ndarray) -> np.ndarray:
     return m.transpose(0, 2, 1)
 
 
-def _elastic_blocks(tab: BlockTables, stress_vals, grads, stress_div, params: ModelParams):
-    nb, n_p = tab.scalar.shape[:2]
-    n_sig = stress_vals.shape[1]
-    n_u = 2 * n_p
-    n_vol = n_sig + n_u + n_p
-    kp1 = tab.k + 1
-    blk = 2 * kp1
-    tau = params.tau_e
-    w, sv, tv = tab.weights, tab.scalar, stress_vals
-    i_s = slice(0, n_sig)
-    i_u = slice(n_sig, n_sig + n_u)
-    i_g = slice(n_sig + n_u, n_vol)
-    ux = slice(n_sig, n_sig + n_p)
-    uy = slice(n_sig + n_p, n_sig + n_u)
-
-    # the largest temporaries first, before the blocks are allocated
-    compliance = _t(_pair(w, hooke_inverse_apply(tv, params.lam, params.mu), tv))
-    a = np.zeros((nb, n_vol, n_vol), dtype=complex).transpose(0, 2, 1)  # Fortran per shape
-    b = np.zeros((nb, n_vol, 3 * blk), dtype=complex)
-    c = np.zeros((nb, 3 * blk, n_vol), dtype=complex)
-    d = np.zeros((nb, 3 * blk, 3 * blk), dtype=complex)
-
-    a[:, i_s, i_s] = compliance
-    a[:, i_s, ux] = _t(_pair(w, sv, stress_div[..., 0]))
-    a[:, i_s, uy] = _t(_pair(w, sv, stress_div[..., 1]))
-    # contraction of a stress test matrix with the spin basis M(p)
-    m_sg = _t(_pair(w, sv, tv[..., 0, 1] - tv[..., 1, 0]))
-    a[:, i_s, i_g] = m_sg
-    a[:, i_g, i_s] = _t(m_sg)
-    m_us = np.concatenate([_pair(w, grads, tv[..., 0, :]),
-                           _pair(w, grads, tv[..., 1, :])], axis=1)
-    m_ux = params.rho_e * params.s**2 * _pair(w, sv, sv)
-
-    for f in range(3):
-        fw, fb = tab.faces.weights[:, f], tab.faces.basis[:, f]
-        svf, tn = tab.face_scalar[:, f], tab.stress_n[:, f]
-        fm = tab.scalar_moments[:, f]  # (nb, n_p, k+1)
-        x0, y0 = f * blk, f * blk + kp1
-
-        bs = np.concatenate([_t(_pair(fw, fb, tn[..., 0])), _t(_pair(fw, fb, tn[..., 1]))],
-                            axis=2)
-        b[:, i_s, x0 : x0 + blk] = bs
-        b[:, ux, x0:y0] = tau * fm
-        b[:, uy, y0 : y0 + kp1] = tau * fm
-
-        m_ux = m_ux + tau * _pair(fw, svf, svf)
-        m_us[:, :n_p] -= _pair(fw, svf, tn[..., 0])
-        m_us[:, n_p:] -= _pair(fw, svf, tn[..., 1])
-
-        c[:, x0 : x0 + blk, i_s] = _t(bs)
-        c[:, x0:y0, ux] = -tau * _t(fm)
-        c[:, y0 : y0 + kp1, uy] = -tau * _t(fm)
-
-        fmass_f = tau * _pair(fw, fb, fb)
-        d[:, x0:y0, x0:y0] = fmass_f
-        d[:, y0 : y0 + kp1, y0 : y0 + kp1] = fmass_f
-
-    a[:, i_u, i_s] = m_us
-    a[:, ux, ux] = m_ux
-    a[:, uy, uy] = m_ux
-    scale = np.repeat(1.0 / tab.h[:, None], n_vol, axis=1)
-    scale[:, 4 * n_p : n_sig] = 1.0
-    scale[:, i_u] = (params.rho_e * abs(params.s) ** 2 * tab.h**2 + tau * tab.h)[:, None] ** -0.5
-    return (a, b, c, d), {"sigma": i_s, "u": i_u, "gamma": i_g}, scale
-
-
-def _acoustic_blocks(tab: BlockTables, grads, params: ModelParams):
+def _mixed_blocks(tab: BlockTables, grads, tau: float, m: complex):
+    """Blocks A, B, C, D of one (vector q, scalar v) pair with a scalar face
+    trace: volume (q_x, q_y, v), k+1 trace modes per face.  A holds (v, div r)
+    on the q test rows and (q, grad w) - <q . n, w> + m (v, w) + tau <v, w>
+    on the scalar ones; its q-q block is left zero.  Also returns the
+    scalar mass matrix."""
     nb, n_p = tab.scalar.shape[:2]
     n_vol = 3 * n_p
     kp1 = tab.k + 1
-    tau = params.tau_a
     w, sv = tab.weights, tab.scalar
     qx, qy = slice(0, n_p), slice(n_p, 2 * n_p)
     i_q, i_v = slice(0, 2 * n_p), slice(2 * n_p, n_vol)
@@ -356,12 +300,10 @@ def _acoustic_blocks(tab: BlockTables, grads, params: ModelParams):
     # int p_j d/dx_c p_i, shared by the two mixed blocks
     gpx = _t(_pair(w, sv, grads[..., 0]))
     gpy = _t(_pair(w, sv, grads[..., 1]))
-    a[:, qx, qx] = mass_s
-    a[:, qy, qy] = mass_s
     a[:, qx, i_v] = gpx                 # (v, div r) rows: q tests
     a[:, qy, i_v] = gpy
     m_vq = np.concatenate([gpx, gpy], axis=2).astype(complex)  # (q, grad w) rows
-    m_vv = (params.s / params.c) ** 2 * mass_s.astype(complex)
+    m_vv = m * mass_s.astype(complex)
 
     for f in range(3):
         fw, fb, svf = tab.faces.weights[:, f], tab.faces.basis[:, f], tab.face_scalar[:, f]
@@ -387,9 +329,69 @@ def _acoustic_blocks(tab: BlockTables, grads, params: ModelParams):
 
     a[:, i_v, i_q] = m_vq
     a[:, i_v, i_v] = m_vv
+    return (a, b, c, d), mass_s
+
+
+def _elastic_blocks(tab: BlockTables, grads, params: ModelParams):
+    """Two ``_mixed_blocks`` pairs, stress row r with u_r on the r-modes of
+    the trace, plus the compliance, the spin and the enrichment's terms."""
+    nb, n_p = tab.scalar.shape[:2]
+    kp1 = tab.k + 1
+    n_pk, n_sig = 4 * n_p, 4 * n_p + kp1
+    n_vol = n_sig + 3 * n_p
+    blk = 2 * kp1
+    w, sv, enr = tab.weights, tab.scalar, tab.enrichment
+    i_s, i_e = slice(0, n_sig), slice(n_pk, n_sig)
+    i_u, i_g = slice(n_sig, n_sig + 2 * n_p), slice(n_sig + 2 * n_p, n_vol)
+
+    (pa, pb, pc, pd), mass = _mixed_blocks(tab, grads, params.tau_e, params.rho_e * params.s**2)
+    a = np.zeros((nb, n_vol, n_vol), dtype=complex).transpose(0, 2, 1)  # Fortran per shape
+    b = np.zeros((nb, n_vol, 3 * blk), dtype=complex)
+    c = np.zeros((nb, 3 * blk, n_vol), dtype=complex)
+    d = np.zeros((nb, 3 * blk, 3 * blk), dtype=complex)
+    for r in range(2):  # slots (r, 0), (r, 1) and u_r; the r-modes of each face
+        vol = np.r_[2 * r * n_p : 2 * (r + 1) * n_p, n_sig + r * n_p : n_sig + (r + 1) * n_p]
+        tr = (np.arange(3)[:, None] * blk + r * kp1 + np.arange(kp1)).ravel()
+        a[:, vol[:, None], vol] = pa
+        b[:, vol[:, None], tr] = pb
+        c[:, tr[:, None], vol] = pc
+        d[:, tr[:, None], tr] = pd
+
+    # compliance: the P_k members are unit matrices times the scalar basis
+    unit = hooke_inverse_apply(np.eye(4).reshape(4, 2, 2), params.lam, params.mu)
+    a[:, :n_pk, :n_pk] = (unit.reshape(4, 1, 4, 1) * mass[:, None, :, None]).reshape(
+        nb, n_pk, n_pk)
+    comp = hooke_inverse_apply(enr, params.lam, params.mu)  # (nb, k+1, nq, 2, 2)
+    pk_e = _pair(w, sv, np.moveaxis(comp, 2, -1).reshape(nb, 4 * kp1, -1))
+    a[:, :n_pk, i_e] = pk_e.reshape(nb, n_p, kp1, 4).transpose(0, 3, 1, 2).reshape(nb, n_pk, kp1)
+    a[:, i_e, :n_pk] = _t(a[:, :n_pk, i_e])
+    a[:, i_e, i_e] = _t(_pair(w, comp, enr))
+    # the spin column: a stress test matrix against M(p), and its transpose
+    a[:, n_p : 2 * n_p, i_g] = mass
+    a[:, 2 * n_p : 3 * n_p, i_g] = -mass
+    a[:, i_e, i_g] = _t(_pair(w, sv, enr[..., 0, 1] - enr[..., 1, 0]))
+    a[:, i_g, i_s] = _t(a[:, i_s, i_g])
+    # (enrichment, grad w): its divergence and normal trace are zero
+    a[:, i_u, i_e] = np.concatenate([_pair(w, grads, enr[..., 0, :]),
+                                     _pair(w, grads, enr[..., 1, :])], axis=1)
     scale = np.repeat(1.0 / tab.h[:, None], n_vol, axis=1)
+    scale[:, i_e] = 1.0
+    size = params.rho_e * abs(params.s) ** 2 * tab.h**2 + params.tau_e * tab.h
+    scale[:, i_u] = size[:, None] ** -0.5
+    return (a, b, c, d), {"sigma": i_s, "u": i_u, "gamma": i_g}, scale
+
+
+def _acoustic_blocks(tab: BlockTables, grads, params: ModelParams):
+    """The (q, v) pair of ``_mixed_blocks`` plus the q-q mass."""
+    n_p = tab.scalar.shape[1]
+    tau = params.tau_a
+    (a, b, c, d), mass_s = _mixed_blocks(tab, grads, tau, (params.s / params.c) ** 2)
+    a[:, :n_p, :n_p] = mass_s
+    a[:, n_p : 2 * n_p, n_p : 2 * n_p] = mass_s
+    i_v = slice(2 * n_p, 3 * n_p)
+    scale = np.repeat(1.0 / tab.h[:, None], 3 * n_p, axis=1)
     scale[:, i_v] = (abs(params.s / params.c) ** 2 * tab.h**2 + tau * tab.h)[:, None] ** -0.5
-    return (a, b, c, d), {"q": i_q, "v": i_v}, scale
+    return (a, b, c, d), {"q": slice(0, 2 * n_p), "v": i_v}, scale
 
 
 def reconstruct_flux(tables: BlockTables, params: ModelParams,
@@ -398,22 +400,21 @@ def reconstruct_flux(tables: BlockTables, params: ModelParams,
 
     ``volume`` (nb, n_vol) and ``traces`` (nb, n_tr), or (nb, 3, n_tr / 3),
     are the elements' unknowns.  Solid: moments of sigma_h n - tau
-    (u_h - u_hat); fluid: moments of q_h . n - tau (v_h - v_hat), both in
-    the element's outward orientation and the face's orthonormal basis, as
-    (nb, 3, trace block).
+    (u_h - u_hat), sigma_h n from the P_k coefficients alone; fluid: moments
+    of q_h . n - tau (v_h - v_hat), both in the element's outward
+    orientation and the face's orthonormal basis, as (nb, 3, trace block).
     """
     nb, n_p = tables.scalar.shape[:2]
+    # m (vector, scalar) pairs, the scalars from column v0: (q, v), or stress
+    # row r with u_r, whose enrichment has zero normal trace
+    m, tau, v0 = 1, params.tau_a, 2 * n_p
     if tables.domain == "E":
-        n_sig = tables.stress_n.shape[2]
-        sig_n = np.einsum("ej,efjpc->efpc", volume[:, :n_sig], tables.stress_n)
-        u_val = tables.at_face_points(volume[:, n_sig : n_sig + 2 * n_p].reshape(nb, 2, n_p))
-        uhat_val = tables.traces_at_face_points(traces.reshape(nb, 3, 2, -1))
-        return tables.faces.moments(sig_n - params.tau_e * (u_val - uhat_val))
-    q_val = tables.at_face_points(volume[:, : 2 * n_p].reshape(nb, 2, n_p))
-    v_val = tables.at_face_points(volume[:, 2 * n_p :])
-    vhat_val = tables.traces_at_face_points(traces.reshape(nb, 3, -1))
-    q_n = np.einsum("efpc,efc->efp", q_val, tables.normals)
-    return tables.faces.moments(q_n - params.tau_a * (v_val - vhat_val))
+        m, tau, v0 = 2, params.tau_e, 4 * n_p + tables.k + 1
+    vec = tables.at_face_points(volume[:, : 2 * m * n_p].reshape(nb, m, 2, n_p))
+    val = tables.at_face_points(volume[:, v0 : v0 + m * n_p].reshape(nb, m, n_p))
+    hat = tables.traces_at_face_points(traces.reshape(nb, 3, m, -1))
+    vec_n = np.einsum("efpmc,efc->efpm", vec, tables.normals)
+    return tables.faces.moments(vec_n - tau * (val - hat))
 
 
 @dataclass
@@ -557,15 +558,10 @@ class Assembler:
         grads = (ref.grads[..., 0, None] * inv[:, None, None, 0]
                  + ref.grads[..., 1, None] * inv[:, None, None, 1])
         if domain == "E":
-            stress = StressTables(ref, jac)
-            on_faces = stress.eval(face_xi.reshape(nb, -1, 2)).reshape(nb, -1, 3, n_fq, 2, 2)
-            parts.update(enrichment=stress.volume[:, stress.dim_tensor :],
-                         stress_n=np.einsum("ejfprc,efc->efjpr", on_faces, normals))
-            tab = self._stack(reps, domain, faces, parts)
-            divs = stress.eval(stress.points, div=True)
-            return (parts,) + _elastic_blocks(tab, stress.volume, grads, divs, self.params)
+            parts["enrichment"] = StressTables(ref, jac).enrichment
         tab = self._stack(reps, domain, faces, parts)
-        return (parts,) + _acoustic_blocks(tab, grads, self.params)
+        build = _elastic_blocks if domain == "E" else _acoustic_blocks
+        return (parts,) + build(tab, grads, self.params)
 
     def _volume_points(self, shapes: _DomainShapes, elems: np.ndarray):
         """Quadrature points and weights: those of each element's shape, the
@@ -579,7 +575,7 @@ class Assembler:
         scalar = np.broadcast_to(self.ref.values, (len(elems),) + self.ref.values.shape)
         return BlockTables(elems=elems, domain=domain, k=self.k, scalar=scalar,
                            face_ids=self.mesh.element_faces[elems], faces=faces,
-                           **{"enrichment": None, "stress_n": None, **parts})
+                           **{"enrichment": None, **parts})
 
     def _block(self, elems: np.ndarray, domain: str) -> BlockTables:
         shapes = self._shapes(domain)

@@ -489,28 +489,28 @@ def energy_quantities(assembler: Assembler, solution: FieldSolution) -> dict[str
     """
     params = assembler.params
     re_s = params.s.real
+    parts = solution.parts
     e_solid = 0.0
     e_fluid = 0.0
     for blk in assembler.blocks():
         nb, n_p = blk.scalar.shape[:2]
-        vol = solution.volume[blk.domain][solution.row[blk.elems]]
+        rows = solution.row[blk.elems]
         tr = (solution.uhat if blk.domain == "E" else solution.vhat)[blk.face_ids]
         if blk.domain == "E":
-            n_sig = blk.stress_n.shape[2]
-            sig = blk.stress_at_points(vol[:, :n_sig])
+            sig = blk.stress_at_points(parts["sigma"][rows])
             comp = hooke_inverse_apply(sig, params.lam, params.mu)
             e_solid += re_s * float(
                 np.einsum("eq,eqrc->", blk.weights, (comp * sig.conj()).real)
             )
-            u_f = blk.at_face_points(vol[:, n_sig : n_sig + 2 * n_p].reshape(nb, 2, n_p))
+            u_f = blk.at_face_points(parts["u"][rows].reshape(nb, 2, n_p))
             mism = u_f - blk.traces_at_face_points(tr.reshape(nb, 3, 2, -1))
             e_solid += (params.s * params.tau_e).real * float(
                 np.einsum("efp,efpc->", blk.faces.weights, np.abs(mism) ** 2)
             )
         else:
-            q = blk.at_points(vol[:, : 2 * n_p].reshape(nb, 2, n_p))
+            q = blk.at_points(parts["q"][rows].reshape(nb, 2, n_p))
             e_fluid += re_s * params.rho_f * blk.l2sq(q)
-            mism = (blk.at_face_points(vol[:, 2 * n_p :])
+            mism = (blk.at_face_points(parts["v"][rows])
                     - blk.traces_at_face_points(tr.reshape(nb, 3, -1)))
             e_fluid += (params.s * params.tau_a).real * params.rho_f * float(
                 np.einsum("efp,efp->", blk.faces.weights, np.abs(mism) ** 2)

@@ -228,4 +228,4 @@ def test_tables_of_a_lone_triangle_match_those_in_a_batch(k):
     for i in range(len(tris)):
         lone = elastic_spaces.StressTables(ref, jac[i : i + 1])
         assert lone.coef.tobytes() == batch.coef[i : i + 1].tobytes()
-        assert lone.volume.tobytes() == np.ascontiguousarray(batch.volume[i : i + 1]).tobytes()
+        assert lone.enrichment.tobytes() == batch.enrichment[i : i + 1].tobytes()

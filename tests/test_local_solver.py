@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
 
-from hdgwave import local_solver
+from hdgwave import elastic_spaces, local_solver
 from hdgwave.local_solver import (
     Assembler,
     ModelParams,
@@ -414,18 +414,27 @@ def test_in_place_operators_equal_the_stacked_scipy_ones(monkeypatch, chunk):
             assert np.array_equal(getattr(ops, name), want), (domain, name)
 
 
-def test_assembler_keeps_no_full_stress_table():
+def test_assembler_keeps_no_full_stress_table(monkeypatch):
     # per shape only the k+1 enrichment members of the stress basis are
-    # kept: no array (n, n_stress, ...) stays reachable after assembly
+    # kept: no array (n, n_stress, ...) and no normal traces
+    # (n, 3, n_stress, ...) stay reachable after assembly, which never
+    # evaluates the full basis
     mesh = build_structured_coupled(
         2, (-2.0, -2.0, 2.0, 2.0), (-1.0, -1.0, 1.0, 1.0), jitter=0.15, seed=5)
     k = 3
     asm = Assembler(mesh, k, ModelParams(s=S))
-    locs = asm.all_locals(**unit_source("A"), **unit_source("E"))
+    elastic_spaces._check_reference_rank(k)  # the one-off rank check evaluates it
+
+    def full_table(*args, **kwargs):
+        raise AssertionError("assembly evaluated the full stress basis")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(elastic_spaces.StressTables, "eval", full_table)
+        locs = asm.all_locals(**unit_source("A"), **unit_source("E"))
     n_stress = next(loc.ops.slices["sigma"].stop for loc in locs if loc.domain == "E")
     held = list(held_arrays((asm, locs)))
     assert not [arr.shape for arr in held if arr.ndim >= 2 and arr.shape[1] == n_stress]
-    assert any(arr.ndim == 5 and arr.shape[1:3] == (3, n_stress) for arr in held)  # stress_n
+    assert not [arr.shape for arr in held if arr.ndim >= 3 and arr.shape[1:3] == (3, n_stress)]
     assert any(arr.ndim == 5 and arr.shape[1] == k + 1 for arr in held)  # enrichment
 
 
@@ -715,14 +724,22 @@ def test_batched_stress_tables_match_the_one_triangle_basis(k):
     mesh = build_structured_coupled(
         1, (-2.0, -2.0, 2.0, 2.0), (-1.0, -1.0, 1.0, 1.0), jitter=0.15, seed=4)
     asm = Assembler(mesh, k, ModelParams(s=S))
+    # the blocks are built from the scalar tables and the enrichment alone;
+    # the one-triangle basis, every member evaluated, is the oracle
     shapes = asm._shapes("E")
-    ops, parts = shapes.ops, shapes.parts
-    matrix = asm.shape_blocks(ops.reps, "E")[1][0]
+    ops, parts, params = shapes.ops, shapes.parts, asm.params
+    matrix, b, c, _ = asm.shape_blocks(ops.reps, "E")[1]
     n_p = asm.ref.n_scalar
     n_sig = ops.slices["sigma"].stop
     ux = slice(n_sig, n_sig + n_p)
     uy = slice(n_sig + n_p, n_sig + 2 * n_p)
+    i_g = ops.slices["gamma"]
+    blk = 2 * (k + 1)
     assert len(ops.reps) == np.count_nonzero(mesh.tri_domain == "E") > 1
+
+    def close(got, want):
+        return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     for row, rep in enumerate(ops.reps):
         basis = build_stress_basis(k, triangle(mesh, rep), asm.ref)
         pts, w = parts["points"][row], parts["weights"][row]
@@ -730,16 +747,27 @@ def test_batched_stress_tables_match_the_one_triangle_basis(k):
         members = stress_members(asm.ref.values, parts["enrichment"][row])
         assert np.abs(members - vals).max() <= 1e-12 * np.abs(vals).max()
         tab = asm.tables(rep)
+        # the normal traces enter B and C as moments <tau_j n, mu> per row
         for f in range(3):
-            want = basis.eval_normal(tab.faces.points[0, f], parts["normals"][row, f])
-            got = parts["stress_n"][row, f]
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(vals).max()
+            tn = basis.eval_normal(tab.faces.points[0, f], parts["normals"][row, f])
+            fw, fb = tab.faces.weights[0, f], tab.faces.basis[0, f]
+            want = np.einsum("p,lp,jpr->jrl", fw, fb, tn).reshape(n_sig, blk)
+            scale = np.abs(want).max()
+            assert np.abs(want[basis.dim_tensor :]).max() <= 1e-12 * scale  # enrichment
+            faces = slice(f * blk, (f + 1) * blk)
+            assert np.abs(b[row, :n_sig, faces] - want).max() <= 1e-12 * scale
+            assert np.abs(c[row, faces, :n_sig].T - want).max() <= 1e-12 * scale
+        # compliance int C^-1 tau_j : tau_i, and the spin int p_j (tau_i01 - tau_i10)
+        comp = hooke_inverse_apply(vals, params.lam, params.mu)
+        assert close(matrix[row, :n_sig, :n_sig], np.einsum("q,jqrc,iqrc->ij", w, comp, vals))
+        spin = np.einsum("q,jq,iq->ij", w, asm.ref.values, vals[..., 0, 1] - vals[..., 1, 0])
+        assert close(matrix[row, :n_sig, i_g], spin)
+        assert close(matrix[row, i_g, :n_sig], spin.T)
         # the divergences enter the matrix as int p_i div(tau_j)
         div = basis.eval_div(pts)
-        for c, cols in enumerate((ux, uy)):
-            want = np.einsum("q,iq,jq->ji", w, asm.ref.values, div[..., c])
-            got = matrix[row, : basis.dim, cols]
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        for col, cols in enumerate((ux, uy)):
+            want = np.einsum("q,iq,jq->ji", w, asm.ref.values, div[..., col])
+            assert close(matrix[row, : basis.dim, cols], want)
 
 
 def two_element_solid_mesh(tmp_path, vertex2):
