@@ -13,8 +13,9 @@ spin) and (flux, scalar).
 
 Both domains build on one (vector, scalar) pair (``_mixed_blocks``): the
 fluid (q, v), and on solid elements stress row r with u_r; the enrichment,
-free of divergence and normal trace, enters only the compliance, the spin
-and (sigma, grad w), so the full stress basis is never evaluated.
+free of divergence and normal trace, enters only the compliance and the
+spin (its (sigma, grad w) moments vanish), so the full stress basis is never
+evaluated.
 
 Everything here is array code over blocks of same-domain elements, with the
 element axis first (``BlockTables``, ``BlockLocals``).  The element matrices
@@ -371,9 +372,8 @@ def _elastic_blocks(tab: BlockTables, grads, params: ModelParams):
     a[:, 2 * n_p : 3 * n_p, i_g] = -mass
     a[:, i_e, i_g] = _t(_pair(w, sv, enr[..., 0, 1] - enr[..., 1, 0]))
     a[:, i_g, i_s] = _t(a[:, i_s, i_g])
-    # (enrichment, grad w): its divergence and normal trace are zero
-    a[:, i_u, i_e] = np.concatenate([_pair(w, grads, enr[..., 0, :]),
-                                     _pair(w, grads, enr[..., 1, :])], axis=1)
+    # (enrichment, grad w) stays zero: by parts it is <psi n, w> - (div psi, w),
+    # and the enrichment has zero normal trace and zero divergence
     scale = np.repeat(1.0 / tab.h[:, None], n_vol, axis=1)
     scale[:, i_e] = 1.0
     size = params.rho_e * abs(params.s) ** 2 * tab.h**2 + params.tau_e * tab.h

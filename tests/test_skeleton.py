@@ -320,6 +320,7 @@ def test_residual_bound_is_relative_to_the_rhs(monkeypatch):
 
     class Sloppy:
         nnz = 2  # entries of the factors, as SuperLU reports them
+        perm_r = perm_c = np.arange(2)  # every pivot on the diagonal
 
         def __init__(self, matrix, **options):
             pass
@@ -358,6 +359,52 @@ def test_trace_system_is_ordered_on_a_plus_a_transpose():
     assert stats.lu_fill < colamd.nnz
     reference = colamd.solve(system.rhs)
     assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
+@pytest.mark.parametrize("jitter", [None, 0.15])
+def test_coupled_trace_matrix_stores_no_zero(jitter):
+    # the ordering counts a stored zero as an entry; the interface coupling
+    # blocks are diagonal, and axis-parallel faces zero one normal component
+    case = make_case("coupled63")
+    shape = {} if jitter is None else {"jitter": jitter, "seed": 1}
+    mesh = build_structured_coupled(2, *COUPLED_BOXES, **shape)
+    matrix = assemble_system(Assembler(mesh, 2, case.params), case.data).matrix
+    assert matrix.nnz > 0
+    assert np.count_nonzero(matrix.data == 0) == 0
+
+
+def test_factorization_reads_the_assembled_matrix_without_a_copy(monkeypatch):
+    import hdgwave.skeleton as skeleton
+
+    seen = []
+
+    def spy(matrix, **options):
+        seen.append(matrix)
+        return splu(matrix, **options)
+
+    monkeypatch.setattr(skeleton, "splu", spy)
+    case = make_case("acoustic61")
+    system = assemble_system(Assembler(case.mesh_at(1), 1, case.params), case.data)
+    solve_assembled(system)
+    (factored,) = seen
+    assert system.matrix.format == factored.format == "csc"
+    assert np.shares_memory(factored.data, system.matrix.data)
+    assert np.shares_memory(factored.indices, system.matrix.indices)
+
+
+def test_near_incompressible_solid_keeps_the_fill_of_the_ordering():
+    # diagonal pivots keep the fill that the minimum-degree ordering planned;
+    # SuperLU's default partial pivoting leaves the diagonal at nu = 0.49999
+    # and raises the fill by 12% over nu = 0.3
+    stats = {}
+    for nu in (0.3, 0.49999):
+        case = make_case("elastic62", poisson=nu)
+        system = assemble_system(Assembler(case.mesh_at(3), 3, case.params), case.data)
+        solve_assembled(system)
+        stats[nu] = system.solve_stats
+    assert abs(stats[0.49999].lu_fill / stats[0.3].lu_fill - 1.0) <= 0.05
+    assert stats[0.49999].off_diagonal_pivots == 0
+    assert stats[0.49999].residual_rel < 1e-10
 
 
 # -- serialization of the assembled system ------------------------------------
@@ -421,3 +468,24 @@ def test_zero_incident_wave_keeps_interface_rows_homogeneous():
     asm = Assembler(mesh, 1, params)
     system = assemble_system(asm, ProblemData())
     assert np.abs(system.rhs).max() == 0.0
+
+
+@pytest.mark.parametrize("rho_f, s", [(2.5, 2.0 - 1.0j), (2.5, 0.3 + 4.0j)])
+@pytest.mark.parametrize("jitter", [None, 0.15])
+def test_row_scaled_coupled_matrix_is_complex_symmetric(rho_f, s, jitter):
+    # solid-trace rows scaled by -1/rho_f off the interface and +1/rho_f on
+    # it make the trace matrix equal its (unconjugated) transpose; a sign
+    # slip in an interface coupling block breaks this
+    shape = {} if jitter is None else {"jitter": jitter, "seed": 2}
+    mesh = build_structured_coupled(2, *COUPLED_BOXES, **shape)
+    k = 2
+    params = ModelParams(s=s, rho_f=rho_f)
+    system = assemble_system(Assembler(mesh, k, params), ProblemData())
+    dm = system.dofmap
+    solid = dm.uhat_offset >= 0
+    on_gamma = mesh.is_kind(FaceKind.GAMMA)[solid]
+    row_scale = np.ones(dm.n_dofs)
+    row_scale[dm.uhat_offset[solid, None] + np.arange(2 * (k + 1))] = \
+        np.where(on_gamma, 1.0, -1.0)[:, None] / rho_f
+    scaled = sp.diags(row_scale) @ system.matrix
+    assert abs(scaled - scaled.T).max() <= 1e-13 * abs(scaled).max()
