@@ -95,7 +95,7 @@ class StressTables:
         # those it gets in any batch, whatever the block size
         twice = slice(None) if nb > 1 else [0, 0]
         self.coef = 1.0 / np.sqrt(np.einsum("eq,eaqrs->ea", weights[twice], terms[twice]**2))[:nb]
-        self.enrichment = self._mapped(self.points, self.coef)
+        self.enrichment = terms * self.coef[:, :, None, None, None]
 
         if check_rank:
             _check_reference_rank(k)

@@ -6,6 +6,12 @@ traces t on its three faces: A x = B t + f, with numerical flux moments
 C x + D t against the face test space.  Eliminating x leaves the Schur
 complement C A^-1 B + D: exactly what the global conservation equations use.
 
+Three facts of the spaces fix blocks without integration: the scalar basis
+is orthonormal, so an element's scalar mass matrix is |det J| I; the face
+basis is orthonormal, so the face mass is I and D = tau I; and the flux is
+the adjoint of the volume coupling, C = (S B)^T, S = -1 on the scalar (u or
+v) rows and +1 elsewhere.
+
 Face trace layout: faces in local-edge order; per face the vector trace
 stacks x-modes then y-modes of the orthonormal face basis (scalar traces
 use the k+1 modes directly).  Volume ordering is (stress, displacement,
@@ -157,7 +163,8 @@ class BlockTables:
     k: int
     h: np.ndarray               # (nb,) element diameters
     points: np.ndarray          # (nb, nq, 2)
-    weights: np.ndarray         # (nb, nq)
+    detj: np.ndarray            # (nb,) |det J|
+    weights: np.ndarray         # (nb, nq), the reference weights times ``detj``
     scalar: np.ndarray          # (nb, n_scalar, nq), the reference values
     enrichment: np.ndarray | None  # (nb, k+1, nq, 2, 2) enrichment members, solid blocks
     face_ids: np.ndarray        # (nb, 3)
@@ -280,11 +287,10 @@ def _t(m: np.ndarray) -> np.ndarray:
 
 
 def _mixed_blocks(tab: BlockTables, grads, tau: float, m: complex):
-    """Blocks A, B, C, D of one (vector q, scalar v) pair with a scalar face
+    """Blocks A and B of one (vector q, scalar v) pair with a scalar face
     trace: volume (q_x, q_y, v), k+1 trace modes per face.  A holds (v, div r)
     on the q test rows and (q, grad w) - <q . n, w> + m (v, w) + tau <v, w>
-    on the scalar ones; its q-q block is left zero.  Also returns the
-    scalar mass matrix."""
+    on the scalar ones; its q-q block is left zero."""
     nb, n_p = tab.scalar.shape[:2]
     n_vol = 3 * n_p
     kp1 = tab.k + 1
@@ -294,20 +300,17 @@ def _mixed_blocks(tab: BlockTables, grads, tau: float, m: complex):
 
     a = np.zeros((nb, n_vol, n_vol), dtype=complex).transpose(0, 2, 1)  # Fortran per shape
     b = np.zeros((nb, n_vol, 3 * kp1), dtype=complex)
-    c = np.zeros((nb, 3 * kp1, n_vol), dtype=complex)
-    d = np.zeros((nb, 3 * kp1, 3 * kp1), dtype=complex)
 
-    mass_s = _pair(w, sv, sv)
     # int p_j d/dx_c p_i, shared by the two mixed blocks
     gpx = _t(_pair(w, sv, grads[..., 0]))
     gpy = _t(_pair(w, sv, grads[..., 1]))
     a[:, qx, i_v] = gpx                 # (v, div r) rows: q tests
     a[:, qy, i_v] = gpy
     m_vq = np.concatenate([gpx, gpy], axis=2).astype(complex)  # (q, grad w) rows
-    m_vv = m * mass_s.astype(complex)
+    m_vv = (m * tab.detj)[:, None, None] * np.eye(n_p)  # the scalar mass is |det J| I
 
     for f in range(3):
-        fw, fb, svf = tab.faces.weights[:, f], tab.faces.basis[:, f], tab.face_scalar[:, f]
+        fw, svf = tab.faces.weights[:, f], tab.face_scalar[:, f]
         fm = tab.scalar_moments[:, f]  # (nb, n_p, k+1)
         n0 = tab.normals[:, f, 0, None, None]
         n1 = tab.normals[:, f, 1, None, None]
@@ -323,14 +326,9 @@ def _mixed_blocks(tab: BlockTables, grads, tau: float, m: complex):
         m_vq[:, :, n_p:] -= n1 * fmass_s
         m_vv += tau * fmass_s
 
-        c[:, rows, qx] = n0 * _t(fm)
-        c[:, rows, qy] = n1 * _t(fm)
-        c[:, rows, i_v] = -tau * _t(fm)
-        d[:, rows, rows] = tau * _pair(fw, fb, fb)
-
     a[:, i_v, i_q] = m_vq
     a[:, i_v, i_v] = m_vv
-    return (a, b, c, d), mass_s
+    return a, b
 
 
 def _elastic_blocks(tab: BlockTables, grads, params: ModelParams):
@@ -345,31 +343,26 @@ def _elastic_blocks(tab: BlockTables, grads, params: ModelParams):
     i_s, i_e = slice(0, n_sig), slice(n_pk, n_sig)
     i_u, i_g = slice(n_sig, n_sig + 2 * n_p), slice(n_sig + 2 * n_p, n_vol)
 
-    (pa, pb, pc, pd), mass = _mixed_blocks(tab, grads, params.tau_e, params.rho_e * params.s**2)
+    pa, pb = _mixed_blocks(tab, grads, params.tau_e, params.rho_e * params.s**2)
     a = np.zeros((nb, n_vol, n_vol), dtype=complex).transpose(0, 2, 1)  # Fortran per shape
     b = np.zeros((nb, n_vol, 3 * blk), dtype=complex)
-    c = np.zeros((nb, 3 * blk, n_vol), dtype=complex)
-    d = np.zeros((nb, 3 * blk, 3 * blk), dtype=complex)
     for r in range(2):  # slots (r, 0), (r, 1) and u_r; the r-modes of each face
         vol = np.r_[2 * r * n_p : 2 * (r + 1) * n_p, n_sig + r * n_p : n_sig + (r + 1) * n_p]
         tr = (np.arange(3)[:, None] * blk + r * kp1 + np.arange(kp1)).ravel()
         a[:, vol[:, None], vol] = pa
         b[:, vol[:, None], tr] = pb
-        c[:, tr[:, None], vol] = pc
-        d[:, tr[:, None], tr] = pd
 
     # compliance: the P_k members are unit matrices times the scalar basis
     unit = hooke_inverse_apply(np.eye(4).reshape(4, 2, 2), params.lam, params.mu)
-    a[:, :n_pk, :n_pk] = (unit.reshape(4, 1, 4, 1) * mass[:, None, :, None]).reshape(
-        nb, n_pk, n_pk)
+    a[:, :n_pk, :n_pk] = tab.detj[:, None, None] * np.kron(unit.reshape(4, 4), np.eye(n_p))
     comp = hooke_inverse_apply(enr, params.lam, params.mu)  # (nb, k+1, nq, 2, 2)
     pk_e = _pair(w, sv, np.moveaxis(comp, 2, -1).reshape(nb, 4 * kp1, -1))
     a[:, :n_pk, i_e] = pk_e.reshape(nb, n_p, kp1, 4).transpose(0, 3, 1, 2).reshape(nb, n_pk, kp1)
     a[:, i_e, :n_pk] = _t(a[:, :n_pk, i_e])
     a[:, i_e, i_e] = _t(_pair(w, comp, enr))
-    # the spin column: a stress test matrix against M(p), and its transpose
-    a[:, n_p : 2 * n_p, i_g] = mass
-    a[:, 2 * n_p : 3 * n_p, i_g] = -mass
+    # the spin column: a stress test matrix against M(p), so +mass in slot
+    # (0, 1) and -mass in slot (1, 0), and its transpose
+    a[:, n_p : 3 * n_p, i_g] = tab.detj[:, None, None] * np.kron([[1.0], [-1.0]], np.eye(n_p))
     a[:, i_e, i_g] = _t(_pair(w, sv, enr[..., 0, 1] - enr[..., 1, 0]))
     a[:, i_g, i_s] = _t(a[:, i_s, i_g])
     # (enrichment, grad w) stays zero: by parts it is <psi n, w> - (div psi, w),
@@ -378,20 +371,19 @@ def _elastic_blocks(tab: BlockTables, grads, params: ModelParams):
     scale[:, i_e] = 1.0
     size = params.rho_e * abs(params.s) ** 2 * tab.h**2 + params.tau_e * tab.h
     scale[:, i_u] = size[:, None] ** -0.5
-    return (a, b, c, d), {"sigma": i_s, "u": i_u, "gamma": i_g}, scale
+    return a, b, {"sigma": i_s, "u": i_u, "gamma": i_g}, scale
 
 
 def _acoustic_blocks(tab: BlockTables, grads, params: ModelParams):
     """The (q, v) pair of ``_mixed_blocks`` plus the q-q mass."""
     n_p = tab.scalar.shape[1]
     tau = params.tau_a
-    (a, b, c, d), mass_s = _mixed_blocks(tab, grads, tau, (params.s / params.c) ** 2)
-    a[:, :n_p, :n_p] = mass_s
-    a[:, n_p : 2 * n_p, n_p : 2 * n_p] = mass_s
+    a, b = _mixed_blocks(tab, grads, tau, (params.s / params.c) ** 2)
+    a[:, : 2 * n_p, : 2 * n_p] = tab.detj[:, None, None] * np.eye(2 * n_p)
     i_v = slice(2 * n_p, 3 * n_p)
     scale = np.repeat(1.0 / tab.h[:, None], 3 * n_p, axis=1)
     scale[:, i_v] = (abs(params.s / params.c) ** 2 * tab.h**2 + tau * tab.h)[:, None] ** -0.5
-    return (a, b, c, d), {"q": slice(0, 2 * n_p), "v": i_v}, scale
+    return a, b, {"q": slice(0, 2 * n_p), "v": i_v}, scale
 
 
 def reconstruct_flux(tables: BlockTables, params: ModelParams,
@@ -530,7 +522,8 @@ class Assembler:
 
     def shape_blocks(self, reps: np.ndarray, domain: str):
         """Shape-dependent tables, blocks (A, B, C, D) of A x = B t + f and flux
-        moments C x + D t, volume slices and D's diagonal per representative."""
+        moments C x + D t, volume slices and the diagonal of the scaling (see
+        ``_shape_operators``) per representative; C and D are formed here."""
         ref = self.ref
         nb = len(reps)
         verts = self._verts[reps]
@@ -552,7 +545,7 @@ class Assembler:
             _t(_pair(faces.weights[:, f], faces.basis[:, f], face_scalar[:, f]))
             for f in range(3)], axis=1)
         normals = self._signs[reps, :, None] * self.mesh.face_normal[face_ids]
-        parts = dict(points=points, weights=ref.quad.weights * np.abs(det)[:, None], h=h,
+        parts = dict(points=points, detj=np.abs(det), h=h,
                      normals=normals, face_scalar=face_scalar, scalar_moments=moments)
         # inv^T grad, bit for bit the einsum "edc,nmd->enmc" without its slow loop
         grads = (ref.grads[..., 0, None] * inv[:, None, None, 0]
@@ -561,20 +554,27 @@ class Assembler:
             parts["enrichment"] = StressTables(ref, jac).enrichment
         tab = self._stack(reps, domain, faces, parts)
         build = _elastic_blocks if domain == "E" else _acoustic_blocks
-        return (parts,) + build(tab, grads, self.params)
+        a, b, slices, scale = build(tab, grads, self.params)
+        sign = np.ones((b.shape[1], 1))  # S of C = (S B)^T
+        sign[slices[_SOURCE[domain]]] = -1.0
+        tau = self.params.tau_e if domain == "E" else self.params.tau_a
+        d = np.tile(tau * np.eye(b.shape[2], dtype=complex), (nb, 1, 1))
+        return parts, (a, b, _t(b * sign), d), slices, scale
 
     def _volume_points(self, shapes: _DomainShapes, elems: np.ndarray):
         """Quadrature points and weights: those of each element's shape, the
         points moved by the offset between the two vertices 0."""
         rows = shapes.shape[elems]
         shift = self._verts[elems, 0] - self._verts[shapes.ops.reps[rows], 0]
-        return shapes.parts["points"][rows] + shift[:, None], shapes.parts["weights"][rows]
+        weights = self.ref.quad.weights * shapes.parts["detj"][rows, None]
+        return shapes.parts["points"][rows] + shift[:, None], weights
 
     def _stack(self, elems: np.ndarray, domain: str, faces: FaceRule,
                parts: dict) -> BlockTables:
         scalar = np.broadcast_to(self.ref.values, (len(elems),) + self.ref.values.shape)
         return BlockTables(elems=elems, domain=domain, k=self.k, scalar=scalar,
                            face_ids=self.mesh.element_faces[elems], faces=faces,
+                           weights=self.ref.quad.weights * parts["detj"][:, None],
                            **{"enrichment": None, **parts})
 
     def _block(self, elems: np.ndarray, domain: str) -> BlockTables:

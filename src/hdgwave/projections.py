@@ -1,16 +1,19 @@
 """Projections used for boundary elimination, error weighting, and theta.
 
 Face projections are plain L2 projections onto the orthonormal face basis,
-so coefficients are just weighted moments.  The volume projections mimic
-the structure of the discretization: the pair (vector field, scalar field)
-is fixed by L2 moments against polynomials one degree down plus matching
-of the penalized normal flux on every face.  That square system reproduces
-degree-k polynomial pairs exactly and its defect against the discrete
-solution is the quantity whose decay the convergence study tracks.
+so coefficients are just weighted moments; the scalar basis is orthonormal
+too, so volume ones are the moments over |det J|.  The flux-matching
+projections mimic the structure of the discretization: the pair (vector
+field, scalar field) is fixed by L2 moments against polynomials one degree
+down, which give its coefficients below degree k, plus matching of the
+penalized normal flux on every face, which fixes the 3 (k+1) top-degree
+ones.  That reproduces degree-k polynomial pairs exactly and its defect
+against the discrete solution is the quantity whose decay the convergence
+study tracks.
 
 The volume projections work on blocks of same-domain elements
 (``BlockTables``): the exact fields are sampled once per block and every
-element's system is one slice of a single batched solve.  The one-element
+element's face system is one slice of a single batched solve.  The one-element
 entry points ``project_acoustic``, ``project_elastic`` and
 ``project_volume_scalar`` take the blocks of one that ``Assembler.tables``
 returns.
@@ -34,20 +37,14 @@ def project_face(mesh: Mesh, face_id: int, k: int, fn,
     return fr.moments(fr.sample(fn))
 
 
-def _gram(blk: BlockTables) -> np.ndarray:
-    """Volume mass matrices of the scalar basis, (nb, n_scalar, n_scalar)."""
-    wsv = blk.scalar * blk.weights[:, None, :]
-    return wsv @ blk.scalar.transpose(0, 2, 1)
-
-
 def _project_volume_scalars(blk: BlockTables, vals: np.ndarray) -> np.ndarray:
-    """Element-wise L2 projections of volume values (nb, nq), by Gram solve."""
+    """Element-wise L2 projections of volume values (nb, nq): moments / |det J|."""
     mom = (blk.scalar * blk.weights[:, None, :]) @ vals[:, :, None]
-    return np.linalg.solve(_gram(blk), mom)[:, :, 0]
+    return mom[:, :, 0] / blk.detj[:, None]
 
 
 def project_volume_scalar(tables: BlockTables, fn) -> np.ndarray:
-    """L2 projection onto the scalar space of a one-element block, by Gram solve."""
+    """L2 projection onto the scalar space of a one-element block."""
     return _project_volume_scalars(tables, tables.sample_volume(fn))[0]
 
 
@@ -56,52 +53,54 @@ def _project_pairs(blk: BlockTables, tau: float, vec_fn, scalar_fn):
 
     ``vec_fn`` maps (n, 2) points to (n, m, 2) values and ``scalar_fn`` to
     (n, m); pair j is (vec[:, j], scalar[:, j]).  Both are sampled once on
-    the block.  The pairs share one square system per element, so all of
-    them are right-hand sides of one batched solve.  Returns the vector
-    coefficients (nb, m, 2, n_scalar), the scalar ones (nb, m, n_scalar) and
-    the worst relative residual over the pairs of each element (nb,).
+    the block.  The pairs share one face system per element, for the 3 (k+1)
+    top-degree coefficients, so all of them are right-hand sides of one
+    batched solve.  Returns the vector coefficients (nb, m, 2, n_scalar),
+    the scalar ones (nb, m, n_scalar) and the worst relative residual of the
+    defining equations over the pairs of each element (nb,).
     """
     vec, face_vec = blk.sample_volume(vec_fn), blk.faces.sample(vec_fn)
     scalar, face_scalar = blk.sample_volume(scalar_fn), blk.faces.sample(scalar_fn)
     nb, n_k = blk.scalar.shape[:2]
     kp1 = blk.k + 1
     n_km1 = n_k - kp1
-    n = 3 * n_k
     m = scalar.shape[-1]
-    tau = float(tau)
 
-    a = np.zeros((nb, n, n))
-    b = np.zeros((nb, n, m), dtype=complex)
-
-    # moments against every basis function of one degree lower; the graded
-    # orthonormal basis keeps those in the leading block
-    gram = _gram(blk)[:, :n_km1]
-    wsv = blk.scalar[:, :n_km1] * blk.weights[:, None, :]
-    for c, vals in enumerate((vec[..., 0], vec[..., 1], scalar)):
-        rows = slice(c * n_km1, (c + 1) * n_km1)
-        a[:, rows, c * n_k : (c + 1) * n_k] = gram
-        b[:, rows] = wsv @ vals
+    # every operator here is real, so it acts on complex values (..., m)
+    # viewed as real ones (..., 2 m).  The moments of the components (x, y,
+    # scalar) against degree k-1, the leading block of the graded orthonormal
+    # basis, fix their coefficients there as the moments over |det J|
+    wsv = (blk.scalar[:, :n_km1] * blk.weights[:, None, :])[:, None]
+    vals = np.stack([vec[..., 0], vec[..., 1], scalar], axis=1)  # (nb, 3, nq, m)
+    low_b = (wsv @ vals.view(float)).view(complex)
+    x = np.zeros((nb, 3, n_k, m), dtype=complex)
+    x[:, :, :n_km1] = low_b / blk.detj[:, None, None, None]
 
     # flux matching on each face against the full face space
     fm_t = blk.scalar_moments.transpose(0, 1, 3, 2)  # (nb, 3, k+1, n_k)
     nrm = blk.normals[:, :, None, None, :]
-    face_rows = slice(3 * n_km1, n)
-    for c, coef in enumerate((nrm[..., 0], nrm[..., 1], -tau)):
-        a[:, face_rows, c * n_k : (c + 1) * n_k] = (coef * fm_t).reshape(nb, -1, n_k)
+    face_a = np.stack([(coef * fm_t).reshape(nb, -1, n_k)
+                       for coef in (nrm[..., 0], nrm[..., 1], -float(tau))], axis=2)
     flux = (face_vec @ blk.normals[:, :, None, :, None])[..., 0] - tau * face_scalar
     # the moments of pair j are the j-th block of k+1 of each face
-    moments = blk.faces.moments(flux).reshape(nb, 3, m, kp1)
-    b[:, face_rows] = moments.transpose(0, 1, 3, 2).reshape(nb, -1, m)
+    face_b = blk.faces.moments(flux).reshape(nb, 3, m, kp1).transpose(0, 1, 3, 2)
+    face_b = face_b.reshape(nb, 3 * kp1, m)
+    flat_a = face_a.reshape(nb, 3 * kp1, 3 * n_k)
+    rhs = face_b - (flat_a @ x.reshape(nb, -1, m).view(float)).view(complex)  # top still 0
+    top = np.linalg.solve(face_a[..., n_km1:].reshape(nb, 3 * kp1, -1), rhs.view(float))
+    x[:, :, n_km1:] = top.view(complex).reshape(nb, 3, kp1, m)
 
-    # the matrix is real: solve for the real and imaginary parts together
-    xri = np.linalg.solve(a, np.concatenate([b.real, b.imag], axis=2))
-    x = xri[..., :m] + 1j * xri[..., m:]
-    # relative to ||b||; a zero right-hand side has the exact solution zero
-    res, size = np.linalg.norm(a @ x - b, axis=1), np.linalg.norm(b, axis=1)
+    # every defining equation, the moments by quadrature from the values at
+    # the points, relative to the data; a zero right-hand side has the exact
+    # solution zero
+    low = wsv @ (blk.scalar.transpose(0, 2, 1)[:, None] @ x.view(float))
+    face = flat_a @ x.reshape(nb, -1, m).view(float)
+    b = np.concatenate([low_b.reshape(nb, -1, m), face_b], axis=1)
+    r = np.concatenate([low.view(complex).reshape(nb, -1, m), face.view(complex)], axis=1)
+    res, size = np.linalg.norm(r - b, axis=1), np.linalg.norm(b, axis=1)
     res = np.divide(res, size, out=np.where(res > 0, np.inf, 0.0), where=size > 0)
-    coef = x.transpose(0, 2, 1)  # (nb, m, n)
-    return (coef[:, :, : 2 * n_k].reshape(nb, m, 2, n_k), coef[:, :, 2 * n_k :],
-            res.max(axis=1))
+    coef = x.transpose(0, 3, 1, 2)  # (nb, m, 3, n_k)
+    return coef[:, :, :2], coef[:, :, 2], res.max(axis=1)
 
 
 def _one_pair(vec_fn, scalar_fn):
@@ -116,10 +115,10 @@ class ProjectedPair:
     """Projection of one (vector, scalar) pair on one element.
 
     ``vec`` stacks the x and y coefficient blocks over the element scalar
-    basis; ``residual`` is the relative defect of the square projection
-    system (it should sit at rounding level whenever the system is
-    solvable, which the flux-matching construction guarantees for
-    positive tau).
+    basis; ``residual`` is the relative residual of the defining equations,
+    the moments taken by quadrature.  It sits at rounding level when the
+    scalar basis is orthonormal and the face system solvable, which the
+    flux-matching construction guarantees for positive tau.
     """
 
     vec: np.ndarray      # (2 * n_scalar,)

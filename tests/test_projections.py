@@ -111,6 +111,16 @@ def test_face_moments_stack_any_number_of_components(m):
         assert np.abs(block - oracle).max() < 1e-14
 
 
+@pytest.mark.parametrize("k", range(1, 7))
+def test_face_basis_is_orthonormal_on_every_face(k):
+    # the face mass is taken as I (D = tau I) on the strength of this
+    mesh = build_structured_coupled(
+        2, (-2.0, -2.0, 2.0, 2.0), (-1.0, -1.0, 1.0, 1.0), jitter=0.15, seed=2)
+    fr = face_rule(mesh, np.arange(mesh.n_faces), k)
+    gram = (fr.basis * fr.weights[:, None]) @ fr.basis.transpose(0, 2, 1)
+    assert np.abs(gram - np.eye(k + 1)).max() < 1e-13
+
+
 def test_face_projection_error_is_orthogonal_to_face_space():
     mesh = build_structured_coupled(2, (0.0, 0.0, 1.0, 1.0))
     k, fid = 3, 2
@@ -210,6 +220,58 @@ def test_acoustic_projection_residual_and_defining_equations(k, tau):
         flux_proj = q_h @ normal - tau * (svf.T @ proj.scalar)
         m = np.einsum("p,mp,p->m", fw, fb, flux_exact - flux_proj)
         assert np.abs(m).max() < 1e-12 * scale
+
+
+def full_system_projection(tab, tau, vec_fn, scalar_fn):
+    """The flux-matching projection of one (vector, scalar) pair from its
+    whole square system: the quadrature Gram rows of the moments against
+    degree k-1 and the face rows, for all 3 n_scalar coefficients at once.
+    Returns the vector coefficients (x block, then y) and the scalar ones."""
+    one = Element(tab)
+    n_k = one.n_scalar
+    kp1 = tab.k + 1
+    n_km1 = n_k - kp1
+    w, sv = one.weights, one.scalar
+    gram = (sv * w) @ sv.T
+    a = np.zeros((3 * n_k, 3 * n_k))
+    b = np.zeros(3 * n_k, dtype=complex)
+    vec = vec_fn(one.points)
+    for c, vals in enumerate((vec[:, 0], vec[:, 1], scalar_fn(one.points))):
+        a[c * n_km1 : (c + 1) * n_km1, c * n_k : (c + 1) * n_k] = gram[:n_km1]
+        b[c * n_km1 : (c + 1) * n_km1] = (sv[:n_km1] * w) @ vals
+    for f, (pts, fw, fb, normal, svf) in enumerate(one.faces()):
+        rows = slice(3 * n_km1 + f * kp1, 3 * n_km1 + (f + 1) * kp1)
+        mass = (fb * fw) @ svf.T
+        for c, coef in enumerate((normal[0], normal[1], -tau)):
+            a[rows, c * n_k : (c + 1) * n_k] = coef * mass
+        b[rows] = (fb * fw) @ (vec_fn(pts) @ normal - tau * scalar_fn(pts))
+    x = np.linalg.solve(a, b)
+    return x[: 2 * n_k], x[2 * n_k :]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_projections_match_the_full_system_on_jittered_elements(k):
+    # the closed-form moments and the top-degree face solve against the
+    # whole square system with its quadrature Gram matrix
+    mesh = build_structured_coupled(
+        1, (-2.0, -2.0, 2.0, 2.0), (-1.0, -1.0, 1.0, 1.0), jitter=0.15, seed=2)
+    asm = Assembler(mesh, k, PARAMS)
+
+    def close(got, want):
+        return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    for elem in range(0, mesh.n_elements, 3):
+        tab = asm.tables(elem)
+        if tab.domain == "A":
+            proj = project_acoustic(tab, PARAMS, smooth_q, smooth_v)
+            vec, scalar = full_system_projection(tab, PARAMS.tau_a, smooth_q, smooth_v)
+            assert close(proj.vec, vec) and close(proj.scalar, scalar), elem
+            continue
+        proj = project_elastic(tab, PARAMS, smooth_sigma, smooth_u)
+        for r in range(2):
+            vec, scalar = full_system_projection(
+                tab, PARAMS.tau_e, lambda p: smooth_sigma(p)[:, r], lambda p: smooth_u(p)[:, r])
+            assert close(proj.sigma[r].reshape(-1), vec) and close(proj.u[r], scalar), elem
 
 
 @pytest.mark.parametrize("k", [1, 2])
