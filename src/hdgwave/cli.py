@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import sys
 from dataclasses import asdict, dataclass
 
@@ -216,9 +217,6 @@ def _mode_solve(cfg: RunConfig, case, mesh) -> int:
         print(f"err_{name}={errors[name]:.6e}")
     print(f"theta={theta:.6e}")
     stats = asdict(system.solve_stats)
-    if cfg.verbose:
-        for name, value in stats.items():
-            print(f"solve.{name}={value}")
     payload = {
         "case": case.name,
         "k": cfg.k,
@@ -227,7 +225,13 @@ def _mode_solve(cfg: RunConfig, case, mesh) -> int:
         "errors": errors,
         "theta": theta,
         "solve": stats,
+        # the process's peak resident set so far; ru_maxrss is in KiB on Linux
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
+    if cfg.verbose:
+        for name, value in stats.items():
+            print(f"solve.{name}={value}")
+        print(f"peak_rss_mb={payload['peak_rss_mb']}")
     with open(os.path.join(out, "report.json"), "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -15,6 +15,14 @@ of the elements' shapes, while the monolithic route rebuilds each shape's
 blocks and keeps all volume unknowns alongside the trace unknowns.  The
 second exists to cross-check the first.
 
+Both routes write the matrix straight into its CSC arrays.  The pattern
+comes first, from the mesh: dense blocks between the nodes (the k+1 trace
+unknowns of one face and field component; monolithic, each element's
+volume unknowns) that an element couples, and diagonal interface blocks.
+Each block is then added in place.  An entry sums at most two terms (the
+two elements of a face), whose order cannot move a bit, onto -0.0, which
+adds to any x as x; so the matrix has the bits of summed COO triplets.
+
 The trace system is LU-factored by SuperLU with a minimum-degree ordering
 of A + A^T.  The matrix is structurally symmetric: a face's rows couple to
 the traces of the faces of its neighbouring elements, which couple back to
@@ -148,19 +156,59 @@ class AssembledSystem:
     solve_stats: SolveStats | None = None  # set by solve_assembled
 
 
-def _local_faces(mesh: Mesh, dofmap: DofMap, loc: BlockLocals):
-    """Skeleton offset (-1: eliminated) and flux-row sign (0: no row) of each
-    element face of a block.  Interface rows are those of the fluid side, so
-    the solid flux enters them with the opposite sign."""
-    faces = mesh.element_faces[loc.elems]
-    if loc.domain == "E":
-        offset = dofmap.uhat_offset[faces]
-        # interface faces are the only ones that carry both traces
-        sign = np.where(dofmap.vhat_offset[faces] >= 0, -1.0, 1.0)
-    else:
-        offset = dofmap.vhat_offset[faces]
-        sign = np.ones(faces.shape)
-    return faces, offset, np.where(offset >= 0, sign, 0.0)
+def _element_faces(mesh: Mesh, dofmap: DofMap, first: int):
+    """Of each element face (n_elements, 3): its trace's skeleton offset
+    (-1: eliminated), its flux-row sign (0: no row; interface rows are the
+    fluid side's, so the solid flux enters them negated), and (..., 2) its
+    trace nodes from ``first`` on, one (fluid) or two (solid; -1: none)."""
+    faces = mesh.element_faces
+    solid = (mesh.tri_domain == "E")[:, None]
+    offset = np.where(solid, dofmap.uhat_offset[faces], dofmap.vhat_offset[faces])
+    # interface faces are the only ones that carry both traces
+    sign = np.where(solid & (dofmap.vhat_offset[faces] >= 0), -1.0, 1.0)
+    has = (offset >= 0)[..., None] & (solid[..., None] | np.array([True, False]))
+    nodes = np.where(has, first + offset[..., None] // (dofmap.k + 1) + np.arange(2), -1)
+    return offset, np.where(offset >= 0, sign, 0.0), nodes
+
+
+class _NodePattern:
+    """CSC arrays of a matrix of full or diagonal blocks between the nodes
+    ``bounds[i]:bounds[i+1]``, node pairs given as broadcastable arrays (-1:
+    none).  Column c of node C holds the rows of each row node R paired with
+    it in order (one row if diagonal), so the entry in row bounds[R] + r of
+    the pair p = (R, C) lies at indptr[c] + off[p] + r (r = 0 if diagonal)."""
+
+    def __init__(self, bounds: np.ndarray, full: list, diagonal: list):
+        self.start, width, self.n_nodes = bounds[:-1], np.diff(bounds), len(bounds) - 1
+        # twice the key, plus one for a diagonal pair
+        keys = np.sort(np.concatenate([2 * self._keys(*pair[:2])[1] + diag for diag, pairs
+                                       in enumerate((full, diagonal)) for pair in pairs]))
+        self.keys, self.diag = np.divmod(keys[np.diff(keys, prepend=-1) != 0], 2)
+        col, row = np.divmod(self.keys, self.n_nodes)
+        per_column = np.where(self.diag, 1, width[row])
+        self.length = np.bincount(col, per_column, self.n_nodes).astype(int)
+        before = np.cumsum(per_column) - per_column
+        self.off = before - before[np.searchsorted(col, col)]
+        self.indptr = np.concatenate([[0], np.cumsum(np.repeat(self.length, width))])
+        self.data = np.full(self.indptr[-1], complex(-0.0, -0.0))
+        self.indices = np.empty(self.indptr[-1], dtype=np.int32)
+
+    def _keys(self, rn, cn):
+        rn, cn = np.broadcast_arrays(rn, cn)
+        ok = (rn >= 0) & (cn >= 0)
+        return ok, cn[ok] * self.n_nodes + rn[ok]
+
+    def add(self, rn, cn, vals: np.ndarray) -> None:
+        """Add the blocks vals (..., rows, columns) of the pairs (rn, cn)."""
+        ok, keys = self._keys(rn, cn)
+        vals = np.broadcast_to(vals, ok.shape + vals.shape[-2:])[ok]
+        p = np.searchsorted(self.keys, keys)
+        cn, rn = np.divmod(keys, self.n_nodes)
+        r, c = np.arange(vals.shape[1])[:, None], np.arange(vals.shape[2])
+        at = self.indptr[self.start[cn]] + self.off[p]
+        at = (at[:, None] + self.length[cn][:, None] * c)[:, None] + r
+        np.add.at(self.data, at.ravel(), vals.ravel())  # a 1-d index takes numpy's fast loop
+        self.indices[at] = (self.start[rn][:, None] + self.diag[p][:, None] * c)[:, None] + r
 
 
 def assemble_system(assembler: Assembler, data: ProblemData,
@@ -187,44 +235,43 @@ def assemble_system(assembler: Assembler, data: ProblemData,
         n_vol = int(vol_off[-1])
     trace_base = n_vol
     n_total = n_vol + dofmap.n_dofs
-
-    rows_l: list[np.ndarray] = []
-    cols_l: list[np.ndarray] = []
-    vals_l: list[np.ndarray] = []
     rhs = np.zeros(n_total, dtype=complex)
 
-    def add(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, keep) -> None:
-        """Entries vals at (rows, cols) where keep holds, all broadcast together."""
-        shape = np.broadcast_shapes(rows.shape, cols.shape, vals.shape, np.shape(keep))
-        mask = np.broadcast_to(keep, shape)
-        for out, arr in ((rows_l, rows), (cols_l, cols), (vals_l, vals)):
-            out.append(np.broadcast_to(arr, shape)[mask])
+    # one node per element's volume unknowns (monolithic), then the trace nodes
+    first = mesh.n_elements if monolithic else 0
+    offsets, signs, nodes = _element_faces(mesh, dofmap, first)
+    flat, vn = nodes.reshape(len(nodes), -1), np.arange(mesh.n_elements)[:, None]
+    pairs = ([(nodes[..., None], nodes[..., None, :]), (vn, flat), (flat, vn), (vn, vn)]
+             if monolithic else [(flat[:, :, None], flat[:, None, :])])
+    bounds = np.concatenate([vol_off[:-1] if monolithic else [],
+                             np.arange(trace_base, n_total + 1, k + 1)]).astype(int)
+    couplings = _interface_blocks(assembler, dofmap, first)
+    pattern = _NodePattern(bounds, pairs, couplings)
 
     for loc in locals_:
         nb = len(loc.elems)
         blk = loc.ops.trace_dim // 3
-        faces, offset, sign = _local_faces(mesh, dofmap, loc)
+        split = (nb, 3, blk // (k + 1), k + 1)  # (..., face, component, mode)
+        tn = nodes[loc.elems, :, : split[2]]
+        faces, offset, sign = mesh.element_faces[loc.elems], offsets[loc.elems], signs[loc.elems]
         fixed = (fixed_uhat if loc.domain == "E" else fixed_vhat)[faces].reshape(nb, -1)
         idx = trace_base + offset[..., None] + np.arange(blk)  # (nb, 3, blk)
         known = offset >= 0
-        r_idx, r_sign = idx[..., None, None], sign[..., None, None, None]
-        c_idx, c_known = idx[:, None, None], known[:, None, None, :, None]
-        r_known = known[..., None, None, None]
         if monolithic:
             _, (a, b, c, d), _, _ = assembler.shape_blocks(loc.ops.reps[loc.shape], loc.domain)
+            vn = loc.elems[:, None, None]  # the volume node
             # the direct trace block is face-diagonal
-            add(r_idx, c_idx, r_sign * d.reshape(nb, 3, blk, 3, blk),
-                r_known & c_known & np.eye(3, dtype=bool)[None, :, None, :, None])
+            d = np.einsum("efixfjz->efijxz", d.reshape(split + split[1:]))
+            pattern.add(tn[..., None], tn[..., None, :], sign[..., None, None, None, None] * d)
+            pattern.add(tn, vn, sign[..., None, None, None] * c.reshape(split + (-1,)))
+            pattern.add(loc.elems, loc.elems, a)
+            pattern.add(vn, tn, -b.reshape((nb, -1) + split[1:]).transpose(0, 2, 3, 1, 4))
             v_idx = vol_off[loc.elems, None] + np.arange(loc.ops.volume_dim)
-            add(idx[..., None], v_idx[:, None, None],
-                sign[..., None, None] * c.reshape(nb, 3, blk, -1), known[..., None, None])
-            add(v_idx[..., None], v_idx[:, None], a, True)
-            add(v_idx[..., None, None], idx[:, None], -b.reshape(nb, -1, 3, blk),
-                known[:, None, :, None])
             rhs[v_idx] += (b @ fixed[..., None])[..., 0] + loc.source_moments
         else:
             condensed = loc.ops.condensed_map[loc.shape].reshape(nb, 3, blk, 3, blk)
-            add(r_idx, c_idx, r_sign * condensed, r_known & c_known)
+            pattern.add(tn[..., None, None], tn[:, None, None], sign[..., None, None, None, None, None]
+                        * condensed.reshape(split + split[1:]).transpose(0, 1, 2, 4, 5, 3, 6))
             # per element and row face: the flux of each eliminated trace,
             # then that of the source, subtracted one at a time in element
             # order, so that the rounding does not depend on the blocking
@@ -236,12 +283,12 @@ def assemble_system(assembler: Assembler, data: ProblemData,
             use = known[:, :, None] & used[:, None, :]
             np.subtract.at(rhs, np.broadcast_to(idx[:, :, None], terms.shape)[use], terms[use])
 
-    _face_terms(assembler, moments, dofmap, add, rhs, trace_base)
+    for rn, cn, vals in couplings:
+        pattern.add(rn, cn, vals)
+    _face_terms(assembler, moments, dofmap, rhs, trace_base)
 
-    matrix = sp.coo_matrix(
-        (np.concatenate(vals_l), (np.concatenate(rows_l), np.concatenate(cols_l))),
-        shape=(n_total, n_total),
-    ).tocsc()
+    matrix = sp.csc_matrix((pattern.data, pattern.indices, pattern.indptr),
+                           shape=(n_total, n_total))
     return AssembledSystem(
         matrix=matrix,
         rhs=rhs,
@@ -285,10 +332,24 @@ def _data_moments(mesh: Mesh, k: int, data: ProblemData) -> dict[str, np.ndarray
     return out
 
 
+def _interface_blocks(assembler: Assembler, dofmap: DofMap, first: int) -> list:
+    """The diagonal interface blocks (row nodes, column nodes, values (n_gamma, 1, k+1)): velocity
+    row to displacement trace, traction row to scalar trace, mode by mode through one normal
+    component; a zero component pairs no nodes, as the ordering counts a stored zero as fill."""
+    mesh, kp1, params = assembler.mesh, assembler.k + 1, assembler.params
+    gamma = np.flatnonzero(mesh.is_kind(FaceKind.GAMMA))
+    n_e = elastic_side_normal(mesh, gamma)
+    v, u = (first + offset[gamma] // kp1 for offset in (dofmap.vhat_offset, dofmap.uhat_offset))
+    return [(np.where(n_e[:, c] == 0, -1, rn), cn,
+             np.broadcast_to(vals[:, None, None], (len(gamma), 1, kp1)))
+            for c in (0, 1) for rn, cn, vals in ((v, u + c, -params.s * n_e[:, c]),
+                                                 (u + c, v, params.rho_f * params.s * -n_e[:, c]))]
+
+
 def _face_terms(assembler: Assembler, moments: dict[str, np.ndarray], dofmap: DofMap,
-                add, rhs: np.ndarray, trace_base: int) -> None:
-    """Neumann and interface data moments (those of ``_data_moments``) and
-    the interface coupling blocks, all faces of a kind at once."""
+                rhs: np.ndarray, trace_base: int) -> None:
+    """Neumann and interface data moments (those of ``_data_moments``), all
+    faces of a kind at once."""
     mesh, k, params = assembler.mesh, assembler.k, assembler.params
     kp1 = k + 1
     s, rho_f = params.s, params.rho_f
@@ -306,13 +367,6 @@ def _face_terms(assembler: Assembler, moments: dict[str, np.ndarray], dofmap: Do
     v_idx = trace_base + dofmap.vhat_offset[gamma, None] + np.arange(kp1)
     ux_idx = trace_base + dofmap.uhat_offset[gamma, None] + np.arange(kp1)
     uy_idx = ux_idx + kp1
-    # the velocity row couples to the displacement trace and the traction row
-    # to the scalar trace, mode by mode through one normal component; only
-    # nonzero entries are stored, as the ordering counts a stored zero as fill
-    for c, u_idx in enumerate((ux_idx, uy_idx)):
-        nonzero = n_e[:, c, None] != 0
-        add(v_idx, u_idx, -s * n_e[:, c, None], nonzero)
-        add(u_idx, v_idx, rho_f * s * n_a[:, c, None], nonzero)
     if "grad_v_inc" in moments:
         rhs[v_idx] -= moments["grad_v_inc"]
     if "g1" in moments:
@@ -436,7 +490,7 @@ def solve_problem(mesh: Mesh, k: int, params: ModelParams, data: ProblemData,
 
 def dump_system(prefix: str, system: AssembledSystem) -> None:
     """Write the matrix and right-hand side in Matrix Market format."""
-    mmwrite(f"{prefix}_matrix.mtx", system.matrix.tocoo())
+    mmwrite(f"{prefix}_matrix.mtx", system.matrix)
     mmwrite(f"{prefix}_rhs.mtx", system.rhs.reshape(-1, 1))
 
 

@@ -283,6 +283,9 @@ def test_solve_reports_what_the_solve_did(tmp_path, capsys):
     assert RCOND_FLOOR < stats["local_rcond"] <= 1.0
     for name, value in stats.items():
         assert f"solve.{name}={value}\n" in out
+    # the whole process, imports and solve, in MB; ru_maxrss is in KiB on Linux
+    assert 10.0 < payload["peak_rss_mb"] < 1e5
+    assert f"peak_rss_mb={payload['peak_rss_mb']}\n" in out
 
 
 def test_solve_dump_system_writes_matrix_market(tmp_path):

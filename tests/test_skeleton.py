@@ -1,5 +1,7 @@
 """Global trace system: assembly, solve, recovery, and the face residuals."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.io as sio
@@ -7,8 +9,9 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 import hdgwave.local_solver as local_solver
+import hdgwave.skeleton as skeleton
 from hdgwave.local_solver import Assembler, ModelParams
-from hdgwave.mesh import KINDS, FaceKind, build_structured_coupled
+from hdgwave.mesh import KINDS, FaceKind, build_structured_coupled, elastic_side_normal
 from hdgwave.projections import project_face
 from hdgwave.skeleton import (
     AssembledSystem,
@@ -256,8 +259,6 @@ def test_ill_posed_parameters_rejected_before_assembly():
 
 def test_solve_problem_refuses_an_assembler_of_another_problem(monkeypatch):
     # the parent solved the assembler's own problem and ignored the rest
-    import hdgwave.skeleton as skeleton
-
     case = make_case("acoustic61")
     mesh = case.mesh_at(1)
     other = ModelParams.from_young_poisson(1.0, 0.3, s=3.0 - 1.0j)
@@ -278,7 +279,6 @@ def test_solve_problem_refuses_an_assembler_of_another_problem(monkeypatch):
 def test_solve_problem_goes_through_the_patchable_solve_assembled(monkeypatch):
     # the benchmark replaces skeleton.solve_assembled and reads the mesh, the
     # matrix and the right-hand side of every system it is handed
-    import hdgwave.skeleton as skeleton
     import hdgwave.verify as verify
 
     seen = []
@@ -316,8 +316,6 @@ def test_singular_system_raises_typed_error():
 def test_residual_bound_is_relative_to_the_rhs(monkeypatch):
     # a solution whose residual is 1e-8 of a small rhs must be refused; an
     # absolute floor of 1e-10 let it through whenever ||rhs|| < 1
-    import hdgwave.skeleton as skeleton
-
     class Sloppy:
         nnz = 2  # entries of the factors, as SuperLU reports them
         perm_r = perm_c = np.arange(2)  # every pivot on the diagonal
@@ -374,8 +372,6 @@ def test_coupled_trace_matrix_stores_no_zero(jitter):
 
 
 def test_factorization_reads_the_assembled_matrix_without_a_copy(monkeypatch):
-    import hdgwave.skeleton as skeleton
-
     seen = []
 
     def spy(matrix, **options):
@@ -489,3 +485,137 @@ def test_row_scaled_coupled_matrix_is_complex_symmetric(rho_f, s, jitter):
         np.where(on_gamma, 1.0, -1.0)[:, None] / rho_f
     scaled = sp.diags(row_scale) @ system.matrix
     assert abs(scaled - scaled.T).max() <= 1e-13 * abs(scaled).max()
+
+
+# -- the in-place CSC assembly against triplets --------------------------------
+
+
+def coo_assembly(assembler, data, monolithic):
+    """The trace system summed from COO triplets, entry by entry: every
+    element block and interface coupling entry as a (row, column, value)
+    triplet, summed by scipy's COO to CSC conversion."""
+    mesh, k = assembler.mesh, assembler.k
+    dofmap = build_dof_map(mesh, k)
+    moments = skeleton._data_moments(mesh, k, data)
+    fixed_uhat = np.zeros((mesh.n_faces, 2 * (k + 1)), dtype=complex)
+    fixed_vhat = np.zeros((mesh.n_faces, k + 1), dtype=complex)
+    for name, kind, fixed in (("dirichlet", FaceKind.GAMMA_AD, fixed_vhat),
+                              ("u_dirichlet", FaceKind.ELASTIC_BOUNDARY, fixed_uhat)):
+        if name in moments:
+            fixed[mesh.is_kind(kind)] = moments[name]
+    locals_ = assembler.all_locals(f_acoustic=data.f, f_elastic=data.f_elastic)
+    vol_off, n_vol = None, 0
+    if monolithic:
+        dims = np.zeros(mesh.n_elements, dtype=int)
+        for loc in locals_:
+            dims[loc.elems] = loc.ops.volume_dim
+        vol_off = np.concatenate([[0], np.cumsum(dims)])
+        n_vol = int(vol_off[-1])
+    n_total = n_vol + dofmap.n_dofs
+    triplets = []
+    rhs = np.zeros(n_total, dtype=complex)
+
+    def add(rows, cols, vals, keep):
+        shape = np.broadcast_shapes(rows.shape, cols.shape, vals.shape, np.shape(keep))
+        mask = np.broadcast_to(keep, shape)
+        triplets.append([np.broadcast_to(arr, shape)[mask] for arr in (rows, cols, vals)])
+
+    for loc in locals_:
+        nb = len(loc.elems)
+        blk = loc.ops.trace_dim // 3
+        faces = mesh.element_faces[loc.elems]
+        if loc.domain == "E":
+            offset = dofmap.uhat_offset[faces]
+            sign = np.where(dofmap.vhat_offset[faces] >= 0, -1.0, 1.0)
+        else:
+            offset = dofmap.vhat_offset[faces]
+            sign = np.ones(faces.shape)
+        sign = np.where(offset >= 0, sign, 0.0)
+        fixed = (fixed_uhat if loc.domain == "E" else fixed_vhat)[faces].reshape(nb, -1)
+        idx = n_vol + offset[..., None] + np.arange(blk)
+        known = offset >= 0
+        r_idx, r_sign = idx[..., None, None], sign[..., None, None, None]
+        c_idx, c_known = idx[:, None, None], known[:, None, None, :, None]
+        r_known = known[..., None, None, None]
+        if monolithic:
+            _, (a, b, c, d), _, _ = assembler.shape_blocks(loc.ops.reps[loc.shape], loc.domain)
+            add(r_idx, c_idx, r_sign * d.reshape(nb, 3, blk, 3, blk),
+                r_known & c_known & np.eye(3, dtype=bool)[None, :, None, :, None])
+            v_idx = vol_off[loc.elems, None] + np.arange(loc.ops.volume_dim)
+            add(idx[..., None], v_idx[:, None, None],
+                sign[..., None, None] * c.reshape(nb, 3, blk, -1), known[..., None, None])
+            add(v_idx[..., None], v_idx[:, None], a, True)
+            add(v_idx[..., None, None], idx[:, None], -b.reshape(nb, -1, 3, blk),
+                known[:, None, :, None])
+            rhs[v_idx] += (b @ fixed[..., None])[..., 0] + loc.source_moments
+        else:
+            condensed = loc.ops.condensed_map[loc.shape].reshape(nb, 3, blk, 3, blk)
+            add(r_idx, c_idx, r_sign * condensed, r_known & c_known)
+            by_face = condensed.transpose(0, 1, 3, 2, 4)
+            terms = np.concatenate(
+                [(by_face @ fixed.reshape(nb, 1, 3, blk, 1))[..., 0],
+                 loc.rhs_trace.reshape(nb, 3, 1, blk)], axis=2) * sign[..., None, None]
+            used = np.concatenate([~known, np.ones((nb, 1), dtype=bool)], axis=1)
+            use = known[:, :, None] & used[:, None, :]
+            np.subtract.at(rhs, np.broadcast_to(idx[:, :, None], terms.shape)[use], terms[use])
+
+    gamma = np.flatnonzero(mesh.is_kind(FaceKind.GAMMA))
+    if len(gamma):
+        s, rho_f = assembler.params.s, assembler.params.rho_f
+        n_e = elastic_side_normal(mesh, gamma)
+        n_a = -n_e
+        v_idx = n_vol + dofmap.vhat_offset[gamma, None] + np.arange(k + 1)
+        ux_idx = n_vol + dofmap.uhat_offset[gamma, None] + np.arange(k + 1)
+        for c, u_idx in enumerate((ux_idx, ux_idx + k + 1)):
+            nonzero = n_e[:, c, None] != 0
+            add(v_idx, u_idx, -s * n_e[:, c, None], nonzero)
+            add(u_idx, v_idx, rho_f * s * n_a[:, c, None], nonzero)
+    skeleton._face_terms(assembler, moments, dofmap, rhs, n_vol)
+    rows, cols, vals = (np.concatenate(part) for part in zip(*triplets))
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n_total, n_total)).tocsc(), rhs
+
+
+ORACLE_MESHES = {
+    "acoustic61": lambda shape: build_structured_coupled(4, (0.0, 0.0, 1.0, 1.0), **shape),
+    "elastic62": lambda shape: build_structured_coupled(4, (0.0, 0.0, 1.0, 1.0), domain="E",
+                                                        **shape),
+    "coupled63": lambda shape: build_structured_coupled(2, *COUPLED_BOXES, **shape),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("jitter", [None, 0.15])
+@pytest.mark.parametrize("name", sorted(ORACLE_MESHES))
+def test_in_place_assembly_has_the_bits_of_summed_triplets(monkeypatch, name, jitter, k):
+    # each entry sums at most two terms, whose order cannot move a bit, so
+    # the scatter into the CSC arrays must reproduce the triplet sum exactly
+    case = make_case(name, **({"poisson": 0.49999} if name == "elastic62" else {}))
+    mesh = ORACLE_MESHES[name]({} if jitter is None else {"jitter": jitter, "seed": 3})
+    for size in (7, local_solver.BLOCK_SIZE):
+        monkeypatch.setattr(local_solver, "BLOCK_SIZE", size)
+        for monolithic in (False, True):
+            asm = Assembler(mesh, k, case.params)
+            system = assemble_system(asm, case.data, monolithic=monolithic)
+            matrix, rhs = coo_assembly(asm, case.data, monolithic)
+            got = system.matrix
+            assert got.format == "csc" and got.has_canonical_format
+            for ours, theirs in ((got.indptr, matrix.indptr), (got.indices, matrix.indices),
+                                 (got.data, matrix.data), (system.rhs, rhs)):
+                assert same_bits(ours, theirs)
+
+
+def test_assembly_holds_little_beyond_the_matrix():
+    # the transient of assembly (its peak less what stays alive) was 3.4 times
+    # the CSC arrays with triplet lists, and is 1.4 times with the in-place
+    # scatter, most of it one block's positions and values
+    case = make_case("coupled63")
+    asm = Assembler(case.mesh_at(3), 3, case.params)
+    tracemalloc.start()
+    try:
+        system = assemble_system(asm, case.data)
+        alive, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    matrix = system.matrix
+    csc_bytes = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+    assert peak - alive <= 2.0 * csc_bytes
