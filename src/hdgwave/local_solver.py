@@ -8,9 +8,10 @@ complement C A^-1 B + D: exactly what the global conservation equations use.
 
 Three facts of the spaces fix blocks without integration: the scalar basis
 is orthonormal, so an element's scalar mass matrix is |det J| I; the face
-basis is orthonormal, so the face mass is I and D = tau I; and the flux is
-the adjoint of the volume coupling, C = (S B)^T, S = -1 on the scalar (u or
-v) rows and +1 elsewhere.
+basis is orthonormal, so the face mass is I, D = tau I, and that of scalar
+traces (in the face's P_k) the product of their face moments; and the flux
+is the adjoint of the volume coupling, C = (S B)^T, S = -1 on the scalar (u
+or v) rows and +1 elsewhere.
 
 Face trace layout: faces in local-edge order; per face the vector trace
 stacks x-modes then y-modes of the orthonormal face basis (scalar traces
@@ -25,11 +26,12 @@ evaluated.
 
 Everything here is array code over blocks of same-domain elements, with the
 element axis first (``BlockTables``, ``BlockLocals``).  The element matrices
-depend on the element's shape alone: its Jacobian and the orientation of
-its faces.  ``Assembler`` therefore builds and factors them once per
-distinct shape of a domain, in batches, keeps only the maps the condensed
-route reads, and elements index into them; sources, face rules and boundary
-data are always those of the element itself.
+depend on the element's shape alone: its Jacobian and the orientation of its
+faces.  ``Assembler`` therefore builds and factors them once per distinct
+shape of a domain, in batches, and elements index into the maps the
+condensed route reads.  Each element's source is lifted as one more
+right-hand side of its shape's solve; sources, face rules and boundary data
+are always those of the element itself.
 """
 
 from __future__ import annotations
@@ -155,7 +157,9 @@ class BlockTables:
     (nb, 3, m (k+1)) of m components).  The P_k stress members are
     ``scalar`` in each matrix slot, so only the ``enrichment`` is stored;
     their normal traces are ``face_scalar`` times the ``normals``, and the
-    enrichment's are zero.
+    enrichment's are zero.  The tables ``Assembler.shape_blocks`` builds the
+    blocks from carry no face rule (``faces`` is None): the blocks read only
+    the per-shape face tables.
     """
 
     elems: np.ndarray           # (nb,)
@@ -168,7 +172,7 @@ class BlockTables:
     scalar: np.ndarray          # (nb, n_scalar, nq), the reference values
     enrichment: np.ndarray | None  # (nb, k+1, nq, 2, 2) enrichment members, solid blocks
     face_ids: np.ndarray        # (nb, 3)
-    faces: FaceRule             # the rules of the faces, element-first
+    faces: FaceRule | None      # the rules of the faces, element-first
     normals: np.ndarray         # (nb, 3, 2) outward
     face_scalar: np.ndarray     # (nb, 3, n_scalar, nfq) scalar basis on the faces
     scalar_moments: np.ndarray  # (nb, 3, n_scalar, k+1)
@@ -215,24 +219,25 @@ class BlockTables:
         sq = np.abs(vals.reshape(vals.shape[:2] + (-1,))) ** 2
         return float(np.einsum("eq,eqr->", self.weights, sq))
 
+    def coef_l2sq(self, coef: np.ndarray) -> float:
+        """Sum over the block of the squared L2 norms of scalar-basis
+        coefficients (nb, ..., n_scalar): |det J| times their squares."""
+        return float(self.detj @ (np.abs(coef.reshape(len(coef), -1)) ** 2).sum(axis=1))
+
 
 @dataclass
 class ShapeOperators:
     """The condensed operators of one domain, one row per distinct element shape.
 
-    With A, B, C, D a shape's blocks (``Assembler.shape_blocks``) and E the
-    identity columns of the source unknowns (u or v): ``lift_map`` = A^-1 B,
-    ``condensed_map`` = C A^-1 B + D, ``source_lift`` = A^-1 E and
-    ``source_flux`` = C A^-1 E, the two lifts Fortran-ordered per shape as
-    LAPACK solved them.  ``rcond`` is LAPACK's estimate of the reciprocal
-    1-norm condition number of D A D; ``reps`` holds each shape's first element.
+    With A, B, C, D a shape's blocks (``Assembler.shape_blocks``):
+    ``lift_map`` = A^-1 B, Fortran-ordered per shape as LAPACK solved it, and
+    ``condensed_map`` = C A^-1 B + D; ``rcond`` is LAPACK's estimate of the
+    reciprocal 1-norm condition number of D A D.  No source map is kept: the
+    solve of each shape lifts its elements' sources into ``BlockLocals``.
     """
 
-    reps: np.ndarray
     lift_map: np.ndarray        # (n_shapes, n_vol, n_tr)
     condensed_map: np.ndarray   # (n_shapes, n_tr, n_tr)
-    source_lift: np.ndarray     # (n_shapes, n_vol, n_src)
-    source_flux: np.ndarray     # (n_shapes, n_tr, n_src)
     rcond: np.ndarray           # (n_shapes,)
     slices: dict[str, slice]
 
@@ -252,7 +257,10 @@ class BlockLocals:
     Element ``elems[i]`` uses row ``shape[i]`` of every array in ``ops``:
     ``condensed_map @ traces + rhs_trace`` yields its numerical flux moments
     (outward orientation), and ``lift_map @ traces + rhs_volume`` its volume
-    unknowns; both right-hand sides lift the source f in ``source_moments``.
+    unknowns.  With f the element's source moments ``source_moments`` on
+    the source unknowns (u or v), ``rhs_volume`` = A^-1 f, a column of its
+    shape's solve, and ``rhs_trace`` = C A^-1 f: views of the block's run of
+    the domain's arrays.
     """
 
     domain: str                 # "E" or "A"
@@ -286,6 +294,13 @@ def _t(m: np.ndarray) -> np.ndarray:
     return m.transpose(0, 2, 1)
 
 
+def _volume_slices(domain: str, n_p: int, kp1: int) -> dict[str, slice]:
+    """Volume unknowns: stress (4 n_p + k+1), displacement, spin; or flux, scalar."""
+    names = ("sigma", "u", "gamma") if domain == "E" else ("q", "v")
+    ends = np.cumsum([4 * n_p + kp1, 2 * n_p, n_p] if domain == "E" else [2 * n_p, n_p]).tolist()
+    return {name: slice(start, end) for name, start, end in zip(names, [0] + ends, ends)}
+
+
 def _mixed_blocks(tab: BlockTables, grads, tau: float, m: complex):
     """Blocks A and B of one (vector q, scalar v) pair with a scalar face
     trace: volume (q_x, q_y, v), k+1 trace modes per face.  A holds (v, div r)
@@ -310,12 +325,11 @@ def _mixed_blocks(tab: BlockTables, grads, tau: float, m: complex):
     m_vv = (m * tab.detj)[:, None, None] * np.eye(n_p)  # the scalar mass is |det J| I
 
     for f in range(3):
-        fw, svf = tab.faces.weights[:, f], tab.face_scalar[:, f]
         fm = tab.scalar_moments[:, f]  # (nb, n_p, k+1)
         n0 = tab.normals[:, f, 0, None, None]
         n1 = tab.normals[:, f, 1, None, None]
         rows = slice(f * kp1, (f + 1) * kp1)
-        fmass_s = _pair(fw, svf, svf)
+        fmass_s = fm @ _t(fm)
 
         b[:, qx, rows] = n0 * fm
         b[:, qy, rows] = n1 * fm
@@ -340,8 +354,8 @@ def _elastic_blocks(tab: BlockTables, grads, params: ModelParams):
     n_vol = n_sig + 3 * n_p
     blk = 2 * kp1
     w, sv, enr = tab.weights, tab.scalar, tab.enrichment
-    i_s, i_e = slice(0, n_sig), slice(n_pk, n_sig)
-    i_u, i_g = slice(n_sig, n_sig + 2 * n_p), slice(n_sig + 2 * n_p, n_vol)
+    i_e = slice(n_pk, n_sig)
+    i_s, i_u, i_g = _volume_slices("E", n_p, kp1).values()
 
     pa, pb = _mixed_blocks(tab, grads, params.tau_e, params.rho_e * params.s**2)
     a = np.zeros((nb, n_vol, n_vol), dtype=complex).transpose(0, 2, 1)  # Fortran per shape
@@ -371,7 +385,7 @@ def _elastic_blocks(tab: BlockTables, grads, params: ModelParams):
     scale[:, i_e] = 1.0
     size = params.rho_e * abs(params.s) ** 2 * tab.h**2 + params.tau_e * tab.h
     scale[:, i_u] = size[:, None] ** -0.5
-    return a, b, {"sigma": i_s, "u": i_u, "gamma": i_g}, scale
+    return a, b, scale
 
 
 def _acoustic_blocks(tab: BlockTables, grads, params: ModelParams):
@@ -380,10 +394,9 @@ def _acoustic_blocks(tab: BlockTables, grads, params: ModelParams):
     tau = params.tau_a
     a, b = _mixed_blocks(tab, grads, tau, (params.s / params.c) ** 2)
     a[:, : 2 * n_p, : 2 * n_p] = tab.detj[:, None, None] * np.eye(2 * n_p)
-    i_v = slice(2 * n_p, 3 * n_p)
     scale = np.repeat(1.0 / tab.h[:, None], 3 * n_p, axis=1)
-    scale[:, i_v] = (abs(params.s / params.c) ** 2 * tab.h**2 + tau * tab.h)[:, None] ** -0.5
-    return a, b, {"q": slice(0, 2 * n_p), "v": i_v}, scale
+    scale[:, 2 * n_p :] = (abs(params.s / params.c) ** 2 * tab.h**2 + tau * tab.h)[:, None] ** -0.5
+    return a, b, scale
 
 
 def reconstruct_flux(tables: BlockTables, params: ModelParams,
@@ -411,11 +424,11 @@ def reconstruct_flux(tables: BlockTables, params: ModelParams,
 
 @dataclass
 class _DomainShapes:
-    """Per-shape tables and operators of one domain of a mesh."""
+    """Per-shape tables of one domain of a mesh."""
 
     shape: np.ndarray             # (n_elements,) shape of each element, -1 off the domain
+    reps: np.ndarray              # (n_shapes,) the first element of each shape
     parts: dict[str, np.ndarray]  # shape-dependent ``BlockTables`` fields, per shape
-    ops: ShapeOperators
 
 
 class Assembler:
@@ -427,7 +440,8 @@ class Assembler:
     depends on shape alone is built once per key from its first element:
     matrices, basis tables, weights and normals.  Quadrature points are the
     shape's, moved onto each element; face rules and anything that samples
-    user callables (sources, boundary data) are the element's own.
+    user callables (sources, boundary data) are the element's own.  Tables
+    are kept; ``all_locals``, which knows the sources, builds the operators.
     """
 
     def __init__(self, mesh: Mesh, k: int, params: ModelParams):
@@ -450,6 +464,8 @@ class Assembler:
         return jac, np.sqrt(np.vecdot(edges, edges)).max(axis=1)
 
     def _shapes(self, domain: str) -> _DomainShapes:
+        """The shapes of a domain's elements and the tables of each from its
+        first element."""
         cached = self._domains.get(domain)
         if cached is not None:
             return cached
@@ -464,77 +480,14 @@ class Assembler:
         _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
         shape = np.full(self.mesh.n_elements, -1)
         shape[elems] = inverse.reshape(-1)
-        reps = elems[first]
-
-        parts, ops = {}, {}  # name -> per-shape array
-        for start in range(0, len(reps), SHAPE_CHUNK):
-            chunk = reps[start : start + SHAPE_CHUNK]
-            chunk_parts, chunk_ops, slices = self._shape_operators(chunk, domain)
-            for out, new in ((parts, chunk_parts), (ops, chunk_ops)):
-                for name, arr in new.items():
-                    # empty_like keeps the chunk's memory layout (the maps
-                    # are Fortran-ordered per shape, as LAPACK left them),
-                    # and with it the rounding of later products with them
-                    if name not in out:
-                        out[name] = np.empty_like(arr, shape=(len(reps),) + arr.shape[1:])
-                    out[name][start : start + len(chunk)] = arr
-        result = _DomainShapes(shape, parts, ShapeOperators(reps, slices=slices, **ops))
-        self._domains[domain] = result
-        return result
-
-    def _shape_operators(self, reps: np.ndarray, domain: str):
-        """Shape-dependent tables and condensed operators of representative
-        elements, one per shape, from one LU of D A D, D = diag(scale): 1/h on
-        the P_k stress, spin and flux, 1 on the unit-L2 enrichment, and (m |s|^2
-        h^2 + tau h)^(-1/2), m = rho_E or 1/c^2, on the displacement or scalar.
-        Every block of D A D is then of size one, so its condition number, and
-        the verdict on it, see the shape, s h and tau h, not the size.
-        A^-1 [B | E] = D (D A D)^-1 [D B | D E], each shape's matrices
-        Fortran-ordered so that LAPACK factors and solves them in place; every
-        shape of the chunk is judged before any is solved."""
-        parts, (a, b, c, d), slices, scale = self.shape_blocks(reps, domain)
-        a *= scale[:, :, None]
-        a *= scale[:, None]
-        n_tr, eye = b.shape[2], np.eye(b.shape[1])[:, slices[_SOURCE[domain]]]
-        sol = np.zeros((len(reps), n_tr + eye.shape[1], b.shape[1]), complex).transpose(0, 2, 1)
-        np.multiply(b, scale[:, :, None], out=sol[..., :n_tr])  # [D B | D E], solved in place
-        np.multiply(eye, scale[:, :, None], out=sol[..., n_tr:])
-        finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(sol).all(axis=(1, 2))
-        if not finite.all():
-            raise SingularLocalSystem(f"element {reps[finite.argmin()]}: local system not finite")
-        anorm = np.abs(a, order="C").sum(axis=1).max(axis=1)  # summed as over C order
-        # info > 0: U has an exact zero pivot, so rcond is 0
-        lus = [zgetrf(m, overwrite_a=True) for m in a]
-        rcond = np.array([0.0 if info else zgecon(lu, norm_1)[0]
-                          for (lu, _, info), norm_1 in zip(lus, anorm)])
-        bad = np.flatnonzero(~(rcond > RCOND_FLOOR))
-        if bad.size:
-            raise SingularLocalSystem(f"element {reps[bad[0]]}: volume block ill-conditioned, "
-                                      f"rcond {rcond[bad[0]]:.3e} <= {RCOND_FLOOR:.0e}")
-        for i, (lu, piv, _) in enumerate(lus):
-            sol[i] = zgetrs(lu, piv, sol[i], overwrite_b=True)[0]
-        del a, lus
-        sol *= scale[:, :, None]
-        flux = c @ sol
-        ops = dict(lift_map=sol[..., :n_tr], condensed_map=flux[..., :n_tr] + d,
-                   source_lift=sol[..., n_tr:], source_flux=flux[..., n_tr:], rcond=rcond)
-        return parts, ops, slices
-
-    def shape_blocks(self, reps: np.ndarray, domain: str):
-        """Shape-dependent tables, blocks (A, B, C, D) of A x = B t + f and flux
-        moments C x + D t, volume slices and the diagonal of the scaling (see
-        ``_shape_operators``) per representative; C and D are formed here."""
-        ref = self.ref
-        nb = len(reps)
-        verts = self._verts[reps]
-        jac, h = self._jacobians(reps)
+        reps, jac, h = elems[first], jac[first], h[first]
+        ref, nb, verts = self.ref, len(reps), self._verts[reps]
         det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
         inv = np.linalg.inv(jac)
         face_ids = self.mesh.element_faces[reps]
         faces = face_rule(self.mesh, face_ids, self.k)
         n_fq = faces.weights.shape[2]
         points = verts[:, 0, None] + ref.quad.points @ jac.transpose(0, 2, 1)
-
         # the scalar basis on each face, through the inverse affine map
         face_xi = np.stack([(faces.points[:, f] - verts[:, 0, None])
                             @ inv.transpose(0, 2, 1) for f in range(3)], axis=1)
@@ -547,29 +500,108 @@ class Assembler:
         normals = self._signs[reps, :, None] * self.mesh.face_normal[face_ids]
         parts = dict(points=points, detj=np.abs(det), h=h,
                      normals=normals, face_scalar=face_scalar, scalar_moments=moments)
-        # inv^T grad, bit for bit the einsum "edc,nmd->enmc" without its slow loop
-        grads = (ref.grads[..., 0, None] * inv[:, None, None, 0]
-                 + ref.grads[..., 1, None] * inv[:, None, None, 1])
         if domain == "E":
             parts["enrichment"] = StressTables(ref, jac).enrichment
-        tab = self._stack(reps, domain, faces, parts)
+        self._domains[domain] = _DomainShapes(shape, reps, parts)
+        return self._domains[domain]
+
+    def _locals(self, domain: str, elems: np.ndarray, runs: list[slice],
+                source) -> list[BlockLocals]:
+        """The local systems of a domain's blocks (``runs`` of ``elems``), from
+        one LU of D A D per shape, D = diag(scale): 1/h on the P_k stress, spin
+        and flux, 1 on the unit-L2 enrichment, and (m |s|^2 h^2 + tau h)^(-1/2),
+        m = rho_E or 1/c^2, on the displacement or scalar.  Every block of
+        D A D is then of size one, so its condition number, and the verdict on
+        it, see the shape, s h and tau h, not the size.  A^-1 [B | E F] =
+        D (D A D)^-1 [D B | D E F], F the source moments of the shape's
+        elements, is solved in place, Fortran-ordered, once every shape of the
+        chunk is judged; the results go straight into the domain's arrays."""
+        shapes, kp1 = self._shapes(domain), self.k + 1
+        slices = _volume_slices(domain, self.ref.n_scalar, kp1)
+        src, n = slices[_SOURCE[domain]], len(shapes.reps)
+        n_vol, n_tr = max(sl.stop for sl in slices.values()), 3 * kp1 * (2 if domain == "E" else 1)
+        moments = np.zeros((len(elems), n_vol), dtype=complex)
+        for run in runs if source is not None else ():
+            points, weights = self._volume_points(shapes, elems[run])
+            vals = np.asarray(source(points.reshape(-1, 2)), dtype=complex)
+            vals = vals.reshape(points.shape[:2] + vals.shape[1:])
+            f = np.einsum("eq,eq...,iq->e...i", weights, vals, self.ref.values)
+            moments[run, src] = f.reshape(len(points), -1)
+        # with a source, shape j lifts its count[j] elements by_shape[first[j] : first[j + 1]];
+        # a chunk also ends where the count changes, so no solve is padded
+        rows = shapes.shape[elems]
+        count = np.bincount(rows, minlength=n) * (source is not None)
+        by_shape, first = np.argsort(rows, kind="stable"), np.r_[0, np.cumsum(count)]
+        edges = np.union1d(np.arange(0, n, SHAPE_CHUNK), np.flatnonzero(np.diff(count)) + 1)
+        lift = np.empty((n, n_tr, n_vol), dtype=complex).transpose(0, 2, 1)  # Fortran per shape
+        condensed, rcond = np.empty((n, n_tr, n_tr), dtype=complex), np.empty(n)
+        rhs_volume, rhs_trace = np.zeros_like(moments), np.zeros((len(elems), n_tr), dtype=complex)
+        for start, stop in zip(edges, [*edges[1:], n]):
+            chunk, lifted = slice(start, stop), count[start]
+            reps = shapes.reps[chunk]
+            (a, b, c, d), _, scale = self.shape_blocks(reps, domain)
+            a *= scale[:, :, None]
+            a *= scale[:, None]
+            members = by_shape[first[start] : first[stop]].reshape(len(reps), lifted)
+            sol = np.zeros((len(reps), n_tr + lifted, n_vol), complex).transpose(0, 2, 1)
+            np.multiply(b, scale[:, :, None], out=sol[..., :n_tr])  # [D B | D E F]
+            lifts = sol[..., n_tr:].transpose(0, 2, 1)  # (shape, its element, volume)
+            lifts[..., src] = scale[:, None, src] * moments[members, src]
+            finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(sol[..., :n_tr]).all(axis=(1, 2))
+            if not finite.all():
+                raise SingularLocalSystem(f"element {reps[~finite][0]}: local system not finite")
+            anorm = np.abs(a, order="C").sum(axis=1).max(axis=1)  # summed as over C order
+            # info > 0: U has an exact zero pivot, so rcond is 0
+            lus = [zgetrf(m, overwrite_a=True) for m in a]
+            rcond[chunk] = [0.0 if info else zgecon(lu, norm_1)[0]
+                            for (lu, _, info), norm_1 in zip(lus, anorm)]
+            bad = np.flatnonzero(~(rcond[chunk] > RCOND_FLOOR))
+            if bad.size:
+                raise SingularLocalSystem(f"element {reps[bad[0]]}: volume block ill-conditioned, "
+                                          f"rcond {rcond[start + bad[0]]:.3e} <= {RCOND_FLOOR:.0e}")
+            for i, (lu, piv, _) in enumerate(lus):
+                zgetrs(lu, piv, sol[i], overwrite_b=True)
+            del a, lus
+            sol *= scale[:, :, None]
+            flux = c @ sol
+            lift[chunk] = sol[..., :n_tr]
+            np.add(flux[..., :n_tr], d, out=condensed[chunk])
+            rhs_volume[members] = lifts
+            rhs_trace[members] = flux[..., n_tr:].transpose(0, 2, 1)
+        ops = ShapeOperators(lift, condensed, rcond, slices)
+        return [BlockLocals(domain, elems[run], rows[run], ops, moments[run],
+                            rhs_volume[run], rhs_trace[run]) for run in runs]
+
+    def shape_blocks(self, elems: np.ndarray, domain: str):
+        """Blocks (A, B, C, D) of A x = B t + f and flux moments C x + D t of the
+        shapes of ``elems`` from the kept tables, volume slices and the diagonal
+        of the scaling (see ``_locals``); C and D are formed here."""
+        shapes = self._shapes(domain)
+        rows = shapes.shape[elems]
+        parts = {name: arr[rows] for name, arr in shapes.parts.items()}
+        inv = np.linalg.inv(self._jacobians(shapes.reps[rows])[0])
+        # inv^T grad, bit for bit the einsum "edc,nmd->enmc" without its slow loop
+        grads = (self.ref.grads[..., 0, None] * inv[:, None, None, 0]
+                 + self.ref.grads[..., 1, None] * inv[:, None, None, 1])
+        tab = self._stack(shapes.reps[rows], domain, None, parts)
         build = _elastic_blocks if domain == "E" else _acoustic_blocks
-        a, b, slices, scale = build(tab, grads, self.params)
+        a, b, scale = build(tab, grads, self.params)
+        slices = _volume_slices(domain, self.ref.n_scalar, self.k + 1)
         sign = np.ones((b.shape[1], 1))  # S of C = (S B)^T
         sign[slices[_SOURCE[domain]]] = -1.0
         tau = self.params.tau_e if domain == "E" else self.params.tau_a
-        d = np.tile(tau * np.eye(b.shape[2], dtype=complex), (nb, 1, 1))
-        return parts, (a, b, _t(b * sign), d), slices, scale
+        d = np.tile(tau * np.eye(b.shape[2], dtype=complex), (len(elems), 1, 1))
+        return (a, b, _t(b * sign), d), slices, scale
 
     def _volume_points(self, shapes: _DomainShapes, elems: np.ndarray):
         """Quadrature points and weights: those of each element's shape, the
         points moved by the offset between the two vertices 0."""
         rows = shapes.shape[elems]
-        shift = self._verts[elems, 0] - self._verts[shapes.ops.reps[rows], 0]
+        shift = self._verts[elems, 0] - self._verts[shapes.reps[rows], 0]
         weights = self.ref.quad.weights * shapes.parts["detj"][rows, None]
         return shapes.parts["points"][rows] + shift[:, None], weights
 
-    def _stack(self, elems: np.ndarray, domain: str, faces: FaceRule,
+    def _stack(self, elems: np.ndarray, domain: str, faces: FaceRule | None,
                parts: dict) -> BlockTables:
         scalar = np.broadcast_to(self.ref.values, (len(elems),) + self.ref.values.shape)
         return BlockTables(elems=elems, domain=domain, k=self.k, scalar=scalar,
@@ -590,35 +622,21 @@ class Assembler:
         return self._block(np.array([elem]), str(self.mesh.tri_domain[elem]))
 
     def _partition(self):
-        """Solid blocks first, then fluid ones, each of at most ``BLOCK_SIZE``
-        elements in element order."""
+        """Per domain, solid first: its elements in element order, and the
+        runs of at most ``BLOCK_SIZE`` of them that make its blocks."""
         for domain in ("E", "A"):
             elems = np.flatnonzero(self.mesh.tri_domain == domain)
-            for start in range(0, len(elems), BLOCK_SIZE):
-                yield domain, elems[start : start + BLOCK_SIZE]
+            starts = range(0, len(elems), BLOCK_SIZE)
+            yield domain, elems, [slice(s, s + BLOCK_SIZE) for s in starts]
 
     def blocks(self):
         """Stacked tables of every element, block by block."""
-        for domain, elems in self._partition():
-            yield self._block(elems, domain)
+        for domain, elems, runs in self._partition():
+            for run in runs:
+                yield self._block(elems[run], domain)
 
     def all_locals(self, f_acoustic=None, f_elastic=None) -> list[BlockLocals]:
-        """Local systems of every block; the sources map (n, 2) points to
-        (n,) fluid or (n, 2) solid momentum source values."""
-        out = []
-        for domain, elems in self._partition():
-            shapes = self._shapes(domain)
-            ops, rows = shapes.ops, shapes.shape[elems]
-            source = f_elastic if domain == "E" else f_acoustic
-            src = ops.slices[_SOURCE[domain]]
-            moments = np.zeros((len(elems), ops.volume_dim), dtype=complex)
-            if source is not None:
-                points, weights = self._volume_points(shapes, elems)
-                vals = np.asarray(source(points.reshape(-1, 2)), dtype=complex)
-                vals = vals.reshape(points.shape[:2] + vals.shape[1:])
-                f = np.einsum("eq,eq...,iq->e...i", weights, vals, self.ref.values)
-                moments[:, src] = f.reshape(len(elems), -1)
-            rhs_volume = (ops.source_lift[rows] @ moments[:, src, None])[..., 0]
-            rhs_trace = (ops.source_flux[rows] @ moments[:, src, None])[..., 0]
-            out.append(BlockLocals(domain, elems, rows, ops, moments, rhs_volume, rhs_trace))
-        return out
+        """Local systems of every block, in ``blocks`` order; the sources map
+        (n, 2) points to (n,) fluid or (n, 2) solid momentum source values."""
+        return [loc for domain, elems, runs in self._partition() if runs for loc in
+                self._locals(domain, elems, runs, f_elastic if domain == "E" else f_acoustic)]

@@ -159,8 +159,9 @@ def compute_theta(assembler, solution, fields) -> float:
     Sums, over all elements and all fields, the squared L2 defects between
     the flux-matching projections of the exact fields and the computed
     coefficients; the skew part enters through the Frobenius norm of its
-    matrix form (a factor 2 on the generator).  ``fields`` is the
-    ``ExactFields`` of the problem; it must cover every domain of the mesh.
+    matrix form (a factor 2 on the generator); all but the stress, whose
+    enrichment is not orthonormal, from their coefficients.  ``fields`` is
+    the ``ExactFields`` of the problem; it must cover every domain of the mesh.
     """
     fields.check_covers(assembler.mesh)
     params = assembler.params
@@ -174,15 +175,11 @@ def compute_theta(assembler, solution, fields) -> float:
             g_p = _project_volume_scalars(blk, blk.sample_volume(fields.gamma_p))
             sig_h = blk.stress_at_points(parts["sigma"][rows])
             total += blk.l2sq(blk.at_points(sig_p) - sig_h)
-            u_h = parts["u"][rows].reshape(nb, 2, n_k)
-            total += blk.l2sq(blk.at_points(u_p - u_h))
-            g_h = parts["gamma"][rows]
-            total += 2.0 * blk.l2sq(blk.at_points(g_p - g_h))
+            total += blk.coef_l2sq(u_p - parts["u"][rows].reshape(nb, 2, n_k))
+            total += 2.0 * blk.coef_l2sq(g_p - parts["gamma"][rows])
         else:
             pair = _one_pair(fields.q, fields.v)
             q_p, v_p, _ = _project_pairs(blk, params.tau_a, *pair)
-            q_h = parts["q"][rows].reshape(nb, 2, n_k)
-            total += blk.l2sq(blk.at_points(q_p[:, 0] - q_h))
-            v_h = parts["v"][rows]
-            total += blk.l2sq(blk.at_points(v_p[:, 0] - v_h))
+            total += blk.coef_l2sq(q_p[:, 0] - parts["q"][rows].reshape(nb, 2, n_k))
+            total += blk.coef_l2sq(v_p[:, 0] - parts["v"][rows])
     return float(np.sqrt(total))

@@ -48,7 +48,6 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.io import mmwrite
 from scipy.sparse.linalg import splu
 
 from .local_solver import (
@@ -258,7 +257,7 @@ def assemble_system(assembler: Assembler, data: ProblemData,
         idx = trace_base + offset[..., None] + np.arange(blk)  # (nb, 3, blk)
         known = offset >= 0
         if monolithic:
-            _, (a, b, c, d), _, _ = assembler.shape_blocks(loc.ops.reps[loc.shape], loc.domain)
+            (a, b, c, d), _, _ = assembler.shape_blocks(loc.elems, loc.domain)
             vn = loc.elems[:, None, None]  # the volume node
             # the direct trace block is face-diagonal
             d = np.einsum("efixfjz->efijxz", d.reshape(split + split[1:]))
@@ -490,6 +489,7 @@ def solve_problem(mesh: Mesh, k: int, params: ModelParams, data: ProblemData,
 
 def dump_system(prefix: str, system: AssembledSystem) -> None:
     """Write the matrix and right-hand side in Matrix Market format."""
+    from scipy.io import mmwrite  # here, its one use: the import takes about 8 ms
     mmwrite(f"{prefix}_matrix.mtx", system.matrix)
     mmwrite(f"{prefix}_rhs.mtx", system.rhs.reshape(-1, 1))
 

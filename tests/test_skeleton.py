@@ -538,7 +538,7 @@ def coo_assembly(assembler, data, monolithic):
         c_idx, c_known = idx[:, None, None], known[:, None, None, :, None]
         r_known = known[..., None, None, None]
         if monolithic:
-            _, (a, b, c, d), _, _ = assembler.shape_blocks(loc.ops.reps[loc.shape], loc.domain)
+            (a, b, c, d), _, _ = assembler.shape_blocks(loc.elems, loc.domain)
             add(r_idx, c_idx, r_sign * d.reshape(nb, 3, blk, 3, blk),
                 r_known & c_known & np.eye(3, dtype=bool)[None, :, None, :, None])
             v_idx = vol_off[loc.elems, None] + np.arange(loc.ops.volume_dim)
