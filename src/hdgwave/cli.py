@@ -72,25 +72,28 @@ class RunConfig:
     verbose: bool = False
 
 
-# config-file key -> (RunConfig field, parser); CLI flags reuse the same keys
-_KEYS: dict[str, tuple[str, object]] = {
-    "case": ("case", str),
-    "mesh": ("mesh", str),
-    "grid": ("grid", int),
-    "k": ("k", int),
-    "levels": ("levels", int),
-    "s": ("s", _parse_complex_pair),
-    "c": ("c", float),
-    "rhoE": ("rho_e", float),
-    "rhoF": ("rho_f", float),
-    "E": ("young", float),
-    "nu": ("poisson", float),
-    "tauE": ("tau_e", float),
-    "tauA": ("tau_a", float),
-    "out": ("out", str),
-    "verbose": ("verbose", _parse_bool),
-    "dump-system": ("dump_system", _parse_bool),
+# every run setting: config-file key and --flag -> (RunConfig field, parser, help)
+_KEYS: dict[str, tuple[str, object, str]] = {
+    "case": ("case", str, "acoustic61, elastic62, or coupled63"),
+    "mesh": ("mesh", str, "mesh file to solve on (solve mode only)"),
+    "grid": ("grid", int, "base cells per unit length"),
+    "k": ("k", int, "polynomial degree"),
+    "levels": ("levels", int, "refinement levels (study)"),
+    "s": ("s", _parse_complex_pair, "complex frequency as re,im"),
+    "c": ("c", float, "sound speed"),
+    "rhoE": ("rho_e", float, "solid density"),
+    "rhoF": ("rho_f", float, "fluid density"),
+    "E": ("young", float, "Young's modulus"),
+    "nu": ("poisson", float, "Poisson ratio"),
+    "tauE": ("tau_e", float, "solid stabilization"),
+    "tauA": ("tau_a", float, "fluid stabilization"),
+    "out": ("out", str, "output directory (or HDG_OUT_DIR)"),
+    "verbose": ("verbose", _parse_bool, "print progress and solve statistics"),
+    "dump-system": ("dump_system", _parse_bool, "write matrix/rhs in Matrix Market format"),
 }
+
+# the RunConfig fields that make_case takes as keyword arguments
+_CASE_FIELDS = ("grid", "s", "c", "rho_e", "rho_f", "young", "poisson", "tau_e", "tau_a")
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -121,47 +124,35 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Hybridized DG solver for time-harmonic fluid-solid waves",
     )
     parser.add_argument("mode", choices=("solve", "study", "selftest"))
-    parser.add_argument("--case", help="acoustic61, elastic62, or coupled63")
-    parser.add_argument("--mesh", help="mesh file to solve on (solve mode)")
-    parser.add_argument("--grid", type=int, help="base cells per unit length")
-    parser.add_argument("--k", type=int, help="polynomial degree")
-    parser.add_argument("--levels", type=int, help="refinement levels (study)")
-    parser.add_argument("--s", help="complex frequency as re,im")
-    parser.add_argument("--c", type=float, help="sound speed")
-    parser.add_argument("--rhoE", type=float, help="solid density")
-    parser.add_argument("--rhoF", type=float, help="fluid density")
-    parser.add_argument("--E", type=float, help="Young's modulus")
-    parser.add_argument("--nu", type=float, help="Poisson ratio")
-    parser.add_argument("--tauE", type=float, help="solid stabilization")
-    parser.add_argument("--tauA", type=float, help="fluid stabilization")
-    parser.add_argument("--out", help="output directory (or HDG_OUT_DIR)")
-    parser.add_argument("--dump-system", action="store_true", default=None,
-                        help="write matrix/rhs in Matrix Market format")
-    parser.add_argument("--verbose", action="store_true", default=None)
+    for key, (_, parser_fn, text) in _KEYS.items():
+        if parser_fn is _parse_bool:  # a switch: the flag alone means "true"
+            parser.add_argument(f"--{key}", action="store_const", const="true", help=text)
+        else:
+            parser.add_argument(f"--{key}", help=text)
     parser.add_argument("--config", help="key=value configuration file")
     return parser
 
 
 def parse_config(ns: argparse.Namespace) -> RunConfig:
+    """The run settings of the config file, overridden by the flags given."""
+    in_file = load_config_file(ns.config) if ns.config else {}
+    for key in in_file:
+        if key not in _KEYS:
+            raise ConfigError(f"unknown config key '{key}'")
+    flags = {key: value for key in _KEYS
+             if (value := getattr(ns, key.replace("-", "_"))) is not None}
+    if "mesh" in in_file.keys() | flags.keys() and ns.mode != "solve":
+        raise ConfigError(f"'mesh' applies to solve mode only, not to {ns.mode}")
     cfg = RunConfig(mode=ns.mode)
-    if ns.config:
-        for key, raw in load_config_file(ns.config).items():
-            if key not in _KEYS:
-                raise ConfigError(f"unknown config key '{key}'")
-            field_name, parser_fn = _KEYS[key]
-            try:
-                setattr(cfg, field_name, parser_fn(raw))
-            except ConfigError:
-                raise
-            except ValueError as exc:
-                raise ConfigError(f"bad value for '{key}': {exc}") from None
-    for key, (field_name, _) in _KEYS.items():
-        value = getattr(ns, key.replace("-", "_"))
-        if value is None:
-            continue
-        if key == "s":
-            value = _parse_complex_pair(value)
-        setattr(cfg, field_name, value)
+    # every value is parsed, one that a flag overrides too; flags come last and win
+    for key, text in [*in_file.items(), *flags.items()]:
+        field_name, parser_fn, _ = _KEYS[key]
+        try:
+            setattr(cfg, field_name, parser_fn(text))
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"bad value for '{key}': {exc}") from None
     if cfg.k < 1 or cfg.k > 6:
         raise ConfigError(f"degree k={cfg.k} outside the supported range 1..6")
     if cfg.levels < 1:
@@ -172,18 +163,7 @@ def parse_config(ns: argparse.Namespace) -> RunConfig:
 
 
 def _case_from_config(cfg: RunConfig):
-    return make_case(
-        cfg.case,
-        grid=cfg.grid,
-        s=cfg.s,
-        c=cfg.c,
-        rho_e=cfg.rho_e,
-        rho_f=cfg.rho_f,
-        young=cfg.young,
-        poisson=cfg.poisson,
-        tau_e=cfg.tau_e,
-        tau_a=cfg.tau_a,
-    )
+    return make_case(cfg.case, **{name: getattr(cfg, name) for name in _CASE_FIELDS})
 
 
 def _out_dir(cfg: RunConfig) -> str:
@@ -311,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             case = _case_from_config(cfg)  # validates case name and parameters
         # a malformed mesh file is rejected before any assembly work
-        mesh = load_mesh(cfg.mesh) if cfg.mode == "solve" and cfg.mesh else None
+        mesh = load_mesh(cfg.mesh) if cfg.mesh else None
         # the error norms need the case's exact fields on every domain of the mesh
         if mesh is not None:
             try:

@@ -34,7 +34,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
@@ -117,15 +116,15 @@ def _assemble(
     tri_vertices: np.ndarray,
     tri_domain: np.ndarray,
     listed: tuple[np.ndarray, np.ndarray] | None = None,
-    classify: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+    dirichlet: bool = False,
 ) -> Mesh:
     """Build faces, adjacency, normals and kinds from raw triangles.
 
     Faces with two sides take their kind from the adjacent domains.  The
     ``listed`` faces, vertex pairs (m, 2) with kind codes (m,), give the
     kinds of boundary faces and must agree with the adjacency elsewhere;
-    each must name a distinct edge.  Boundary faces left over get
-    ``classify(midpoints, domains)``.
+    each must name a distinct edge.  With ``dirichlet``, boundary faces left
+    over get the Dirichlet kind of their domain.
     """
     vertices = np.asarray(vertices, dtype=float)
     tris = np.asarray(tri_vertices, dtype=int).copy()
@@ -200,11 +199,10 @@ def _assemble(
                              f"{KINDS[implied[f]].value}, file says {KINDS[kind[f]].value}")
     kind = np.where(two, implied, kind)
     open_ = np.flatnonzero(kind < 0)
-    if len(open_) and classify is not None:
-        kind[open_] = classify(0.5 * (pa[open_] + pb[open_]),
-                               tri_domain[face_element[open_, 0]])
-        open_ = np.flatnonzero(kind < 0)
-    if len(open_):
+    if dirichlet:
+        kind[open_] = np.where(tri_domain[face_element[open_, 0]] == "E",
+                               _CODE[FaceKind.ELASTIC_BOUNDARY], _CODE[FaceKind.GAMMA_AD])
+    elif len(open_):
         a, b = pairs[open_[0]]
         raise ValueError(f"boundary face ({a}, {b}) has no kind assignment")
 
@@ -285,25 +283,21 @@ def build_structured_coupled(
     outer_box,
     inner_box=None,
     *,
-    dirichlet_only: bool = True,
     domain: str = "A",
-    neumann_predicate: Callable[[np.ndarray], np.ndarray] | None = None,
     jitter: float = 0.0,
     seed: int = 0,
 ) -> Mesh:
     """Criss-cross grid over ``outer_box`` with ``inner_box`` as the solid.
 
     Boxes are (xmin, ymin, xmax, ymax).  Without an inner box the whole mesh
-    belongs to ``domain`` ('A' for a fluid-only mesh whose boundary carries
-    Dirichlet/Neumann scalar data, 'E' for a solid-only mesh with prescribed
-    displacement traces).  The inner box must lie strictly inside the outer
-    box with all four sides on grid lines, otherwise the transmission
-    interface is not resolvable and a ValueError is raised.
+    belongs to ``domain`` ('A' for a fluid-only mesh, 'E' for a solid-only
+    one).  The inner box must lie strictly inside the outer box with all four
+    sides on grid lines, otherwise the transmission interface is not
+    resolvable and a ValueError is raised.
 
-    With ``dirichlet_only`` every fluid boundary face is Dirichlet; otherwise
-    the faces whose midpoints ``neumann_predicate`` marks become Neumann.
-    The predicate maps midpoints (n, 2) to a boolean mask (n,); the default
-    marks the x = xmax side.
+    Every fluid boundary face is Dirichlet and every solid one carries a
+    prescribed displacement trace.  Neumann faces come from mesh files
+    (``load_mesh``), which list each boundary face with its kind.
 
     ``jitter`` displaces every lattice vertex away from the domain boundary
     and the transmission interface by a uniform random offset of at most
@@ -335,13 +329,6 @@ def build_structured_coupled(
     if domain not in ("A", "E"):
         raise ValueError("domain must be 'A' or 'E'")
 
-    def on_ring(col, row, scale=1):
-        """Lattice points (scale 1) or doubled face midpoints (scale 2) on
-        the inner box boundary."""
-        a0, a1, b0, b1 = (scale * v for v in (i0, i1, j0, j1))
-        return ((((col == a0) | (col == a1)) & (b0 <= row) & (row <= b1))
-                | (((row == b0) | (row == b1)) & (a0 <= col) & (col <= a1)))
-
     col, row = (idx.ravel() for idx in np.meshgrid(np.arange(nx + 1), np.arange(ny + 1)))
     vertices = np.column_stack([x0 + spacing * col, y0 + spacing * row])
 
@@ -351,8 +338,9 @@ def build_structured_coupled(
         rng = np.random.default_rng(seed)
         offsets = rng.uniform(-jitter * spacing, jitter * spacing, size=vertices.shape)
         fixed = (col == 0) | (col == nx) | (row == 0) | (row == ny)
-        if inner_box is not None:
-            fixed |= on_ring(col, row)
+        if inner_box is not None:  # lattice points on the inner box boundary
+            fixed |= ((((col == i0) | (col == i1)) & (j0 <= row) & (row <= j1))
+                      | (((row == j0) | (row == j1)) & (i0 <= col) & (col <= i1)))
         vertices = vertices + offsets * ~fixed[:, None]
 
     # cells row by row, each split along its diagonal bl -> tr
@@ -366,23 +354,7 @@ def build_structured_coupled(
     if jitter and float(_signed_areas(vertices[tris]).min()) <= 0.0:
         raise ValueError("jitter produced an inverted triangle; lower the amplitude")
 
-    neumann = neumann_predicate or (lambda p: p[:, 0] > x1 - 0.25 * spacing)
-
-    def classify_boundary(midpoints: np.ndarray, doms: np.ndarray) -> np.ndarray:
-        fluid = (np.full(len(midpoints), _CODE[FaceKind.GAMMA_AD]) if dirichlet_only
-                 else np.where(np.asarray(neumann(midpoints), dtype=bool),
-                               _CODE[FaceKind.GAMMA_AN], _CODE[FaceKind.GAMMA_AD]))
-        return np.where(doms == "E", _CODE[FaceKind.ELASTIC_BOUNDARY], fluid)
-
-    mesh = _assemble(vertices, tris, domains, classify=classify_boundary)
-
-    if inner_box is not None:
-        ends = mesh.face_vertices
-        stray = np.flatnonzero(mesh.is_kind(FaceKind.GAMMA)
-                               & ~on_ring(col[ends].sum(axis=1), row[ends].sum(axis=1), 2))
-        if len(stray):
-            raise ValueError(f"gamma face {stray[0]} strays from the inner box boundary")
-    return mesh
+    return _assemble(vertices, tris, domains, dirichlet=True)
 
 
 def refine(mesh: Mesh) -> Mesh:

@@ -29,11 +29,10 @@ from .local_solver import BlockTables, ModelParams
 from .mesh import Mesh, face_rule
 
 
-def project_face(mesh: Mesh, face_id: int, k: int, fn,
-                 degree: int | None = None) -> np.ndarray:
+def project_face(mesh: Mesh, face_id: int, k: int, fn) -> np.ndarray:
     """Coefficients of the face-wise L2 projection of a scalar function, or
     component-major (x modes, then y modes) ones of a vector function."""
-    fr = face_rule(mesh, face_id, k, degree)
+    fr = face_rule(mesh, face_id, k)
     return fr.moments(fr.sample(fn))
 
 

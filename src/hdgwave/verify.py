@@ -358,6 +358,7 @@ def eoc(err_coarse: float, err_fine: float, h_coarse: float, h_fine: float) -> f
 
 
 _ERROR_COLUMNS = ("sigma", "u", "gamma", "q", "v", "uhat", "vhat")
+_COLUMNS = (*_ERROR_COLUMNS, "theta")  # the error columns, then theta
 
 
 @dataclass
@@ -380,25 +381,14 @@ class ConvergenceReport:
         return dict(self.rows[-1].orders) if self.rows else {}
 
     def to_csv(self) -> str:
-        header = (
-            "case,k,level,N,h,"
-            + ",".join(f"err_{c}" for c in _ERROR_COLUMNS)
-            + ",theta,"
-            + ",".join(f"eoc_{c}" for c in _ERROR_COLUMNS)
-            + ",eoc_theta"
-        )
-        lines = [header]
+        header = ["case,k,level,N,h", *(f"err_{c}" for c in _ERROR_COLUMNS), "theta",
+                  *(f"eoc_{c}" for c in _COLUMNS)]
+        lines = [",".join(header)]
         for row in self.rows:
-            cells = [self.case, str(self.k), str(row.level),
-                     str(row.n_skeleton), f"{row.h:.6e}"]
-            for c in _ERROR_COLUMNS:
-                cells.append(f"{row.errors[c]:.6e}" if c in row.errors else "")
-            cells.append(f"{row.theta:.6e}")
-            for c in _ERROR_COLUMNS:
-                cells.append(f"{row.orders[c]:.6e}" if c in row.orders else "")
-            cells.append(
-                f"{row.orders['theta']:.6e}" if "theta" in row.orders else ""
-            )
+            errors = {**row.errors, "theta": row.theta}
+            cells = [self.case, str(self.k), str(row.level), str(row.n_skeleton), f"{row.h:.6e}"]
+            cells += [f"{table[c]:.6e}" if c in table else ""
+                      for table in (errors, row.orders) for c in _COLUMNS]
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 
@@ -413,10 +403,7 @@ class ConvergenceReport:
                     "h": row.h,
                     "errors": {c: row.errors.get(c) for c in _ERROR_COLUMNS},
                     "theta": row.theta,
-                    "eoc": {
-                        c: row.orders.get(c)
-                        for c in (*_ERROR_COLUMNS, "theta")
-                    },
+                    "eoc": {c: row.orders.get(c) for c in _COLUMNS},
                 }
                 for row in self.rows
             ],

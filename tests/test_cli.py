@@ -94,6 +94,13 @@ def test_cli_beats_config_file(tmp_path):
     assert cfg.case == "elastic62"  # file still applies where no flag given
 
 
+def test_bad_config_value_rejected_even_when_a_flag_overrides_it(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("k = banana\n")
+    with pytest.raises(ConfigError, match="bad value for 'k'"):
+        parse(["study", "--config", str(path), "--k", "3"])
+
+
 def test_unknown_config_key_rejected(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("degree = 2\n")
@@ -148,6 +155,55 @@ def test_config_reader_parses_or_rejects_any_file(tmp_path, content):
         parse(argv)
     except ConfigError:
         assert main(argv) == 2
+
+
+def _outcome(argv):
+    try:
+        return repr(parse(argv))  # repr, so that a nan compares equal to itself
+    except ConfigError as exc:
+        return f"ConfigError: {exc}"
+
+
+def test_parser_flags_are_the_keys():
+    flags = {opt for action in _build_parser()._actions if action.dest != "help"
+             for opt in action.option_strings}
+    assert flags == {f"--{key}" for key in _KEYS} | {"--config"}
+
+
+# values a config file carries unchanged: no comment, line break or edge blanks
+_FILE_VALUES = st.one_of(
+    st.sampled_from(_VALUES + ["-0", "acoustic61", "x.mesh"]),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="#\r\n"),
+            max_size=12),
+).filter(lambda text: text == text.strip())
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mode=st.sampled_from(["solve", "study"]), key=st.sampled_from(sorted(_KEYS)),
+       value=_FILE_VALUES)
+def test_flag_and_config_file_parse_alike(tmp_path, mode, key, value):
+    # a setting given as --key v and as 'key = v' in a file yields the same
+    # RunConfig or the same ConfigError; a switch's flag alone means 'true'
+    switch = _KEYS[key][1] is _parse_bool
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} = {'true' if switch else value}\n", encoding="utf-8")
+    flag = [f"--{key}"] if switch else [f"--{key}={value}"]
+    assert _outcome([mode, *flag]) == _outcome([mode, "--config", str(path)])
+
+
+@pytest.mark.parametrize("mode", ["study", "selftest"])
+def test_mesh_outside_solve_exits_2(tmp_path, capsys, mode):
+    # the mesh is read in solve mode only, so elsewhere it is rejected, not
+    # ignored, even when the file does not exist
+    path = tmp_path / "run.cfg"
+    path.write_text(f"mesh = {tmp_path / 'absent.mesh'}\n")
+    for argv in (["--mesh", str(tmp_path / "absent.mesh")], ["--config", str(path)]):
+        with pytest.raises(ConfigError, match="'mesh' applies to solve mode only"):
+            parse([mode, *argv])
+        assert main([mode, *argv, "--out", str(tmp_path)]) == 2
+        assert "'mesh' applies to solve mode only" in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()
 
 
 def test_missing_config_file_rejected():

@@ -34,6 +34,16 @@ def annulus(n=1, **kw):
     return build_structured_coupled(n, (-2.0, -2.0, 2.0, 2.0), (-1.0, -1.0, 1.0, 1.0), **kw)
 
 
+def mark_neumann(mesh):
+    """Make the fluid boundary faces on the x = xmax side Neumann, as a mesh
+    file may, and check the marked mesh."""
+    mid_x = mesh.vertices[mesh.face_vertices, 0].mean(axis=1)
+    side = mesh.is_kind(FaceKind.GAMMA_AD) & (mid_x == mesh.vertices[:, 0].max())
+    mesh.face_kind[side] = KINDS.index(FaceKind.GAMMA_AN)
+    validate_mesh(mesh)
+    return mesh
+
+
 def kind_counts(mesh):
     return Counter(KINDS[code] for code in mesh.face_kind)
 
@@ -76,16 +86,6 @@ def test_annulus_counts():
     assert counts[FaceKind.INTERIOR_E] == 8
     assert counts[FaceKind.INTERIOR_A] == 24
     assert mesh.n_faces == 56
-
-
-def test_neumann_classification_predicate():
-    mesh = unit_square(2, dirichlet_only=False)  # default: x = xmax side
-    counts = kind_counts(mesh)
-    assert counts[FaceKind.GAMMA_AN] == 2
-    assert counts[FaceKind.GAMMA_AD] == 6
-    top = unit_square(2, dirichlet_only=False,
-                      neumann_predicate=lambda p: p[:, 1] > 1.0 - 1e-9)
-    assert kind_counts(top)[FaceKind.GAMMA_AN] == 2
 
 
 def test_trace_kind_partitions():
@@ -233,7 +233,7 @@ def test_element_diameter_and_h():
 
 
 def test_save_load_round_trip(tmp_path):
-    mesh = annulus(1, dirichlet_only=False)
+    mesh = mark_neumann(annulus(1))
     path = tmp_path / "mesh.txt"
     save_mesh(mesh, str(path))
     assert path.read_text().startswith("hdgmesh v1")
@@ -376,7 +376,7 @@ def _dirichlet_kind(pair, domain):
 
 
 def _oracle_meshes(tmp_path):
-    listed = unit_square(3, dirichlet_only=False)
+    listed = mark_neumann(unit_square(3))
     path = tmp_path / "listed.mesh"
     save_mesh(listed, str(path))
     records = {}

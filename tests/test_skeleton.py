@@ -11,7 +11,13 @@ from scipy.sparse.linalg import splu
 import hdgwave.local_solver as local_solver
 import hdgwave.skeleton as skeleton
 from hdgwave.local_solver import Assembler, ModelParams
-from hdgwave.mesh import KINDS, FaceKind, build_structured_coupled, elastic_side_normal
+from hdgwave.mesh import (
+    KINDS,
+    FaceKind,
+    build_structured_coupled,
+    elastic_side_normal,
+    validate_mesh,
+)
 from hdgwave.projections import project_face
 from hdgwave.skeleton import (
     AssembledSystem,
@@ -167,12 +173,22 @@ def test_elastic_dirichlet_traces_are_face_projections():
         assert np.abs(sol.uhat[fid] - coef).max() < 1e-13
 
 
+def neumann_square():
+    """Unit square, n = 2, whose x = xmax boundary faces are Neumann."""
+    mesh = build_structured_coupled(2, (0.0, 0.0, 1.0, 1.0))
+    mid_x = mesh.vertices[mesh.face_vertices, 0].mean(axis=1)
+    mesh.face_kind[mesh.is_kind(FaceKind.GAMMA_AD) & (mid_x == 1.0)] = KINDS.index(
+        FaceKind.GAMMA_AN)
+    validate_mesh(mesh)
+    return mesh
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_neumann_faces_reproduce_polynomials(k):
     # replace the x = xmax boundary by prescribed-flux faces; a degree-k
     # polynomial solution must still be reproduced to round-off
     case = make_polynomial_case("acoustic", k)
-    mesh = build_structured_coupled(2, (0.0, 0.0, 1.0, 1.0), dirichlet_only=False)
+    mesh = neumann_square()
     n_neu = int(np.count_nonzero(mesh.is_kind(FaceKind.GAMMA_AN)))
     assert n_neu == 2
     data = ProblemData(
@@ -189,7 +205,7 @@ def test_neumann_faces_reproduce_polynomials(k):
 
 
 def test_neumann_without_data_means_zero_flux():
-    mesh = build_structured_coupled(2, (0.0, 0.0, 1.0, 1.0), dirichlet_only=False)
+    mesh = neumann_square()
     params = ModelParams.from_young_poisson(1.0, 0.3, s=2.0 - 1.0j)
     sol, _ = solve_problem(mesh, 1, params, ProblemData(f=lambda p: np.ones(len(p))))
     asm = Assembler(mesh, 1, params)
