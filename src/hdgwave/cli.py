@@ -1,4 +1,4 @@
-"""Command-line front end: single solves, convergence studies, self-tests.
+"""Command-line front end: single solves and convergence studies.
 
 Configuration precedence is command line over config file over defaults.
 Exit codes: 0 on success, 1 on runtime failure (solver or I/O), 2 when the
@@ -14,18 +14,11 @@ import resource
 import sys
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .local_solver import Assembler
 from .mesh import load_mesh
 from .projections import compute_theta
-from .skeleton import ProblemData, energy_quantities, solve_problem
-from .verify import (
-    compute_errors,
-    make_case,
-    make_polynomial_case,
-    run_study,
-)
+from .skeleton import solve_problem
+from .verify import compute_errors, make_case, run_study
 
 
 class ConfigError(ValueError):
@@ -75,10 +68,10 @@ class RunConfig:
 # every run setting: config-file key and --flag -> (RunConfig field, parser, help)
 _KEYS: dict[str, tuple[str, object, str]] = {
     "case": ("case", str, "acoustic61, elastic62, or coupled63"),
-    "mesh": ("mesh", str, "mesh file to solve on (solve mode only)"),
+    "mesh": ("mesh", str, "mesh file to solve on (solve only)"),
     "grid": ("grid", int, "base cells per unit length"),
     "k": ("k", int, "polynomial degree"),
-    "levels": ("levels", int, "refinement levels (study)"),
+    "levels": ("levels", int, "refinement levels (study only)"),
     "s": ("s", _parse_complex_pair, "complex frequency as re,im"),
     "c": ("c", float, "sound speed"),
     "rhoE": ("rho_e", float, "solid density"),
@@ -89,8 +82,11 @@ _KEYS: dict[str, tuple[str, object, str]] = {
     "tauA": ("tau_a", float, "fluid stabilization"),
     "out": ("out", str, "output directory (or HDG_OUT_DIR)"),
     "verbose": ("verbose", _parse_bool, "print progress and solve statistics"),
-    "dump-system": ("dump_system", _parse_bool, "write matrix/rhs in Matrix Market format"),
+    "dump-system": ("dump_system", _parse_bool, "write matrix/rhs as Matrix Market (solve only)"),
 }
+
+# the settings that only one mode reads; the other rejects them rather than ignore them
+_MODE_ONLY = {"mesh": "solve", "dump-system": "solve", "levels": "study"}
 
 # the RunConfig fields that make_case takes as keyword arguments
 _CASE_FIELDS = ("grid", "s", "c", "rho_e", "rho_f", "young", "poisson", "tau_e", "tau_a")
@@ -123,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="hdgwave",
         description="Hybridized DG solver for time-harmonic fluid-solid waves",
     )
-    parser.add_argument("mode", choices=("solve", "study", "selftest"))
+    parser.add_argument("mode", choices=("solve", "study"))
     for key, (_, parser_fn, text) in _KEYS.items():
         if parser_fn is _parse_bool:  # a switch: the flag alone means "true"
             parser.add_argument(f"--{key}", action="store_const", const="true", help=text)
@@ -141,8 +137,9 @@ def parse_config(ns: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"unknown config key '{key}'")
     flags = {key: value for key in _KEYS
              if (value := getattr(ns, key.replace("-", "_"))) is not None}
-    if "mesh" in in_file.keys() | flags.keys() and ns.mode != "solve":
-        raise ConfigError(f"'mesh' applies to solve mode only, not to {ns.mode}")
+    for key, mode in _MODE_ONLY.items():
+        if mode != ns.mode and (key in in_file or key in flags):
+            raise ConfigError(f"'{key}' applies to {mode} mode only, not to {ns.mode}")
     cfg = RunConfig(mode=ns.mode)
     # every value is parsed, one that a flag overrides too; flags come last and win
     for key, text in [*in_file.items(), *flags.items()]:
@@ -218,66 +215,6 @@ def _mode_solve(cfg: RunConfig, case, mesh) -> int:
     return 0
 
 
-def _mode_selftest(cfg: RunConfig) -> int:
-    """Fast internal consistency checks; prints one PASS/FAIL line each."""
-    failures = 0
-
-    def check(label: str, fn) -> None:
-        nonlocal failures
-        try:
-            fn()
-            print(f"PASS {label}")
-        except Exception as exc:  # noqa: BLE001 - report and count
-            failures += 1
-            print(f"FAIL {label}: {exc}")
-
-    def poly(kind: str) -> None:
-        case = make_polynomial_case(kind, 1)
-        mesh = case.mesh_at(0)
-        assembler = Assembler(mesh, 1, case.params)
-        solution, _ = solve_problem(mesh, 1, case.params, case.data,
-                                    assembler=assembler)
-        errors = compute_errors(assembler, solution, case.exact)
-        worst = max(errors.values())
-        if worst > 1e-9:
-            raise AssertionError(f"degree-1 polynomial error {worst:.3e}")
-
-    def uniqueness() -> None:
-        case = make_case("coupled63")
-        mesh = case.mesh_at(0)
-        assembler = Assembler(mesh, 1, case.params)
-        solution, _ = solve_problem(mesh, 1, case.params, ProblemData(),
-                                    assembler=assembler)
-        top = max(np.abs(vol).max() for vol in solution.volume.values())
-        energies = energy_quantities(assembler, solution)
-        if top > 1e-12 or max(energies.values()) > 1e-20:
-            raise AssertionError(
-                f"zero data gave |x|={top:.3e}, energies={energies}"
-            )
-
-    def monolithic_match() -> None:
-        case = make_case("acoustic61")
-        mesh = case.mesh_at(0)
-        sol_a, _ = solve_problem(mesh, 1, case.params, case.data)
-        sol_b, _ = solve_problem(mesh, 1, case.params, case.data,
-                                 monolithic=True)
-        num = np.linalg.norm(sol_a.dof_values - sol_b.dof_values)
-        den = max(1.0, np.linalg.norm(sol_a.dof_values))
-        if num / den > 1e-9:
-            raise AssertionError(f"route mismatch {num / den:.3e}")
-
-    check("polynomial consistency (fluid)", lambda: poly("acoustic"))
-    check("polynomial consistency (solid)", lambda: poly("elastic"))
-    check("polynomial consistency (coupled)", lambda: poly("coupled"))
-    check("zero data implies zero solution", uniqueness)
-    check("condensed matches monolithic", monolithic_match)
-    if failures:
-        print(f"{failures} check(s) failed")
-        return 1
-    print("all checks passed")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -286,10 +223,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         cfg = parse_config(ns)
-        if cfg.mode == "selftest":
-            case = None
-        else:
-            case = _case_from_config(cfg)  # validates case name and parameters
+        case = _case_from_config(cfg)  # validates case name and parameters
         # a malformed mesh file is rejected before any assembly work
         mesh = load_mesh(cfg.mesh) if cfg.mesh else None
         # the error norms need the case's exact fields on every domain of the mesh
@@ -307,9 +241,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if cfg.mode == "study":
             return _mode_study(cfg, case)
-        if cfg.mode == "solve":
-            return _mode_solve(cfg, case, mesh)
-        return _mode_selftest(cfg)
+        return _mode_solve(cfg, case, mesh)
     except Exception as exc:  # noqa: BLE001 - runtime failures map to exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 1

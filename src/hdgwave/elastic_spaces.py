@@ -31,14 +31,6 @@ def stress_space_dim(k: int) -> int:
     return 2 * (k + 1) * (k + 2) + (k + 1)
 
 
-def barycentric_coords(triangle, points) -> np.ndarray:
-    """Barycentric coordinates (n, 3) of points in a triangle."""
-    tri = np.asarray(triangle, dtype=float)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return np.column_stack([np.ones(len(pts)), pts]) @ np.linalg.inv(
-        np.column_stack([np.ones(3), tri]))
-
-
 @lru_cache(maxsize=None)
 def reference_members(k: int) -> tuple[np.ndarray, np.ndarray]:
     """The reference members S_c = curl_xi(b grad_xi xi1^c xi2^(k-c)),

@@ -383,9 +383,9 @@ def refine(mesh: Mesh) -> Mesh:
 
 
 @functools.lru_cache(maxsize=None)
-def _edge_table(k: int, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gauss nodes and weights on [0, 1] and the edge basis of degree k there."""
-    rule = make_edge_quadrature(degree)
+def _edge_table(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss nodes and weights on [0, 1] for degree 2k+6, and the edge basis of degree k there."""
+    rule = make_edge_quadrature(2 * k + 6)
     return rule.points, rule.weights, edge_basis_values(k, rule.points)
 
 
@@ -427,12 +427,12 @@ class FaceRule:
         return vals.reshape(self.points.shape[:-1] + vals.shape[1:])
 
 
-def face_rule(mesh: Mesh, face_id, k: int, degree: int | None = None) -> FaceRule:
+def face_rule(mesh: Mesh, face_id, k: int) -> FaceRule:
     """Rule on one face, or on each face of an array of ids, exact through
-    ``degree`` (default 2k+6)."""
+    degree 2k+6 like the volume rules, with the face basis of degree k."""
     ends = mesh.vertices[mesh.face_vertices[face_id]]
     a, b = ends[..., 0, :], ends[..., 1, :]
-    t, w, basis = _edge_table(k, 2 * k + 6 if degree is None else degree)
+    t, w, basis = _edge_table(k)
     length = mesh.face_length[face_id]
     return FaceRule(
         points=a[..., None, :] + t[:, None] * (b - a)[..., None, :],

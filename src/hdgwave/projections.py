@@ -1,22 +1,21 @@
-"""Projections used for boundary elimination, error weighting, and theta.
+"""Projections of the exact fields and the projection distance theta.
 
-Face projections are plain L2 projections onto the orthonormal face basis,
-so coefficients are just weighted moments; the scalar basis is orthonormal
-too, so volume ones are the moments over |det J|.  The flux-matching
-projections mimic the structure of the discretization: the pair (vector
-field, scalar field) is fixed by L2 moments against polynomials one degree
-down, which give its coefficients below degree k, plus matching of the
-penalized normal flux on every face, which fixes the 3 (k+1) top-degree
+Volume scalar projections are plain L2 projections onto the orthonormal
+scalar basis, so their coefficients are the moments over |det J|.  The
+flux-matching projections mimic the structure of the discretization: the
+pair (vector field, scalar field) is fixed by L2 moments against polynomials
+one degree down, which give its coefficients below degree k, plus matching of
+the penalized normal flux on every face, which fixes the 3 (k+1) top-degree
 ones.  That reproduces degree-k polynomial pairs exactly and its defect
 against the discrete solution is the quantity whose decay the convergence
-study tracks.
+study tracks.  Face projections are no separate path: a face rule's
+``moments`` are the coefficients of the face-wise L2 projection.
 
 The volume projections work on blocks of same-domain elements
 (``BlockTables``): the exact fields are sampled once per block and every
-element's face system is one slice of a single batched solve.  The one-element
-entry points ``project_acoustic``, ``project_elastic`` and
-``project_volume_scalar`` take the blocks of one that ``Assembler.tables``
-returns.
+element's face system is one slice of a single batched solve.  The
+one-element entry points ``project_acoustic`` and ``project_elastic`` take
+the blocks of one that ``Assembler.tables`` returns.
 """
 
 from __future__ import annotations
@@ -26,25 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .local_solver import BlockTables, ModelParams
-from .mesh import Mesh, face_rule
-
-
-def project_face(mesh: Mesh, face_id: int, k: int, fn) -> np.ndarray:
-    """Coefficients of the face-wise L2 projection of a scalar function, or
-    component-major (x modes, then y modes) ones of a vector function."""
-    fr = face_rule(mesh, face_id, k)
-    return fr.moments(fr.sample(fn))
 
 
 def _project_volume_scalars(blk: BlockTables, vals: np.ndarray) -> np.ndarray:
     """Element-wise L2 projections of volume values (nb, nq): moments / |det J|."""
     mom = (blk.scalar * blk.weights[:, None, :]) @ vals[:, :, None]
     return mom[:, :, 0] / blk.detj[:, None]
-
-
-def project_volume_scalar(tables: BlockTables, fn) -> np.ndarray:
-    """L2 projection onto the scalar space of a one-element block."""
-    return _project_volume_scalars(tables, tables.sample_volume(fn))[0]
 
 
 def _project_pairs(blk: BlockTables, tau: float, vec_fn, scalar_fn):

@@ -69,27 +69,6 @@ def make_edge_quadrature(exact_degree: int) -> QuadratureRule:
     return QuadratureRule(0.5 * (x + 1.0), 0.5 * w, exact_degree)
 
 
-def simplex_monomial_integral(a: int, b: int) -> float:
-    """Closed-form integral of x^a y^b over the reference triangle."""
-    return math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
-
-
-def verify_quadrature(rule: QuadratureRule, tol: float = 1e-13) -> float:
-    """Max relative defect of the rule against the closed-form monomial
-    integrals, over all monomials it claims to integrate exactly."""
-    worst = 0.0
-    x, y = rule.points[:, 0], rule.points[:, 1]
-    for d in range(rule.exact_degree + 1):
-        for b in range(d + 1):
-            a = d - b
-            approx = float(np.sum(rule.weights * x**a * y**b))
-            exact = simplex_monomial_integral(a, b)
-            worst = max(worst, abs(approx - exact) / abs(exact))
-    if worst > tol:
-        raise AssertionError(f"quadrature defect {worst:.3e} exceeds {tol:.1e}")
-    return worst
-
-
 def monomial_exponents(k: int) -> np.ndarray:
     """Graded exponent list for P_k; every prefix spans the matching P_d."""
     return np.array([(d - b, b) for d in range(k + 1) for b in range(d + 1)], dtype=int)

@@ -1,6 +1,15 @@
-"""Test helper: every stress member of one element, rebuilt from its tables."""
+"""Test helpers: every stress member of one element, rebuilt from its
+tables, and the barycentric coordinates the enrichment is checked with."""
 
 import numpy as np
+
+
+def barycentric_coords(triangle, points) -> np.ndarray:
+    """Barycentric coordinates (n, 3) of points in a triangle."""
+    tri = np.asarray(triangle, dtype=float)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    return np.column_stack([np.ones(len(pts)), pts]) @ np.linalg.inv(
+        np.column_stack([np.ones(3), tri]))
 
 
 def stress_members(scalar: np.ndarray, enrichment: np.ndarray) -> np.ndarray:

@@ -192,18 +192,24 @@ def test_flag_and_config_file_parse_alike(tmp_path, mode, key, value):
     assert _outcome([mode, *flag]) == _outcome([mode, "--config", str(path)])
 
 
-@pytest.mark.parametrize("mode", ["study", "selftest"])
-def test_mesh_outside_solve_exits_2(tmp_path, capsys, mode):
-    # the mesh is read in solve mode only, so elsewhere it is rejected, not
-    # ignored, even when the file does not exist
+@pytest.mark.parametrize("mode,key,value,owner", [
+    ("study", "mesh", "absent.mesh", "solve"),
+    ("study", "dump-system", "true", "solve"),
+    ("solve", "levels", "3", "study"),
+], ids=["study-mesh", "study-dump-system", "solve-levels"])
+def test_mesh_outside_solve_exits_2(tmp_path, capsys, mode, key, value, owner):
+    # a setting that only the other mode reads is rejected, not ignored, as
+    # a flag and in a config file; a mesh even when the file does not exist
     path = tmp_path / "run.cfg"
-    path.write_text(f"mesh = {tmp_path / 'absent.mesh'}\n")
-    for argv in (["--mesh", str(tmp_path / "absent.mesh")], ["--config", str(path)]):
-        with pytest.raises(ConfigError, match="'mesh' applies to solve mode only"):
+    path.write_text(f"{key} = {value}\n")
+    flag = [f"--{key}"] if key == "dump-system" else [f"--{key}", value]
+    message = f"'{key}' applies to {owner} mode only, not to {mode}"
+    for argv in (flag, ["--config", str(path)]):
+        with pytest.raises(ConfigError, match=message):
             parse([mode, *argv])
         assert main([mode, *argv, "--out", str(tmp_path)]) == 2
-        assert "'mesh' applies to solve mode only" in capsys.readouterr().err
-    assert not (tmp_path / "report.csv").exists()
+        assert message in capsys.readouterr().err
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["run.cfg"]
 
 
 def test_missing_config_file_rejected():
@@ -267,6 +273,9 @@ def test_missing_mesh_file_exits_1(tmp_path, capsys):
 
 def test_invalid_mode_exits_nonzero(capsys):
     assert main(["tabulate"]) == 2
+    # solve and study are the only modes
+    assert main(["selftest"]) == 2
+    assert "invalid choice: 'selftest'" in capsys.readouterr().err
 
 
 # -- artifacts ------------------------------------------------------------------
@@ -471,14 +480,6 @@ def test_mesh_reader_loads_or_rejects_any_file(tmp_path, edits):
                      "--out", str(tmp_path)]) == 2
         return
     validate_mesh(mesh)
-
-
-def test_selftest_passes(tmp_path, capsys):
-    assert main(["selftest", "--out", str(tmp_path)]) == 0
-    out = capsys.readouterr().out
-    assert out.count("PASS") == 5
-    assert "FAIL" not in out
-    assert "all checks passed" in out
 
 
 def test_out_dir_env_var(tmp_path, monkeypatch, capsys):

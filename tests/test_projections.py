@@ -13,14 +13,9 @@ import numpy as np
 import pytest
 
 from hdgwave.local_solver import Assembler, ModelParams
-from hdgwave.mesh import build_structured_coupled
-from hdgwave.projections import (
-    face_rule,
-    project_acoustic,
-    project_elastic,
-    project_face,
-    project_volume_scalar,
-)
+from hdgwave.mesh import build_structured_coupled, face_rule
+from hdgwave.projections import _project_volume_scalars, project_acoustic, project_elastic
+from hdgwave.quadbasis import edge_basis_values, make_edge_quadrature
 
 S = 2.0 - 1.0j
 PARAMS = ModelParams.from_young_poisson(1.0, 0.3, s=S)
@@ -62,8 +57,8 @@ def test_face_projection_reproduces_polynomials(k):
     poly = lambda p: (0.3 + p[:, 0] - 0.5 * p[:, 1]) ** k
 
     for fid in (0, 3, 7):
-        coef = project_face(mesh, fid, k, poly)
         fr = face_rule(mesh, fid, k)
+        coef = fr.moments(fr.sample(poly))
         recon = fr.basis.T @ coef
         assert np.abs(recon - poly(fr.points)).max() < 1e-12
 
@@ -71,8 +66,8 @@ def test_face_projection_reproduces_polynomials(k):
 def test_face_projection_matches_least_squares_oracle():
     mesh = build_structured_coupled(2, (0.0, 0.0, 1.0, 1.0))
     k, fid = 2, 5
-    coef = project_face(mesh, fid, k, smooth_v)
     fr = face_rule(mesh, fid, k)
+    coef = fr.moments(fr.sample(smooth_v))
     # independent route: weighted least squares on a dense sampling
     w = np.sqrt(fr.weights)
     a = (fr.basis * w).T
@@ -84,9 +79,10 @@ def test_face_projection_matches_least_squares_oracle():
 def test_face_vector_projection_stacks_components():
     mesh = build_structured_coupled(2, (0.0, 0.0, 1.0, 1.0))
     k, fid = 2, 4
-    coef = project_face(mesh, fid, k, smooth_q)
-    cx = project_face(mesh, fid, k, lambda p: smooth_q(p)[:, 0])
-    cy = project_face(mesh, fid, k, lambda p: smooth_q(p)[:, 1])
+    fr = face_rule(mesh, fid, k)
+    coef = fr.moments(fr.sample(smooth_q))
+    cx = fr.moments(fr.sample(lambda p: smooth_q(p)[:, 0]))
+    cy = fr.moments(fr.sample(lambda p: smooth_q(p)[:, 1]))
     assert np.abs(coef - np.concatenate([cx, cy])).max() < 1e-14
 
 
@@ -124,12 +120,15 @@ def test_face_basis_is_orthonormal_on_every_face(k):
 def test_face_projection_error_is_orthogonal_to_face_space():
     mesh = build_structured_coupled(2, (0.0, 0.0, 1.0, 1.0))
     k, fid = 3, 2
-    coef = project_face(mesh, fid, k, smooth_v)
-    fr = face_rule(mesh, fid, k, degree=2 * k + 12)
-    from hdgwave.quadbasis import edge_basis_values  # same dense nodes
-
-    defect = smooth_v(fr.points) - fr.basis.T @ coef
-    moments = (fr.basis * fr.weights) @ defect
+    fr = face_rule(mesh, fid, k)
+    coef = fr.moments(fr.sample(smooth_v))
+    # a denser rule than the face rule's own, along the same canonical direction
+    rule = make_edge_quadrature(2 * k + 12)
+    a, b = mesh.vertices[mesh.face_vertices[fid]]
+    length = mesh.face_length[fid]
+    basis = edge_basis_values(k, rule.points) / np.sqrt(length)
+    defect = smooth_v(a + rule.points[:, None] * (b - a)) - basis.T @ coef
+    moments = (basis * rule.weights * length) @ defect
     assert np.abs(moments).max() < 1e-13
 
 
@@ -162,7 +161,7 @@ def test_volume_projection_reproduces_polynomials(k):
     tab = first_element(k)
     one = Element(tab)
     poly = lambda p: (0.2 + 0.4 * p[:, 0] + 0.7 * p[:, 1]) ** k
-    coef = project_volume_scalar(tab, poly)
+    coef = _project_volume_scalars(tab, tab.sample_volume(poly))[0]
     recon = one.scalar.T @ coef
     assert np.abs(recon - poly(one.points)).max() < 1e-12
 
@@ -170,7 +169,7 @@ def test_volume_projection_reproduces_polynomials(k):
 def test_volume_projection_defect_orthogonal_to_space():
     tab = first_element(2)
     one = Element(tab)
-    coef = project_volume_scalar(tab, smooth_v)
+    coef = _project_volume_scalars(tab, tab.sample_volume(smooth_v))[0]
     defect = smooth_v(one.points) - one.scalar.T @ coef
     moments = np.einsum("q,iq,q->i", one.weights, one.scalar, defect)
     assert np.abs(moments).max() < 1e-14

@@ -16,9 +16,9 @@ from hdgwave.mesh import (
     FaceKind,
     build_structured_coupled,
     elastic_side_normal,
+    face_rule,
     validate_mesh,
 )
-from hdgwave.projections import project_face
 from hdgwave.skeleton import (
     AssembledSystem,
     ProblemData,
@@ -158,8 +158,8 @@ def test_dirichlet_traces_are_face_projections():
     sol, system = solve_problem(mesh, 2, case.params, case.data)
     seen = 0
     for fid in np.flatnonzero(mesh.is_kind(FaceKind.GAMMA_AD)):
-        coef = project_face(mesh, fid, 2, case.exact.v)
-        assert np.abs(sol.vhat[fid] - coef).max() < 1e-13
+        fr = face_rule(mesh, fid, 2)
+        assert np.abs(sol.vhat[fid] - fr.moments(fr.sample(case.exact.v))).max() < 1e-13
         seen += 1
     assert seen == 8
 
@@ -169,8 +169,8 @@ def test_elastic_dirichlet_traces_are_face_projections():
     mesh = case.mesh_at(0)
     sol, _ = solve_problem(mesh, 1, case.params, case.data)
     for fid in np.flatnonzero(mesh.is_kind(FaceKind.ELASTIC_BOUNDARY)):
-        coef = project_face(mesh, fid, 1, case.exact.u)
-        assert np.abs(sol.uhat[fid] - coef).max() < 1e-13
+        fr = face_rule(mesh, fid, 1)
+        assert np.abs(sol.uhat[fid] - fr.moments(fr.sample(case.exact.u))).max() < 1e-13
 
 
 def neumann_square():
