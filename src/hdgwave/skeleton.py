@@ -214,14 +214,11 @@ def assemble_system(assembler: Assembler, data: ProblemData,
                     monolithic: bool = False) -> AssembledSystem:
     mesh, k = assembler.mesh, assembler.k
     dofmap = build_dof_map(mesh, k)
-    moments = _data_moments(mesh, k, data)
+    gamma = np.flatnonzero(mesh.is_kind(FaceKind.GAMMA))
+    n_e = elastic_side_normal(mesh, gamma)
+    moments = _data_moments(mesh, k, data, gamma, n_e)
     # the eliminated Dirichlet traces, zero on the faces whose trace is an unknown
-    fixed_uhat = np.zeros((mesh.n_faces, 2 * (k + 1)), dtype=complex)
-    fixed_vhat = np.zeros((mesh.n_faces, k + 1), dtype=complex)
-    for name, kind, fixed in (("dirichlet", FaceKind.GAMMA_AD, fixed_vhat),
-                              ("u_dirichlet", FaceKind.ELASTIC_BOUNDARY, fixed_uhat)):
-        if name in moments:
-            fixed[mesh.is_kind(kind)] = moments[name]
+    fixed_uhat, fixed_vhat = moments["u_dirichlet"], moments["dirichlet"]
     locals_ = assembler.all_locals(f_acoustic=data.f, f_elastic=data.f_elastic)
 
     vol_off = None
@@ -244,7 +241,7 @@ def assemble_system(assembler: Assembler, data: ProblemData,
              if monolithic else [(flat[:, :, None], flat[:, None, :])])
     bounds = np.concatenate([vol_off[:-1] if monolithic else [],
                              np.arange(trace_base, n_total + 1, k + 1)]).astype(int)
-    couplings = _interface_blocks(assembler, dofmap, first)
+    couplings = _interface_blocks(assembler, dofmap, first, gamma, n_e)
     pattern = _NodePattern(bounds, pairs, couplings)
 
     for loc in locals_:
@@ -284,7 +281,7 @@ def assemble_system(assembler: Assembler, data: ProblemData,
 
     for rn, cn, vals in couplings:
         pattern.add(rn, cn, vals)
-    _face_terms(assembler, moments, dofmap, rhs, trace_base)
+    _face_terms(assembler, moments, dofmap, rhs, trace_base, gamma, n_e)
 
     matrix = sp.csc_matrix((pattern.data, pattern.indices, pattern.indptr),
                            shape=(n_total, n_total))
@@ -300,44 +297,46 @@ def assemble_system(assembler: Assembler, data: ProblemData,
     )
 
 
-def _data_moments(mesh: Mesh, k: int, data: ProblemData) -> dict[str, np.ndarray]:
-    """Face-basis moments of the given boundary and interface data, all faces
-    of a kind at once, one row per face in face order: ``dirichlet`` on the
-    fluid's Dirichlet faces, ``u_dirichlet`` on the solid's boundary faces,
-    ``neumann`` on the Neumann faces, sampled with the fluid's outward
-    normal, and on the interface faces ``grad_v_inc`` (its normal part
-    against the fluid's outward normal), ``g1``, ``v_inc`` and ``g2``, the
-    two ``g`` sampled with the solid's outward normal."""
-    out = {}
-    for name, kind in (("dirichlet", FaceKind.GAMMA_AD),
-                       ("u_dirichlet", FaceKind.ELASTIC_BOUNDARY),
-                       ("neumann", FaceKind.GAMMA_AN)):
-        faces = np.flatnonzero(mesh.is_kind(kind))
-        if (fn := getattr(data, name)) is not None and len(faces):
-            fr = face_rule(mesh, faces, k)
-            n_out = mesh.face_sign[faces, :1] * mesh.face_normal[faces]
-            out[name] = fr.moments(fr.sample(fn, n_out) if name == "neumann" else fr.sample(fn))
-    given = {name: fn for name in ("grad_v_inc", "g1", "v_inc", "g2")
-             if (fn := getattr(data, name)) is not None}
-    gamma = np.flatnonzero(mesh.is_kind(FaceKind.GAMMA))
-    if given and len(gamma):
-        fr = face_rule(mesh, gamma, k)
-        n_e = elastic_side_normal(mesh, gamma)
-        for name, fn in given.items():
-            vals = fr.sample(fn, n_e) if name in ("g1", "g2") else fr.sample(fn)
-            if name == "grad_v_inc":
-                vals = (vals @ -n_e[:, :, None])[..., 0]
-            out[name] = fr.moments(vals)
+def _data_moments(mesh: Mesh, k: int, data: ProblemData, gamma: np.ndarray,
+                  n_e: np.ndarray) -> dict[str, np.ndarray]:
+    """Face-basis moments of the boundary and interface data: per datum of m
+    components one array (n_faces, m(k+1)), zero off its face kind and if it
+    is not given.  Each datum is sampled on all faces of its kind at once,
+    with the outward normal its row names, the fluid's ("A") or the solid's
+    ("E"; ``n_e`` on the interface faces ``gamma``); ``grad_v_inc`` enters
+    by its normal part against the fluid's."""
+    n_a = mesh.face_sign[:, :1] * mesh.face_normal
+    n_a[gamma] = -n_e
+    normal = {"A": n_a, "E": -n_a}
+    rules, out = {}, {}
+    for name, kind, m, side in (("dirichlet", FaceKind.GAMMA_AD, 1, None),
+                                ("u_dirichlet", FaceKind.ELASTIC_BOUNDARY, 2, None),
+                                ("neumann", FaceKind.GAMMA_AN, 1, "A"),
+                                ("grad_v_inc", FaceKind.GAMMA, 1, "A"),
+                                ("g1", FaceKind.GAMMA, 1, "E"),
+                                ("v_inc", FaceKind.GAMMA, 1, None),
+                                ("g2", FaceKind.GAMMA, 2, "E")):
+        out[name] = np.zeros((mesh.n_faces, m * (k + 1)), dtype=complex)
+        faces = gamma if kind is FaceKind.GAMMA else np.flatnonzero(mesh.is_kind(kind))
+        if (fn := getattr(data, name)) is None or not len(faces):
+            continue
+        fr = rules[kind] = rules.get(kind) or face_rule(mesh, faces, k)
+        normals = [normal[side][faces]] if side else []
+        if name == "grad_v_inc":
+            vals = (fr.sample(fn) @ normals[0][:, :, None])[..., 0]
+        else:
+            vals = fr.sample(fn, *normals)
+        out[name][faces] = fr.moments(vals)
     return out
 
 
-def _interface_blocks(assembler: Assembler, dofmap: DofMap, first: int) -> list:
+def _interface_blocks(assembler: Assembler, dofmap: DofMap, first: int, gamma: np.ndarray,
+                      n_e: np.ndarray) -> list:
     """The diagonal interface blocks (row nodes, column nodes, values (n_gamma, 1, k+1)): velocity
     row to displacement trace, traction row to scalar trace, mode by mode through one normal
-    component; a zero component pairs no nodes, as the ordering counts a stored zero as fill."""
-    mesh, kp1, params = assembler.mesh, assembler.k + 1, assembler.params
-    gamma = np.flatnonzero(mesh.is_kind(FaceKind.GAMMA))
-    n_e = elastic_side_normal(mesh, gamma)
+    component; a zero component pairs no nodes, as the ordering counts a stored zero as fill.
+    ``gamma`` and ``n_e`` are as in ``_data_moments``."""
+    kp1, params = assembler.k + 1, assembler.params
     v, u = (first + offset[gamma] // kp1 for offset in (dofmap.vhat_offset, dofmap.uhat_offset))
     return [(np.where(n_e[:, c] == 0, -1, rn), cn,
              np.broadcast_to(vals[:, None, None], (len(gamma), 1, kp1)))
@@ -346,36 +345,22 @@ def _interface_blocks(assembler: Assembler, dofmap: DofMap, first: int) -> list:
 
 
 def _face_terms(assembler: Assembler, moments: dict[str, np.ndarray], dofmap: DofMap,
-                rhs: np.ndarray, trace_base: int) -> None:
+                rhs: np.ndarray, trace_base: int, gamma: np.ndarray, n_e: np.ndarray) -> None:
     """Neumann and interface data moments (those of ``_data_moments``), all
-    faces of a kind at once."""
-    mesh, k, params = assembler.mesh, assembler.k, assembler.params
-    kp1 = k + 1
-    s, rho_f = params.s, params.rho_f
-
-    if "neumann" in moments:
-        neumann = np.flatnonzero(mesh.is_kind(FaceKind.GAMMA_AN))
-        rhs[trace_base + dofmap.vhat_offset[neumann, None] + np.arange(kp1)] += \
-            moments["neumann"]
-
-    gamma = np.flatnonzero(mesh.is_kind(FaceKind.GAMMA))
-    if not len(gamma):
-        return
-    n_e = elastic_side_normal(mesh, gamma)
-    n_a = -n_e
+    faces of a kind at once; ``gamma`` and ``n_e`` as there."""
+    mesh, kp1, params = assembler.mesh, assembler.k + 1, assembler.params
+    neumann = np.flatnonzero(mesh.is_kind(FaceKind.GAMMA_AN))
+    rhs[trace_base + dofmap.vhat_offset[neumann, None] + np.arange(kp1)] += \
+        moments["neumann"][neumann]
     v_idx = trace_base + dofmap.vhat_offset[gamma, None] + np.arange(kp1)
-    ux_idx = trace_base + dofmap.uhat_offset[gamma, None] + np.arange(kp1)
-    uy_idx = ux_idx + kp1
-    if "grad_v_inc" in moments:
-        rhs[v_idx] -= moments["grad_v_inc"]
-    if "g1" in moments:
-        rhs[v_idx] += moments["g1"]
-    if "v_inc" in moments:
-        rhs[ux_idx] -= rho_f * s * n_a[:, 0, None] * moments["v_inc"]
-        rhs[uy_idx] -= rho_f * s * n_a[:, 1, None] * moments["v_inc"]
-    if "g2" in moments:
-        rhs[ux_idx] += moments["g2"][:, :kp1]
-        rhs[uy_idx] += moments["g2"][:, kp1:]
+    rhs[v_idx] -= moments["grad_v_inc"][gamma]
+    rhs[v_idx] += moments["g1"][gamma]
+    # per displacement component: the incident field through n_A = -n_e, then g2
+    g2 = moments["g2"][gamma].reshape(len(gamma), 2, kp1)
+    for c in (0, 1):
+        u_idx = trace_base + dofmap.uhat_offset[gamma, None] + c * kp1 + np.arange(kp1)
+        rhs[u_idx] -= params.rho_f * params.s * -n_e[:, c, None] * moments["v_inc"][gamma]
+        rhs[u_idx] += g2[:, c]
 
 
 def solve_assembled(system: AssembledSystem) -> np.ndarray:
@@ -514,7 +499,9 @@ def conservation_report(assembler: Assembler, data: ProblemData,
         vol = solution.volume[blk.domain][solution.row[blk.elems]]
         traces = (solution.uhat if blk.domain == "E" else solution.vhat)[blk.face_ids]
         flux[blk.domain][blk.elems] = reconstruct_flux(blk, params, vol, traces)
-    moments = _data_moments(mesh, k, data)
+    gamma = np.flatnonzero(mesh.is_kind(FaceKind.GAMMA))
+    n_e = elastic_side_normal(mesh, gamma)
+    moments = _data_moments(mesh, k, data, gamma, n_e)
 
     def side_flux(domain: str, faces: np.ndarray, side) -> np.ndarray:
         return flux[domain][mesh.face_element[faces, side], mesh.face_local_edge[faces, side]]
@@ -530,24 +517,20 @@ def conservation_report(assembler: Assembler, data: ProblemData,
         report["interior_jump"] = max(report["interior_jump"], worst(
             side_flux(domain, faces, 0) + side_flux(domain, faces, 1)))
 
-    gamma = np.flatnonzero(mesh.is_kind(FaceKind.GAMMA))
-    if len(gamma):
-        solid_first = mesh.tri_domain[mesh.face_element[gamma, 0]] == "E"
-        fe = np.where(solid_first[:, None], side_flux("E", gamma, 0), side_flux("E", gamma, 1))
-        fa = np.where(solid_first[:, None], side_flux("A", gamma, 1), side_flux("A", gamma, 0))
-        n_e = elastic_side_normal(mesh, gamma)
-        n_a = -n_e
-        uh = solution.uhat[gamma]
-        # data that are not given enter as 0, which moves no residual's size
-        r1 = (fa - s * (n_e[:, :1] * uh[:, :kp1] + n_e[:, 1:] * uh[:, kp1:])
-              + moments.get("grad_v_inc", 0.0) - moments.get("g1", 0.0))
-        report["gamma_velocity"] = worst(r1)
-        v_tot = solution.vhat[gamma] + moments.get("v_inc", 0.0)
-        r2 = -fe + rho_f * s * np.concatenate([n_a[:, :1] * v_tot, n_a[:, 1:] * v_tot], axis=1)
-        report["gamma_traction"] = worst(r2 - moments.get("g2", 0.0))
+    solid_first = mesh.tri_domain[mesh.face_element[gamma, 0]] == "E"
+    fe = np.where(solid_first[:, None], side_flux("E", gamma, 0), side_flux("E", gamma, 1))
+    fa = np.where(solid_first[:, None], side_flux("A", gamma, 1), side_flux("A", gamma, 0))
+    n_a = -n_e
+    uh = solution.uhat[gamma]
+    r1 = (fa - s * (n_e[:, :1] * uh[:, :kp1] + n_e[:, 1:] * uh[:, kp1:])
+          + moments["grad_v_inc"][gamma] - moments["g1"][gamma])
+    report["gamma_velocity"] = worst(r1)
+    v_tot = solution.vhat[gamma] + moments["v_inc"][gamma]
+    r2 = -fe + rho_f * s * np.concatenate([n_a[:, :1] * v_tot, n_a[:, 1:] * v_tot], axis=1)
+    report["gamma_traction"] = worst(r2 - moments["g2"][gamma])
 
     neumann = np.flatnonzero(mesh.is_kind(FaceKind.GAMMA_AN))
-    report["neumann"] = worst(side_flux("A", neumann, 0) - moments.get("neumann", 0.0))
+    report["neumann"] = worst(side_flux("A", neumann, 0) - moments["neumann"][neumann])
     return report
 
 

@@ -118,29 +118,28 @@ def _case(name: str, params: ModelParams, n0: int, *, acoustic=None, elastic=Non
           interface=None, ladder: bool = False) -> ManufacturedCase:
     """Wire fields into a case with its meshes.
 
-    ``acoustic`` is (v, q, f) and ``elastic`` (u, sigma, f_e, gamma_p).
-    With one of them the domain is the unit square, with Dirichlet data
-    from the exact field; with both it is the solid square (-1,1)^2 inside
-    a fluid frame out to (-2,2)^2, Dirichlet on the outer boundary, and
-    ``interface`` holds the transmission data.  Level 0 has ``n0`` cells
-    per unit length; later levels refine it, or with ``ladder`` are built
-    afresh at the ladder's cell counts.
+    ``acoustic`` is (v, q, f) and ``elastic`` (u, sigma, f_e, gamma_p);
+    their exact fields give every boundary datum (v, q.n_out and u).  With
+    one of them the domain is the unit square; with both it is the solid
+    square (-1,1)^2 inside a fluid frame out to (-2,2)^2, and ``interface``
+    holds the transmission data.  The outer boundary is Dirichlet.  Level 0
+    has ``n0`` cells per unit length; later levels refine it, or with
+    ``ladder`` are built afresh at the ladder's cell counts.
     """
     data, exact = dict(interface or {}), {}
     if acoustic is not None:
         v, q, f = acoustic
-        data.update(f=f, dirichlet=v)
+        data.update(f=f, dirichlet=v,
+                    neumann=lambda pts, n_out: np.sum(q(pts) * n_out, axis=1))
         exact.update(v=v, q=q)
     if elastic is not None:
         u, sigma, f_e, gamma_p = elastic
-        data["f_elastic"] = f_e
+        data.update(f_elastic=f_e, u_dirichlet=u)
         exact.update(u=u, sigma=sigma, gamma_p=gamma_p)
     if acoustic is not None and elastic is not None:
         boxes, domain = ((-2.0, -2.0, 2.0, 2.0), (-1.0, -1.0, 1.0, 1.0)), "A"
     else:
         boxes, domain = ((0.0, 0.0, 1.0, 1.0),), "A" if elastic is None else "E"
-        if elastic is not None:
-            data["u_dirichlet"] = u
 
     @functools.cache
     def mesh_at(level: int) -> Mesh:
@@ -284,15 +283,14 @@ def _poly_elastic_fields(params: ModelParams, k: int):
     return u, sigma, f_e, gamma_p
 
 
-def make_polynomial_case(kind: str, k: int, *, grid: int | None = None,
-                         **overrides) -> ManufacturedCase:
+def make_polynomial_case(kind: str, k: int, **overrides) -> ManufacturedCase:
     """Exact-degree-k polynomial analogue of each named case."""
     params = _params_from_overrides(**overrides)
     name = f"poly-{kind}-k{k}"
     if kind == "acoustic":
-        return _case(name, params, grid or 2, acoustic=_poly_acoustic_fields(params, k))
+        return _case(name, params, 2, acoustic=_poly_acoustic_fields(params, k))
     if kind == "elastic":
-        return _case(name, params, grid or 2, elastic=_poly_elastic_fields(params, k))
+        return _case(name, params, 2, elastic=_poly_elastic_fields(params, k))
     if kind == "coupled":
         v, q, f = _poly_acoustic_fields(params, k)
         u, sigma, f_e, gamma_p = _poly_elastic_fields(params, k)
@@ -305,14 +303,15 @@ def make_polynomial_case(kind: str, k: int, *, grid: int | None = None,
             sig_n = (sigma(pts) * n_e[..., None, :]).sum(axis=-1)
             return -sig_n - rho_f * s * v(pts)[:, None] * n_e
 
-        return _case(name, params, grid or 1, acoustic=(v, q, f),
+        return _case(name, params, 1, acoustic=(v, q, f),
                      elastic=(u, sigma, f_e, gamma_p), interface=dict(g1=g1, g2=g2))
     raise ValueError(f"unknown polynomial case kind '{kind}'")
 
 
 def compute_errors(assembler: Assembler, solution: FieldSolution,
                    exact: ExactFields) -> dict[str, float]:
-    """Absolute L2 errors of every recovered field plus the weighted trace norms.
+    """Absolute L2 errors of every recovered field plus the weighted trace
+    norms, those of each domain the mesh has.
 
     Trace norms follow the mesh-dependent convention: the squared face error
     is weighted by the diameter of each adjacent element (interior faces
@@ -342,11 +341,9 @@ def compute_errors(assembler: Assembler, solution: FieldSolution,
         trace_err = blk.faces.moments(blk.faces.sample(trace_fn)) - traces[blk.face_ids]
         acc[trace] += float(blk.h @ np.sum(np.abs(trace_err) ** 2, axis=(1, 2)))
 
-    names = []
-    if exact.sigma is not None:
-        names += ["sigma", "u", "gamma", "uhat"]
-    if exact.v is not None:
-        names += ["q", "v", "vhat"]
+    names = [name for domain, named in (("E", ("sigma", "u", "gamma", "uhat")),
+                                        ("A", ("q", "v", "vhat")))
+             if (assembler.mesh.tri_domain == domain).any() for name in named]
     return {name: math.sqrt(acc[name]) for name in names}
 
 

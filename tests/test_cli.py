@@ -24,7 +24,14 @@ from hdgwave.cli import (
     parse_config,
 )
 from hdgwave.local_solver import RCOND_FLOOR
-from hdgwave.mesh import build_structured_coupled, load_mesh, save_mesh, validate_mesh
+from hdgwave.mesh import (
+    KINDS,
+    FaceKind,
+    build_structured_coupled,
+    load_mesh,
+    save_mesh,
+    validate_mesh,
+)
 
 # -- low-level parsers --------------------------------------------------------
 
@@ -399,7 +406,40 @@ def test_coupled_case_on_a_fluid_only_mesh_is_accepted(tmp_path, capsys):
     assert main(["solve", "--case", "coupled63", "--mesh", str(path),
                  "--out", str(tmp_path)]) == 0
     assert "elements=8" in capsys.readouterr().out
-    assert json.loads((tmp_path / "report.json").read_text())["errors"]["v"] > 0.0
+    errors = json.loads((tmp_path / "report.json").read_text())["errors"]
+    # no solid errors for a solid that is not there
+    assert sorted(errors) == ["q", "v", "vhat"]
+    assert errors["v"] > 0.0
+
+
+def solve_errors(tmp_path, case, mesh, name):
+    """The report.json errors of a k=2 solve of ``case`` on ``mesh``."""
+    path, out = tmp_path / f"{name}.mesh", tmp_path / name
+    save_mesh(mesh, str(path))
+    assert main(["solve", "--case", case, "--k", "2", "--mesh", str(path),
+                 "--out", str(out)]) == 0
+    return json.loads((out / "report.json").read_text())["errors"]
+
+
+def test_acoustic_case_gives_its_flux_on_neumann_faces(tmp_path, capsys):
+    # q.n_out on the x = 1 faces keeps err_q at its all-Dirichlet size; with
+    # zero flux data it was 1.2e-1 against 1.4e-4
+    mesh = build_structured_coupled(4, (0.0, 0.0, 1.0, 1.0))
+    dirichlet = solve_errors(tmp_path, "acoustic61", mesh, "dirichlet")
+    mid_x = mesh.vertices[mesh.face_vertices, 0].mean(axis=1)
+    mesh.face_kind[mesh.is_kind(FaceKind.GAMMA_AD) & (mid_x == 1.0)] = \
+        KINDS.index(FaceKind.GAMMA_AN)
+    validate_mesh(mesh)
+    neumann = solve_errors(tmp_path, "acoustic61", mesh, "neumann")
+    assert neumann["q"] < 2.0 * dirichlet["q"]
+
+
+def test_coupled_case_on_a_solid_only_mesh_solves_the_elastic_case(tmp_path, capsys):
+    # coupled63 gives the same solid fields and displacement trace as
+    # elastic62; with a zero trace its err_sigma was 2.4 against 2.0e-2
+    mesh = build_structured_coupled(4, (0.0, 0.0, 1.0, 1.0), domain="E")
+    assert (solve_errors(tmp_path, "coupled63", mesh, "coupled")
+            == solve_errors(tmp_path, "elastic62", mesh, "elastic"))
 
 
 def _break_triangle_id(lines):

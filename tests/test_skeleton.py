@@ -173,30 +173,30 @@ def test_elastic_dirichlet_traces_are_face_projections():
         assert np.abs(sol.uhat[fid] - fr.moments(fr.sample(case.exact.u))).max() < 1e-13
 
 
-def neumann_square():
-    """Unit square, n = 2, whose x = xmax boundary faces are Neumann."""
-    mesh = build_structured_coupled(2, (0.0, 0.0, 1.0, 1.0))
+def with_neumann_side(mesh):
+    """``mesh`` with its x = xmax Dirichlet faces made Neumann."""
     mid_x = mesh.vertices[mesh.face_vertices, 0].mean(axis=1)
-    mesh.face_kind[mesh.is_kind(FaceKind.GAMMA_AD) & (mid_x == 1.0)] = KINDS.index(
-        FaceKind.GAMMA_AN)
+    mesh.face_kind[mesh.is_kind(FaceKind.GAMMA_AD) & (mid_x == mesh.vertices[:, 0].max())] = \
+        KINDS.index(FaceKind.GAMMA_AN)
     validate_mesh(mesh)
     return mesh
 
 
+def neumann_square():
+    """Unit square, n = 2, whose x = xmax boundary faces are Neumann."""
+    return with_neumann_side(build_structured_coupled(2, (0.0, 0.0, 1.0, 1.0)))
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_neumann_faces_reproduce_polynomials(k):
-    # replace the x = xmax boundary by prescribed-flux faces; a degree-k
-    # polynomial solution must still be reproduced to round-off
+    # replace the x = xmax boundary by prescribed-flux faces, whose flux
+    # q.n_out the case gives; a degree-k polynomial solution must still be
+    # reproduced to round-off
     case = make_polynomial_case("acoustic", k)
     mesh = neumann_square()
     n_neu = int(np.count_nonzero(mesh.is_kind(FaceKind.GAMMA_AN)))
     assert n_neu == 2
-    data = ProblemData(
-        f=case.data.f,
-        dirichlet=case.data.dirichlet,
-        neumann=lambda pts, n_out: np.sum(case.exact.q(pts) * n_out, axis=1),
-    )
-    sol, _ = solve_problem(mesh, k, case.params, data)
+    sol, _ = solve_problem(mesh, k, case.params, case.data)
     asm = Assembler(mesh, k, case.params)
     from hdgwave.verify import compute_errors
 
@@ -211,6 +211,48 @@ def test_neumann_without_data_means_zero_flux():
     asm = Assembler(mesh, 1, params)
     rep = conservation_report(asm, ProblemData(), sol)
     assert rep["neumann"] < 1e-10 * max(rep["flux_scale"], 1.0)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_data_moments_are_arrays_over_all_faces(k):
+    # one array per datum over every face: the moments of the datum on the
+    # faces of its kind, sampled with the outward normal it takes, and zero
+    # on every other face and where the datum is not given
+    def scalar(pts, *n):
+        return pts[:, 0] ** 2 - 1j * pts[:, 1] + sum(3.0 * v[:, 0] - v[:, 1] for v in n)
+
+    def vector(pts, *n):
+        return np.stack([scalar(pts, *n), pts[:, 0] * pts[:, 1] + 0.5j], axis=1)
+
+    data = ProblemData(dirichlet=scalar, u_dirichlet=vector, neumann=scalar,
+                       grad_v_inc=vector, g1=scalar, v_inc=scalar, g2=vector)
+    # Dirichlet, Neumann (x = 2) and interface faces; solid boundary faces
+    for mesh in (with_neumann_side(build_structured_coupled(1, *COUPLED_BOXES)),
+                 build_structured_coupled(2, (0.0, 0.0, 1.0, 1.0), domain="E")):
+        gamma = np.flatnonzero(mesh.is_kind(FaceKind.GAMMA))
+        n_e = elastic_side_normal(mesh, gamma)
+        given = skeleton._data_moments(mesh, k, data, gamma, n_e)
+        absent = skeleton._data_moments(mesh, k, ProblemData(), gamma, n_e)
+        for name, kind, m, normal in (
+                ("dirichlet", FaceKind.GAMMA_AD, 1, None),
+                ("u_dirichlet", FaceKind.ELASTIC_BOUNDARY, 2, None),
+                ("neumann", FaceKind.GAMMA_AN, 1, np.array([1.0, 0.0])),  # outward at x = 2
+                ("g1", FaceKind.GAMMA, 1, n_e),
+                ("v_inc", FaceKind.GAMMA, 1, None),
+                ("g2", FaceKind.GAMMA, 2, n_e)):
+            on = mesh.is_kind(kind)
+            assert given[name].shape == absent[name].shape == (mesh.n_faces, m * (k + 1))
+            assert not absent[name].any() and not given[name][~on].any()
+            fr = face_rule(mesh, np.flatnonzero(on), k)
+            normals = [] if normal is None else [np.broadcast_to(normal, (on.sum(), 2))]
+            assert np.array_equal(given[name][on], fr.moments(fr.sample(getattr(data, name),
+                                                                        *normals)))
+        # the normal part of the gradient against the fluid's outward normal
+        fr = face_rule(mesh, gamma, k)
+        want = fr.moments(np.sum(fr.sample(vector) * -n_e[:, None], axis=-1))
+        assert np.abs(given["grad_v_inc"][gamma] - want).max(initial=0.0) <= 1e-14
+        assert not given["grad_v_inc"][~mesh.is_kind(FaceKind.GAMMA)].any()
+        assert not absent["grad_v_inc"].any()
 
 
 # -- solved-state residuals ---------------------------------------------------
@@ -512,13 +554,10 @@ def coo_assembly(assembler, data, monolithic):
     triplet, summed by scipy's COO to CSC conversion."""
     mesh, k = assembler.mesh, assembler.k
     dofmap = build_dof_map(mesh, k)
-    moments = skeleton._data_moments(mesh, k, data)
-    fixed_uhat = np.zeros((mesh.n_faces, 2 * (k + 1)), dtype=complex)
-    fixed_vhat = np.zeros((mesh.n_faces, k + 1), dtype=complex)
-    for name, kind, fixed in (("dirichlet", FaceKind.GAMMA_AD, fixed_vhat),
-                              ("u_dirichlet", FaceKind.ELASTIC_BOUNDARY, fixed_uhat)):
-        if name in moments:
-            fixed[mesh.is_kind(kind)] = moments[name]
+    gamma = np.flatnonzero(mesh.is_kind(FaceKind.GAMMA))
+    n_e = elastic_side_normal(mesh, gamma)
+    moments = skeleton._data_moments(mesh, k, data, gamma, n_e)
+    fixed_uhat, fixed_vhat = moments["u_dirichlet"], moments["dirichlet"]
     locals_ = assembler.all_locals(f_acoustic=data.f, f_elastic=data.f_elastic)
     vol_off, n_vol = None, 0
     if monolithic:
@@ -575,10 +614,8 @@ def coo_assembly(assembler, data, monolithic):
             use = known[:, :, None] & used[:, None, :]
             np.subtract.at(rhs, np.broadcast_to(idx[:, :, None], terms.shape)[use], terms[use])
 
-    gamma = np.flatnonzero(mesh.is_kind(FaceKind.GAMMA))
     if len(gamma):
         s, rho_f = assembler.params.s, assembler.params.rho_f
-        n_e = elastic_side_normal(mesh, gamma)
         n_a = -n_e
         v_idx = n_vol + dofmap.vhat_offset[gamma, None] + np.arange(k + 1)
         ux_idx = n_vol + dofmap.uhat_offset[gamma, None] + np.arange(k + 1)
@@ -586,7 +623,7 @@ def coo_assembly(assembler, data, monolithic):
             nonzero = n_e[:, c, None] != 0
             add(v_idx, u_idx, -s * n_e[:, c, None], nonzero)
             add(u_idx, v_idx, rho_f * s * n_a[:, c, None], nonzero)
-    skeleton._face_terms(assembler, moments, dofmap, rhs, n_vol)
+    skeleton._face_terms(assembler, moments, dofmap, rhs, n_vol, gamma, n_e)
     rows, cols, vals = (np.concatenate(part) for part in zip(*triplets))
     return sp.coo_matrix((vals, (rows, cols)), shape=(n_total, n_total)).tocsc(), rhs
 

@@ -316,19 +316,24 @@ ALL_EXACT = {"v", "q", "u", "sigma", "gamma_p"}
 COUPLED_BOXES = ((-2.0, -2.0, 2.0, 2.0), (-1.0, -1.0, 1.0, 1.0))
 
 
+ACOUSTIC_DATA = {"f", "dirichlet", "neumann"}
+ELASTIC_DATA = {"f_elastic", "u_dirichlet"}
+
+
 @pytest.mark.parametrize("name,data,exact,domains,nested", [
-    ("acoustic61", {"f", "dirichlet"}, {"v", "q"}, {"A"}, True),
-    ("elastic62", {"f_elastic", "u_dirichlet"}, {"u", "sigma", "gamma_p"}, {"E"}, True),
-    ("coupled63", {"f", "f_elastic", "dirichlet", "v_inc", "grad_v_inc", "g1", "g2"},
+    ("acoustic61", ACOUSTIC_DATA, {"v", "q"}, {"A"}, True),
+    ("elastic62", ELASTIC_DATA, {"u", "sigma", "gamma_p"}, {"E"}, True),
+    ("coupled63", ACOUSTIC_DATA | ELASTIC_DATA | {"v_inc", "grad_v_inc", "g1", "g2"},
      ALL_EXACT, {"A", "E"}, False),
-    ("acoustic-k2", {"f", "dirichlet"}, {"v", "q"}, {"A"}, True),
-    ("elastic-k2", {"f_elastic", "u_dirichlet"}, {"u", "sigma", "gamma_p"}, {"E"}, True),
-    ("coupled-k2", {"f", "f_elastic", "dirichlet", "g1", "g2"}, ALL_EXACT, {"A", "E"}, True),
+    ("acoustic-k2", ACOUSTIC_DATA, {"v", "q"}, {"A"}, True),
+    ("elastic-k2", ELASTIC_DATA, {"u", "sigma", "gamma_p"}, {"E"}, True),
+    ("coupled-k2", ACOUSTIC_DATA | ELASTIC_DATA | {"g1", "g2"}, ALL_EXACT, {"A", "E"}, True),
 ])
 def test_cases_set_exactly_their_data_fields_and_meshes(name, data, exact, domains, nested):
-    # coupled cases carry no displacement trace, polynomial ones no incident
-    # field; the polynomial coupled case refines its base mesh, coupled63
-    # builds each rung of its ladder afresh
+    # every case gives each boundary datum of its domains, as a mesh file may
+    # mark any boundary kind; polynomial cases carry no incident field; the
+    # polynomial coupled case refines its base mesh, coupled63 builds each
+    # rung of its ladder afresh
     kind, _, k = name.partition("-k")
     case = make_polynomial_case(kind, int(k)) if k else make_case(name)
 
@@ -416,3 +421,51 @@ def test_errors_scale_with_the_problem():
     assert base.keys() == powers.keys()
     for name, power in powers.items():
         assert big[name] == pytest.approx(base[name] * length**power, rel=1e-10), name
+
+
+# the report.csv text of three cheap studies: (case, Poisson ratio, k, levels)
+STUDY_CSV = {
+    ("acoustic61", 0.3, 1, 3): (
+        "case,k,level,N,h,err_sigma,err_u,err_gamma,err_q,err_v,err_uhat,err_vhat,theta,"
+        "eoc_sigma,eoc_u,eoc_gamma,eoc_q,eoc_v,eoc_uhat,eoc_vhat,eoc_theta\n"
+        "acoustic61,1,0,16,7.071068e-01,,,,1.519068e-02,8.620963e-03,,2.116716e-03,"
+        "9.244363e-03,,,,,,,,\n"
+        "acoustic61,1,1,80,3.535534e-01,,,,3.874382e-03,2.251486e-03,,2.779133e-04,"
+        "2.276859e-03,,,,1.971148e+00,1.936972e+00,,2.929121e+00,2.021529e+00\n"
+        "acoustic61,1,2,352,1.767767e-01,,,,9.746696e-04,5.747397e-04,,3.550713e-05,"
+        "5.647601e-04,,,,1.990981e+00,1.969897e+00,,2.968454e+00,2.011335e+00\n"),
+    ("elastic62", 0.49999, 2, 3): (
+        "case,k,level,N,h,err_sigma,err_u,err_gamma,err_q,err_v,err_uhat,err_vhat,theta,"
+        "eoc_sigma,eoc_u,eoc_gamma,eoc_q,eoc_v,eoc_uhat,eoc_vhat,eoc_theta\n"
+        "elastic62,2,0,48,7.071068e-01,2.872149e+03,7.598176e+02,1.009012e+03,,,3.292859e+02,,"
+        "2.529392e+03,,,,,,,,\n"
+        "elastic62,2,1,240,3.535534e-01,3.954988e+02,1.057639e+02,3.430107e+02,,,4.057738e+01,"
+        ",4.622770e+02,2.860386e+00,2.844805e+00,1.556619e+00,,,3.020593e+00,,2.451961e+00\n"
+        "elastic62,2,2,1056,1.767767e-01,5.127277e+01,1.369271e+01,5.927281e+01,,,"
+        "3.078960e+00,,7.145546e+01,2.947408e+00,2.949368e+00,2.532811e+00,,,3.720161e+00,,"
+        "2.693641e+00\n"),
+    ("coupled63", 0.3, 1, 4): (
+        "case,k,level,N,h,err_sigma,err_u,err_gamma,err_q,err_v,err_uhat,err_vhat,theta,"
+        "eoc_sigma,eoc_u,eoc_gamma,eoc_q,eoc_v,eoc_uhat,eoc_vhat,eoc_theta\n"
+        "coupled63,1,0,128,1.414214e+00,4.860618e+00,1.239962e+00,1.189721e+00,5.308707e-01,"
+        "1.500970e-01,1.236892e+00,4.125245e-01,3.067643e+00,,,,,,,,\n"
+        "coupled63,1,1,496,7.071068e-01,1.444420e+00,5.643475e-01,7.790778e-01,1.109217e-01,"
+        "3.568634e-02,3.289466e-01,5.158546e-02,1.165388e+00,1.750650e+00,1.135640e+00,"
+        "6.107845e-01,2.258819e+00,2.072451e+00,1.910794e+00,2.999443e+00,1.396320e+00\n"
+        "coupled63,1,2,1952,3.535534e-01,3.906501e-01,1.686838e-01,3.229907e-01,2.114212e-02,"
+        "8.869797e-03,5.846781e-02,6.881068e-03,3.686383e-01,1.886541e+00,1.742263e+00,"
+        "1.270275e+00,2.391350e+00,2.008399e+00,2.492139e+00,2.906260e+00,1.660532e+00\n"
+        "coupled63,1,3,7744,1.767767e-01,1.036961e-01,4.475047e-02,1.194227e-01,4.050992e-03,"
+        "2.209681e-03,1.015349e-02,7.840644e-04,1.232153e-01,1.913515e+00,1.914346e+00,"
+        "1.435415e+00,2.383773e+00,2.005063e+00,2.525667e+00,3.133589e+00,1.581025e+00\n"),
+}
+
+
+@pytest.mark.parametrize("name,nu,k,levels", sorted(STUDY_CSV))
+def test_study_reports_keep_their_bytes(name, nu, k, levels):
+    """The report.csv of each study, byte for byte.  Together they cover the
+    Dirichlet data of both domains and every interface datum.  A change that
+    moves report bits on purpose regenerates these texts and lists what moved
+    with ``scripts/compare_reports.py``; any other change must leave them."""
+    case = make_case(name, **({"poisson": nu} if name == "elastic62" else {}))
+    assert run_study(case, k, levels).to_csv() == STUDY_CSV[name, nu, k, levels]
