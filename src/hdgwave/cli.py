@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass
 from .local_solver import Assembler
 from .mesh import load_mesh
 from .projections import compute_theta
+from .quadbasis import MAX_BASIS_DEGREE
 from .skeleton import solve_problem
 from .verify import compute_errors, make_case, run_study
 
@@ -150,12 +151,14 @@ def parse_config(ns: argparse.Namespace) -> RunConfig:
             raise
         except ValueError as exc:
             raise ConfigError(f"bad value for '{key}': {exc}") from None
-    if cfg.k < 1 or cfg.k > 6:
-        raise ConfigError(f"degree k={cfg.k} outside the supported range 1..6")
+    if not 1 <= cfg.k <= MAX_BASIS_DEGREE:
+        raise ConfigError(f"degree k={cfg.k} outside the supported range 1..{MAX_BASIS_DEGREE}")
     if cfg.levels < 1:
         raise ConfigError("levels must be at least 1")
     if cfg.grid is not None and cfg.grid < 1:
         raise ConfigError("grid must be a positive cell count")
+    if cfg.grid is not None and cfg.mesh is not None:
+        raise ConfigError("'grid' sizes the case's own mesh and does not apply with 'mesh'")
     return cfg
 
 

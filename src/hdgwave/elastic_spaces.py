@@ -22,8 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quadbasis import (ReferenceBasis, _monomial_values, build_reference_basis,
-                        monomial_exponents, scalar_space_dim)
+from .quadbasis import (ReferenceBasis, build_reference_basis, monomial_exponents,
+                        monomial_values, scalar_space_dim)
 
 
 def stress_space_dim(k: int) -> int:
@@ -103,7 +103,7 @@ class StressTables:
             mapped = inv_t @ members @ self.jac.transpose(0, 2, 1)[:, None, None]
         nb, n = xi.shape[:2]
         mapped *= coef.reshape((nb, 1, -1) + (1,) * (members.ndim - 2))
-        mono = _monomial_values(monomial_exponents(self.ref.k + 1), xi.reshape(-1, 2))
+        mono = monomial_values(monomial_exponents(self.ref.k + 1), xi.reshape(-1, 2))
         vals = mono.reshape(-1, nb, n).transpose(1, 2, 0) @ mapped.reshape(nb, len(mono), -1)
         return np.moveaxis(vals.reshape((nb, n) + members.shape[1:]), 1, 2)
 

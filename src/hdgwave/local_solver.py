@@ -30,8 +30,10 @@ depend on the element's shape alone: its Jacobian and the orientation of its
 faces.  ``Assembler`` therefore builds and factors them once per distinct
 shape of a domain, in batches, and elements index into the maps the
 condensed route reads.  Each element's source is lifted as one more
-right-hand side of its shape's solve; sources, face rules and boundary data
-are always those of the element itself.
+right-hand side of its shape's solve.  Besides these maps only the solid
+enrichment is kept per shape: every other table is built from an element's
+own vertices and faces, the scalar basis on a face from the reference table
+of its edge in the face's direction.
 """
 
 from __future__ import annotations
@@ -154,12 +156,13 @@ class BlockTables:
     (nb, 3, nfq) and basis (nb, 3, k+1, nfq), so both neighbours of a face
     integrate it identically.  Face values are sampled with ``faces.sample``
     and integrated with ``faces.moments`` (component-major trace layout
-    (nb, 3, m (k+1)) of m components).  The P_k stress members are
+    (nb, 3, m (k+1)) of m components).  ``face_scalar`` is the scalar basis
+    at the face points, the reference table of the face's edge and
+    direction, and ``scalar_moments`` its moments against the face basis,
+    the reference ones times sqrt(|f|).  The P_k stress members are
     ``scalar`` in each matrix slot, so only the ``enrichment`` is stored;
     their normal traces are ``face_scalar`` times the ``normals``, and the
-    enrichment's are zero.  The tables ``Assembler.shape_blocks`` builds the
-    blocks from carry no face rule (``faces`` is None): the blocks read only
-    the per-shape face tables.
+    enrichment's are zero.
     """
 
     elems: np.ndarray           # (nb,)
@@ -172,7 +175,7 @@ class BlockTables:
     scalar: np.ndarray          # (nb, n_scalar, nq), the reference values
     enrichment: np.ndarray | None  # (nb, k+1, nq, 2, 2) enrichment members, solid blocks
     face_ids: np.ndarray        # (nb, 3)
-    faces: FaceRule | None      # the rules of the faces, element-first
+    faces: FaceRule             # the rules of the faces, element-first
     normals: np.ndarray         # (nb, 3, 2) outward
     face_scalar: np.ndarray     # (nb, 3, n_scalar, nfq) scalar basis on the faces
     scalar_moments: np.ndarray  # (nb, 3, n_scalar, k+1)
@@ -424,11 +427,11 @@ def reconstruct_flux(tables: BlockTables, params: ModelParams,
 
 @dataclass
 class _DomainShapes:
-    """Per-shape tables of one domain of a mesh."""
+    """The shapes of one domain of a mesh and the one table kept per shape."""
 
-    shape: np.ndarray             # (n_elements,) shape of each element, -1 off the domain
-    reps: np.ndarray              # (n_shapes,) the first element of each shape
-    parts: dict[str, np.ndarray]  # shape-dependent ``BlockTables`` fields, per shape
+    shape: np.ndarray              # (n_elements,) shape of each element, -1 off the domain
+    reps: np.ndarray               # (n_shapes,) the first element of each shape
+    enrichment: np.ndarray | None  # (n_shapes, k+1, nq, 2, 2) on solid shapes, else None
 
 
 class Assembler:
@@ -436,12 +439,11 @@ class Assembler:
 
     The elements of each domain are keyed by shape (Jacobian over diameter
     and the log of the diameter over the domain's largest, both rounded to
-    1e-12, plus the orientation of each face), and whatever
-    depends on shape alone is built once per key from its first element:
-    matrices, basis tables, weights and normals.  Quadrature points are the
-    shape's, moved onto each element; face rules and anything that samples
-    user callables (sources, boundary data) are the element's own.  Tables
-    are kept; ``all_locals``, which knows the sources, builds the operators.
+    1e-12, plus the orientation of each face).  The local operators and the
+    solid enrichment are built once per key, from its first element; every
+    other table (``_element_tables``) is each element's own, built from its
+    vertices and faces.  Only the shapes are kept; ``all_locals``, which
+    knows the sources, builds the operators.
     """
 
     def __init__(self, mesh: Mesh, k: int, params: ModelParams):
@@ -450,27 +452,25 @@ class Assembler:
         self.params = params
         self.ref = build_reference_basis(k)
         self._verts = mesh.vertices[mesh.tri_vertices]
+        # per element: Jacobian (columns: the edges from vertex 0) and diameter
+        self._jac = np.stack([self._verts[:, 1] - self._verts[:, 0],
+                              self._verts[:, 2] - self._verts[:, 0]], axis=2)
+        edges = self._verts[:, (1, 2, 0)] - self._verts
+        self._h = np.sqrt(np.vecdot(edges, edges)).max(axis=1)
         # +1 where a face's canonical direction follows the element's local
         # edge, i.e. where its stored normal points out of the element
         self._signs = np.where(
             mesh.face_vertices[mesh.element_faces, 0] == mesh.tri_vertices, 1, -1)
         self._domains: dict[str, _DomainShapes] = {}
 
-    def _jacobians(self, elems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Jacobians (columns: the edges from vertex 0) and diameters."""
-        verts = self._verts[elems]
-        jac = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]], axis=2)
-        edges = verts[:, (1, 2, 0)] - verts
-        return jac, np.sqrt(np.vecdot(edges, edges)).max(axis=1)
-
     def _shapes(self, domain: str) -> _DomainShapes:
-        """The shapes of a domain's elements and the tables of each from its
-        first element."""
+        """The shapes of a domain's elements and the enrichment of each from
+        its first element."""
         cached = self._domains.get(domain)
         if cached is not None:
             return cached
         elems = np.flatnonzero(self.mesh.tri_domain == domain)
-        jac, h = self._jacobians(elems)
+        jac, h = self._jac[elems], self._h[elems]
         # the size enters as its log relative to the largest element, so that
         # similar elements of different sizes differ at any scale or grading;
         # adding 0.0 turns -0.0 into 0.0, which np.unique tells apart
@@ -480,30 +480,31 @@ class Assembler:
         _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
         shape = np.full(self.mesh.n_elements, -1)
         shape[elems] = inverse.reshape(-1)
-        reps, jac, h = elems[first], jac[first], h[first]
-        ref, nb, verts = self.ref, len(reps), self._verts[reps]
-        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-        inv = np.linalg.inv(jac)
-        face_ids = self.mesh.element_faces[reps]
-        faces = face_rule(self.mesh, face_ids, self.k)
-        n_fq = faces.weights.shape[2]
-        points = verts[:, 0, None] + ref.quad.points @ jac.transpose(0, 2, 1)
-        # the scalar basis on each face, through the inverse affine map
-        face_xi = np.stack([(faces.points[:, f] - verts[:, 0, None])
-                            @ inv.transpose(0, 2, 1) for f in range(3)], axis=1)
-        face_scalar = np.stack([
-            ref.eval_values(face_xi[:, f].reshape(-1, 2)).reshape(-1, nb, n_fq).transpose(1, 0, 2)
-            for f in range(3)], axis=1)
-        moments = np.stack([
-            _t(_pair(faces.weights[:, f], faces.basis[:, f], face_scalar[:, f]))
-            for f in range(3)], axis=1)
-        normals = self._signs[reps, :, None] * self.mesh.face_normal[face_ids]
-        parts = dict(points=points, detj=np.abs(det), h=h,
-                     normals=normals, face_scalar=face_scalar, scalar_moments=moments)
-        if domain == "E":
-            parts["enrichment"] = StressTables(ref, jac).enrichment
-        self._domains[domain] = _DomainShapes(shape, reps, parts)
+        reps = elems[first]
+        enrichment = StressTables(self.ref, jac[first]).enrichment if domain == "E" else None
+        self._domains[domain] = _DomainShapes(shape, reps, enrichment)
         return self._domains[domain]
+
+    def _element_tables(self, elems: np.ndarray, domain: str) -> BlockTables:
+        """The tables of ``elems`` from their own vertices and faces, with the
+        enrichment of their shapes.  The scalar basis on local face f is the
+        reference table of edge f, run along it where the face's canonical
+        direction follows the element's edge and against it elsewhere."""
+        ref, shapes, jac = self.ref, self._shapes(domain), self._jac[elems]
+        detj = np.abs(jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0])
+        face_ids, signs = self.mesh.element_faces[elems], self._signs[elems]
+        table = 2 * np.arange(3) + (1 - signs) // 2  # row of ``ref.edge_values``
+        root = np.sqrt(self.mesh.face_length[face_ids])[..., None, None]
+        return BlockTables(
+            elems=elems, domain=domain, k=self.k, h=self._h[elems],
+            points=self._verts[elems, 0, None] + ref.quad.points @ jac.transpose(0, 2, 1),
+            detj=detj, weights=ref.quad.weights * detj[:, None],
+            scalar=np.broadcast_to(ref.values, (len(elems),) + ref.values.shape),
+            enrichment=shapes.enrichment[shapes.shape[elems]] if domain == "E" else None,
+            face_ids=face_ids, faces=face_rule(self.mesh, face_ids, self.k),
+            normals=signs[..., None] * self.mesh.face_normal[face_ids],
+            face_scalar=np.take(ref.edge_values, table, axis=0),
+            scalar_moments=np.take(ref.edge_moments, table, axis=0) * root)
 
     def _locals(self, domain: str, elems: np.ndarray, runs: list[slice],
                 source) -> list[BlockLocals]:
@@ -522,11 +523,10 @@ class Assembler:
         n_vol, n_tr = max(sl.stop for sl in slices.values()), 3 * kp1 * (2 if domain == "E" else 1)
         moments = np.zeros((len(elems), n_vol), dtype=complex)
         for run in runs if source is not None else ():
-            points, weights = self._volume_points(shapes, elems[run])
-            vals = np.asarray(source(points.reshape(-1, 2)), dtype=complex)
-            vals = vals.reshape(points.shape[:2] + vals.shape[1:])
-            f = np.einsum("eq,eq...,iq->e...i", weights, vals, self.ref.values)
-            moments[run, src] = f.reshape(len(points), -1)
+            tab = self._element_tables(elems[run], domain)
+            vals = tab.sample_volume(source)
+            f = np.einsum("eq,eq...,iq->e...i", tab.weights, vals, self.ref.values)
+            moments[run, src] = f.reshape(len(tab.elems), -1)
         # with a source, shape j lifts its count[j] elements by_shape[first[j] : first[j + 1]];
         # a chunk also ends where the count changes, so no solve is padded
         rows = shapes.shape[elems]
@@ -574,16 +574,16 @@ class Assembler:
 
     def shape_blocks(self, elems: np.ndarray, domain: str):
         """Blocks (A, B, C, D) of A x = B t + f and flux moments C x + D t of the
-        shapes of ``elems`` from the kept tables, volume slices and the diagonal
-        of the scaling (see ``_locals``); C and D are formed here."""
+        shapes of ``elems`` from the tables of their first elements, volume
+        slices and the diagonal of the scaling (see ``_locals``); C and D are
+        formed here."""
         shapes = self._shapes(domain)
-        rows = shapes.shape[elems]
-        parts = {name: arr[rows] for name, arr in shapes.parts.items()}
-        inv = np.linalg.inv(self._jacobians(shapes.reps[rows])[0])
+        reps = shapes.reps[shapes.shape[elems]]
+        inv = np.linalg.inv(self._jac[reps])
         # inv^T grad, bit for bit the einsum "edc,nmd->enmc" without its slow loop
         grads = (self.ref.grads[..., 0, None] * inv[:, None, None, 0]
                  + self.ref.grads[..., 1, None] * inv[:, None, None, 1])
-        tab = self._stack(shapes.reps[rows], domain, None, parts)
+        tab = self._element_tables(reps, domain)
         build = _elastic_blocks if domain == "E" else _acoustic_blocks
         a, b, scale = build(tab, grads, self.params)
         slices = _volume_slices(domain, self.ref.n_scalar, self.k + 1)
@@ -593,33 +593,9 @@ class Assembler:
         d = np.tile(tau * np.eye(b.shape[2], dtype=complex), (len(elems), 1, 1))
         return (a, b, _t(b * sign), d), slices, scale
 
-    def _volume_points(self, shapes: _DomainShapes, elems: np.ndarray):
-        """Quadrature points and weights: those of each element's shape, the
-        points moved by the offset between the two vertices 0."""
-        rows = shapes.shape[elems]
-        shift = self._verts[elems, 0] - self._verts[shapes.reps[rows], 0]
-        weights = self.ref.quad.weights * shapes.parts["detj"][rows, None]
-        return shapes.parts["points"][rows] + shift[:, None], weights
-
-    def _stack(self, elems: np.ndarray, domain: str, faces: FaceRule | None,
-               parts: dict) -> BlockTables:
-        scalar = np.broadcast_to(self.ref.values, (len(elems),) + self.ref.values.shape)
-        return BlockTables(elems=elems, domain=domain, k=self.k, scalar=scalar,
-                           face_ids=self.mesh.element_faces[elems], faces=faces,
-                           weights=self.ref.quad.weights * parts["detj"][:, None],
-                           **{"enrichment": None, **parts})
-
-    def _block(self, elems: np.ndarray, domain: str) -> BlockTables:
-        shapes = self._shapes(domain)
-        rows = shapes.shape[elems]
-        parts = {name: arr[rows] for name, arr in shapes.parts.items()}
-        parts["points"], _ = self._volume_points(shapes, elems)
-        faces = face_rule(self.mesh, self.mesh.element_faces[elems], self.k)
-        return self._stack(elems, domain, faces, parts)
-
     def tables(self, elem: int) -> BlockTables:
         """The tables of one element, as a block of one."""
-        return self._block(np.array([elem]), str(self.mesh.tri_domain[elem]))
+        return self._element_tables(np.array([elem]), str(self.mesh.tri_domain[elem]))
 
     def _partition(self):
         """Per domain, solid first: its elements in element order, and the
@@ -633,7 +609,7 @@ class Assembler:
         """Stacked tables of every element, block by block."""
         for domain, elems, runs in self._partition():
             for run in runs:
-                yield self._block(elems[run], domain)
+                yield self._element_tables(elems[run], domain)
 
     def all_locals(self, f_acoustic=None, f_elastic=None) -> list[BlockLocals]:
         """Local systems of every block, in ``blocks`` order; the sources map

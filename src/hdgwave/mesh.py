@@ -31,13 +31,12 @@ lengths are derived on load.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .quadbasis import edge_basis_values, make_edge_quadrature
+from .quadbasis import edge_rule
 
 
 class FaceKind(str, Enum):
@@ -250,6 +249,9 @@ def validate_mesh(mesh: Mesh) -> None:
          "gamma face {f} not between one solid and one fluid element"),
         (mesh.is_kind(FaceKind.INTERIOR_A, FaceKind.INTERIOR_E) & (n_sides != 2),
          "interior face {f} has one side"),
+        ((n_sides == 1) & (mesh.is_kind(FaceKind.GAMMA_AD, FaceKind.GAMMA_AN)
+                           != (mesh.tri_domain[elem[:, 0]] == "A")),
+         "boundary face {f} kind does not match the domain of its element"),
         ((n_sides == 2) & (mesh.face_sign[:, 0] * mesh.face_sign[:, 1] != -1),
          "face {f} outward normals do not oppose"),
         ((has & (linked != np.arange(mesh.n_faces)[:, None])).any(axis=1),
@@ -382,13 +384,6 @@ def refine(mesh: Mesh) -> Mesh:
                      listed=(halves, np.repeat(mesh.face_kind, 2)))
 
 
-@functools.lru_cache(maxsize=None)
-def _edge_table(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gauss nodes and weights on [0, 1] for degree 2k+6, and the edge basis of degree k there."""
-    rule = make_edge_quadrature(2 * k + 6)
-    return rule.points, rule.weights, edge_basis_values(k, rule.points)
-
-
 @dataclass
 class FaceRule:
     """Quadrature and orthonormal basis along faces' canonical directions.
@@ -432,7 +427,7 @@ def face_rule(mesh: Mesh, face_id, k: int) -> FaceRule:
     degree 2k+6 like the volume rules, with the face basis of degree k."""
     ends = mesh.vertices[mesh.face_vertices[face_id]]
     a, b = ends[..., 0, :], ends[..., 1, :]
-    t, w, basis = _edge_table(k)
+    t, w, basis = edge_rule(k)
     length = mesh.face_length[face_id]
     return FaceRule(
         points=a[..., None, :] + t[:, None] * (b - a)[..., None, :],

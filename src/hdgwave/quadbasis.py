@@ -12,6 +12,7 @@ shifted Legendre polynomials, orthonormal on the unit interval.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -78,7 +79,7 @@ def scalar_space_dim(k: int) -> int:
     return (k + 1) * (k + 2) // 2
 
 
-def _monomial_values(exponents: np.ndarray, points: np.ndarray) -> np.ndarray:
+def monomial_values(exponents: np.ndarray, points: np.ndarray) -> np.ndarray:
     x, y = points[:, 0], points[:, 1]
     return np.stack([x**a * y**b for a, b in exponents])
 
@@ -128,13 +129,25 @@ def edge_basis_values(k: int, t) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def edge_rule(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss nodes and weights on [0, 1] exact through degree 2k+6, like the
+    triangle rules of ``build_reference_basis``, and the edge basis of degree k there."""
+    rule = make_edge_quadrature(2 * k + 6)
+    return rule.points, rule.weights, edge_basis_values(k, rule.points)
+
+
 @dataclass
 class ReferenceBasis:
     """Orthonormal scalar basis of P_k on the reference triangle.
 
     ``coeffs`` column j holds basis function j in the graded monomial basis,
     so the basis can be evaluated at arbitrary points; ``values``/``grads``
-    are pretabulated at the nodes of ``quad``.
+    are pretabulated at the nodes of ``quad``.  Row 2 e + r of ``edge_values``
+    is the basis at the nodes of ``edge_rule`` on reference edge e (from
+    corner e to corner e+1 of (0, 0), (1, 0), (0, 1)), run along it (r = 0)
+    or against it (r = 1); ``edge_moments`` are its moments against the
+    edge basis.
     """
 
     k: int
@@ -143,6 +156,8 @@ class ReferenceBasis:
     coeffs: np.ndarray
     values: np.ndarray
     grads: np.ndarray
+    edge_values: np.ndarray   # (6, n_scalar, n_edge)
+    edge_moments: np.ndarray  # (6, n_scalar, k+1)
 
     @property
     def n_scalar(self) -> int:
@@ -150,7 +165,7 @@ class ReferenceBasis:
 
     def eval_values(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return self.coeffs.T @ _monomial_values(self.exponents, pts)
+        return self.coeffs.T @ monomial_values(self.exponents, pts)
 
     def eval_grads(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -169,16 +184,16 @@ def build_reference_basis(k: int) -> ReferenceBasis:
         raise ValueError(f"polynomial degree must be in [1, {MAX_BASIS_DEGREE}], got {k}")
     quad = make_quadrature(2 * k + 6)
     exponents = monomial_exponents(k)
-    coeffs, values = _orthonormalize(_monomial_values(exponents, quad.points), quad.weights)
+    coeffs, values = _orthonormalize(monomial_values(exponents, quad.points), quad.weights)
     grads = np.einsum("jn,jmd->nmd", coeffs, _monomial_grads(exponents, quad.points))
-    return ReferenceBasis(
-        k=k,
-        quad=quad,
-        exponents=exponents,
-        coeffs=coeffs,
-        values=values,
-        grads=grads,
-    )
+    t, w, edge = edge_rule(k)
+    start = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])[:, None]
+    stop = np.roll(start, -1, axis=0)
+    xi = np.stack([start + t[:, None] * (stop - start), stop + t[:, None] * (start - stop)], axis=1)
+    on_edges = (coeffs.T @ monomial_values(exponents, xi.reshape(-1, 2))).reshape(-1, 6, len(t))
+    on_edges = on_edges.transpose(1, 0, 2)
+    return ReferenceBasis(k=k, quad=quad, exponents=exponents, coeffs=coeffs, values=values,
+                          grads=grads, edge_values=on_edges, edge_moments=on_edges @ (w * edge).T)
 
 
 def map_to_physical(basis: ReferenceBasis, triangle) -> QuadratureRule:

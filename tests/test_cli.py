@@ -219,6 +219,21 @@ def test_mesh_outside_solve_exits_2(tmp_path, capsys, mode, key, value, owner):
     assert sorted(f.name for f in tmp_path.iterdir()) == ["run.cfg"]
 
 
+def test_grid_with_a_mesh_exits_2(tmp_path, capsys):
+    # the grid sizes the case's own mesh, so with a mesh file it was ignored
+    path, cfg = tmp_path / "square.mesh", tmp_path / "run.cfg"
+    save_mesh(build_structured_coupled(2, (0.0, 0.0, 1.0, 1.0)), str(path))
+    cfg.write_text("grid = 7\n")
+    message = "'grid' sizes the case's own mesh and does not apply with 'mesh'"
+    for given in (["--grid", "7"], ["--config", str(cfg)]):
+        argv = ["solve", "--case", "acoustic61", "--mesh", str(path), *given]
+        with pytest.raises(ConfigError, match=message):
+            parse(argv)
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_file_rejected():
     with pytest.raises(ConfigError, match="cannot read config file"):
         load_config_file("/nonexistent/run.cfg")
@@ -440,6 +455,26 @@ def test_coupled_case_on_a_solid_only_mesh_solves_the_elastic_case(tmp_path, cap
     mesh = build_structured_coupled(4, (0.0, 0.0, 1.0, 1.0), domain="E")
     assert (solve_errors(tmp_path, "coupled63", mesh, "coupled")
             == solve_errors(tmp_path, "elastic62", mesh, "elastic"))
+
+
+@pytest.mark.parametrize("case,domain,kind", [
+    ("acoustic61", "A", FaceKind.ELASTIC_BOUNDARY),
+    ("elastic62", "E", FaceKind.GAMMA_AD),
+    ("elastic62", "E", FaceKind.GAMMA_AN),
+])
+def test_boundary_faces_of_the_other_domain_exit_2(tmp_path, capsys, case, domain, kind):
+    # the x = 1 faces relabeled: fluid faces read as elasticBoundary imposed
+    # v = 0 (err_q 1.02 against 1.08e-3), solid faces read as gammaAD u = 0
+    # (err_sigma 1.04 against 0.150), and as gammaAN gave a singular factor
+    mesh = build_structured_coupled(2, (0.0, 0.0, 1.0, 1.0), domain=domain)
+    mid_x = mesh.vertices[mesh.face_vertices, 0].mean(axis=1)
+    mesh.face_kind[mid_x == 1.0] = KINDS.index(kind)
+    path = tmp_path / "relabeled.mesh"
+    save_mesh(mesh, str(path))
+    assert main(["solve", "--case", case, "--k", "2", "--mesh", str(path),
+                 "--out", str(tmp_path)]) == 2
+    assert "kind does not match the domain of its element" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 def _break_triangle_id(lines):

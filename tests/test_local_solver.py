@@ -390,11 +390,15 @@ def test_locals_keep_no_source_map_per_shape():
     for domain, op in ops.items():
         n_src = (2 if domain == "E" else 1) * asm.ref.n_scalar
         maps = {(len(op.condensed_map), dim, n_src) for dim in (op.volume_dim, op.trace_dim)}
-        assert not [arr.shape for arr in held if arr.shape in maps], domain
-    # 22,112 B per shape (32 solid, 96 fluid) measured, against 34,992 B
-    # with the two source maps kept
+        # nor the scalar basis on each shape's faces or its face moments
+        faces = {(len(op.condensed_map), 3, asm.ref.n_scalar, n)
+                 for n in (asm.k + 1, len(face_rule(mesh, 0, asm.k).weights))}
+        assert not [arr.shape for arr in held if arr.shape in maps | faces], domain
+    # 18,624 B per shape (32 solid, 96 fluid) measured, against 22,112 B with
+    # each shape's points, geometry and face tables kept too, and 34,992 B
+    # with the two source maps as well
     per_shape = (held_bytes((asm, locs)) - held_bytes(Assembler(mesh, 3, params))) / n_shapes
-    assert per_shape < 24e3
+    assert per_shape < 20e3
 
 
 def test_each_shape_is_factored_and_solved_once(monkeypatch):
@@ -684,21 +688,47 @@ def test_similar_elements_of_different_size_do_not_share(tmp_path, domain):
 
 
 def test_assembler_tables_translate_points():
-    mesh = acoustic_mesh(2)
-    asm = Assembler(mesh, 1, ModelParams(s=S))
-    ref_pts = asm.ref.quad.points
-    for elem in range(mesh.n_elements):
-        tab = asm.tables(elem)
-        tri = triangle(mesh, elem)
-        mapped = tri[0] + ref_pts @ np.column_stack([tri[1] - tri[0], tri[2] - tri[0]]).T
-        assert np.allclose(tab.points[0], mapped, rtol=0.0, atol=1e-15)
-        assert np.array_equal(tab.face_ids[0], mesh.element_faces[elem])
-    # a shape's points move onto each of its elements
-    shapes = asm._shapes("A")
-    for elem in range(mesh.n_elements):
-        rep = shapes.reps[shapes.shape[elem]]
-        shift = triangle(mesh, elem)[0] - triangle(mesh, rep)[0]
-        assert np.array_equal(asm.tables(elem).points, asm.tables(rep).points + shift)
+    # each element's points are the reference points through its own map
+    for mesh in (acoustic_mesh(2), build_structured_coupled(
+            2, (-2.0, -2.0, 2.0, 2.0), (-1.0, -1.0, 1.0, 1.0), jitter=0.15, seed=5)):
+        asm = Assembler(mesh, 1, ModelParams(s=S))
+        ref_pts = asm.ref.quad.points
+        for elem in range(mesh.n_elements):
+            tab = asm.tables(elem)
+            tri = triangle(mesh, elem)
+            mapped = tri[0] + ref_pts @ np.column_stack([tri[1] - tri[0], tri[2] - tri[0]]).T
+            assert np.allclose(tab.points[0], mapped, rtol=0.0, atol=1e-15)
+            assert np.array_equal(tab.face_ids[0], mesh.element_faces[elem])
+
+
+def inverse_mapped_face_tables(asm, elems):
+    """The scalar basis at the face points of ``elems`` and its moments
+    against the face basis, each face's rule mapped back onto the reference
+    triangle through the inverse of the element's affine map."""
+    verts = asm.mesh.vertices[asm.mesh.tri_vertices[elems]]
+    jac = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]], axis=2)
+    faces = face_rule(asm.mesh, asm.mesh.element_faces[elems], asm.k)
+    xi = (faces.points - verts[:, None, None, 0]) @ np.linalg.inv(jac).transpose(0, 2, 1)[:, None]
+    values = asm.ref.eval_values(xi.reshape(-1, 2)).reshape((-1,) + xi.shape[:3])
+    values = values.transpose(1, 2, 0, 3)  # (nb, 3, n_scalar, nfq)
+    return values, np.einsum("efp,efmp,efip->efim", faces.weights, faces.basis, values)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_face_tables_are_the_inverse_mapped_scalar_basis(k):
+    # the scalar basis on a face is the reference table of its edge, run in
+    # the face's direction; the moments are the unit-length ones times sqrt|f|
+    mesh = build_structured_coupled(
+        2, (-2.0, -2.0, 2.0, 2.0), (-1.0, -1.0, 1.0, 1.0), jitter=0.2, seed=7)
+    asm = Assembler(mesh, k, ModelParams(s=S))
+    runs = set()
+    for blk in asm.blocks():
+        values, moments = inverse_mapped_face_tables(asm, blk.elems)
+        for got, want in ((blk.face_scalar, values), (blk.scalar_moments, moments)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        runs |= set(np.sign(np.vecdot(blk.normals, mesh.face_normal[blk.face_ids])).flat)
+    assert runs == {-1.0, 1.0}  # faces run along and against their elements' edges
 
 
 @pytest.mark.parametrize("block_size", [1, 7, local_solver.BLOCK_SIZE])
@@ -794,8 +824,7 @@ def test_batched_stress_tables_match_the_one_triangle_basis(k):
     asm = Assembler(mesh, k, ModelParams(s=S))
     # the blocks are built from the scalar tables and the enrichment alone;
     # the one-triangle basis, every member evaluated, is the oracle
-    shapes = asm._shapes("E")
-    parts, params = shapes.parts, asm.params
+    shapes, params = asm._shapes("E"), asm.params
     (matrix, b, c, _), slices, _ = asm.shape_blocks(shapes.reps, "E")
     n_p = asm.ref.n_scalar
     n_sig = slices["sigma"].stop
@@ -810,14 +839,14 @@ def test_batched_stress_tables_match_the_one_triangle_basis(k):
 
     for row, rep in enumerate(shapes.reps):
         basis = build_stress_basis(k, triangle(mesh, rep), asm.ref)
-        pts, w = parts["points"][row], asm.ref.quad.weights * parts["detj"][row]
-        vals = basis.eval(pts)
-        members = stress_members(asm.ref.values, parts["enrichment"][row])
-        assert np.abs(members - vals).max() <= 1e-12 * np.abs(vals).max()
         tab = asm.tables(rep)
+        pts, w = tab.points[0], tab.weights[0]
+        vals = basis.eval(pts)
+        members = stress_members(asm.ref.values, tab.enrichment[0])
+        assert np.abs(members - vals).max() <= 1e-12 * np.abs(vals).max()
         # the normal traces enter B and C as moments <tau_j n, mu> per row
         for f in range(3):
-            tn = basis.eval_normal(tab.faces.points[0, f], parts["normals"][row, f])
+            tn = basis.eval_normal(tab.faces.points[0, f], tab.normals[0, f])
             fw, fb = tab.faces.weights[0, f], tab.faces.basis[0, f]
             want = np.einsum("p,lp,jpr->jrl", fw, fb, tn).reshape(n_sig, blk)
             scale = np.abs(want).max()

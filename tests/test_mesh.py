@@ -316,6 +316,28 @@ def test_load_accepts_or_rejects_any_triangle_ids(tmp_path_factory, n_tris, edit
     assert mesh.tri_vertices.max() < len(_FUZZ_VERTICES)
 
 
+# a fluid and a solid triangle across the interface 0-2; the boundary faces
+# 0-1 and 1-2 are the fluid's, 2-3 and 0-3 the solid's (face ids 0, 3, 4, 2)
+_TWO_DOMAINS = ("hdgmesh v1\nvertices 4\n0 0\n1 0\n1 1\n0 1\ntriangles 2\n0 1 2 A\n"
+                "0 2 3 E\nfaces 5\n0 1 {}\n1 2 {}\n2 3 {}\n0 3 {}\n0 2 gamma\n")
+
+
+@settings(max_examples=60, deadline=None)
+@given(kinds=st.lists(st.sampled_from(["gammaAD", "gammaAN", "elasticBoundary"]),
+                      min_size=4, max_size=4))
+def test_boundary_kinds_load_if_and_only_if_they_match_the_domain(tmp_path_factory, kinds):
+    path = tmp_path_factory.getbasetemp() / "kinds.mesh"
+    path.write_text(_TWO_DOMAINS.format(*kinds))
+    solid = [False, False, True, True]
+    wrong = [fid for fid, kind, on_solid in zip((0, 3, 4, 2), kinds, solid)
+             if (kind == "elasticBoundary") != on_solid]
+    if not wrong:
+        assert load_mesh(str(path)).n_faces == 5
+        return
+    with pytest.raises(ValueError, match=f"boundary face {min(wrong)} kind does not match"):
+        load_mesh(str(path))
+
+
 # -- reader: face records -------------------------------------------------------
 
 _SQUARE = ("hdgmesh v1\nvertices 4\n0 0\n1 0\n1 1\n0 1\ntriangles 2\n0 1 2 A\n0 2 3 A\n"
