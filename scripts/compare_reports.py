@@ -8,7 +8,9 @@ Examples:
 OLD and NEW are the --out roots of two runs.  Every report.csv and .dat line
 that differs is printed with its row and each moved column as old -> new.
 For each report.json the largest relative move of its floats is printed with
-where it sits; --floats prints every moved float as well.  A file that is in
+where it sits, and so is its largest error or theta move as a fraction of
+max(1e-11, 1e-12 |old|), the bound such moves are held to; --floats prints
+every moved float as well.  A file that is in
 one tree only is named.  The exit code is 0 when every report.csv and .dat
 file is byte-identical and present in both trees, and 1 otherwise.
 """
@@ -74,6 +76,11 @@ def relative_move(a: float, b: float) -> float:
     return abs(b - a) / abs(a) if a != 0.0 else math.inf
 
 
+def bound_fraction(a: float, b: float) -> float:
+    """|b - a| as a fraction of max(1e-11, 1e-12 |a|)."""
+    return abs(b - a) / max(1e-11, 1e-12 * abs(a))
+
+
 def json_moves(old: str, new: str) -> list[tuple[float, str, float, float]]:
     """(relative move, place, old, new) of every moved float, largest first."""
     with open(old) as fh:
@@ -105,6 +112,10 @@ def main(argv: list[str] | None = None) -> int:
             if moves:
                 rel_move, place, _, _ = moves[0]
                 print(f"{rel}: {len(moves)} floats moved, largest {rel_move:.1e} at {place}")
+            bounded = [(bound_fraction(a, b), place) for _, place, a, b in moves
+                       if (".errors." in place or place.endswith("].theta")) and math.isfinite(a + b)]
+            fraction, place = max(bounded, default=(0.0, "none"))
+            print(f"{rel}: largest error or theta move {fraction:.2g} of the bound, at {place}")
             if args.floats:
                 for rel_move, place, a, b in moves:
                     print(f"  {place}: {a!r} -> {b!r} ({rel_move:.1e})")

@@ -485,20 +485,27 @@ class Assembler:
         self._domains[domain] = _DomainShapes(shape, reps, enrichment)
         return self._domains[domain]
 
+    def _volume_rule(self, elems: np.ndarray):
+        """The volume quadrature of ``elems``: points (nb, nq, 2), |det J|
+        (nb,) and weights (nb, nq)."""
+        jac = self._jac[elems]
+        detj = np.abs(jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0])
+        return (self._verts[elems, 0, None] + self.ref.quad.points @ jac.transpose(0, 2, 1),
+                detj, self.ref.quad.weights * detj[:, None])
+
     def _element_tables(self, elems: np.ndarray, domain: str) -> BlockTables:
         """The tables of ``elems`` from their own vertices and faces, with the
         enrichment of their shapes.  The scalar basis on local face f is the
         reference table of edge f, run along it where the face's canonical
         direction follows the element's edge and against it elsewhere."""
-        ref, shapes, jac = self.ref, self._shapes(domain), self._jac[elems]
-        detj = np.abs(jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0])
+        ref, shapes = self.ref, self._shapes(domain)
+        points, detj, weights = self._volume_rule(elems)
         face_ids, signs = self.mesh.element_faces[elems], self._signs[elems]
         table = 2 * np.arange(3) + (1 - signs) // 2  # row of ``ref.edge_values``
         root = np.sqrt(self.mesh.face_length[face_ids])[..., None, None]
         return BlockTables(
             elems=elems, domain=domain, k=self.k, h=self._h[elems],
-            points=self._verts[elems, 0, None] + ref.quad.points @ jac.transpose(0, 2, 1),
-            detj=detj, weights=ref.quad.weights * detj[:, None],
+            points=points, detj=detj, weights=weights,
             scalar=np.broadcast_to(ref.values, (len(elems),) + ref.values.shape),
             enrichment=shapes.enrichment[shapes.shape[elems]] if domain == "E" else None,
             face_ids=face_ids, faces=face_rule(self.mesh, face_ids, self.k),
@@ -523,10 +530,11 @@ class Assembler:
         n_vol, n_tr = max(sl.stop for sl in slices.values()), 3 * kp1 * (2 if domain == "E" else 1)
         moments = np.zeros((len(elems), n_vol), dtype=complex)
         for run in runs if source is not None else ():
-            tab = self._element_tables(elems[run], domain)
-            vals = tab.sample_volume(source)
-            f = np.einsum("eq,eq...,iq->e...i", tab.weights, vals, self.ref.values)
-            moments[run, src] = f.reshape(len(tab.elems), -1)
+            points, _, weights = self._volume_rule(elems[run])
+            vals = np.asarray(source(points.reshape(-1, 2)), dtype=complex)
+            vals = vals.reshape(points.shape[:2] + vals.shape[1:])
+            f = np.einsum("eq,eq...,iq->e...i", weights, vals, self.ref.values)
+            moments[run, src] = f.reshape(len(points), -1)
         # with a source, shape j lifts its count[j] elements by_shape[first[j] : first[j + 1]];
         # a chunk also ends where the count changes, so no solve is padded
         rows = shapes.shape[elems]

@@ -23,32 +23,35 @@ Each block is then added in place.  An entry sums at most two terms (the
 two elements of a face), whose order cannot move a bit, onto -0.0, which
 adds to any x as x; so the matrix has the bits of summed COO triplets.
 
-The trace system is LU-factored by SuperLU with a minimum-degree ordering
-of A + A^T.  The matrix is structurally symmetric: a face's rows couple to
-the traces of the faces of its neighbouring elements, which couple back to
-it, and the two interface rows couple the scalar and the displacement
-traces in both directions.  An ordering of A + A^T therefore sees the
-pattern the factors will have, where SuperLU's default COLAMD orders A^T A
-and overestimates the fill (25.8M against 10.3M entries on the coupled63
-k=3 system of 61,696 unknowns).  The matrix is also complex-symmetric up to
-a diagonal row scaling (the solid-trace rows times -1/rho_f off the
-interface and +1/rho_f on it), so diagonal pivots suit it: they keep the
-factors on the symmetric pattern the ordering planned.  The factorization
-runs in SuperLU's symmetric mode and keeps the diagonal pivot unless it
-falls below ``TAU`` times its column's largest entry; SuperLU's default
-partial pivoting left the diagonal on nearly incompressible solids and
-raised the fill by up to 66% (elastic62, k=3, nu = 0.49999 against 0.3).
-The residual check of ``solve_assembled`` is the only guard.
+The system is solved on the dense fronts of a nested dissection of the
+mesh (A. George 1973; I. S. Duff and J. K. Reid 1983).  The elements are
+bisected recursively at the median of their centroids, along the longer
+extent of each part, into leaves of at most 4 elements.  An element couples
+only its own faces, so the faces a bisection cuts separate its halves: a
+face's trace unknowns belong to the front of the lowest common ancestor of
+its elements' leaves, and an element's volume unknowns (monolithic) to its
+leaf.  A diagonal row scaling R (``row_scale``: the solid-trace rows times
+-1/rho_f off the interface and +1/rho_f on it) makes R A complex-symmetric,
+so a front keeps only its panel, F11 and F21 F11^-1, and hands its parent
+the update F22 - F21 F11^-1 F21^T.  Fronts of one subtree, depth and size
+are factored as one batch of numpy kernels, which release the GIL, and the
+root's two subtrees on two threads; each thread factors the two halves of
+its subtree in turn, so that only one half's updates wait at a time.  The
+root adds the left subtree's terms, then the right one's, so every run has
+the same bits.  The fronts hold the symmetric part of R A, which is
+symmetric only to round-off, so one refinement step against the assembled
+matrix follows the solve.  The residual check of ``solve_assembled`` is the
+only guard.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .local_solver import (
     Assembler,
@@ -69,28 +72,16 @@ class SingularSkeletonSystem(RuntimeError):
     """Raised when the global face system cannot be solved reliably."""
 
 
-# SuperLU's column ordering for the structurally symmetric trace system
-ORDERING = "MMD_AT_PLUS_A"
-# SuperLU's diagonal pivot threshold: the largest of the values tried at which
-# every system tried, jittered nearly incompressible solids too, kept every
-# pivot on the diagonal
-TAU = 0.01
-
-
 @dataclass
 class SolveStats:
-    """What one sparse solve did: the column ordering, the order ``n`` and the
-    stored entries ``nnz`` of the matrix, the entries SuperLU stores for L and
-    U (``lu_fill``), the pivots SuperLU took off the diagonal
-    (``off_diagonal_pivots``, those with ``perm_r != perm_c``),
-    ``residual_rel`` = ||A x - b|| / ||b|| (||A x - b|| if b = 0), and the
-    elements' least local ``rcond`` (1 without any)."""
+    """What one sparse solve did: the order ``n`` and the stored entries
+    ``nnz`` of the matrix, the entries the fronts store (``factor_entries``,
+    F11 and F21 F11^-1), ``residual_rel`` = ||A x - b|| / ||b|| (||A x - b|| if
+    b = 0), and the elements' least local ``rcond`` (1 without any)."""
 
-    ordering: str
     n: int
     nnz: int
-    lu_fill: int
-    off_diagonal_pivots: int
+    factor_entries: int
     residual_rel: float
     local_rcond: float
 
@@ -152,6 +143,7 @@ class AssembledSystem:
     fixed_vhat: np.ndarray      # (n_faces, k+1)
     n_volume: int
     volume_offsets: np.ndarray | None
+    row_scale: np.ndarray | None = None  # R, with R A complex-symmetric (None: R = 1)
     solve_stats: SolveStats | None = None  # set by solve_assembled
 
 
@@ -239,8 +231,7 @@ def assemble_system(assembler: Assembler, data: ProblemData,
     flat, vn = nodes.reshape(len(nodes), -1), np.arange(mesh.n_elements)[:, None]
     pairs = ([(nodes[..., None], nodes[..., None, :]), (vn, flat), (flat, vn), (vn, vn)]
              if monolithic else [(flat[:, :, None], flat[:, None, :])])
-    bounds = np.concatenate([vol_off[:-1] if monolithic else [],
-                             np.arange(trace_base, n_total + 1, k + 1)]).astype(int)
+    bounds = _node_bounds(vol_off, n_total, k)
     couplings = _interface_blocks(assembler, dofmap, first, gamma, n_e)
     pattern = _NodePattern(bounds, pairs, couplings)
 
@@ -294,7 +285,40 @@ def assemble_system(assembler: Assembler, data: ProblemData,
         fixed_vhat=fixed_vhat,
         n_volume=n_vol,
         volume_offsets=vol_off,
+        row_scale=row_scale(dofmap, assembler.params.rho_f, locals_, vol_off),
     )
+
+
+def _node_bounds(vol_off: np.ndarray | None, n_total: int, k: int) -> np.ndarray:
+    """The unknowns of each node, ``bounds[i]:bounds[i+1]``: each element's
+    volume unknowns (monolithic, ``vol_off``), then the k+1 of each face and
+    trace component."""
+    volume = np.zeros(1, dtype=int) if vol_off is None else vol_off
+    return np.concatenate([volume[:-1], np.arange(volume[-1], n_total + 1, k + 1)]).astype(int)
+
+
+# the row scaling R of the monolithic volume rows, per field, in units of 1/rho_f
+# on the solid; with it R A equals its (unconjugated) transpose
+_VOLUME_ROW_SCALE = {"sigma": 1.0, "u": -1.0, "gamma": 1.0, "q": -1.0, "v": 1.0}
+
+
+def row_scale(dofmap: DofMap, rho_f: float, locals_: list[BlockLocals],
+              vol_off: np.ndarray | None) -> np.ndarray:
+    """The diagonal R that makes R A complex-symmetric: 1 on the fluid-trace
+    rows, -1/rho_f on the solid-trace rows off the interface and +1/rho_f on
+    it; monolithic (``vol_off``), each element's volume rows by field
+    (``_VOLUME_ROW_SCALE``, over rho_f on the solid)."""
+    kp1, n_vol = dofmap.k + 1, 0 if vol_off is None else int(vol_off[-1])
+    scale = np.ones(n_vol + dofmap.n_dofs)
+    solid = np.flatnonzero(dofmap.uhat_offset >= 0)
+    on_gamma = dofmap.mesh.is_kind(FaceKind.GAMMA)[solid]
+    scale[n_vol + dofmap.uhat_offset[solid, None] + np.arange(2 * kp1)] = \
+        np.where(on_gamma, 1.0, -1.0)[:, None] / rho_f
+    for loc in locals_ if vol_off is not None else ():
+        for name, sl in loc.ops.slices.items():
+            scale[vol_off[loc.elems, None] + np.arange(sl.start, sl.stop)] = \
+                _VOLUME_ROW_SCALE[name] / (rho_f if loc.domain == "E" else 1.0)
+    return scale
 
 
 def _data_moments(mesh: Mesh, k: int, data: ProblemData, gamma: np.ndarray,
@@ -363,24 +387,382 @@ def _face_terms(assembler: Assembler, moments: dict[str, np.ndarray], dofmap: Do
         rhs[u_idx] += g2[:, c]
 
 
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The ranges lo[i]:hi[i], concatenated."""
+    size = hi - lo
+    return np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())
+
+
+def _bisect(centroids: np.ndarray):
+    """Recursive bisection of the elements at the median of their centroids,
+    along the longer extent of each part, into leaves of at most 4 elements.
+    Returns each front's parent (-1 at the root), depth and side (0: the lower
+    half of its parent), fronts numbered depth by depth from the root 0, and
+    the leaf of each element."""
+    order, leaf = np.arange(len(centroids)), np.zeros(len(centroids), dtype=int)
+    parent, depth, side = [np.array([-1])], [np.array([0])], [np.array([0])]
+    ids, lo, hi = np.array([0]), np.array([0]), np.array([len(centroids)])
+    while True:
+        split = hi - lo > 4
+        leaf[order[_ranges(lo[~split], hi[~split])]] = np.repeat(ids[~split], (hi - lo)[~split])
+        ids, lo, hi = ids[split], lo[split], hi[split]
+        if not len(ids):
+            return tuple(np.concatenate(a) for a in (parent, depth, side)) + (leaf,)
+        pos, size = _ranges(lo, hi), hi - lo
+        part, pts = np.repeat(np.arange(len(ids)), size), centroids[order[pos]]
+        first = np.cumsum(size) - size
+        extent = np.maximum.reduceat(pts, first) - np.minimum.reduceat(pts, first)
+        along = (extent[:, 1] > extent[:, 0])[part]
+        order[pos] = order[pos[np.lexsort((np.where(along, pts[:, 1], pts[:, 0]), part))]]
+        mid = (lo + hi) // 2
+        count = sum(map(len, parent))
+        parent.append(np.repeat(ids, 2))
+        depth.append(np.full(2 * len(ids), len(depth)))
+        side.append(np.tile([0, 1], len(ids)))
+        ids = count + np.arange(2 * len(ids))
+        lo, hi = np.column_stack([lo, mid]).ravel(), np.column_stack([mid, hi]).ravel()
+
+
+def _side_of_ancestor(parent: np.ndarray, depth: np.ndarray, side: np.ndarray,
+                      level: int) -> np.ndarray:
+    """The side of each front's ancestor at depth ``level`` (2 above it)."""
+    up = np.arange(len(parent))
+    while (deep := depth[up] > level).any():
+        up = np.where(deep, parent[up], up)
+    return np.where(depth >= level, side[up], 2)
+
+
+def _nodes(system: AssembledSystem, n: int):
+    """The nodes of a system of order n: their bounds (``_node_bounds``;
+    without a mesh, one unknown each), the element centroids, and each
+    node's elements (n_nodes, 2; -1: none) and face (-1: none)."""
+    dofmap = system.dofmap
+    if dofmap is None:
+        return np.arange(n + 1), np.zeros((0, 2)), np.full((n, 2), -1), np.full(n, -1)
+    mesh, kp1 = dofmap.mesh, dofmap.k + 1
+    bounds = _node_bounds(system.volume_offsets, n, dofmap.k)
+    node_elems = np.full((len(bounds) - 1, 2), -1)
+    node_face = np.full(len(bounds) - 1, -1)
+    first = len(bounds) - 1 - dofmap.n_dofs // kp1
+    node_elems[:first, 0] = np.arange(first)
+    for offsets, count in ((dofmap.vhat_offset, 1), (dofmap.uhat_offset, 2)):
+        faces = np.flatnonzero(offsets >= 0)
+        at = first + offsets[faces, None] // kp1 + np.arange(count)
+        node_elems[at], node_face[at] = mesh.face_element[faces, None], faces[:, None]
+    return bounds, mesh.vertices[mesh.tri_vertices].mean(axis=1), node_elems, node_face
+
+
+def _node_blocks(matrix: sp.csc_matrix, bounds: np.ndarray):
+    """The blocks of a matrix built by ``_NodePattern``, read from the first
+    column of each column node: column and row node, the block's offset in
+    its columns, and whether it is diagonal (one row per column)."""
+    n_nodes, width, indptr = len(bounds) - 1, np.diff(bounds), matrix.indptr
+    c0 = bounds[:-1]
+    entry = _ranges(indptr[c0], indptr[c0 + 1])
+    cn = np.repeat(np.arange(n_nodes), indptr[c0 + 1] - indptr[c0])
+    rn = np.repeat(np.arange(n_nodes), width)[matrix.indices[entry]]
+    new = np.flatnonzero(np.diff(cn * n_nodes + rn, prepend=-1) != 0)
+    diag = np.diff(np.append(new, len(entry))) < width[rn[new]]
+    return cn[new], rn[new], entry[new] - indptr[c0[cn[new]]], diag
+
+
+def _runs(key: np.ndarray) -> list[np.ndarray]:
+    """The row indices of ``key`` (n, columns) sorted by its columns, split
+    into runs of equal rows; stable, so each run is in index order."""
+    order = np.lexsort(key.T[::-1])
+    cut = np.flatnonzero((np.diff(key[order], axis=0) != 0).any(axis=1)) + 1
+    return [run for run in np.split(order, cut) if len(run)]
+
+
+def _lca(a: np.ndarray, b: np.ndarray, parent: np.ndarray, depth: np.ndarray) -> np.ndarray:
+    """The lowest common ancestor of the fronts a[i] and b[i]."""
+    while (differ := a != b).any():
+        da, db = depth[a], depth[b]
+        a, b = (np.where(differ & (da >= db), parent[a], a),
+                np.where(differ & (db >= da), parent[b], b))
+    return a
+
+
+@dataclass
+class _Batch:
+    """Fronts of one thread's subtree (``group``; 2: the root), half of it,
+    depth, front size m and own size n1, in front order.  Their own unknowns
+    are the places ``start : start + nb n1`` of the thread's vector (its
+    unknowns, then the root's; ``_Factors.solve``), their boundary unknowns
+    ``bidx`` (nb, n2); ``li`` (nb, n2) are those unknowns' places in the
+    parent's front, in increasing order.  ``blocks`` are the matrix's node
+    blocks the fronts gather, and ``children`` the (child batch, its members,
+    their parents' places here, the number of the children's boundary
+    unknowns that the parent owns) whose updates are added, left children
+    first."""
+
+    group: int
+    fronts: np.ndarray
+    m: int
+    n1: int
+    start: int
+    bidx: np.ndarray
+    li: np.ndarray
+    blocks: list
+    children: list
+
+
+class _Fronts:
+    """The nested dissection of a system and its fronts.
+
+    A node is a block of unknowns of the matrix pattern: the k+1 unknowns of
+    one face and trace component or, monolithic, an element's volume
+    unknowns (without a mesh, each unknown).  The elements are bisected
+    (``_bisect``); a node belongs to the front of the lowest common ancestor
+    of its elements' leaves, and it is a boundary unknown of every front
+    between one of its elements' leaves and its own front.  Unknowns are
+    numbered by thread (the root's left subtree, its right, the root), half
+    of the thread's subtree, depth (deepest first), front and node
+    (``perm``: the unknown at each place).  ``scale`` is the row scaling R.
+    """
+
+    def __init__(self, system: AssembledSystem, matrix: sp.csc_matrix):
+        n = matrix.shape[0]
+        bounds, centroids, node_elems, node_face = _nodes(system, n)
+        parent, depth, side, leaf = _bisect(centroids)
+        n_nodes, n_fronts = len(bounds) - 1, len(parent)
+        width = np.diff(bounds)
+        leaf = np.append(leaf, 0)  # no element: the root
+        single = np.where(node_elems[:, 1] >= 0, node_elems[:, 1], node_elems[:, 0])
+        owner = _lca(leaf[node_elems[:, 0]], leaf[single], parent, depth)
+        self.node_face, self.node_elems, self.owner = node_face, node_elems, owner
+
+        # boundary nodes: from each element's leaf up to, not including, the node's front
+        node, which = np.nonzero(node_elems >= 0)
+        front, keys = leaf[node_elems[node, which]], [np.zeros(0, dtype=int)]
+        while len(node):
+            keep = depth[front] > depth[owner[node]]
+            node, front = node[keep], front[keep]
+            keys.append(front * n_nodes + node)
+            front = parent[front]
+        # (a node's elements have disjoint paths below its front: no pair repeats)
+        bfront, bnode = np.divmod(np.concatenate(keys), n_nodes)
+        n1 = np.bincount(owner, width, n_fronts).astype(int)
+        n2 = np.bincount(bfront, width[bnode], n_fronts).astype(int)
+        m = n1 + n2
+        # the side of a front's ancestors at depth 1 (its thread) and 2 (the
+        # half of that subtree it is factored in; 2 above either)
+        group, half = (_side_of_ancestor(parent, depth, side, level) for level in (1, 2))
+
+        # the numbering: fronts by subtree, depth (deepest first), size and number
+        order = np.lexsort((np.arange(n_fronts), n1, m, -depth, half, group))
+        rank = np.empty(n_fronts, dtype=int)
+        rank[order] = np.arange(n_fronts)
+        nodes = np.lexsort((np.arange(n_nodes), rank[owner]))
+        npos = np.empty(n_nodes, dtype=int)
+        npos[nodes] = np.cumsum(width[nodes]) - width[nodes]
+        self.perm = _ranges(bounds[nodes], bounds[nodes + 1])
+        fstart = np.empty(n_fronts, dtype=int)
+        fstart[order] = np.cumsum(n1[order]) - n1[order]
+        self.scale = np.ones(n) if system.row_scale is None else system.row_scale
+
+        # each (front, node) pair's place in the front: own nodes first
+        bsort = np.lexsort((npos[bnode], bfront))
+        bfront, bnode = bfront[bsort], bnode[bsort]
+        bw = width[bnode]
+        before = np.cumsum(bw) - bw
+        bptr = np.concatenate([[0], np.cumsum(np.bincount(bfront, minlength=n_fronts))])
+        bplace = n1[bfront] + before - before[bptr[bfront]]
+        pair = np.concatenate([owner * n_nodes + np.arange(n_nodes), bfront * n_nodes + bnode])
+        sort = np.argsort(pair)
+        pair, place = pair[sort], np.concatenate([npos - fstart[owner], bplace])[sort]
+
+        def place_of(front, node):
+            return place[np.searchsorted(pair, front * n_nodes + node)]
+
+        bpos = _ranges(npos[bnode], npos[bnode] + bw)
+        at_parent = place_of(parent[bfront], bnode)
+        li = _ranges(at_parent, at_parent + bw)
+        uptr = np.concatenate([[0], np.cumsum(n2)])
+        to_own = np.bincount(bfront, bw * (at_parent < n1[parent[bfront]]), n_fronts).astype(int)
+
+        # a block of the matrix goes to the front of its column node if its
+        # row node is that front's or an ancestor's; the rest is the transpose's
+        cn, rn, off, diag = _node_blocks(matrix, bounds)
+        at = owner[cn]
+        keep = depth[owner[rn]] <= depth[at]
+        cn, rn, off, diag, at = cn[keep], rn[keep], off[keep], diag[keep], at[keep]
+        lr, lc = place_of(at, rn), npos[cn] - fstart[at]
+
+        # batches: runs of equal subtree, depth, m and n1 in front order
+        runs = [order[run] for run in _runs(np.stack([group, half, -depth, m, n1], axis=1)[order])]
+        batch_of, slot = np.empty(n_fronts, dtype=int), np.empty(n_fronts, dtype=int)
+        for b, fronts in enumerate(runs):
+            batch_of[fronts], slot[fronts] = b, np.arange(len(fronts))
+        self.root, self.split = fstart[0], n_fronts > 1
+        left = n1[group == 0].sum()
+        self.span = [(0, left), (left, self.root)]
+        self.batches = []
+        for b, fronts in enumerate(runs):
+            f, g = fronts[0], group[fronts[0]]
+            units = _ranges(uptr[fronts], uptr[fronts + 1])
+            lo, hi = self.span[g] if g < 2 else (self.root, self.root)
+            local = bpos[units].reshape(len(fronts), n2[f])
+            self.batches.append(_Batch(
+                group=g, fronts=fronts, m=m[f], n1=n1[f], start=fstart[f] - lo,
+                bidx=np.where(local >= self.root, local - self.root + hi - lo,
+                              local - lo).astype(np.int32),
+                li=li[units].reshape(len(fronts), n2[f]).astype(np.int32), blocks=[], children=[]))
+        # each batch's blocks by row and column width and diagonality
+        kind = np.stack([batch_of[at], width[rn], width[cn], diag], axis=1)
+        maps = np.stack([bounds[cn], bounds[rn], off, lr, lc]).astype(np.int32)
+        for grp in _runs(kind):
+            b, wr, wc, dg = kind[grp[0]]
+            self.batches[b].blocks.append((wr, wc, dg, *maps[:, grp], slot[at[grp]]))
+        # each batch's children by side (left first), batch and the number
+        # of their boundary unknowns that the parent owns
+        child = np.flatnonzero(depth > 0)
+        kind = np.stack([batch_of[parent[child]], side[child], batch_of[child], to_own[child]],
+                        axis=1)
+        for grp in _runs(kind):
+            c = child[grp]
+            self.batches[kind[grp[0], 0]].children.append(
+                (batch_of[c[0]], slot[c], slot[parent[c]], to_own[c[0]]))
+
+    def site(self, front: int) -> str:
+        """The first face of a front's own unknowns (or element, or the front)."""
+        own = np.flatnonzero(self.owner == front)
+        faces = self.node_face[own][self.node_face[own] >= 0]
+        if len(faces):
+            return f"face {faces[0]}"
+        return f"element {self.node_elems[own[0], 0]}" if len(own) else f"front {front}"
+
+
+class _Factors:
+    """The factored fronts: per batch, the panels [F11; F21 F11^-1]
+    (nb, m, n1) of the row-scaled matrix R A, which is complex-symmetric."""
+
+    def __init__(self, fronts: _Fronts, panels: list):
+        self.fronts, self.panels = fronts, panels
+        self.entries = sum(p.size for p in panels)
+
+    def _sweep(self, group: int, v: np.ndarray, forward: bool) -> np.ndarray:
+        """Forward (b2 -= L b1, z = F11^-1 b1) or backward (x1 = z - L^T x2)
+        through one thread's fronts, in its vector ``v``; L = F21 F11^-1."""
+        batches = [i for i, b in enumerate(self.fronts.batches) if b.group == group]
+        for i in batches if forward else batches[::-1]:
+            b = self.fronts.batches[i]
+            f11, low = self.panels[i][:, : b.n1], self.panels[i][:, b.n1 :]
+            own = v[b.start : b.start + len(b.fronts) * b.n1].reshape(len(b.fronts), b.n1, 1)
+            if forward:
+                np.subtract.at(v, b.bidx.ravel(), (low @ own).ravel())
+                own[:] = np.linalg.solve(f11, own)
+            else:
+                own -= low.transpose(0, 2, 1) @ v[b.bidx][..., None]
+        return v
+
+    def solve(self, rhs: np.ndarray, pool: ThreadPoolExecutor) -> np.ndarray:
+        """A^-1 rhs: each subtree in its own vector (its unknowns, then the
+        root's), forward on two threads, the root's terms added left then
+        right; the root; backward on two threads."""
+        fr = self.fronts
+        y, root = (rhs * fr.scale)[fr.perm], fr.root
+
+        def sweep(tail, forward):
+            return _both(fr, pool, lambda g: self._sweep(
+                g, np.concatenate([y[slice(*fr.span[g])], tail]), forward))
+
+        for (lo, hi), v in zip(fr.span, sweep(np.zeros(len(y) - root, dtype=complex), True)):
+            y[lo:hi] = v[: hi - lo]
+            y[root:] += v[hi - lo :]
+        self._sweep(2, self._sweep(2, y[root:], True), False)
+        for (lo, hi), v in zip(fr.span, sweep(y[root:], False)):
+            y[lo:hi] = v[: hi - lo]
+        x = np.empty_like(y)
+        x[fr.perm] = y
+        return x
+
+
+def _both(fronts: _Fronts, pool: ThreadPoolExecutor, work: Callable) -> list:
+    """work(0) and work(1), the root's two subtrees, on two threads (inline
+    if the root is the only front)."""
+    if not fronts.split:
+        return [work(0), work(1)]
+    futures = [pool.submit(work, group) for group in (0, 1)]
+    return [future.result() for future in futures]
+
+
+def factor_fronts(fronts: _Fronts, matrix: sp.csc_matrix, pool: ThreadPoolExecutor) -> _Factors:
+    """Eliminate each front's own unknowns, batch by batch, the root's two
+    subtrees on two threads.  A front is gathered as its panel [F11; F21]
+    (m, n1) from the matrix's row-scaled blocks and its children's updates,
+    and kept as [F11; F21 F11^-1]; it passes on its update U = F22 - F21
+    F11^-1 F21^T (n2, n2).  A front with an exactly singular F11 raises
+    ``SingularSkeletonSystem`` naming its first face."""
+    sizes = [len(b.fronts) * b.m * b.n1 for b in fronts.batches]
+    panels = np.split(np.zeros(sum(sizes), dtype=complex), np.cumsum(sizes)[:-1])
+    uses = np.bincount([cb for b in fronts.batches for cb, *_ in b.children],
+                       minlength=len(sizes))
+
+    def eliminate(b: _Batch, panel: np.ndarray, updates: dict) -> np.ndarray:
+        n1, m, n2 = b.n1, b.m, b.m - b.n1
+        for wr, wc, diag, col, row, off, lr, lc, slot in b.blocks:
+            c = np.arange(wc)
+            r = np.zeros((1, 1), dtype=int) if diag else np.arange(wr)[:, None]
+            rr = c if diag else r
+            src = matrix.indptr[col[:, None] + c][:, None] + off[:, None, None] + r
+            panel[((slot[:, None, None] * m + lr[:, None, None] + rr) * n1
+                   + lc[:, None, None] + c).ravel()] = \
+                (matrix.data[src] * fronts.scale[row[:, None, None] + rr]).ravel()
+        # a child's update rows that the parent owns add to the panel,
+        # transposed (the update is symmetric); the rest of its lower right
+        # block adds to F22
+        parts = [(fronts.batches[cb].li[members], cb, members, slots, t)
+                 for cb, members, slots, t in b.children]
+        for li, cb, members, slots, t in parts:
+            np.add.at(panel, ((slots[:, None, None] * m + li[:, None, :]) * n1
+                              + li[:, :t, None]).ravel(), updates[cb][members, :t].ravel())
+        panel = panel.reshape(len(b.fronts), m, n1)
+        a11, a21 = panel[:, :n1], panel[:, n1:]
+        try:
+            w = np.linalg.solve(a11, a21.transpose(0, 2, 1))
+        except np.linalg.LinAlgError:  # an exactly singular F11: name the least rank's front
+            front = b.fronts[np.argmin(np.linalg.matrix_rank(a11))]
+            raise SingularSkeletonSystem(f"singular front at {fronts.site(front)}") from None
+        update = a21 @ np.negative(w, out=w)  # -F21 W
+        np.negative(w.transpose(0, 2, 1), out=a21)  # F21 F11^-1 = W^T, as F11 is symmetric
+        for li, cb, members, slots, t in parts:
+            np.add.at(update.reshape(-1), ((slots[:, None, None] * n2 + li[:, t:, None] - n1) * n2
+                                           + li[:, None, t:] - n1).ravel(),
+                      updates[cb][members, t:, t:].ravel())
+            uses[cb] -= 1
+            if not uses[cb]:
+                del updates[cb]
+        return update
+
+    def run(group: int, updates: dict) -> dict:
+        for i, b in enumerate(fronts.batches):
+            if b.group == group:
+                updates[i] = eliminate(b, panels[i], updates)
+        return updates
+
+    left, right = _both(fronts, pool, lambda group: run(group, {}))
+    run(2, left | right)
+    return _Factors(fronts, [p.reshape(len(b.fronts), b.m, b.n1) for p, b in
+                             zip(panels, fronts.batches)])
+
+
 def solve_assembled(system: AssembledSystem) -> np.ndarray:
-    """Solve the assembled system; records what the solve did in
-    ``system.solve_stats``, also when the residual check then fails."""
+    """Solve the assembled system on its nested-dissection fronts, with one
+    step of refinement; records what the solve did in ``system.solve_stats``,
+    also when the residual check then fails."""
     matrix = sp.csc_matrix(system.matrix)  # no copy of a CSC matrix
-    try:
-        lu = splu(matrix, permc_spec=ORDERING, diag_pivot_thresh=TAU,
-                  options=dict(SymmetricMode=True))
-        x = lu.solve(system.rhs)
-    except RuntimeError as exc:
-        raise SingularSkeletonSystem(f"sparse factorization failed: {exc}") from exc
+    fronts = _Fronts(system, matrix)
+    with ThreadPoolExecutor(2) as pool:
+        factors = factor_fronts(fronts, matrix, pool)
+        x = factors.solve(system.rhs, pool)
+        x += factors.solve(system.rhs - matrix @ x, pool)
     # relative to the right-hand side alone, so that the check does not
     # loosen on problems whose data are small; a zero rhs solves exactly
     residual = float(np.linalg.norm(matrix @ x - system.rhs))
     scale = float(np.linalg.norm(system.rhs))
-    # SuperLU.nnz is free; L.nnz + U.nnz would copy both factors out
     system.solve_stats = SolveStats(
-        ordering=ORDERING, n=matrix.shape[0], nnz=matrix.nnz, lu_fill=lu.nnz,
-        off_diagonal_pivots=int((lu.perm_r != lu.perm_c).sum()),
+        n=matrix.shape[0], nnz=matrix.nnz, factor_entries=factors.entries,
         residual_rel=residual / scale if scale else residual,
         local_rcond=min((float(loc.ops.rcond[loc.shape].min())
                                for loc in system.locals_), default=1.0),

@@ -361,11 +361,9 @@ def test_solve_reports_what_the_solve_did(tmp_path, capsys):
     out = capsys.readouterr().out
     payload = json.loads((tmp_path / "report.json").read_text())
     stats = payload["solve"]
-    assert set(stats) == {"ordering", "n", "nnz", "lu_fill", "off_diagonal_pivots",
-                          "residual_rel", "local_rcond"}
-    assert stats["ordering"] == "MMD_AT_PLUS_A" and stats["n"] == payload["N"]
-    assert stats["lu_fill"] >= stats["nnz"] > 0
-    assert 0 <= stats["off_diagonal_pivots"] <= stats["n"]
+    assert set(stats) == {"n", "nnz", "factor_entries", "residual_rel", "local_rcond"}
+    assert stats["n"] == payload["N"]
+    assert stats["factor_entries"] > 0 and stats["nnz"] > 0
     assert 0.0 <= stats["residual_rel"] < 1e-10
     assert RCOND_FLOOR < stats["local_rcond"] <= 1.0
     for name, value in stats.items():

@@ -45,3 +45,25 @@ def test_moved_lines_are_listed_by_row_and_column(tmp_path):
     assert "c_k1/report.csv row 1: err_sigma 2.500000e-02->2.500001e-02" in lines
     assert "c_k1/plot_c_k1.dat row 1: err_sigma 2.500000e-02->2.500001e-02" in lines
     assert f"c_k1/report.json: only in {old}" in lines
+
+
+def test_error_and_theta_moves_are_printed_against_the_bound(tmp_path):
+    # the bound is max(1e-11, 1e-12 |old|): an absolute 1e-14 move of 0.025
+    # is 1e-3 of it, and a 4e-11 move of 87.3 is 0.46 of 8.73e-11
+    old = tree(tmp_path / "old", "2.500000e-02", 87.3)
+    new = tree(tmp_path / "new", "2.500000e-02", 87.3 + 4e-11)
+    out = compare(old, new)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "c_k1/report.json: largest error or theta move 0.46 of the bound, at " \
+           "rows[1].errors.sigma" in out.stdout.splitlines()
+    same = tree(tmp_path / "same", "2.500000e-02", 87.3)
+    out = compare(old, same)
+    assert "c_k1/report.json: largest error or theta move 0 of the bound, at none" \
+           in out.stdout.splitlines()
+    moved = tree(tmp_path / "moved", "2.500000e-02", 0.025)
+    (tmp_path / "moved" / "c_k1" / "report.json").write_text(json.dumps(
+        {"case": "c", "rows": [{"errors": {"sigma": 0.1}, "theta": 0.2 + 1e-14},
+                               {"errors": {"sigma": 0.025}}]}))
+    out = compare(tree(tmp_path / "base", "2.500000e-02", 0.025), moved)
+    assert "c_k1/report.json: largest error or theta move 0.001 of the bound, at " \
+           "rows[0].theta" in out.stdout.splitlines()
