@@ -11,8 +11,10 @@ For each report.json the largest relative move of its floats is printed with
 where it sits, and so is its largest error or theta move as a fraction of
 max(1e-11, 1e-12 |old|), the bound such moves are held to; --floats prints
 every moved float as well.  A file that is in
-one tree only is named.  The exit code is 0 when every report.csv and .dat
-file is byte-identical and present in both trees, and 1 otherwise.
+one tree only is named.  The last lines say whether the report.csv and .dat
+files are byte-identical and how many report.json files moved (one in one
+tree only counts as moved).  The exit code is 0 when every report.csv and
+.dat file is byte-identical and present in both trees, and 1 otherwise.
 """
 
 import argparse
@@ -101,15 +103,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     old_files, new_files = report_files(args.old), report_files(args.new)
-    identical = True
+    identical, json_moved = True, 0
     for rel in sorted(old_files ^ new_files):
         print(f"{rel}: only in {args.old if rel in old_files else args.new}")
         identical = identical and rel.endswith(".json")
+        json_moved += rel.endswith(".json")
     for rel in sorted(old_files & new_files):
         old, new = os.path.join(args.old, rel), os.path.join(args.new, rel)
         if rel.endswith(".json"):
             moves = json_moves(old, new)
             if moves:
+                json_moved += 1
                 rel_move, place, _, _ = moves[0]
                 print(f"{rel}: {len(moves)} floats moved, largest {rel_move:.1e} at {place}")
             bounded = [(bound_fraction(a, b), place) for _, place, a, b in moves
@@ -124,6 +128,7 @@ def main(argv: list[str] | None = None) -> int:
             print(line)
             identical = False
     print("csv and dat files byte-identical" if identical else "csv or dat files differ")
+    print(f"{json_moved} report.json files moved" if json_moved else "no report.json file moved")
     return 0 if identical else 1
 
 

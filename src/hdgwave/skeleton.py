@@ -36,12 +36,13 @@ so a front keeps only its panel, F11 and F21 F11^-1, and hands its parent
 the update F22 - F21 F11^-1 F21^T.  Fronts of one subtree, depth and size
 are factored as one batch of numpy kernels, which release the GIL, and the
 root's two subtrees on two threads; each thread factors the two halves of
-its subtree in turn, so that only one half's updates wait at a time.  The
-root adds the left subtree's terms, then the right one's, so every run has
-the same bits.  The fronts hold the symmetric part of R A, which is
-symmetric only to round-off, so one refinement step against the assembled
-matrix follows the solve.  The residual check of ``solve_assembled`` is the
-only guard.
+its subtree in turn, so that only one half's updates wait at a time; the
+sweeps run on the calling thread, in one vector.  The root adds the left
+subtree's updates and terms, then the right one's, so every run has the
+same bits.  The fronts hold the symmetric part of R A, which is symmetric
+only to round-off, so one refinement step against the assembled matrix
+follows the solve.  The residual check of ``solve_assembled`` is the only
+guard.
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ class AssembledSystem:
     fixed_vhat: np.ndarray      # (n_faces, k+1)
     n_volume: int
     volume_offsets: np.ndarray | None
-    row_scale: np.ndarray | None = None  # R, with R A complex-symmetric (None: R = 1)
+    row_scale: np.ndarray       # R, with R A complex-symmetric
     solve_stats: SolveStats | None = None  # set by solve_assembled
 
 
@@ -358,8 +359,8 @@ def _interface_blocks(assembler: Assembler, dofmap: DofMap, first: int, gamma: n
                       n_e: np.ndarray) -> list:
     """The diagonal interface blocks (row nodes, column nodes, values (n_gamma, 1, k+1)): velocity
     row to displacement trace, traction row to scalar trace, mode by mode through one normal
-    component; a zero component pairs no nodes, as the ordering counts a stored zero as fill.
-    ``gamma`` and ``n_e`` are as in ``_data_moments``."""
+    component; a zero component pairs no nodes, so that the matrix stores no zero.  ``gamma``
+    and ``n_e`` are as in ``_data_moments``."""
     kp1, params = assembler.k + 1, assembler.params
     v, u = (first + offset[gamma] // kp1 for offset in (dofmap.vhat_offset, dofmap.uhat_offset))
     return [(np.where(n_e[:, c] == 0, -1, rn), cn,
@@ -433,12 +434,10 @@ def _side_of_ancestor(parent: np.ndarray, depth: np.ndarray, side: np.ndarray,
 
 
 def _nodes(system: AssembledSystem, n: int):
-    """The nodes of a system of order n: their bounds (``_node_bounds``;
-    without a mesh, one unknown each), the element centroids, and each
-    node's elements (n_nodes, 2; -1: none) and face (-1: none)."""
+    """The nodes of a system of order n: their bounds (``_node_bounds``), the
+    element centroids, and each node's elements (n_nodes, 2; -1: none) and
+    face (-1: none)."""
     dofmap = system.dofmap
-    if dofmap is None:
-        return np.arange(n + 1), np.zeros((0, 2)), np.full((n, 2), -1), np.full(n, -1)
     mesh, kp1 = dofmap.mesh, dofmap.k + 1
     bounds = _node_bounds(system.volume_offsets, n, dofmap.k)
     node_elems = np.full((len(bounds) - 1, 2), -1)
@@ -485,16 +484,15 @@ def _lca(a: np.ndarray, b: np.ndarray, parent: np.ndarray, depth: np.ndarray) ->
 
 @dataclass
 class _Batch:
-    """Fronts of one thread's subtree (``group``; 2: the root), half of it,
-    depth, front size m and own size n1, in front order.  Their own unknowns
-    are the places ``start : start + nb n1`` of the thread's vector (its
-    unknowns, then the root's; ``_Factors.solve``), their boundary unknowns
-    ``bidx`` (nb, n2); ``li`` (nb, n2) are those unknowns' places in the
-    parent's front, in increasing order.  ``blocks`` are the matrix's node
-    blocks the fronts gather, and ``children`` the (child batch, its members,
-    their parents' places here, the number of the children's boundary
-    unknowns that the parent owns) whose updates are added, left children
-    first."""
+    """Fronts of one of the root's subtrees (``group``; 2: the root), half of
+    it, depth, front size m and own size n1, in front order.  Their own
+    unknowns are the places ``start : start + nb n1`` of the permuted vector
+    (``_Fronts.perm``), their boundary unknowns the places ``bidx`` (nb, n2);
+    ``li`` (nb, n2) are those unknowns' places in the parent's front, in
+    increasing order.  ``blocks`` are the matrix's node blocks the fronts
+    gather, and ``children`` the (child batch, its members, their parents'
+    places here, the number of the children's boundary unknowns that the
+    parent owns) whose updates are added, left children first."""
 
     group: int
     fronts: np.ndarray
@@ -512,13 +510,13 @@ class _Fronts:
 
     A node is a block of unknowns of the matrix pattern: the k+1 unknowns of
     one face and trace component or, monolithic, an element's volume
-    unknowns (without a mesh, each unknown).  The elements are bisected
-    (``_bisect``); a node belongs to the front of the lowest common ancestor
-    of its elements' leaves, and it is a boundary unknown of every front
-    between one of its elements' leaves and its own front.  Unknowns are
-    numbered by thread (the root's left subtree, its right, the root), half
-    of the thread's subtree, depth (deepest first), front and node
-    (``perm``: the unknown at each place).  ``scale`` is the row scaling R.
+    unknowns.  The elements are bisected (``_bisect``); a node belongs to the
+    front of the lowest common ancestor of its elements' leaves, and it is a
+    boundary unknown of every front between one of its elements' leaves and
+    its own front.  Unknowns are numbered by subtree of the root (its left,
+    its right, the root itself), half of that subtree, depth (deepest first),
+    front and node (``perm``: the unknown at each place; the root's from
+    ``root`` on).  ``scale`` is the row scaling R.
     """
 
     def __init__(self, system: AssembledSystem, matrix: sp.csc_matrix):
@@ -559,7 +557,7 @@ class _Fronts:
         self.perm = _ranges(bounds[nodes], bounds[nodes + 1])
         fstart = np.empty(n_fronts, dtype=int)
         fstart[order] = np.cumsum(n1[order]) - n1[order]
-        self.scale = np.ones(n) if system.row_scale is None else system.row_scale
+        self.scale = system.row_scale
 
         # each (front, node) pair's place in the front: own nodes first
         bsort = np.lexsort((npos[bnode], bfront))
@@ -575,9 +573,9 @@ class _Fronts:
         def place_of(front, node):
             return place[np.searchsorted(pair, front * n_nodes + node)]
 
-        bpos = _ranges(npos[bnode], npos[bnode] + bw)
+        bpos = _ranges(npos[bnode], npos[bnode] + bw).astype(np.int32)
         at_parent = place_of(parent[bfront], bnode)
-        li = _ranges(at_parent, at_parent + bw)
+        li = _ranges(at_parent, at_parent + bw).astype(np.int32)
         uptr = np.concatenate([[0], np.cumsum(n2)])
         to_own = np.bincount(bfront, bw * (at_parent < n1[parent[bfront]]), n_fronts).astype(int)
 
@@ -595,19 +593,13 @@ class _Fronts:
         for b, fronts in enumerate(runs):
             batch_of[fronts], slot[fronts] = b, np.arange(len(fronts))
         self.root, self.split = fstart[0], n_fronts > 1
-        left = n1[group == 0].sum()
-        self.span = [(0, left), (left, self.root)]
         self.batches = []
         for b, fronts in enumerate(runs):
-            f, g = fronts[0], group[fronts[0]]
-            units = _ranges(uptr[fronts], uptr[fronts + 1])
-            lo, hi = self.span[g] if g < 2 else (self.root, self.root)
-            local = bpos[units].reshape(len(fronts), n2[f])
+            f, units = fronts[0], _ranges(uptr[fronts], uptr[fronts + 1])
             self.batches.append(_Batch(
-                group=g, fronts=fronts, m=m[f], n1=n1[f], start=fstart[f] - lo,
-                bidx=np.where(local >= self.root, local - self.root + hi - lo,
-                              local - lo).astype(np.int32),
-                li=li[units].reshape(len(fronts), n2[f]).astype(np.int32), blocks=[], children=[]))
+                group=group[f], fronts=fronts, m=m[f], n1=n1[f], start=fstart[f],
+                bidx=bpos[units].reshape(len(fronts), n2[f]),
+                li=li[units].reshape(len(fronts), n2[f]), blocks=[], children=[]))
         # each batch's blocks by row and column width and diagonality
         kind = np.stack([batch_of[at], width[rn], width[cn], diag], axis=1)
         maps = np.stack([bounds[cn], bounds[rn], off, lr, lc]).astype(np.int32)
@@ -625,12 +617,10 @@ class _Fronts:
                 (batch_of[c[0]], slot[c], slot[parent[c]], to_own[c[0]]))
 
     def site(self, front: int) -> str:
-        """The first face of a front's own unknowns (or element, or the front)."""
+        """The first face of a front's own unknowns (or their element)."""
         own = np.flatnonzero(self.owner == front)
         faces = self.node_face[own][self.node_face[own] >= 0]
-        if len(faces):
-            return f"face {faces[0]}"
-        return f"element {self.node_elems[own[0], 0]}" if len(own) else f"front {front}"
+        return f"face {faces[0]}" if len(faces) else f"element {self.node_elems[own[0], 0]}"
 
 
 class _Factors:
@@ -641,59 +631,49 @@ class _Factors:
         self.fronts, self.panels = fronts, panels
         self.entries = sum(p.size for p in panels)
 
-    def _sweep(self, group: int, v: np.ndarray, forward: bool) -> np.ndarray:
+    def _sweep(self, group: int, y: np.ndarray, forward: bool) -> None:
         """Forward (b2 -= L b1, z = F11^-1 b1) or backward (x1 = z - L^T x2)
-        through one thread's fronts, in its vector ``v``; L = F21 F11^-1."""
+        through the fronts of one of the root's subtrees (``group``; 2: the
+        root), in place in the permuted vector y; L = F21 F11^-1."""
         batches = [i for i, b in enumerate(self.fronts.batches) if b.group == group]
         for i in batches if forward else batches[::-1]:
             b = self.fronts.batches[i]
             f11, low = self.panels[i][:, : b.n1], self.panels[i][:, b.n1 :]
-            own = v[b.start : b.start + len(b.fronts) * b.n1].reshape(len(b.fronts), b.n1, 1)
+            own = y[b.start : b.start + len(b.fronts) * b.n1].reshape(len(b.fronts), b.n1, 1)
             if forward:
-                np.subtract.at(v, b.bidx.ravel(), (low @ own).ravel())
+                np.subtract.at(y, b.bidx.ravel(), (low @ own).ravel())
                 own[:] = np.linalg.solve(f11, own)
             else:
-                own -= low.transpose(0, 2, 1) @ v[b.bidx][..., None]
-        return v
+                own -= low.transpose(0, 2, 1) @ y[b.bidx][..., None]
 
-    def solve(self, rhs: np.ndarray, pool: ThreadPoolExecutor) -> np.ndarray:
-        """A^-1 rhs: each subtree in its own vector (its unknowns, then the
-        root's), forward on two threads, the root's terms added left then
-        right; the root; backward on two threads."""
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """A^-1 rhs in one permuted vector: forward through each subtree of
+        the root, its terms on the root's unknowns summed from zero and added
+        to theirs, left then right; forward through the root; backward."""
         fr = self.fronts
         y, root = (rhs * fr.scale)[fr.perm], fr.root
-
-        def sweep(tail, forward):
-            return _both(fr, pool, lambda g: self._sweep(
-                g, np.concatenate([y[slice(*fr.span[g])], tail]), forward))
-
-        for (lo, hi), v in zip(fr.span, sweep(np.zeros(len(y) - root, dtype=complex), True)):
-            y[lo:hi] = v[: hi - lo]
-            y[root:] += v[hi - lo :]
-        self._sweep(2, self._sweep(2, y[root:], True), False)
-        for (lo, hi), v in zip(fr.span, sweep(y[root:], False)):
-            y[lo:hi] = v[: hi - lo]
+        b_root = y[root:].copy()
+        for group in (0, 1):
+            y[root:] = 0.0
+            self._sweep(group, y, True)
+            b_root += y[root:]
+        y[root:] = b_root
+        self._sweep(2, y, True)
+        for group in (2, 1, 0):
+            self._sweep(group, y, False)
         x = np.empty_like(y)
         x[fr.perm] = y
         return x
 
 
-def _both(fronts: _Fronts, pool: ThreadPoolExecutor, work: Callable) -> list:
-    """work(0) and work(1), the root's two subtrees, on two threads (inline
-    if the root is the only front)."""
-    if not fronts.split:
-        return [work(0), work(1)]
-    futures = [pool.submit(work, group) for group in (0, 1)]
-    return [future.result() for future in futures]
-
-
-def factor_fronts(fronts: _Fronts, matrix: sp.csc_matrix, pool: ThreadPoolExecutor) -> _Factors:
+def factor_fronts(fronts: _Fronts, matrix: sp.csc_matrix) -> _Factors:
     """Eliminate each front's own unknowns, batch by batch, the root's two
-    subtrees on two threads.  A front is gathered as its panel [F11; F21]
-    (m, n1) from the matrix's row-scaled blocks and its children's updates,
-    and kept as [F11; F21 F11^-1]; it passes on its update U = F22 - F21
-    F11^-1 F21^T (n2, n2).  A front with an exactly singular F11 raises
-    ``SingularSkeletonSystem`` naming its first face."""
+    subtrees (if it has any) on two threads started and joined here.  A
+    front is gathered as its panel [F11; F21] (m, n1) from the matrix's
+    row-scaled blocks and its children's updates, and kept as [F11; F21
+    F11^-1]; it passes on its update U = F22 - F21 F11^-1 F21^T (n2, n2).
+    A front with an exactly singular F11 raises ``SingularSkeletonSystem``
+    naming its first face."""
     sizes = [len(b.fronts) * b.m * b.n1 for b in fronts.batches]
     panels = np.split(np.zeros(sum(sizes), dtype=complex), np.cumsum(sizes)[:-1])
     uses = np.bincount([cb for b in fronts.batches for cb, *_ in b.children],
@@ -741,8 +721,11 @@ def factor_fronts(fronts: _Fronts, matrix: sp.csc_matrix, pool: ThreadPoolExecut
                 updates[i] = eliminate(b, panels[i], updates)
         return updates
 
-    left, right = _both(fronts, pool, lambda group: run(group, {}))
-    run(2, left | right)
+    subtrees = [{}, {}]
+    if fronts.split:
+        with ThreadPoolExecutor(2) as pool:
+            subtrees = list(pool.map(run, (0, 1), subtrees))
+    run(2, subtrees[0] | subtrees[1])
     return _Factors(fronts, [p.reshape(len(b.fronts), b.m, b.n1) for p, b in
                              zip(panels, fronts.batches)])
 
@@ -753,10 +736,9 @@ def solve_assembled(system: AssembledSystem) -> np.ndarray:
     also when the residual check then fails."""
     matrix = sp.csc_matrix(system.matrix)  # no copy of a CSC matrix
     fronts = _Fronts(system, matrix)
-    with ThreadPoolExecutor(2) as pool:
-        factors = factor_fronts(fronts, matrix, pool)
-        x = factors.solve(system.rhs, pool)
-        x += factors.solve(system.rhs - matrix @ x, pool)
+    factors = factor_fronts(fronts, matrix)
+    x = factors.solve(system.rhs)
+    x += factors.solve(system.rhs - matrix @ x)
     # relative to the right-hand side alone, so that the check does not
     # loosen on problems whose data are small; a zero rhs solves exactly
     residual = float(np.linalg.norm(matrix @ x - system.rhs))

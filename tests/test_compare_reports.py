@@ -33,6 +33,7 @@ def test_identical_tables_exit_zero_and_report_the_json_move(tmp_path):
     assert "c_k1/report.json: 1 floats moved, largest 4.0e-13 at rows[1].errors.sigma" in out.stdout
     assert "  rows[1].errors.sigma: 0.025 -> " in out.stdout
     assert "csv and dat files byte-identical" in out.stdout
+    assert out.stdout.splitlines()[-1] == "1 report.json files moved"
 
 
 def test_moved_lines_are_listed_by_row_and_column(tmp_path):
@@ -45,6 +46,7 @@ def test_moved_lines_are_listed_by_row_and_column(tmp_path):
     assert "c_k1/report.csv row 1: err_sigma 2.500000e-02->2.500001e-02" in lines
     assert "c_k1/plot_c_k1.dat row 1: err_sigma 2.500000e-02->2.500001e-02" in lines
     assert f"c_k1/report.json: only in {old}" in lines
+    assert lines[-1] == "1 report.json files moved"  # one in one tree only counts
 
 
 def test_error_and_theta_moves_are_printed_against_the_bound(tmp_path):
@@ -60,6 +62,8 @@ def test_error_and_theta_moves_are_printed_against_the_bound(tmp_path):
     out = compare(old, same)
     assert "c_k1/report.json: largest error or theta move 0 of the bound, at none" \
            in out.stdout.splitlines()
+    assert out.stdout.splitlines()[-2:] == ["csv and dat files byte-identical",
+                                            "no report.json file moved"]
     moved = tree(tmp_path / "moved", "2.500000e-02", 0.025)
     (tmp_path / "moved" / "c_k1" / "report.json").write_text(json.dumps(
         {"case": "c", "rows": [{"errors": {"sigma": 0.1}, "theta": 0.2 + 1e-14},

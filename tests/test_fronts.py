@@ -73,13 +73,11 @@ def check_fronts(system) -> None:
             subtree[f].add(e)
     owned = []
     for b in fronts.batches:
-        lo, hi = fronts.span[b.group] if b.group < 2 else (fronts.root, fronts.root)
-        places = np.where(b.bidx < hi - lo, b.bidx + lo, b.bidx - (hi - lo) + fronts.root)
         for k, front in enumerate(b.fronts):
-            own = lo + b.start + k * b.n1 + np.arange(b.n1)
+            own = b.start + k * b.n1 + np.arange(b.n1)
             owned.append(own)
             assert all(owner[node] == front for node in node_of[fronts.perm[own]])
-            unknowns = fronts.perm[places[k]]
+            unknowns = fronts.perm[b.bidx[k]]
             assert len(set(unknowns)) == len(unknowns)
             strict = set(up(front)[1:])
             expect = {node for node, elems in enumerate(elements)
@@ -133,9 +131,9 @@ def test_solution_matches_a_direct_sparse_solve(name, overrides, monolithic):
 
 
 def test_repeated_solves_give_the_same_bits(monkeypatch):
-    # two threads factor and sweep the root's subtrees; the root adds their
-    # updates and terms left, then right, so no interleaving of the threads
-    # (switched every microsecond here) can reorder a sum
+    # two threads factor the root's subtrees; the root adds their updates
+    # left, then right, so no interleaving of the threads (switched every
+    # microsecond here) can reorder a sum
     case = make_case("coupled63")
     system = assemble_system(Assembler(case.mesh_at(4), 1, case.params), case.data)
     started, start = [], threading.Thread.start
@@ -156,6 +154,16 @@ def test_repeated_solves_give_the_same_bits(monkeypatch):
             assert solve_assembled(system).tobytes() == first.tobytes()
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_the_sweeps_run_on_the_calling_thread(monkeypatch):
+    case = make_case("coupled63")
+    system = assemble_system(Assembler(case.mesh_at(4), 1, case.params), case.data)
+    matrix = sp.csc_matrix(system.matrix)
+    factors = skeleton.factor_fronts(skeleton._Fronts(system, matrix), matrix)
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: pytest.fail("a thread"))
+    first = factors.solve(system.rhs)
+    assert factors.solve(system.rhs).tobytes() == first.tobytes()
 
 
 def test_a_mesh_of_four_elements_is_one_front_without_threads(monkeypatch):

@@ -1,12 +1,13 @@
 """Global trace system: assembly, solve, recovery, and the face residuals."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.io as sio
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import splu, spsolve
 
 import hdgwave.local_solver as local_solver
 import hdgwave.skeleton as skeleton
@@ -20,7 +21,6 @@ from hdgwave.mesh import (
     validate_mesh,
 )
 from hdgwave.skeleton import (
-    AssembledSystem,
     ProblemData,
     SingularSkeletonSystem,
     assemble_system,
@@ -361,38 +361,28 @@ def test_solve_problem_goes_through_the_patchable_solve_assembled(monkeypatch):
         assert matrix.shape == (len(rhs), len(rhs)) and matrix.nnz > 0
 
 
-def test_singular_system_raises_typed_error():
-    matrix = sp.csr_matrix(np.zeros((2, 2), dtype=complex))
-    bad = AssembledSystem(
-        matrix=matrix, rhs=np.ones(2, dtype=complex), dofmap=None, locals_=[],
-        fixed_uhat={}, fixed_vhat={}, n_volume=0, volume_offsets=None,
-    )
-    with pytest.raises(SingularSkeletonSystem):
-        solve_assembled(bad)
-
-
 def test_residual_bound_is_relative_to_the_rhs(monkeypatch):
     # a solution whose residual is 1e-8 of a small rhs must be refused; an
     # absolute floor of 1e-10 let it through whenever ||rhs|| < 1.  Each
-    # sweep errs by 1e-4 of its right-hand side, so the refinement step
-    # leaves 1e-8 of it
-    class Sloppy:
-        entries = 2  # F11 and F21 of the one front
+    # solve errs by 1e-4 of its solution's norm in the last unknown, so the
+    # refinement step leaves 1e-8 of it
+    def sloppy(fronts, matrix):
+        def solve(rhs):
+            x = spsolve(matrix, rhs)
+            x[-1] += 1e-4 * np.linalg.norm(x)
+            return x
+        return SimpleNamespace(entries=0, solve=solve)
 
-        def solve(self, rhs, pool):
-            return rhs + np.array([0.0, 1e-4 * np.linalg.norm(rhs)])
-
-    monkeypatch.setattr(skeleton, "factor_fronts", lambda fronts, matrix, pool: Sloppy())
-    system = AssembledSystem(
-        matrix=sp.identity(2, dtype=complex, format="csr"),
-        rhs=np.array([1e-3, 0.0], dtype=complex), dofmap=None, locals_=[],
-        fixed_uhat=None, fixed_vhat=None, n_volume=0, volume_offsets=None,
-    )
+    monkeypatch.setattr(skeleton, "factor_fronts", sloppy)
+    case = make_case("acoustic61")
+    mesh = build_structured_coupled(1, (0.0, 0.0, 2.0, 1.0))
+    system = assemble_system(Assembler(mesh, 1, case.params), case.data)
+    system.rhs *= 1e-3 / np.linalg.norm(system.rhs)
     with pytest.raises(SingularSkeletonSystem, match="residual"):
         solve_assembled(system)
     # a zero right-hand side solves exactly and passes
-    system.rhs = np.zeros(2, dtype=complex)
-    assert np.array_equal(solve_assembled(system), np.zeros(2))
+    system.rhs = np.zeros_like(system.rhs)
+    assert np.array_equal(solve_assembled(system), np.zeros(len(system.rhs)))
 
 
 def test_trace_system_is_ordered_on_a_plus_a_transpose():
@@ -420,8 +410,8 @@ def test_trace_system_is_ordered_on_a_plus_a_transpose():
 
 @pytest.mark.parametrize("jitter", [None, 0.15])
 def test_coupled_trace_matrix_stores_no_zero(jitter):
-    # the ordering counts a stored zero as an entry; the interface coupling
-    # blocks are diagonal, and axis-parallel faces zero one normal component
+    # the interface coupling blocks are diagonal, and axis-parallel faces
+    # zero one normal component: those pair no nodes
     case = make_case("coupled63")
     shape = {} if jitter is None else {"jitter": jitter, "seed": 1}
     mesh = build_structured_coupled(2, *COUPLED_BOXES, **shape)
@@ -433,9 +423,9 @@ def test_coupled_trace_matrix_stores_no_zero(jitter):
 def test_factorization_reads_the_assembled_matrix_without_a_copy(monkeypatch):
     seen, factor = [], skeleton.factor_fronts
 
-    def spy(fronts, matrix, pool):
+    def spy(fronts, matrix):
         seen.append(matrix)
-        return factor(fronts, matrix, pool)
+        return factor(fronts, matrix)
 
     monkeypatch.setattr(skeleton, "factor_fronts", spy)
     case = make_case("acoustic61")
