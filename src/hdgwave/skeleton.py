@@ -18,10 +18,11 @@ second exists to cross-check the first.
 Both routes write the matrix straight into its CSC arrays.  The pattern
 comes first, from the mesh: dense blocks between the nodes (the k+1 trace
 unknowns of one face and field component; monolithic, each element's
-volume unknowns) that an element couples, and diagonal interface blocks.
-Each block is then added in place.  An entry sums at most two terms (the
-two elements of a face), whose order cannot move a bit, onto -0.0, which
-adds to any x as x; so the matrix has the bits of summed COO triplets.
+volume unknowns) that an element couples, and diagonal interface blocks;
+the system keeps this node table for the fronts.  Each block is then added
+in place.  An entry sums at most two terms (the two elements of a face),
+whose order cannot move a bit, onto -0.0, which adds to any x as x; so
+the matrix has the bits of summed COO triplets.
 
 The system is solved on the dense fronts of a nested dissection of the
 mesh (A. George 1973; I. S. Duff and J. K. Reid 1983).  The elements are
@@ -36,10 +37,11 @@ so a front keeps only its panel, F11 and F21 F11^-1, and hands its parent
 the update F22 - F21 F11^-1 F21^T.  Fronts of one subtree, depth and size
 are factored as one batch of numpy kernels, which release the GIL, and the
 root's two subtrees on two threads; each thread factors the two halves of
-its subtree in turn, so that only one half's updates wait at a time; the
-sweeps run on the calling thread, in one vector.  The root adds the left
-subtree's updates and terms, then the right one's, so every run has the
-same bits.  The fronts hold the symmetric part of R A, which is symmetric
+its subtree in turn, so that only one half's updates wait at a time.  The
+root adds the left subtree's updates, then the right one's, so every run
+has the same bits.  The sweeps run on the calling thread, in one vector,
+one pass over the batches each way: forward children first, then
+backward.  The fronts hold the symmetric part of R A, which is symmetric
 only to round-off, so one refinement step against the assembled matrix
 follows the solve.  The residual check of ``solve_assembled`` is the only
 guard.
@@ -78,13 +80,16 @@ class SolveStats:
     """What one sparse solve did: the order ``n`` and the stored entries
     ``nnz`` of the matrix, the entries the fronts store (``factor_entries``,
     F11 and F21 F11^-1), ``residual_rel`` = ||A x - b|| / ||b|| (||A x - b|| if
-    b = 0), and the elements' least local ``rcond`` (1 without any)."""
+    b = 0), the elements' least local ``rcond`` (1 without any), and
+    ``forward_error`` = ||d|| / ||x|| (||d|| if x = 0), d the correction of
+    the refinement step, an estimate of the first solve's relative error."""
 
     n: int
     nnz: int
     factor_entries: int
     residual_rel: float
     local_rcond: float
+    forward_error: float
 
 
 @dataclass
@@ -142,8 +147,8 @@ class AssembledSystem:
     locals_: list[BlockLocals]
     fixed_uhat: np.ndarray      # (n_faces, 2(k+1))
     fixed_vhat: np.ndarray      # (n_faces, k+1)
-    n_volume: int
     volume_offsets: np.ndarray | None
+    nodes: _NodePattern         # the matrix's node bounds and blocks
     row_scale: np.ndarray       # R, with R A complex-symmetric
     solve_stats: SolveStats | None = None  # set by solve_assembled
 
@@ -166,21 +171,24 @@ def _element_faces(mesh: Mesh, dofmap: DofMap, first: int):
 class _NodePattern:
     """CSC arrays of a matrix of full or diagonal blocks between the nodes
     ``bounds[i]:bounds[i+1]``, node pairs given as broadcastable arrays (-1:
-    none).  Column c of node C holds the rows of each row node R paired with
-    it in order (one row if diagonal), so the entry in row bounds[R] + r of
-    the pair p = (R, C) lies at indptr[c] + off[p] + r (r = 0 if diagonal)."""
+    none), and its node table: the pairs p sorted by column node ``col[p]``,
+    then row node ``row[p]``, and whether each is diagonal (``diag[p]``).
+    Column c of node C holds the rows of each row node R paired with it in
+    order (one row if diagonal), so the entry in row bounds[R] + r of the
+    pair p = (R, C) lies at indptr[c] + off[p] + r (r = 0 if diagonal)."""
 
     def __init__(self, bounds: np.ndarray, full: list, diagonal: list):
-        self.start, width, self.n_nodes = bounds[:-1], np.diff(bounds), len(bounds) - 1
+        self.bounds, self.start, width = bounds, bounds[:-1], np.diff(bounds)
+        self.n_nodes = len(width)
         # twice the key, plus one for a diagonal pair
         keys = np.sort(np.concatenate([2 * self._keys(*pair[:2])[1] + diag for diag, pairs
                                        in enumerate((full, diagonal)) for pair in pairs]))
         self.keys, self.diag = np.divmod(keys[np.diff(keys, prepend=-1) != 0], 2)
-        col, row = np.divmod(self.keys, self.n_nodes)
-        per_column = np.where(self.diag, 1, width[row])
-        self.length = np.bincount(col, per_column, self.n_nodes).astype(int)
+        self.col, self.row = np.divmod(self.keys, self.n_nodes)
+        per_column = np.where(self.diag, 1, width[self.row])
+        self.length = np.bincount(self.col, per_column, self.n_nodes).astype(int)
         before = np.cumsum(per_column) - per_column
-        self.off = before - before[np.searchsorted(col, col)]
+        self.off = before - before[np.searchsorted(self.col, self.col)]
         self.indptr = np.concatenate([[0], np.cumsum(np.repeat(self.length, width))])
         self.data = np.full(self.indptr[-1], complex(-0.0, -0.0))
         self.indices = np.empty(self.indptr[-1], dtype=np.int32)
@@ -215,24 +223,25 @@ def assemble_system(assembler: Assembler, data: ProblemData,
     locals_ = assembler.all_locals(f_acoustic=data.f, f_elastic=data.f_elastic)
 
     vol_off = None
-    n_vol = 0
+    trace_base = 0  # the number of volume unknowns, numbered first
     if monolithic:
         dims = np.zeros(mesh.n_elements, dtype=int)
         for loc in locals_:
             dims[loc.elems] = loc.ops.volume_dim
         vol_off = np.concatenate([[0], np.cumsum(dims)])
-        n_vol = int(vol_off[-1])
-    trace_base = n_vol
-    n_total = n_vol + dofmap.n_dofs
+        trace_base = int(vol_off[-1])
+    n_total = trace_base + dofmap.n_dofs
     rhs = np.zeros(n_total, dtype=complex)
 
-    # one node per element's volume unknowns (monolithic), then the trace nodes
+    # one node per element's volume unknowns (monolithic), then one per the
+    # k+1 unknowns of a face and trace component
     first = mesh.n_elements if monolithic else 0
     offsets, signs, nodes = _element_faces(mesh, dofmap, first)
     flat, vn = nodes.reshape(len(nodes), -1), np.arange(mesh.n_elements)[:, None]
     pairs = ([(nodes[..., None], nodes[..., None, :]), (vn, flat), (flat, vn), (vn, vn)]
              if monolithic else [(flat[:, :, None], flat[:, None, :])])
-    bounds = _node_bounds(vol_off, n_total, k)
+    bounds = np.concatenate([vol_off[:-1] if monolithic else [],
+                             np.arange(trace_base, n_total + 1, k + 1)]).astype(int)
     couplings = _interface_blocks(assembler, dofmap, first, gamma, n_e)
     pattern = _NodePattern(bounds, pairs, couplings)
 
@@ -284,18 +293,10 @@ def assemble_system(assembler: Assembler, data: ProblemData,
         locals_=locals_,
         fixed_uhat=fixed_uhat,
         fixed_vhat=fixed_vhat,
-        n_volume=n_vol,
         volume_offsets=vol_off,
+        nodes=pattern,
         row_scale=row_scale(dofmap, assembler.params.rho_f, locals_, vol_off),
     )
-
-
-def _node_bounds(vol_off: np.ndarray | None, n_total: int, k: int) -> np.ndarray:
-    """The unknowns of each node, ``bounds[i]:bounds[i+1]``: each element's
-    volume unknowns (monolithic, ``vol_off``), then the k+1 of each face and
-    trace component."""
-    volume = np.zeros(1, dtype=int) if vol_off is None else vol_off
-    return np.concatenate([volume[:-1], np.arange(volume[-1], n_total + 1, k + 1)]).astype(int)
 
 
 # the row scaling R of the monolithic volume rows, per field, in units of 1/rho_f
@@ -433,36 +434,19 @@ def _side_of_ancestor(parent: np.ndarray, depth: np.ndarray, side: np.ndarray,
     return np.where(depth >= level, side[up], 2)
 
 
-def _nodes(system: AssembledSystem, n: int):
-    """The nodes of a system of order n: their bounds (``_node_bounds``), the
-    element centroids, and each node's elements (n_nodes, 2; -1: none) and
-    face (-1: none)."""
-    dofmap = system.dofmap
+def _nodes(system: AssembledSystem):
+    """The element centroids, and each node's elements (n_nodes, 2; -1:
+    none) and face (-1: none)."""
+    dofmap, n_nodes = system.dofmap, system.nodes.n_nodes
     mesh, kp1 = dofmap.mesh, dofmap.k + 1
-    bounds = _node_bounds(system.volume_offsets, n, dofmap.k)
-    node_elems = np.full((len(bounds) - 1, 2), -1)
-    node_face = np.full(len(bounds) - 1, -1)
-    first = len(bounds) - 1 - dofmap.n_dofs // kp1
+    node_elems, node_face = np.full((n_nodes, 2), -1), np.full(n_nodes, -1)
+    first = n_nodes - dofmap.n_dofs // kp1
     node_elems[:first, 0] = np.arange(first)
     for offsets, count in ((dofmap.vhat_offset, 1), (dofmap.uhat_offset, 2)):
         faces = np.flatnonzero(offsets >= 0)
         at = first + offsets[faces, None] // kp1 + np.arange(count)
         node_elems[at], node_face[at] = mesh.face_element[faces, None], faces[:, None]
-    return bounds, mesh.vertices[mesh.tri_vertices].mean(axis=1), node_elems, node_face
-
-
-def _node_blocks(matrix: sp.csc_matrix, bounds: np.ndarray):
-    """The blocks of a matrix built by ``_NodePattern``, read from the first
-    column of each column node: column and row node, the block's offset in
-    its columns, and whether it is diagonal (one row per column)."""
-    n_nodes, width, indptr = len(bounds) - 1, np.diff(bounds), matrix.indptr
-    c0 = bounds[:-1]
-    entry = _ranges(indptr[c0], indptr[c0 + 1])
-    cn = np.repeat(np.arange(n_nodes), indptr[c0 + 1] - indptr[c0])
-    rn = np.repeat(np.arange(n_nodes), width)[matrix.indices[entry]]
-    new = np.flatnonzero(np.diff(cn * n_nodes + rn, prepend=-1) != 0)
-    diag = np.diff(np.append(new, len(entry))) < width[rn[new]]
-    return cn[new], rn[new], entry[new] - indptr[c0[cn[new]]], diag
+    return mesh.vertices[mesh.tri_vertices].mean(axis=1), node_elems, node_face
 
 
 def _runs(key: np.ndarray) -> list[np.ndarray]:
@@ -484,15 +468,16 @@ def _lca(a: np.ndarray, b: np.ndarray, parent: np.ndarray, depth: np.ndarray) ->
 
 @dataclass
 class _Batch:
-    """Fronts of one of the root's subtrees (``group``; 2: the root), half of
-    it, depth, front size m and own size n1, in front order.  Their own
-    unknowns are the places ``start : start + nb n1`` of the permuted vector
-    (``_Fronts.perm``), their boundary unknowns the places ``bidx`` (nb, n2);
-    ``li`` (nb, n2) are those unknowns' places in the parent's front, in
-    increasing order.  ``blocks`` are the matrix's node blocks the fronts
-    gather, and ``children`` the (child batch, its members, their parents'
-    places here, the number of the children's boundary unknowns that the
-    parent owns) whose updates are added, left children first."""
+    """Fronts of one of the root's subtrees (``group``, the thread that
+    factors them; 2: the root), half of it, depth, front size m and own size
+    n1, in front order.  Their own unknowns are the places ``start : start +
+    nb n1`` of the permuted vector (``_Fronts.perm``), their boundary
+    unknowns the places ``bidx`` (nb, n2); ``li`` (nb, n2) are those
+    unknowns' places in the parent's front, in increasing order.  ``blocks``
+    are the node blocks of the matrix (``AssembledSystem.nodes``) that the
+    fronts gather, and ``children`` the (child batch, its members, their
+    parents' places here, the number of the children's boundary unknowns
+    that the parent owns) whose updates are added, left children first."""
 
     group: int
     fronts: np.ndarray
@@ -513,18 +498,21 @@ class _Fronts:
     unknowns.  The elements are bisected (``_bisect``); a node belongs to the
     front of the lowest common ancestor of its elements' leaves, and it is a
     boundary unknown of every front between one of its elements' leaves and
-    its own front.  Unknowns are numbered by subtree of the root (its left,
-    its right, the root itself), half of that subtree, depth (deepest first),
-    front and node (``perm``: the unknown at each place; the root's from
-    ``root`` on).  ``scale`` is the row scaling R.
+    its own front.  The nodes and the matrix's blocks between them are the
+    system's node table (``AssembledSystem.nodes``).  Unknowns are numbered
+    by subtree of the root (its left, its right, the root itself), half of
+    that subtree, depth (deepest first), front and node (``perm``: the
+    unknown at each place), and the ``batches`` are stored in that order,
+    so each comes before the batch of its fronts' parents.  ``scale`` is the
+    row scaling R.
     """
 
-    def __init__(self, system: AssembledSystem, matrix: sp.csc_matrix):
-        n = matrix.shape[0]
-        bounds, centroids, node_elems, node_face = _nodes(system, n)
+    def __init__(self, system: AssembledSystem):
+        table = system.nodes
+        bounds, n_nodes, width = table.bounds, table.n_nodes, np.diff(table.bounds)
+        centroids, node_elems, node_face = _nodes(system)
         parent, depth, side, leaf = _bisect(centroids)
-        n_nodes, n_fronts = len(bounds) - 1, len(parent)
-        width = np.diff(bounds)
+        n_fronts = len(parent)
         leaf = np.append(leaf, 0)  # no element: the root
         single = np.where(node_elems[:, 1] >= 0, node_elems[:, 1], node_elems[:, 0])
         owner = _lca(leaf[node_elems[:, 0]], leaf[single], parent, depth)
@@ -581,10 +569,9 @@ class _Fronts:
 
         # a block of the matrix goes to the front of its column node if its
         # row node is that front's or an ancestor's; the rest is the transpose's
-        cn, rn, off, diag = _node_blocks(matrix, bounds)
-        at = owner[cn]
-        keep = depth[owner[rn]] <= depth[at]
-        cn, rn, off, diag, at = cn[keep], rn[keep], off[keep], diag[keep], at[keep]
+        at = owner[table.col]
+        keep = depth[owner[table.row]] <= depth[at]
+        cn, rn, off, diag, at = (a[keep] for a in (table.col, table.row, table.off, table.diag, at))
         lr, lc = place_of(at, rn), npos[cn] - fstart[at]
 
         # batches: runs of equal subtree, depth, m and n1 in front order
@@ -592,7 +579,7 @@ class _Fronts:
         batch_of, slot = np.empty(n_fronts, dtype=int), np.empty(n_fronts, dtype=int)
         for b, fronts in enumerate(runs):
             batch_of[fronts], slot[fronts] = b, np.arange(len(fronts))
-        self.root, self.split = fstart[0], n_fronts > 1
+        self.split = n_fronts > 1
         self.batches = []
         for b, fronts in enumerate(runs):
             f, units = fronts[0], _ranges(uptr[fronts], uptr[fronts + 1])
@@ -624,43 +611,28 @@ class _Fronts:
 
 
 class _Factors:
-    """The factored fronts: per batch, the panels [F11; F21 F11^-1]
-    (nb, m, n1) of the row-scaled matrix R A, which is complex-symmetric."""
+    """The factored fronts: per batch, in the order of ``fronts.batches``,
+    the panels [F11; F21 F11^-1] (nb, m, n1) of the row-scaled matrix R A,
+    which is complex-symmetric."""
 
     def __init__(self, fronts: _Fronts, panels: list):
         self.fronts, self.panels = fronts, panels
         self.entries = sum(p.size for p in panels)
 
-    def _sweep(self, group: int, y: np.ndarray, forward: bool) -> None:
-        """Forward (b2 -= L b1, z = F11^-1 b1) or backward (x1 = z - L^T x2)
-        through the fronts of one of the root's subtrees (``group``; 2: the
-        root), in place in the permuted vector y; L = F21 F11^-1."""
-        batches = [i for i, b in enumerate(self.fronts.batches) if b.group == group]
-        for i in batches if forward else batches[::-1]:
-            b = self.fronts.batches[i]
-            f11, low = self.panels[i][:, : b.n1], self.panels[i][:, b.n1 :]
-            own = y[b.start : b.start + len(b.fronts) * b.n1].reshape(len(b.fronts), b.n1, 1)
-            if forward:
-                np.subtract.at(y, b.bidx.ravel(), (low @ own).ravel())
-                own[:] = np.linalg.solve(f11, own)
-            else:
-                own -= low.transpose(0, 2, 1) @ y[b.bidx][..., None]
-
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """A^-1 rhs in one permuted vector: forward through each subtree of
-        the root, its terms on the root's unknowns summed from zero and added
-        to theirs, left then right; forward through the root; backward."""
+        """A^-1 rhs in one permuted vector y: forward through the batches in
+        their order, children first (b2 -= L b1, z = F11^-1 b1), then
+        backward in reverse (x1 = z - L^T x2); L = F21 F11^-1."""
         fr = self.fronts
-        y, root = (rhs * fr.scale)[fr.perm], fr.root
-        b_root = y[root:].copy()
-        for group in (0, 1):
-            y[root:] = 0.0
-            self._sweep(group, y, True)
-            b_root += y[root:]
-        y[root:] = b_root
-        self._sweep(2, y, True)
-        for group in (2, 1, 0):
-            self._sweep(group, y, False)
+        y = (rhs * fr.scale)[fr.perm]
+        parts = [(b, p[:, : b.n1], p[:, b.n1 :],
+                  y[b.start : b.start + len(b.fronts) * b.n1].reshape(len(b.fronts), b.n1, 1))
+                 for b, p in zip(fr.batches, self.panels)]
+        for b, f11, low, own in parts:
+            np.subtract.at(y, b.bidx.ravel(), (low @ own).ravel())
+            own[:] = np.linalg.solve(f11, own)
+        for b, _, low, own in reversed(parts):
+            own -= low.transpose(0, 2, 1) @ y[b.bidx][..., None]
         x = np.empty_like(y)
         x[fr.perm] = y
         return x
@@ -735,10 +707,12 @@ def solve_assembled(system: AssembledSystem) -> np.ndarray:
     step of refinement; records what the solve did in ``system.solve_stats``,
     also when the residual check then fails."""
     matrix = sp.csc_matrix(system.matrix)  # no copy of a CSC matrix
-    fronts = _Fronts(system, matrix)
+    fronts = _Fronts(system)
     factors = factor_fronts(fronts, matrix)
     x = factors.solve(system.rhs)
-    x += factors.solve(system.rhs - matrix @ x)
+    correction = factors.solve(system.rhs - matrix @ x)
+    x += correction
+    step, size = float(np.linalg.norm(correction)), float(np.linalg.norm(x))
     # relative to the right-hand side alone, so that the check does not
     # loosen on problems whose data are small; a zero rhs solves exactly
     residual = float(np.linalg.norm(matrix @ x - system.rhs))
@@ -748,6 +722,7 @@ def solve_assembled(system: AssembledSystem) -> np.ndarray:
         residual_rel=residual / scale if scale else residual,
         local_rcond=min((float(loc.ops.rcond[loc.shape].min())
                                for loc in system.locals_), default=1.0),
+        forward_error=step / size if size else step,
     )
     if not np.isfinite(residual) or residual > 1e-10 * scale:
         raise SingularSkeletonSystem(
@@ -793,7 +768,7 @@ def recover_fields(assembler: Assembler, system: AssembledSystem,
                    x: np.ndarray) -> FieldSolution:
     mesh = assembler.mesh
     dofmap = system.dofmap
-    skeleton = x[system.n_volume :]
+    skeleton = x[len(x) - dofmap.n_dofs :]
     uhat = _face_values(skeleton, dofmap.uhat_offset, system.fixed_uhat)
     vhat = _face_values(skeleton, dofmap.vhat_offset, system.fixed_vhat)
 

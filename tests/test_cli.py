@@ -361,11 +361,13 @@ def test_solve_reports_what_the_solve_did(tmp_path, capsys):
     out = capsys.readouterr().out
     payload = json.loads((tmp_path / "report.json").read_text())
     stats = payload["solve"]
-    assert set(stats) == {"n", "nnz", "factor_entries", "residual_rel", "local_rcond"}
+    assert set(stats) == {"n", "nnz", "factor_entries", "residual_rel", "local_rcond",
+                          "forward_error"}
     assert stats["n"] == payload["N"]
     assert stats["factor_entries"] > 0 and stats["nnz"] > 0
     assert 0.0 <= stats["residual_rel"] < 1e-10
     assert RCOND_FLOOR < stats["local_rcond"] <= 1.0
+    assert 0.0 <= stats["forward_error"] < 1e-8
     for name, value in stats.items():
         assert f"solve.{name}={value}\n" in out
     # the whole process, imports and solve, in MB; ru_maxrss is in KiB on Linux

@@ -39,13 +39,32 @@ def node_elements(system) -> list[list[int]]:
     return elements
 
 
+def node_blocks(matrix: sp.csc_matrix, bounds: np.ndarray):
+    """The node blocks of a matrix read from its CSC arrays, at the first
+    column of each column node: column and row node, the block's offset in
+    its columns, and whether it is diagonal (one row per column)."""
+    n_nodes, width, indptr = len(bounds) - 1, np.diff(bounds), matrix.indptr
+    c0 = bounds[:-1]
+    entry = skeleton._ranges(indptr[c0], indptr[c0 + 1])
+    cn = np.repeat(np.arange(n_nodes), indptr[c0 + 1] - indptr[c0])
+    rn = np.repeat(np.arange(n_nodes), width)[matrix.indices[entry]]
+    new = np.flatnonzero(np.diff(cn * n_nodes + rn, prepend=-1) != 0)
+    diag = np.diff(np.append(new, len(entry))) < width[rn[new]]
+    return cn[new], rn[new], entry[new] - indptr[c0[cn[new]]], diag
+
+
 def check_fronts(system) -> None:
-    """Each unknown is owned by exactly one front, a node by the lowest
-    common ancestor of its elements' leaves, and each front's boundary set
-    is exactly the ancestor-owned unknowns on faces of its subtree's
-    elements; checked against a walk up the tree, node by node."""
-    matrix = sp.csc_matrix(system.matrix)
-    fronts = skeleton._Fronts(system, matrix)
+    """The stored node table is the one the matrix holds.  Each unknown is
+    owned by exactly one front, a node by the lowest common ancestor of its
+    elements' leaves, and each front's boundary set is exactly the
+    ancestor-owned unknowns on faces of its subtree's elements; checked
+    against a walk up the tree, node by node."""
+    table, matrix = system.nodes, sp.csc_matrix(system.matrix)
+    bounds = table.bounds
+    for stored, read in zip((table.col, table.row, table.off, table.diag),
+                            node_blocks(matrix, bounds)):
+        assert np.array_equal(stored, read)
+    fronts = skeleton._Fronts(system)
     mesh, n = system.dofmap.mesh, matrix.shape[0]
     parent, _, _, leaf = skeleton._bisect(mesh.vertices[mesh.tri_vertices].mean(axis=1))
     assert np.bincount(leaf).max() <= 4
@@ -65,7 +84,6 @@ def check_fronts(system) -> None:
         owner.append(max(common, key=lambda f: len(up(f))))
     assert np.array_equal(fronts.owner, owner)
 
-    bounds = skeleton._node_bounds(system.volume_offsets, n, system.dofmap.k)
     node_of = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
     subtree = [set() for _ in parent]  # the elements under each front
     for e, lf in enumerate(leaf):
@@ -160,7 +178,7 @@ def test_the_sweeps_run_on_the_calling_thread(monkeypatch):
     case = make_case("coupled63")
     system = assemble_system(Assembler(case.mesh_at(4), 1, case.params), case.data)
     matrix = sp.csc_matrix(system.matrix)
-    factors = skeleton.factor_fronts(skeleton._Fronts(system, matrix), matrix)
+    factors = skeleton.factor_fronts(skeleton._Fronts(system), matrix)
     monkeypatch.setattr(threading.Thread, "start", lambda thread: pytest.fail("a thread"))
     first = factors.solve(system.rhs)
     assert factors.solve(system.rhs).tobytes() == first.tobytes()
@@ -170,7 +188,7 @@ def test_a_mesh_of_four_elements_is_one_front_without_threads(monkeypatch):
     mesh = build_structured_coupled(1, (0.0, 0.0, 2.0, 1.0))
     case = make_case("acoustic61")
     system = assemble_system(Assembler(mesh, 3, case.params), case.data)
-    fronts = skeleton._Fronts(system, sp.csc_matrix(system.matrix))
+    fronts = skeleton._Fronts(system)
     assert mesh.n_elements == 4 and len(fronts.batches) == 1
     monkeypatch.setattr(threading.Thread, "start", lambda thread: pytest.fail("a thread"))
     solve_assembled(system)

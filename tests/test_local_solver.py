@@ -8,6 +8,7 @@ must equal the moments of the exact normal flux (the face projection makes
 the penalty term drop out of the moments identically).
 """
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -880,6 +881,16 @@ def two_element_solid_mesh(tmp_path, vertex2):
     return load_mesh(str(path))
 
 
+def ladder_mesh(tmp_path, ratio: float):
+    """The two-element mesh whose element 1 has h^2/area = ratio: its apex
+    sits 2h/ratio off the midpoint of its longest edge."""
+    v0, v1 = np.array([-0.61876488, 0.7259]), np.array([0.79764753, -0.82797513])
+    h = np.linalg.norm(v1 - v0)
+    normal = np.array([v0[1] - v1[1], v1[0] - v0[0]]) / h
+    apex = 0.5 * (v0 + v1) + 2.0 * h / ratio * normal
+    return two_element_solid_mesh(tmp_path, " ".join(map(repr, apex.tolist())))
+
+
 def test_thin_triangle_assembles_while_its_pivots_resolve(tmp_path):
     # element 1 has h^2/area = 99: the mapped reference enrichment keeps its
     # local system within the condition floor at every degree up to 6
@@ -891,18 +902,13 @@ def test_thin_triangle_assembles_while_its_pivots_resolve(tmp_path):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 def test_thinness_ladder_is_accurate_or_refused_monotonically(tmp_path, k):
-    # element 1's apex sits 2h/ratio off the midpoint of its longest edge, so
     # h^2/area = ratio = 10 ... 1e10; on each rung the degree-k polynomial
     # stress is reproduced to 1e-8, or element 1 is refused, and so is every
     # thinner rung after it
-    v0, v1 = np.array([-0.61876488, 0.7259]), np.array([0.79764753, -0.82797513])
-    h = np.linalg.norm(v1 - v0)
-    normal = np.array([v0[1] - v1[1], v1[0] - v0[0]]) / h
     case = make_polynomial_case("elastic", k)
     verdicts = []
     for ratio in 10.0 ** np.arange(1, 11):
-        apex = 0.5 * (v0 + v1) + 2.0 * h / ratio * normal
-        mesh = two_element_solid_mesh(tmp_path, " ".join(map(repr, apex.tolist())))
+        mesh = ladder_mesh(tmp_path, ratio)
         asm = Assembler(mesh, k, case.params)
         try:
             sol, _ = solve_problem(mesh, k, case.params, case.data, assembler=asm)
@@ -918,6 +924,20 @@ def test_thinness_ladder_is_accurate_or_refused_monotonically(tmp_path, k):
         assert np.sqrt(err / norm) <= 1e-8, f"h^2/area = {ratio:.0e}"
         verdicts.append(True)
     assert verdicts == sorted(verdicts, reverse=True), verdicts
+
+
+def test_condition_floor_sits_between_two_ladder_rungs(tmp_path):
+    # element 1's rcond falls about a hundredfold per rung of the ladder:
+    # at k=3, h^2/area = 1e4 it is 6e-11 and refused; at k=4, 1e3 it is
+    # 4e-10 and accepted.  A floor moved either way flips one verdict
+    with pytest.raises(SingularLocalSystem, match=r"^element 1: ") as refused:
+        Assembler(ladder_mesh(tmp_path, 1e4), 3, make_polynomial_case("elastic", 3).params
+                  ).all_locals()
+    rcond = float(re.search(r"rcond (\S+) <=", str(refused.value)).group(1))
+    assert 1e-13 < rcond <= 1e-10
+    (loc,) = Assembler(ladder_mesh(tmp_path, 1e3), 4, make_polynomial_case("elastic", 4).params
+                       ).all_locals()
+    assert 1e-10 < loc.ops.rcond.min() <= 1e-8
 
 
 def test_jittered_coupled_mesh_assembles_at_degree_six():

@@ -7,6 +7,7 @@ suite; here the harness plumbing is what is under test.
 """
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -470,12 +471,26 @@ STUDY_CSV = {
 }
 
 
+# the SHA-256 of the same studies' full-precision report.json text, which
+# sees the last bits that the six digits of report.csv round away
+STUDY_JSON_SHA256 = {
+    ("acoustic61", 0.3, 1, 3): "534c637db66d44c91d7830b74be0142898231ca5c0c9e9563180f2cf6d8a3974",
+    ("acoustic61", 0.3, 3, 3): "e098976ec5d086af7f63a11ec93b0973faa5e8fdef36842a5abc41f8272d9d06",
+    ("coupled63", 0.3, 1, 4): "5ab42ae0f7b63450ad610b208e07301d9b2530cd6d520d0913ae23ba970f37d8",
+    ("elastic62", 0.49999, 2, 3): "67fbb483b909f32d3fa26e738a23d42cfc6a0db90e984ad80523c58c26cc2128",
+}
+
+
 @pytest.mark.parametrize("name,nu,k,levels", sorted(STUDY_CSV))
 def test_study_reports_keep_their_bytes(name, nu, k, levels):
-    """The report.csv of each study, byte for byte.  Together they cover the
-    Dirichlet data of both domains and every interface datum, and the k=3
-    study the round-off of the higher-degree face tables.  A change that
-    moves report bits on purpose regenerates these texts and lists what moved
-    with ``scripts/compare_reports.py``; any other change must leave them."""
+    """The report.csv of each study, byte for byte, and the hash of its
+    report.json.  Together they cover the Dirichlet data of both domains and
+    every interface datum, and the k=3 study the round-off of the
+    higher-degree face tables.  A change that moves report bits on purpose
+    regenerates these texts and hashes and lists what moved with
+    ``scripts/compare_reports.py``; any other change must leave them."""
     case = make_case(name, **({"poisson": nu} if name == "elastic62" else {}))
-    assert run_study(case, k, levels).to_csv() == STUDY_CSV[name, nu, k, levels]
+    report = run_study(case, k, levels)
+    assert report.to_csv() == STUDY_CSV[name, nu, k, levels]
+    digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
+    assert digest == STUDY_JSON_SHA256[name, nu, k, levels]
