@@ -31,20 +31,20 @@ extent of each part, into leaves of at most 4 elements.  An element couples
 only its own faces, so the faces a bisection cuts separate its halves: a
 face's trace unknowns belong to the front of the lowest common ancestor of
 its elements' leaves, and an element's volume unknowns (monolithic) to its
-leaf.  A diagonal row scaling R (``row_scale``: the solid-trace rows times
--1/rho_f off the interface and +1/rho_f on it) makes R A complex-symmetric,
-so a front keeps only its panel, F11 and F21 F11^-1, and hands its parent
-the update F22 - F21 F11^-1 F21^T.  Fronts of one subtree, depth and size
-are factored as one batch of numpy kernels, which release the GIL, and the
-root's two subtrees on two threads; each thread factors the two halves of
-its subtree in turn, so that only one half's updates wait at a time.  The
-root adds the left subtree's updates, then the right one's, so every run
-has the same bits.  The sweeps run on the calling thread, in one vector,
-one pass over the batches each way: forward children first, then
-backward.  The fronts hold the symmetric part of R A, which is symmetric
-only to round-off, so one refinement step against the assembled matrix
-follows the solve.  The residual check of ``solve_assembled`` is the only
-guard.
+leaf.  Assembly weights the solid's flux rows, the interface traction rows
+among them, by -1/rho_f (monolithic, each volume field's rows by its sign),
+which makes the matrix complex-symmetric, so a front keeps only its panel,
+F11 and F21 F11^-1, and hands its parent the update F22 - F21 F11^-1 F21^T.
+Fronts of one subtree, depth and size are factored as one batch of numpy
+kernels, which release the GIL, and the root's two subtrees on two threads;
+each thread factors the two halves of its subtree in turn, so that only one
+half's updates wait at a time.  The root adds the left subtree's updates,
+then the right one's, so every run has the same bits.  The sweeps run on
+the calling thread, in one vector, one pass over the batches each way:
+forward children first, then backward.  The fronts hold the symmetric part
+of the matrix, which is symmetric only to round-off, so one refinement step
+against the assembled matrix follows the solve.  The residual check of
+``solve_assembled`` is the only guard.
 """
 
 from __future__ import annotations
@@ -80,9 +80,10 @@ class SolveStats:
     """What one sparse solve did: the order ``n`` and the stored entries
     ``nnz`` of the matrix, the entries the fronts store (``factor_entries``,
     F11 and F21 F11^-1), ``residual_rel`` = ||A x - b|| / ||b|| (||A x - b|| if
-    b = 0), the elements' least local ``rcond`` (1 without any), and
-    ``forward_error`` = ||d|| / ||x|| (||d|| if x = 0), d the correction of
-    the refinement step, an estimate of the first solve's relative error."""
+    b = 0) of the stored, row-weighted system, the elements' least local
+    ``rcond`` (1 without any), and ``forward_error`` = ||d|| / ||x|| (||d|| if
+    x = 0), d the correction of the refinement step, an estimate of the first
+    solve's relative error."""
 
     n: int
     nnz: int
@@ -149,33 +150,31 @@ class AssembledSystem:
     fixed_vhat: np.ndarray      # (n_faces, k+1)
     volume_offsets: np.ndarray | None
     nodes: _NodePattern         # the matrix's node bounds and blocks
-    row_scale: np.ndarray       # R, with R A complex-symmetric
     solve_stats: SolveStats | None = None  # set by solve_assembled
 
 
-def _element_faces(mesh: Mesh, dofmap: DofMap, first: int):
+def _element_faces(mesh: Mesh, dofmap: DofMap, first: int, rho_f: float):
     """Of each element face (n_elements, 3): its trace's skeleton offset
-    (-1: eliminated), its flux-row sign (0: no row; interface rows are the
-    fluid side's, so the solid flux enters them negated), and (..., 2) its
+    (-1: eliminated), its flux-row weight (0: no row; 1 on the fluid, -1/rho_f
+    on the solid, which makes the matrix complex-symmetric), and (..., 2) its
     trace nodes from ``first`` on, one (fluid) or two (solid; -1: none)."""
     faces = mesh.element_faces
     solid = (mesh.tri_domain == "E")[:, None]
     offset = np.where(solid, dofmap.uhat_offset[faces], dofmap.vhat_offset[faces])
-    # interface faces are the only ones that carry both traces
-    sign = np.where(solid & (dofmap.vhat_offset[faces] >= 0), -1.0, 1.0)
     has = (offset >= 0)[..., None] & (solid[..., None] | np.array([True, False]))
     nodes = np.where(has, first + offset[..., None] // (dofmap.k + 1) + np.arange(2), -1)
-    return offset, np.where(offset >= 0, sign, 0.0), nodes
+    return offset, np.where(offset >= 0, np.where(solid, -1.0 / rho_f, 1.0), 0.0), nodes
 
 
 class _NodePattern:
     """CSC arrays of a matrix of full or diagonal blocks between the nodes
     ``bounds[i]:bounds[i+1]``, node pairs given as broadcastable arrays (-1:
-    none), and its node table: the pairs p sorted by column node ``col[p]``,
-    then row node ``row[p]``, and whether each is diagonal (``diag[p]``).
-    Column c of node C holds the rows of each row node R paired with it in
-    order (one row if diagonal), so the entry in row bounds[R] + r of the
-    pair p = (R, C) lies at indptr[c] + off[p] + r (r = 0 if diagonal)."""
+    none), and its node table: the pairs p = (R, C) sorted by their key
+    ``keys[p]`` = C n_nodes + R, so by column node, then row node, and whether
+    each is diagonal (``diag[p]``).  Column c of node C holds the rows of each
+    row node R paired with it in order (one row if diagonal), so the entry in
+    row bounds[R] + r of the pair p lies at indptr[c] + off[p] + r (r = 0 if
+    diagonal).  The index arrays are int32, so the matrix shares them."""
 
     def __init__(self, bounds: np.ndarray, full: list, diagonal: list):
         self.bounds, self.start, width = bounds, bounds[:-1], np.diff(bounds)
@@ -183,13 +182,14 @@ class _NodePattern:
         # twice the key, plus one for a diagonal pair
         keys = np.sort(np.concatenate([2 * self._keys(*pair[:2])[1] + diag for diag, pairs
                                        in enumerate((full, diagonal)) for pair in pairs]))
-        self.keys, self.diag = np.divmod(keys[np.diff(keys, prepend=-1) != 0], 2)
-        self.col, self.row = np.divmod(self.keys, self.n_nodes)
-        per_column = np.where(self.diag, 1, width[self.row])
-        self.length = np.bincount(self.col, per_column, self.n_nodes).astype(int)
+        self.keys, diag = np.divmod(keys[np.diff(keys, prepend=-1) != 0], 2)
+        self.diag = diag.astype(bool)
+        col, row = np.divmod(self.keys, self.n_nodes)
+        per_column = np.where(self.diag, 1, width[row])
+        self.length = np.bincount(col, per_column, self.n_nodes).astype(int)
         before = np.cumsum(per_column) - per_column
-        self.off = before - before[np.searchsorted(self.col, self.col)]
-        self.indptr = np.concatenate([[0], np.cumsum(np.repeat(self.length, width))])
+        self.off = before - before[np.searchsorted(col, col)]
+        self.indptr = np.append(0, np.cumsum(np.repeat(self.length, width))).astype(np.int32)
         self.data = np.full(self.indptr[-1], complex(-0.0, -0.0))
         self.indices = np.empty(self.indptr[-1], dtype=np.int32)
 
@@ -211,9 +211,14 @@ class _NodePattern:
         self.indices[at] = (self.start[rn][:, None] + self.diag[p][:, None] * c)[:, None] + r
 
 
+# the weights of the monolithic volume rows, per field, in units of 1/rho_f on
+# the solid; with them the matrix equals its (unconjugated) transpose
+_VOLUME_ROW_SCALE = {"sigma": 1.0, "u": -1.0, "gamma": 1.0, "q": -1.0, "v": 1.0}
+
+
 def assemble_system(assembler: Assembler, data: ProblemData,
                     monolithic: bool = False) -> AssembledSystem:
-    mesh, k = assembler.mesh, assembler.k
+    mesh, k, rho_f = assembler.mesh, assembler.k, assembler.params.rho_f
     dofmap = build_dof_map(mesh, k)
     gamma = np.flatnonzero(mesh.is_kind(FaceKind.GAMMA))
     n_e = elastic_side_normal(mesh, gamma)
@@ -236,7 +241,7 @@ def assemble_system(assembler: Assembler, data: ProblemData,
     # one node per element's volume unknowns (monolithic), then one per the
     # k+1 unknowns of a face and trace component
     first = mesh.n_elements if monolithic else 0
-    offsets, signs, nodes = _element_faces(mesh, dofmap, first)
+    offsets, weights, nodes = _element_faces(mesh, dofmap, first, rho_f)
     flat, vn = nodes.reshape(len(nodes), -1), np.arange(mesh.n_elements)[:, None]
     pairs = ([(nodes[..., None], nodes[..., None, :]), (vn, flat), (flat, vn), (vn, vn)]
              if monolithic else [(flat[:, :, None], flat[:, None, :])])
@@ -250,24 +255,28 @@ def assemble_system(assembler: Assembler, data: ProblemData,
         blk = loc.ops.trace_dim // 3
         split = (nb, 3, blk // (k + 1), k + 1)  # (..., face, component, mode)
         tn = nodes[loc.elems, :, : split[2]]
-        faces, offset, sign = mesh.element_faces[loc.elems], offsets[loc.elems], signs[loc.elems]
+        faces, offset, w = mesh.element_faces[loc.elems], offsets[loc.elems], weights[loc.elems]
         fixed = (fixed_uhat if loc.domain == "E" else fixed_vhat)[faces].reshape(nb, -1)
         idx = trace_base + offset[..., None] + np.arange(blk)  # (nb, 3, blk)
         known = offset >= 0
         if monolithic:
-            (a, b, c, d), _, _ = assembler.shape_blocks(loc.elems, loc.domain)
+            (a, b, c, d), slices, _ = assembler.shape_blocks(loc.elems, loc.domain)
+            vw = np.empty(loc.ops.volume_dim)  # the volume rows' weights
+            for name, sl in slices.items():
+                vw[sl] = _VOLUME_ROW_SCALE[name] / (rho_f if loc.domain == "E" else 1.0)
+            a, b = vw[:, None] * a, vw[:, None] * b
             vn = loc.elems[:, None, None]  # the volume node
             # the direct trace block is face-diagonal
             d = np.einsum("efixfjz->efijxz", d.reshape(split + split[1:]))
-            pattern.add(tn[..., None], tn[..., None, :], sign[..., None, None, None, None] * d)
-            pattern.add(tn, vn, sign[..., None, None, None] * c.reshape(split + (-1,)))
+            pattern.add(tn[..., None], tn[..., None, :], w[..., None, None, None, None] * d)
+            pattern.add(tn, vn, w[..., None, None, None] * c.reshape(split + (-1,)))
             pattern.add(loc.elems, loc.elems, a)
             pattern.add(vn, tn, -b.reshape((nb, -1) + split[1:]).transpose(0, 2, 3, 1, 4))
             v_idx = vol_off[loc.elems, None] + np.arange(loc.ops.volume_dim)
-            rhs[v_idx] += (b @ fixed[..., None])[..., 0] + loc.source_moments
+            rhs[v_idx] += (b @ fixed[..., None])[..., 0] + vw * loc.source_moments
         else:
             condensed = loc.ops.condensed_map[loc.shape].reshape(nb, 3, blk, 3, blk)
-            pattern.add(tn[..., None, None], tn[:, None, None], sign[..., None, None, None, None, None]
+            pattern.add(tn[..., None, None], tn[:, None, None], w[..., None, None, None, None, None]
                         * condensed.reshape(split + split[1:]).transpose(0, 1, 2, 4, 5, 3, 6))
             # per element and row face: the flux of each eliminated trace,
             # then that of the source, subtracted one at a time in element
@@ -275,7 +284,7 @@ def assemble_system(assembler: Assembler, data: ProblemData,
             by_face = condensed.transpose(0, 1, 3, 2, 4)  # (nb, row face, column face, ...)
             terms = np.concatenate(
                 [(by_face @ fixed.reshape(nb, 1, 3, blk, 1))[..., 0],
-                 loc.rhs_trace.reshape(nb, 3, 1, blk)], axis=2) * sign[..., None, None]
+                 loc.rhs_trace.reshape(nb, 3, 1, blk)], axis=2) * w[..., None, None]
             used = np.concatenate([~known, np.ones((nb, 1), dtype=bool)], axis=1)
             use = known[:, :, None] & used[:, None, :]
             np.subtract.at(rhs, np.broadcast_to(idx[:, :, None], terms.shape)[use], terms[use])
@@ -295,32 +304,7 @@ def assemble_system(assembler: Assembler, data: ProblemData,
         fixed_vhat=fixed_vhat,
         volume_offsets=vol_off,
         nodes=pattern,
-        row_scale=row_scale(dofmap, assembler.params.rho_f, locals_, vol_off),
     )
-
-
-# the row scaling R of the monolithic volume rows, per field, in units of 1/rho_f
-# on the solid; with it R A equals its (unconjugated) transpose
-_VOLUME_ROW_SCALE = {"sigma": 1.0, "u": -1.0, "gamma": 1.0, "q": -1.0, "v": 1.0}
-
-
-def row_scale(dofmap: DofMap, rho_f: float, locals_: list[BlockLocals],
-              vol_off: np.ndarray | None) -> np.ndarray:
-    """The diagonal R that makes R A complex-symmetric: 1 on the fluid-trace
-    rows, -1/rho_f on the solid-trace rows off the interface and +1/rho_f on
-    it; monolithic (``vol_off``), each element's volume rows by field
-    (``_VOLUME_ROW_SCALE``, over rho_f on the solid)."""
-    kp1, n_vol = dofmap.k + 1, 0 if vol_off is None else int(vol_off[-1])
-    scale = np.ones(n_vol + dofmap.n_dofs)
-    solid = np.flatnonzero(dofmap.uhat_offset >= 0)
-    on_gamma = dofmap.mesh.is_kind(FaceKind.GAMMA)[solid]
-    scale[n_vol + dofmap.uhat_offset[solid, None] + np.arange(2 * kp1)] = \
-        np.where(on_gamma, 1.0, -1.0)[:, None] / rho_f
-    for loc in locals_ if vol_off is not None else ():
-        for name, sl in loc.ops.slices.items():
-            scale[vol_off[loc.elems, None] + np.arange(sl.start, sl.stop)] = \
-                _VOLUME_ROW_SCALE[name] / (rho_f if loc.domain == "E" else 1.0)
-    return scale
 
 
 def _data_moments(mesh: Mesh, k: int, data: ProblemData, gamma: np.ndarray,
@@ -359,21 +343,21 @@ def _data_moments(mesh: Mesh, k: int, data: ProblemData, gamma: np.ndarray,
 def _interface_blocks(assembler: Assembler, dofmap: DofMap, first: int, gamma: np.ndarray,
                       n_e: np.ndarray) -> list:
     """The diagonal interface blocks (row nodes, column nodes, values (n_gamma, 1, k+1)): velocity
-    row to displacement trace, traction row to scalar trace, mode by mode through one normal
-    component; a zero component pairs no nodes, so that the matrix stores no zero.  ``gamma``
-    and ``n_e`` are as in ``_data_moments``."""
-    kp1, params = assembler.k + 1, assembler.params
+    row to displacement trace and traction row to scalar trace, mode by mode through one normal
+    component, both -s n_e (the traction row is weighted by -1/rho_f as the solid's flux rows
+    are, so the two are each other's transpose); a zero component pairs no nodes, so that the
+    matrix stores no zero.  ``gamma`` and ``n_e`` are as in ``_data_moments``."""
+    kp1, s = assembler.k + 1, assembler.params.s
     v, u = (first + offset[gamma] // kp1 for offset in (dofmap.vhat_offset, dofmap.uhat_offset))
     return [(np.where(n_e[:, c] == 0, -1, rn), cn,
-             np.broadcast_to(vals[:, None, None], (len(gamma), 1, kp1)))
-            for c in (0, 1) for rn, cn, vals in ((v, u + c, -params.s * n_e[:, c]),
-                                                 (u + c, v, params.rho_f * params.s * -n_e[:, c]))]
+             np.broadcast_to((-s * n_e[:, c])[:, None, None], (len(gamma), 1, kp1)))
+            for c in (0, 1) for rn, cn in ((v, u + c), (u + c, v))]
 
 
 def _face_terms(assembler: Assembler, moments: dict[str, np.ndarray], dofmap: DofMap,
                 rhs: np.ndarray, trace_base: int, gamma: np.ndarray, n_e: np.ndarray) -> None:
-    """Neumann and interface data moments (those of ``_data_moments``), all
-    faces of a kind at once; ``gamma`` and ``n_e`` as there."""
+    """Neumann and interface data moments (those of ``_data_moments``; the
+    traction rows' over rho_f), all faces of a kind at once; ``gamma`` and ``n_e`` as there."""
     mesh, kp1, params = assembler.mesh, assembler.k + 1, assembler.params
     neumann = np.flatnonzero(mesh.is_kind(FaceKind.GAMMA_AN))
     rhs[trace_base + dofmap.vhat_offset[neumann, None] + np.arange(kp1)] += \
@@ -385,8 +369,8 @@ def _face_terms(assembler: Assembler, moments: dict[str, np.ndarray], dofmap: Do
     g2 = moments["g2"][gamma].reshape(len(gamma), 2, kp1)
     for c in (0, 1):
         u_idx = trace_base + dofmap.uhat_offset[gamma, None] + c * kp1 + np.arange(kp1)
-        rhs[u_idx] -= params.rho_f * params.s * -n_e[:, c, None] * moments["v_inc"][gamma]
-        rhs[u_idx] += g2[:, c]
+        rhs[u_idx] -= params.s * -n_e[:, c, None] * moments["v_inc"][gamma]
+        rhs[u_idx] += g2[:, c] / params.rho_f
 
 
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -503,8 +487,7 @@ class _Fronts:
     by subtree of the root (its left, its right, the root itself), half of
     that subtree, depth (deepest first), front and node (``perm``: the
     unknown at each place), and the ``batches`` are stored in that order,
-    so each comes before the batch of its fronts' parents.  ``scale`` is the
-    row scaling R.
+    so each comes before the batch of its fronts' parents.
     """
 
     def __init__(self, system: AssembledSystem):
@@ -545,7 +528,6 @@ class _Fronts:
         self.perm = _ranges(bounds[nodes], bounds[nodes + 1])
         fstart = np.empty(n_fronts, dtype=int)
         fstart[order] = np.cumsum(n1[order]) - n1[order]
-        self.scale = system.row_scale
 
         # each (front, node) pair's place in the front: own nodes first
         bsort = np.lexsort((npos[bnode], bfront))
@@ -569,9 +551,10 @@ class _Fronts:
 
         # a block of the matrix goes to the front of its column node if its
         # row node is that front's or an ancestor's; the rest is the transpose's
-        at = owner[table.col]
-        keep = depth[owner[table.row]] <= depth[at]
-        cn, rn, off, diag, at = (a[keep] for a in (table.col, table.row, table.off, table.diag, at))
+        cn, rn = np.divmod(table.keys, n_nodes)
+        at = owner[cn]
+        keep = depth[owner[rn]] <= depth[at]
+        cn, rn, off, diag, at = (a[keep] for a in (cn, rn, table.off, table.diag, at))
         lr, lc = place_of(at, rn), npos[cn] - fstart[at]
 
         # batches: runs of equal subtree, depth, m and n1 in front order
@@ -589,7 +572,7 @@ class _Fronts:
                 li=li[units].reshape(len(fronts), n2[f]), blocks=[], children=[]))
         # each batch's blocks by row and column width and diagonality
         kind = np.stack([batch_of[at], width[rn], width[cn], diag], axis=1)
-        maps = np.stack([bounds[cn], bounds[rn], off, lr, lc]).astype(np.int32)
+        maps = np.stack([bounds[cn], off, lr, lc]).astype(np.int32)
         for grp in _runs(kind):
             b, wr, wc, dg = kind[grp[0]]
             self.batches[b].blocks.append((wr, wc, dg, *maps[:, grp], slot[at[grp]]))
@@ -612,8 +595,8 @@ class _Fronts:
 
 class _Factors:
     """The factored fronts: per batch, in the order of ``fronts.batches``,
-    the panels [F11; F21 F11^-1] (nb, m, n1) of the row-scaled matrix R A,
-    which is complex-symmetric."""
+    the panels [F11; F21 F11^-1] (nb, m, n1) of the complex-symmetric matrix
+    as assembled."""
 
     def __init__(self, fronts: _Fronts, panels: list):
         self.fronts, self.panels = fronts, panels
@@ -624,7 +607,7 @@ class _Factors:
         their order, children first (b2 -= L b1, z = F11^-1 b1), then
         backward in reverse (x1 = z - L^T x2); L = F21 F11^-1."""
         fr = self.fronts
-        y = (rhs * fr.scale)[fr.perm]
+        y = rhs[fr.perm]
         parts = [(b, p[:, : b.n1], p[:, b.n1 :],
                   y[b.start : b.start + len(b.fronts) * b.n1].reshape(len(b.fronts), b.n1, 1))
                  for b, p in zip(fr.batches, self.panels)]
@@ -642,7 +625,7 @@ def factor_fronts(fronts: _Fronts, matrix: sp.csc_matrix) -> _Factors:
     """Eliminate each front's own unknowns, batch by batch, the root's two
     subtrees (if it has any) on two threads started and joined here.  A
     front is gathered as its panel [F11; F21] (m, n1) from the matrix's
-    row-scaled blocks and its children's updates, and kept as [F11; F21
+    blocks, as assembled, and its children's updates, and kept as [F11; F21
     F11^-1]; it passes on its update U = F22 - F21 F11^-1 F21^T (n2, n2).
     A front with an exactly singular F11 raises ``SingularSkeletonSystem``
     naming its first face."""
@@ -653,14 +636,12 @@ def factor_fronts(fronts: _Fronts, matrix: sp.csc_matrix) -> _Factors:
 
     def eliminate(b: _Batch, panel: np.ndarray, updates: dict) -> np.ndarray:
         n1, m, n2 = b.n1, b.m, b.m - b.n1
-        for wr, wc, diag, col, row, off, lr, lc, slot in b.blocks:
+        for wr, wc, diag, col, off, lr, lc, slot in b.blocks:
             c = np.arange(wc)
             r = np.zeros((1, 1), dtype=int) if diag else np.arange(wr)[:, None]
-            rr = c if diag else r
             src = matrix.indptr[col[:, None] + c][:, None] + off[:, None, None] + r
-            panel[((slot[:, None, None] * m + lr[:, None, None] + rr) * n1
-                   + lc[:, None, None] + c).ravel()] = \
-                (matrix.data[src] * fronts.scale[row[:, None, None] + rr]).ravel()
+            panel[((slot[:, None, None] * m + lr[:, None, None] + (c if diag else r)) * n1
+                   + lc[:, None, None] + c).ravel()] = matrix.data[src].ravel()
         # a child's update rows that the parent owns add to the panel,
         # transposed (the update is symmetric); the rest of its lower right
         # block adds to F22
@@ -812,7 +793,8 @@ def solve_problem(mesh: Mesh, k: int, params: ModelParams, data: ProblemData,
 
 
 def dump_system(prefix: str, system: AssembledSystem) -> None:
-    """Write the matrix and right-hand side in Matrix Market format."""
+    """Write the matrix and right-hand side in Matrix Market format, as
+    assembled: row-weighted (the solid's flux rows by -1/rho_f), so complex-symmetric."""
     from scipy.io import mmwrite  # here, its one use: the import takes about 8 ms
     mmwrite(f"{prefix}_matrix.mtx", system.matrix)
     mmwrite(f"{prefix}_rhs.mtx", system.rhs.reshape(-1, 1))

@@ -61,7 +61,7 @@ def check_fronts(system) -> None:
     against a walk up the tree, node by node."""
     table, matrix = system.nodes, sp.csc_matrix(system.matrix)
     bounds = table.bounds
-    for stored, read in zip((table.col, table.row, table.off, table.diag),
+    for stored, read in zip((*np.divmod(table.keys, len(bounds) - 1), table.off, table.diag),
                             node_blocks(matrix, bounds)):
         assert np.array_equal(stored, read)
     fronts = skeleton._Fronts(system)

@@ -547,28 +547,28 @@ def test_solve_problem_dump_prefix(tmp_path):
 
 def test_interface_rows_couple_both_trace_families():
     mesh = build_structured_coupled(1, *COUPLED_BOXES)
-    params = ModelParams.from_young_poisson(1.0, 0.3, s=2.0 - 1.0j)
-    asm = Assembler(mesh, 1, params)
-    system = assemble_system(asm, ProblemData())
-    dm = system.dofmap
-    mat = system.matrix
-    for fid in np.flatnonzero(mesh.is_kind(FaceKind.GAMMA)):
-        v0, u0 = dm.vhat_offset[fid], dm.uhat_offset[fid]
-        block_vu = mat[v0 : v0 + 2, u0 : u0 + 4].toarray()
-        block_uv = mat[u0 : u0 + 4, v0 : v0 + 2].toarray()
-        assert np.abs(block_vu).max() > 1e-12
-        assert np.abs(block_uv).max() > 1e-12
-        # the two couplings act through the same geometric normal: the
-        # velocity row uses -s n_E, the traction row rho_f s n_A = -rho_f s n_E
-        ratio = []
-        for r in range(2):
-            for c in range(2):
-                a, b = block_vu[r, 2 * c], block_uv[2 * c, r]
-                if abs(a) > 1e-12:
-                    ratio.append(b / a)
-        ratio = np.array(ratio)
-        expected = params.rho_f * params.s / params.s
-        assert np.abs(ratio - expected).max() < 1e-12
+    for rho_f in (1.0, 2.5):
+        params = ModelParams.from_young_poisson(1.0, 0.3, s=2.0 - 1.0j, rho_f=rho_f)
+        asm = Assembler(mesh, 1, params)
+        system = assemble_system(asm, ProblemData())
+        dm = system.dofmap
+        mat = system.matrix
+        for fid in np.flatnonzero(mesh.is_kind(FaceKind.GAMMA)):
+            v0, u0 = dm.vhat_offset[fid], dm.uhat_offset[fid]
+            block_vu = mat[v0 : v0 + 2, u0 : u0 + 4].toarray()
+            block_uv = mat[u0 : u0 + 4, v0 : v0 + 2].toarray()
+            assert np.abs(block_vu).max() > 1e-12
+            assert np.abs(block_uv).max() > 1e-12
+            # the two couplings act through the same geometric normal: the
+            # velocity row uses -s n_E, the traction row rho_f s n_A = -rho_f
+            # s n_E weighted by 1/rho_f as the solid's flux rows are: -s n_E
+            ratio = []
+            for r in range(2):
+                for c in range(2):
+                    a, b = block_vu[r, 2 * c], block_uv[2 * c, r]
+                    if abs(a) > 1e-12:
+                        ratio.append(b / a)
+            assert np.abs(np.array(ratio) - 1.0).max() < 1e-12
 
 
 def test_zero_incident_wave_keeps_interface_rows_homogeneous():
@@ -582,28 +582,52 @@ def test_zero_incident_wave_keeps_interface_rows_homogeneous():
 @pytest.mark.parametrize("rho_f, s", [(2.5, 2.0 - 1.0j), (2.5, 0.3 + 4.0j)])
 @pytest.mark.parametrize("jitter", [None, 0.15])
 def test_row_scaled_coupled_matrix_is_complex_symmetric(rho_f, s, jitter):
-    # the package's row scaling R (solid-trace rows by -1/rho_f off the
-    # interface and +1/rho_f on it; monolithic, each volume field's rows by
-    # its own sign) makes the matrix equal its (unconjugated) transpose, on
-    # both routes; a sign slip in R or in an interface coupling block
-    # breaks this
+    # assembly weights the solid's flux rows by -1/rho_f (the interface
+    # traction rows with them; monolithic, each volume field's rows by its
+    # own sign), which makes the stored matrix equal its (unconjugated)
+    # transpose, on both routes; a slip in a row factor or in an interface
+    # coupling block breaks this
     shape = {} if jitter is None else {"jitter": jitter, "seed": 2}
     mesh = build_structured_coupled(2, *COUPLED_BOXES, **shape)
     params = ModelParams(s=s, rho_f=rho_f)
     for monolithic in (False, True):
-        system = assemble_system(Assembler(mesh, 2, params), ProblemData(), monolithic)
-        scale = skeleton.row_scale(system.dofmap, rho_f, system.locals_, system.volume_offsets)
-        scaled = sp.diags(scale) @ system.matrix
-        assert abs(scaled - scaled.T).max() <= 1e-13 * abs(scaled).max()
+        matrix = assemble_system(Assembler(mesh, 2, params), ProblemData(), monolithic).matrix
+        assert abs(matrix - matrix.T).max() <= 1e-13 * abs(matrix).max()
 
 
 # -- the in-place CSC assembly against triplets --------------------------------
 
 
+# the monolithic volume rows' signs, per field, in units of 1/rho_f on the solid
+VOLUME_ROW_SIGN = {"sigma": 1.0, "u": -1.0, "gamma": 1.0, "q": -1.0, "v": 1.0}
+
+
+def reference_row_scale(dofmap, rho_f, locals_, vol_off):
+    """The diagonal R that makes the conservation rows complex-symmetric: 1
+    on the fluid-trace rows, -1/rho_f on the solid-trace rows off the
+    interface and +1/rho_f on it (where the solid flux enters negated);
+    monolithic (``vol_off``), each element's volume rows by field, over rho_f
+    on the solid."""
+    kp1, n_vol = dofmap.k + 1, 0 if vol_off is None else int(vol_off[-1])
+    scale = np.ones(n_vol + dofmap.n_dofs)
+    solid = np.flatnonzero(dofmap.uhat_offset >= 0)
+    on_gamma = dofmap.mesh.is_kind(FaceKind.GAMMA)[solid]
+    scale[n_vol + dofmap.uhat_offset[solid, None] + np.arange(2 * kp1)] = \
+        np.where(on_gamma, 1.0, -1.0)[:, None] / rho_f
+    for loc in locals_ if vol_off is not None else ():
+        for name, sl in loc.ops.slices.items():
+            scale[vol_off[loc.elems, None] + np.arange(sl.start, sl.stop)] = \
+                VOLUME_ROW_SIGN[name] / (rho_f if loc.domain == "E" else 1.0)
+    return scale
+
+
 def coo_assembly(assembler, data, monolithic):
     """The trace system summed from COO triplets, entry by entry: every
     element block and interface coupling entry as a (row, column, value)
-    triplet, summed by scipy's COO to CSC conversion."""
+    triplet, summed by scipy's COO to CSC conversion.  The conservation
+    rows (the solid ones negated on the interface) are weighted by
+    ``reference_row_scale``, folded into each real row factor before any
+    complex product."""
     mesh, k = assembler.mesh, assembler.k
     dofmap = build_dof_map(mesh, k)
     gamma = np.flatnonzero(mesh.is_kind(FaceKind.GAMMA))
@@ -619,6 +643,8 @@ def coo_assembly(assembler, data, monolithic):
         vol_off = np.concatenate([[0], np.cumsum(dims)])
         n_vol = int(vol_off[-1])
     n_total = n_vol + dofmap.n_dofs
+    s, rho_f = assembler.params.s, assembler.params.rho_f
+    scale = reference_row_scale(dofmap, rho_f, locals_, vol_off)
     triplets = []
     rhs = np.zeros(n_total, dtype=complex)
 
@@ -637,10 +663,10 @@ def coo_assembly(assembler, data, monolithic):
         else:
             offset = dofmap.vhat_offset[faces]
             sign = np.ones(faces.shape)
-        sign = np.where(offset >= 0, sign, 0.0)
         fixed = (fixed_uhat if loc.domain == "E" else fixed_vhat)[faces].reshape(nb, -1)
         idx = n_vol + offset[..., None] + np.arange(blk)
         known = offset >= 0
+        sign = np.where(known, sign * scale[np.where(known, idx[..., 0], 0)], 0.0)
         r_idx, r_sign = idx[..., None, None], sign[..., None, None, None]
         c_idx, c_known = idx[:, None, None], known[:, None, None, :, None]
         r_known = known[..., None, None, None]
@@ -649,12 +675,13 @@ def coo_assembly(assembler, data, monolithic):
             add(r_idx, c_idx, r_sign * d.reshape(nb, 3, blk, 3, blk),
                 r_known & c_known & np.eye(3, dtype=bool)[None, :, None, :, None])
             v_idx = vol_off[loc.elems, None] + np.arange(loc.ops.volume_dim)
+            a, b = scale[v_idx][..., None] * a, scale[v_idx][..., None] * b
             add(idx[..., None], v_idx[:, None, None],
                 sign[..., None, None] * c.reshape(nb, 3, blk, -1), known[..., None, None])
             add(v_idx[..., None], v_idx[:, None], a, True)
             add(v_idx[..., None, None], idx[:, None], -b.reshape(nb, -1, 3, blk),
                 known[:, None, :, None])
-            rhs[v_idx] += (b @ fixed[..., None])[..., 0] + loc.source_moments
+            rhs[v_idx] += (b @ fixed[..., None])[..., 0] + scale[v_idx] * loc.source_moments
         else:
             condensed = loc.ops.condensed_map[loc.shape].reshape(nb, 3, blk, 3, blk)
             add(r_idx, c_idx, r_sign * condensed, r_known & c_known)
@@ -667,14 +694,13 @@ def coo_assembly(assembler, data, monolithic):
             np.subtract.at(rhs, np.broadcast_to(idx[:, :, None], terms.shape)[use], terms[use])
 
     if len(gamma):
-        s, rho_f = assembler.params.s, assembler.params.rho_f
         n_a = -n_e
         v_idx = n_vol + dofmap.vhat_offset[gamma, None] + np.arange(k + 1)
         ux_idx = n_vol + dofmap.uhat_offset[gamma, None] + np.arange(k + 1)
         for c, u_idx in enumerate((ux_idx, ux_idx + k + 1)):
             nonzero = n_e[:, c, None] != 0
             add(v_idx, u_idx, -s * n_e[:, c, None], nonzero)
-            add(u_idx, v_idx, rho_f * s * n_a[:, c, None], nonzero)
+            add(u_idx, v_idx, scale[u_idx] * rho_f * s * n_a[:, c, None], nonzero)
     skeleton._face_terms(assembler, moments, dofmap, rhs, n_vol, gamma, n_e)
     rows, cols, vals = (np.concatenate(part) for part in zip(*triplets))
     return sp.coo_matrix((vals, (rows, cols)), shape=(n_total, n_total)).tocsc(), rhs
@@ -724,3 +750,6 @@ def test_assembly_holds_little_beyond_the_matrix():
     matrix = system.matrix
     csc_bytes = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
     assert peak - alive <= 2.0 * csc_bytes
+    # the node table shares the matrix's CSC arrays, not copies of them
+    for name in ("data", "indices", "indptr"):
+        assert np.shares_memory(getattr(system.nodes, name), getattr(matrix, name))
