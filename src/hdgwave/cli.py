@@ -12,6 +12,7 @@ import json
 import os
 import resource
 import sys
+import time
 from dataclasses import asdict, dataclass
 
 from .local_solver import Assembler
@@ -185,12 +186,18 @@ def _mode_solve(cfg: RunConfig, case, mesh) -> int:
     assembler = Assembler(mesh, cfg.k, case.params)
     out = _out_dir(cfg)
     dump_prefix = os.path.join(out, "system") if cfg.dump_system else None
+    start = time.perf_counter()
     solution, system = solve_problem(
         mesh, cfg.k, case.params, case.data,
         assembler=assembler, dump_prefix=dump_prefix,
     )
+    solved = time.perf_counter()
     errors = compute_errors(assembler, solution, case.exact)
+    measured = time.perf_counter()
     theta = compute_theta(assembler, solution, case.exact)
+    # wall seconds per stage; study reports carry none, so they keep their bytes
+    stages = {"solve_problem": solved - start, "compute_errors": measured - solved,
+              "compute_theta": time.perf_counter() - measured}
     print(f"case={case.name} k={cfg.k} elements={mesh.n_elements} "
           f"N={system.dofmap.n_dofs} h={mesh.h:.6e}")
     for name in sorted(errors):
@@ -205,12 +212,15 @@ def _mode_solve(cfg: RunConfig, case, mesh) -> int:
         "errors": errors,
         "theta": theta,
         "solve": stats,
+        "stages": stages,
         # the process's peak resident set so far; ru_maxrss is in KiB on Linux
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
     if cfg.verbose:
         for name, value in stats.items():
             print(f"solve.{name}={value}")
+        for name, seconds in stages.items():
+            print(f"stages.{name}={seconds:.6f}")
         print(f"peak_rss_mb={payload['peak_rss_mb']}")
     with open(os.path.join(out, "report.json"), "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

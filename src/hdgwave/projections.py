@@ -12,8 +12,10 @@ study tracks.  Face projections are no separate path: a face rule's
 ``moments`` are the coefficients of the face-wise L2 projection.
 
 The volume projections work on blocks of same-domain elements
-(``BlockTables``): the exact fields are sampled once per block and every
-element's face system is one slice of a single batched solve.  The
+(``BlockTables``): the exact fields are sampled once per block, where the
+block's tables are built (``Assembler.map_blocks``, two blocks at a time on
+two threads), and every element's face system is one slice of a single
+batched solve.  The
 one-element entry points ``project_acoustic`` and ``project_elastic`` take
 the blocks of one that ``Assembler.tables`` returns.
 """
@@ -147,24 +149,30 @@ def compute_theta(assembler, solution, fields) -> float:
     matrix form (a factor 2 on the generator); all but the stress, whose
     enrichment is not orthonormal, from their coefficients.  ``fields`` is
     the ``ExactFields`` of the problem; it must cover every domain of the mesh.
+    The blocks are walked on two threads (``Assembler.map_blocks``); each
+    gives its terms, which are summed here one by one in block order, so the
+    result has the bits of a serial walk.
     """
     fields.check_covers(assembler.mesh)
     params = assembler.params
     parts = solution.parts
-    total = 0.0
-    for blk in assembler.blocks():
+
+    def block_terms(blk) -> list[float]:
         nb, n_k = blk.scalar.shape[:2]
         rows = solution.row[blk.elems]
         if blk.domain == "E":
             sig_p, u_p, _ = _project_pairs(blk, params.tau_e, fields.sigma, fields.u)
             g_p = _project_volume_scalars(blk, blk.sample_volume(fields.gamma_p))
             sig_h = blk.stress_at_points(parts["sigma"][rows])
-            total += blk.l2sq(blk.at_points(sig_p) - sig_h)
-            total += blk.coef_l2sq(u_p - parts["u"][rows].reshape(nb, 2, n_k))
-            total += 2.0 * blk.coef_l2sq(g_p - parts["gamma"][rows])
-        else:
-            pair = _one_pair(fields.q, fields.v)
-            q_p, v_p, _ = _project_pairs(blk, params.tau_a, *pair)
-            total += blk.coef_l2sq(q_p[:, 0] - parts["q"][rows].reshape(nb, 2, n_k))
-            total += blk.coef_l2sq(v_p[:, 0] - parts["v"][rows])
+            return [blk.l2sq(blk.at_points(sig_p) - sig_h),
+                    blk.coef_l2sq(u_p - parts["u"][rows].reshape(nb, 2, n_k)),
+                    2.0 * blk.coef_l2sq(g_p - parts["gamma"][rows])]
+        q_p, v_p, _ = _project_pairs(blk, params.tau_a, *_one_pair(fields.q, fields.v))
+        return [blk.coef_l2sq(q_p[:, 0] - parts["q"][rows].reshape(nb, 2, n_k)),
+                blk.coef_l2sq(v_p[:, 0] - parts["v"][rows])]
+
+    total = 0.0
+    for terms in assembler.map_blocks(block_terms):
+        for term in terms:
+            total += term
     return float(np.sqrt(total))

@@ -295,6 +295,10 @@ def assemble_system(assembler: Assembler, data: ProblemData,
 
     matrix = sp.csc_matrix((pattern.data, pattern.indices, pattern.indptr),
                            shape=(n_total, n_total))
+    # what only assembly reads goes before the factorization; the solve and
+    # recovery read the lift maps, ``rhs_volume``, ``rcond`` and the slices
+    for loc in locals_:
+        loc.ops.condensed_map = loc.source_moments = loc.rhs_trace = None
     return AssembledSystem(
         matrix=matrix,
         rhs=rhs,
@@ -813,13 +817,16 @@ def conservation_report(assembler: Assembler, data: ProblemData,
     kp1 = k + 1
     s, rho_f = params.s, params.rho_f
 
+    def block_flux(blk):
+        vol = solution.volume[blk.domain][solution.row[blk.elems]]
+        traces = (solution.uhat if blk.domain == "E" else solution.vhat)[blk.face_ids]
+        return blk.domain, blk.elems, reconstruct_flux(blk, params, vol, traces)
+
     # outward flux moments of every element face, per domain
     flux = {"E": np.zeros((mesh.n_elements, 3, 2 * kp1), dtype=complex),
             "A": np.zeros((mesh.n_elements, 3, kp1), dtype=complex)}
-    for blk in assembler.blocks():
-        vol = solution.volume[blk.domain][solution.row[blk.elems]]
-        traces = (solution.uhat if blk.domain == "E" else solution.vhat)[blk.face_ids]
-        flux[blk.domain][blk.elems] = reconstruct_flux(blk, params, vol, traces)
+    for domain, elems, block in assembler.map_blocks(block_flux):
+        flux[domain][elems] = block
     gamma = np.flatnonzero(mesh.is_kind(FaceKind.GAMMA))
     n_e = elastic_side_normal(mesh, gamma)
     moments = _data_moments(mesh, k, data, gamma, n_e)
@@ -865,29 +872,30 @@ def energy_quantities(assembler: Assembler, solution: FieldSolution) -> dict[str
     params = assembler.params
     re_s = params.s.real
     parts = solution.parts
-    e_solid = 0.0
-    e_fluid = 0.0
-    for blk in assembler.blocks():
+
+    def block_terms(blk) -> tuple[str, list[float]]:
         nb, n_p = blk.scalar.shape[:2]
         rows = solution.row[blk.elems]
         tr = (solution.uhat if blk.domain == "E" else solution.vhat)[blk.face_ids]
         if blk.domain == "E":
             sig = blk.stress_at_points(parts["sigma"][rows])
             comp = hooke_inverse_apply(sig, params.lam, params.mu)
-            e_solid += re_s * float(
-                np.einsum("eq,eqrc->", blk.weights, (comp * sig.conj()).real)
-            )
             u_f = blk.at_face_points(parts["u"][rows].reshape(nb, 2, n_p))
             mism = u_f - blk.traces_at_face_points(tr.reshape(nb, 3, 2, -1))
-            e_solid += (params.s * params.tau_e).real * float(
-                np.einsum("efp,efpc->", blk.faces.weights, np.abs(mism) ** 2)
-            )
-        else:
-            q = blk.at_points(parts["q"][rows].reshape(nb, 2, n_p))
-            e_fluid += re_s * params.rho_f * blk.l2sq(q)
-            mism = (blk.at_face_points(parts["v"][rows])
-                    - blk.traces_at_face_points(tr.reshape(nb, 3, -1)))
-            e_fluid += (params.s * params.tau_a).real * params.rho_f * float(
-                np.einsum("efp,efp->", blk.faces.weights, np.abs(mism) ** 2)
-            )
-    return {"elastic": e_solid, "acoustic": e_fluid}
+            return "elastic", [
+                re_s * float(np.einsum("eq,eqrc->", blk.weights, (comp * sig.conj()).real)),
+                (params.s * params.tau_e).real * float(
+                    np.einsum("efp,efpc->", blk.faces.weights, np.abs(mism) ** 2))]
+        q = blk.at_points(parts["q"][rows].reshape(nb, 2, n_p))
+        mism = (blk.at_face_points(parts["v"][rows])
+                - blk.traces_at_face_points(tr.reshape(nb, 3, -1)))
+        return "acoustic", [
+            re_s * params.rho_f * blk.l2sq(q),
+            (params.s * params.tau_a).real * params.rho_f * float(
+                np.einsum("efp,efp->", blk.faces.weights, np.abs(mism) ** 2))]
+
+    energies = {"elastic": 0.0, "acoustic": 0.0}
+    for name, terms in assembler.map_blocks(block_terms):
+        for term in terms:
+            energies[name] += term
+    return energies

@@ -317,30 +317,38 @@ def compute_errors(assembler: Assembler, solution: FieldSolution,
     is weighted by the diameter of each adjacent element (interior faces
     therefore count once per side).  The face error is that of the trace
     against the face-wise L2 projection of the exact field.  The skew field
-    error uses the Frobenius norm of its matrix form.
+    error uses the Frobenius norm of its matrix form.  The blocks are walked
+    on two threads (``Assembler.map_blocks``); each gives its squared terms,
+    which are summed here in block order, so the result has the bits of a
+    serial walk.
     """
     exact.check_covers(assembler.mesh)
     parts = solution.parts
-    acc = dict.fromkeys(("sigma", "u", "gamma", "q", "v", "uhat", "vhat"), 0.0)
-    for blk in assembler.blocks():
+
+    def block_terms(blk) -> dict[str, float]:
         nb, n_p = blk.scalar.shape[:2]
         rows = solution.row[blk.elems]
         if blk.domain == "E":
             sig_h = blk.stress_at_points(parts["sigma"][rows])
-            acc["sigma"] += blk.l2sq(sig_h - blk.sample_volume(exact.sigma))
             u_h = blk.at_points(parts["u"][rows].reshape(nb, 2, n_p))
-            acc["u"] += blk.l2sq(u_h - blk.sample_volume(exact.u))
             g_h = blk.at_points(parts["gamma"][rows])
-            acc["gamma"] += 2.0 * blk.l2sq(g_h - blk.sample_volume(exact.gamma_p))
+            terms = {"sigma": blk.l2sq(sig_h - blk.sample_volume(exact.sigma)),
+                     "u": blk.l2sq(u_h - blk.sample_volume(exact.u)),
+                     "gamma": 2.0 * blk.l2sq(g_h - blk.sample_volume(exact.gamma_p))}
             trace, trace_fn, traces = "uhat", exact.u, solution.uhat
         else:
             q_h = blk.at_points(parts["q"][rows].reshape(nb, 2, n_p))
-            acc["q"] += blk.l2sq(q_h - blk.sample_volume(exact.q))
-            acc["v"] += blk.l2sq(blk.at_points(parts["v"][rows]) - blk.sample_volume(exact.v))
+            terms = {"q": blk.l2sq(q_h - blk.sample_volume(exact.q)),
+                     "v": blk.l2sq(blk.at_points(parts["v"][rows]) - blk.sample_volume(exact.v))}
             trace, trace_fn, traces = "vhat", exact.v, solution.vhat
         trace_err = blk.faces.moments(blk.faces.sample(trace_fn)) - traces[blk.face_ids]
-        acc[trace] += float(blk.h @ np.sum(np.abs(trace_err) ** 2, axis=(1, 2)))
+        terms[trace] = float(blk.h @ np.sum(np.abs(trace_err) ** 2, axis=(1, 2)))
+        return terms
 
+    acc = dict.fromkeys(("sigma", "u", "gamma", "q", "v", "uhat", "vhat"), 0.0)
+    for terms in assembler.map_blocks(block_terms):
+        for name, term in terms.items():
+            acc[name] += term
     names = [name for domain, named in (("E", ("sigma", "u", "gamma", "uhat")),
                                         ("A", ("q", "v", "vhat")))
              if (assembler.mesh.tri_domain == domain).any() for name in named]

@@ -145,7 +145,7 @@ def test_blocks_cover_every_element_once(monkeypatch):
     monkeypatch.setattr(local_solver, "BLOCK_SIZE", 7)
     mesh = jittered_coupled(2)
     asm = Assembler(mesh, 1, make_case("coupled63").params)
-    blocks = list(asm.blocks())
+    blocks = asm.map_blocks(lambda blk: blk)
     seen = np.concatenate([blk.elems for blk in blocks])
     assert sorted(seen.tolist()) == list(range(mesh.n_elements))
     for blk in blocks:

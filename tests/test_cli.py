@@ -370,6 +370,11 @@ def test_solve_reports_what_the_solve_did(tmp_path, capsys):
     assert 0.0 <= stats["forward_error"] < 1e-8
     for name, value in stats.items():
         assert f"solve.{name}={value}\n" in out
+    stages = payload["stages"]
+    assert set(stages) == {"solve_problem", "compute_errors", "compute_theta"}
+    for name, seconds in stages.items():
+        assert 0.0 < seconds < 600.0
+        assert f"stages.{name}={seconds:.6f}\n" in out
     # the whole process, imports and solve, in MB; ru_maxrss is in KiB on Linux
     assert 10.0 < payload["peak_rss_mb"] < 1e5
     assert f"peak_rss_mb={payload['peak_rss_mb']}\n" in out

@@ -203,7 +203,7 @@ def exact_traces(asm, blk, fn):
 def solved_blocks(asm, fn, **sources):
     """Per block: tables, local systems, exact traces and the volume
     unknowns they lift to."""
-    for blk, loc in zip(asm.blocks(), asm.all_locals(**sources)):
+    for blk, loc in zip(asm.map_blocks(lambda blk: blk), asm.all_locals(**sources)):
         assert np.array_equal(blk.elems, loc.elems)
         t = exact_traces(asm, blk, fn)
         vol = (loc.ops.lift_map[loc.shape] @ t[..., None])[..., 0] + loc.rhs_volume
@@ -536,7 +536,7 @@ def test_non_finite_block_names_its_element_before_any_solve(monkeypatch, domain
 def pointwise_vs_condensed(params, domain, k=2):
     mesh = acoustic_mesh(1) if domain == "A" else elastic_mesh(1)
     asm = Assembler(mesh, k, params)
-    (blk,), (loc,) = list(asm.blocks()), asm.all_locals()
+    (blk,), (loc,) = asm.map_blocks(lambda blk: blk), asm.all_locals()
     rng = np.random.default_rng(9)
     n = len(loc.elems)
     t = rng.normal(size=(n, loc.ops.trace_dim)) + 1j * rng.normal(size=(n, loc.ops.trace_dim))
@@ -723,7 +723,7 @@ def test_face_tables_are_the_inverse_mapped_scalar_basis(k):
         2, (-2.0, -2.0, 2.0, 2.0), (-1.0, -1.0, 1.0, 1.0), jitter=0.2, seed=7)
     asm = Assembler(mesh, k, ModelParams(s=S))
     runs = set()
-    for blk in asm.blocks():
+    for blk in asm.map_blocks(lambda blk: blk):
         values, moments = inverse_mapped_face_tables(asm, blk.elems)
         for got, want in ((blk.face_scalar, values), (blk.scalar_moments, moments)):
             assert got.shape == want.shape
@@ -740,7 +740,7 @@ def test_assembler_tables_use_each_face_rule(monkeypatch, block_size):
     mesh = build_structured_coupled(4, (-2.0, -2.0, 2.0, 2.0), (-1.0, -1.0, 1.0, 1.0))
     k = 2
     asm = Assembler(mesh, k, ModelParams(s=S))
-    for blk in asm.blocks():
+    for blk in asm.map_blocks(lambda blk: blk):
         assert len(blk.elems) <= block_size
         for fids, pts, wts, basis in zip(blk.face_ids, blk.faces.points, blk.faces.weights,
                                          blk.faces.basis):
@@ -917,7 +917,7 @@ def test_thinness_ladder_is_accurate_or_refused_monotonically(tmp_path, k):
             verdicts.append(False)
             continue
         err = norm = 0.0
-        for blk in asm.blocks():
+        for blk in asm.map_blocks(lambda blk: blk):
             exact = blk.sample_volume(case.exact.sigma)
             err += blk.l2sq(blk.stress_at_points(sol.parts["sigma"][sol.row[blk.elems]]) - exact)
             norm += blk.l2sq(exact)

@@ -315,7 +315,7 @@ def independent_energies(asm, sol) -> tuple[dict, dict]:
     traces through the face rule's basis."""
     mesh, params, ref, k = asm.mesh, asm.params, asm.ref, asm.k
     total, face = {"E": 0.0, "A": 0.0}, {"E": 0.0, "A": 0.0}
-    for blk in asm.blocks():
+    for blk in asm.map_blocks(lambda blk: blk):
         for i, e in enumerate(blk.elems):
             v0, v1, v2 = mesh.vertices[mesh.tri_vertices[e]]
             jac = np.column_stack([v1 - v0, v2 - v0])
