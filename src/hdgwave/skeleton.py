@@ -36,20 +36,19 @@ among them, by -1/rho_f (monolithic, each volume field's rows by its sign),
 which makes the matrix complex-symmetric, so a front keeps only its panel,
 F11 and F21 F11^-1, and hands its parent the update F22 - F21 F11^-1 F21^T.
 Fronts of one subtree, depth and size are factored as one batch of numpy
-kernels, which release the GIL, and the root's two subtrees on two threads;
-each thread factors the two halves of its subtree in turn, so that only one
-half's updates wait at a time.  The root adds the left subtree's updates,
-then the right one's, so every run has the same bits.  The sweeps run on
-the calling thread, in one vector, one pass over the batches each way:
-forward children first, then backward.  The fronts hold the symmetric part
-of the matrix, which is symmetric only to round-off, so one refinement step
-against the assembled matrix follows the solve.  The residual check of
-``solve_assembled`` is the only guard.
+kernels, which release the GIL, and the root's two subtrees on the calling
+thread and one worker (``two_threads``); each factors the two halves of its
+subtree in turn, so that only one half's updates wait at a time.  The root
+adds the left subtree's updates, then the right one's, so every run has the
+same bits.  The sweeps run on the calling thread, in one vector, one pass
+over the batches each way: forward children first, then backward.  The
+fronts hold the symmetric part of the matrix, which is symmetric only to
+round-off, so one refinement step against the assembled matrix follows the
+solve.  The residual check of ``solve_assembled`` is the only guard.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -62,6 +61,7 @@ from .local_solver import (
     ModelParams,
     hooke_inverse_apply,
     reconstruct_flux,
+    two_threads,
 )
 from .mesh import (
     FaceKind,
@@ -566,7 +566,6 @@ class _Fronts:
         batch_of, slot = np.empty(n_fronts, dtype=int), np.empty(n_fronts, dtype=int)
         for b, fronts in enumerate(runs):
             batch_of[fronts], slot[fronts] = b, np.arange(len(fronts))
-        self.split = n_fronts > 1
         self.batches = []
         for b, fronts in enumerate(runs):
             f, units = fronts[0], _ranges(uptr[fronts], uptr[fronts + 1])
@@ -627,18 +626,19 @@ class _Factors:
 
 def factor_fronts(fronts: _Fronts, matrix: sp.csc_matrix) -> _Factors:
     """Eliminate each front's own unknowns, batch by batch, the root's two
-    subtrees (if it has any) on two threads started and joined here.  A
-    front is gathered as its panel [F11; F21] (m, n1) from the matrix's
-    blocks, as assembled, and its children's updates, and kept as [F11; F21
-    F11^-1]; it passes on its update U = F22 - F21 F11^-1 F21^T (n2, n2).
-    A front with an exactly singular F11 raises ``SingularSkeletonSystem``
-    naming its first face."""
+    subtrees (if it has any) on ``two_threads``, then the root.  A front is
+    gathered as its panel [F11; F21] (m, n1) from the matrix's blocks, as
+    assembled, and its children's updates, and kept as [F11; F21 F11^-1];
+    it passes on its update U = F22 - F21 F11^-1 F21^T (n2, n2).  A front
+    with an exactly singular F11 raises ``SingularSkeletonSystem`` naming
+    its first face, the left subtree's if both subtrees have one."""
     sizes = [len(b.fronts) * b.m * b.n1 for b in fronts.batches]
     panels = np.split(np.zeros(sum(sizes), dtype=complex), np.cumsum(sizes)[:-1])
     uses = np.bincount([cb for b in fronts.batches for cb, *_ in b.children],
                        minlength=len(sizes))
+    updates = {}  # by batch, until their parents have them; a subtree's only by its thread
 
-    def eliminate(b: _Batch, panel: np.ndarray, updates: dict) -> np.ndarray:
+    def eliminate(b: _Batch, panel: np.ndarray) -> np.ndarray:
         n1, m, n2 = b.n1, b.m, b.m - b.n1
         for wr, wc, diag, col, off, lr, lc, slot in b.blocks:
             c = np.arange(wc)
@@ -672,17 +672,13 @@ def factor_fronts(fronts: _Fronts, matrix: sp.csc_matrix) -> _Factors:
                 del updates[cb]
         return update
 
-    def run(group: int, updates: dict) -> dict:
+    def run(group: int) -> None:
         for i, b in enumerate(fronts.batches):
             if b.group == group:
-                updates[i] = eliminate(b, panels[i], updates)
-        return updates
+                updates[i] = eliminate(b, panels[i])
 
-    subtrees = [{}, {}]
-    if fronts.split:
-        with ThreadPoolExecutor(2) as pool:
-            subtrees = list(pool.map(run, (0, 1), subtrees))
-    run(2, subtrees[0] | subtrees[1])
+    two_threads(run, sorted({b.group for b in fronts.batches} - {2}))  # none if one front
+    run(2)
     return _Factors(fronts, [p.reshape(len(b.fronts), b.m, b.n1) for p, b in
                              zip(panels, fronts.batches)])
 

@@ -149,9 +149,9 @@ def test_solution_matches_a_direct_sparse_solve(name, overrides, monolithic):
 
 
 def test_repeated_solves_give_the_same_bits(monkeypatch):
-    # two threads factor the root's subtrees; the root adds their updates
-    # left, then right, so no interleaving of the threads (switched every
-    # microsecond here) can reorder a sum
+    # the calling thread and one worker factor the root's subtrees; the root
+    # adds their updates left, then right, so no interleaving of the threads
+    # (switched every microsecond here) can reorder a sum
     case = make_case("coupled63")
     system = assemble_system(Assembler(case.mesh_at(4), 1, case.params), case.data)
     started, start = [], threading.Thread.start
@@ -163,7 +163,7 @@ def test_repeated_solves_give_the_same_bits(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", count)
     before = threading.active_count()
     first = solve_assembled(system)
-    assert len(started) == 2 and not any(t.is_alive() for t in started)
+    assert len(started) == 1 and not any(t.is_alive() for t in started)
     assert threading.active_count() == before
     interval = sys.getswitchinterval()
     try:
@@ -208,3 +208,26 @@ def test_singular_front_names_a_face():
     matrix.data[dead[matrix.indices] | dead[column]] = 0.0
     with pytest.raises(SingularSkeletonSystem, match=r"singular front at face \d+"):
         solve_assembled(system)
+
+
+def test_both_subtrees_singular_name_the_left_ones_front():
+    case = make_case("coupled63")
+    system = assemble_system(Assembler(case.mesh_at(1), 1, case.params), case.data)
+    fronts = skeleton._Fronts(system)
+    # the left subtree's last batch (its own root) and the right one's first
+    # (its deepest fronts): the right subtree's failure comes first in time
+    left = [b for b in fronts.batches if b.group == 0][-1].fronts[0]
+    right = [b for b in fronts.batches if b.group == 1][0].fronts[0]
+    bounds = system.nodes.bounds
+    dead = np.zeros(system.dofmap.n_dofs, dtype=bool)
+    for front in (left, right):
+        node = np.flatnonzero(fronts.owner == front)[0]
+        dead[bounds[node] : bounds[node + 1]] = True
+    matrix = system.matrix
+    column = np.repeat(np.arange(system.dofmap.n_dofs), np.diff(matrix.indptr))
+    matrix.data[dead[matrix.indices] | dead[column]] = 0.0
+    assert fronts.site(left) != fronts.site(right)
+    for _ in range(3):
+        with pytest.raises(SingularSkeletonSystem) as info:
+            solve_assembled(system)
+        assert str(info.value) == f"singular front at {fronts.site(left)}"
