@@ -38,6 +38,7 @@ of its edge in the face's direction.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -441,8 +442,10 @@ def two_threads(fn, items: list) -> list:
     which take the next item in turn; fewer than two items start no thread.
     Once a call raises, no item starts, and the lowest failed item's
     exception is raised, as by the serial loop.  Every thread of the package
-    starts here, and only one worker: each keeps what it frees in its own
-    malloc arena, and two workers raised the peak of jittered solves 10%."""
+    starts here, and only one worker.  Memory stays flat because
+    ``one_malloc_arena`` keeps every thread in glibc's main arena: with an
+    arena of its own, a worker keeps what it frees there, and threaded local
+    assembly raised the peak of jittered runs about 5%."""
     out, failed, taken = [None] * len(items), {}, itertools.count()
 
     def drain():
@@ -463,6 +466,22 @@ def two_threads(fn, items: list) -> list:
     return out
 
 
+def one_malloc_arena() -> None:
+    """Bound glibc's malloc to one arena for the whole process
+    (``mallopt(M_ARENA_MAX, 1)``), before any worker starts; without glibc's
+    ``mallopt`` nothing is done.  Unbounded, the package's two threads use
+    two arenas, so one is the only bound that changes anything."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(-8, 1)  # M_ARENA_MAX
+
+
+one_malloc_arena()
+
+
 class Assembler:
     """Builds block tables and local systems for one mesh, params, and degree.
 
@@ -472,9 +491,10 @@ class Assembler:
     solid enrichment are built once per key, from its first element; every
     other table (``_element_tables``) is each element's own, built from its
     vertices and faces.  Only the shapes are kept; ``all_locals``, which
-    knows the sources, builds the operators.  The post-processing walks the
-    blocks through ``map_blocks``, which builds their tables and applies a
-    function to them on ``two_threads``.
+    knows the sources, builds the operators, each domain's chunks of shapes
+    on ``two_threads``.  The post-processing walks the blocks through
+    ``map_blocks``, which builds their tables and applies a function to them
+    on ``two_threads``.
     """
 
     def __init__(self, mesh: Mesh, k: int, params: ModelParams):
@@ -554,7 +574,10 @@ class Assembler:
         it, see the shape, s h and tau h, not the size.  A^-1 [B | E F] =
         D (D A D)^-1 [D B | D E F], F the source moments of the shape's
         elements, is solved in place, Fortran-ordered, once every shape of the
-        chunk is judged; the results go straight into the domain's arrays."""
+        chunk is judged; the results go straight into the domain's arrays.
+        The chunks run on ``two_threads``, each writing only its own shapes'
+        and elements' rows, so a failure names the element the serial loop
+        would name."""
         shapes, kp1 = self._shapes(domain), self.k + 1
         slices = _volume_slices(domain, self.ref.n_scalar, kp1)
         src, n = slices[_SOURCE[domain]], len(shapes.reps)
@@ -575,7 +598,9 @@ class Assembler:
         lift = np.empty((n, n_tr, n_vol), dtype=complex).transpose(0, 2, 1)  # Fortran per shape
         condensed, rcond = np.empty((n, n_tr, n_tr), dtype=complex), np.empty(n)
         rhs_volume, rhs_trace = np.zeros_like(moments), np.zeros((len(elems), n_tr), dtype=complex)
-        for start, stop in zip(edges, [*edges[1:], n]):
+
+        def chunk_fn(bounds):
+            start, stop = bounds
             chunk, lifted = slice(start, stop), count[start]
             reps = shapes.reps[chunk]
             (a, b, c, d), _, scale = self.shape_blocks(reps, domain)
@@ -607,6 +632,8 @@ class Assembler:
             np.add(flux[..., :n_tr], d, out=condensed[chunk])
             rhs_volume[members] = lifts
             rhs_trace[members] = flux[..., n_tr:].transpose(0, 2, 1)
+
+        two_threads(chunk_fn, list(zip(edges, [*edges[1:], n])))
         ops = ShapeOperators(lift, condensed, rcond, slices)
         return [BlockLocals(domain, elems[run], rows[run], ops, moments[run],
                             rhs_volume[run], rhs_trace[run]) for run in runs]

@@ -8,7 +8,10 @@ must equal the moments of the exact normal flux (the face projection makes
 the penalty term drop out of the moments identically).
 """
 
+import collections
 import re
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -508,29 +511,63 @@ def test_assembler_keeps_no_full_stress_table(monkeypatch):
 def test_non_finite_block_names_its_element_before_any_solve(monkeypatch, domain):
     # a NaN in one shape's volume block is refused with the element's number
     # before any shape of its chunk is solved (LAPACK would carry it into the
-    # operators)
+    # operators); the chunks run on two threads, so each logs its own events
     mesh = build_structured_coupled(
         2, (-2.0, -2.0, 2.0, 2.0), (-1.0, -1.0, 1.0, 1.0), jitter=0.15, seed=5)
     asm = Assembler(mesh, 2, ModelParams(s=S))
     shape_blocks, zgetrs = asm.shape_blocks, local_solver.zgetrs
     victim = np.flatnonzero(mesh.tri_domain == domain)[3]
-    events = []
+    events, poisoner = collections.defaultdict(list), []
 
     def poisoned(reps, dom):
         (a, b, c, d), slices, scale = shape_blocks(reps, dom)
         a[reps == victim, 1, 2] = np.nan
-        events.append("poisoned" if victim in reps else "clean")
+        if victim in reps:
+            poisoner.append(threading.get_ident())
+        events[threading.get_ident()].append("poisoned" if victim in reps else "clean")
         return (a, b, c, d), slices, scale
 
     def logged(*args, **kwargs):
-        events.append("solve")
+        events[threading.get_ident()].append("solve")
         return zgetrs(*args, **kwargs)
 
     monkeypatch.setattr(asm, "shape_blocks", poisoned)
     monkeypatch.setattr(local_solver, "zgetrs", logged)
     with pytest.raises(SingularLocalSystem, match=f"element {victim}: .*not finite"):
         asm.all_locals(**unit_source("A"), **unit_source("E"))
-    assert events[-1] == "poisoned"
+    assert len(poisoner) == 1
+    assert events[poisoner[0]][-1] == "poisoned"
+
+
+def test_of_two_failing_chunks_the_lower_ones_element_is_named(monkeypatch):
+    # two non-finite shapes in different chunks of one domain: the lower
+    # chunk is held back until the higher one has failed, and the message
+    # still names the lower chunk's element, as the serial loop would
+    monkeypatch.setattr(local_solver, "SHAPE_CHUNK", 7)
+    mesh = build_structured_coupled(
+        2, (-2.0, -2.0, 2.0, 2.0), (-1.0, -1.0, 1.0, 1.0), jitter=0.15, seed=5)
+    asm = Assembler(mesh, 1, ModelParams(s=S))
+    shapes = asm._shapes("A")
+    assert len(shapes.reps) > 3 * 7
+    lower, higher = shapes.reps[3], shapes.reps[3 * 7 - 1]  # chunks 0 and 2
+    shape_blocks = asm.shape_blocks
+    for _ in range(8):
+        higher_built = threading.Event()
+
+        def poisoned(reps, dom):
+            (a, b, c, d), slices, scale = shape_blocks(reps, dom)
+            a[(reps == lower) | (reps == higher), 1, 2] = np.nan
+            if higher in reps:
+                higher_built.set()
+            if lower in reps:
+                higher_built.wait(5.0)
+                time.sleep(0.02)
+            return (a, b, c, d), slices, scale
+
+        monkeypatch.setattr(asm, "shape_blocks", poisoned)
+        with pytest.raises(SingularLocalSystem, match=f"element {lower}: .*not finite"):
+            asm.all_locals(**unit_source("A"))
+        assert higher_built.is_set()
 
 
 def pointwise_vs_condensed(params, domain, k=2):

@@ -1,4 +1,5 @@
-"""``local_solver.two_threads``, the one place that starts threads.
+"""``local_solver.two_threads``, the one place that starts threads, and the
+malloc arena bound that keeps its worker from raising the peak.
 
 The calling thread and one worker take the next item in turn.  Results come
 back in item order, fewer than two items start no thread, and a failure
@@ -7,13 +8,20 @@ exception of the lowest item that raised.
 """
 
 import ast
+import ctypes
+import os
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from hdgwave.local_solver import Assembler, two_threads
+from hdgwave import local_solver
+from hdgwave.local_solver import Assembler, ModelParams, one_malloc_arena, two_threads
+from hdgwave.mesh import build_structured_coupled
 from hdgwave.verify import make_case
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hdgwave"
@@ -57,6 +65,28 @@ def test_one_worker_and_only_with_two_items(monkeypatch):
     asm = Assembler(case.mesh_at(0), 1, case.params)
     assert len(asm.map_blocks(lambda blk: blk.domain)) == 2
     assert len(started) == 3
+
+
+def test_local_assembly_starts_one_worker_per_domain_of_several_chunks(monkeypatch):
+    # the jittered mesh has more than one chunk of shapes in each domain, so
+    # each domain's call starts one worker
+    monkeypatch.setattr(local_solver, "SHAPE_CHUNK", 7)
+    mesh = build_structured_coupled(
+        2, (-2.0, -2.0, 2.0, 2.0), (-1.0, -1.0, 1.0, 1.0), jitter=0.15, seed=5)
+    asm = Assembler(mesh, 1, ModelParams())
+    assert min(len(asm._shapes(domain).reps) for domain in ("E", "A")) > 7
+    started = count_started(monkeypatch)
+    asm.all_locals()
+    assert len(started) == 2
+    assert not any(t.is_alive() for t in started)
+
+    # the structured mesh has two shapes per domain, one chunk each: no thread
+    monkeypatch.undo()
+    case = make_case("coupled63")
+    started = count_started(monkeypatch)
+    locs = Assembler(case.mesh_at(0), 1, case.params).all_locals()
+    assert {loc.domain for loc in locs} == {"E", "A"}
+    assert started == []
 
 
 def test_the_lowest_failure_is_raised_and_no_item_starts_after_one():
@@ -104,3 +134,30 @@ def test_one_function_of_the_package_names_threads():
                     uses.add((path.stem, where))
     assert uses == {("local_solver", "two_threads")}
     assert importers == {"local_solver"}
+
+
+def test_the_arena_bound_is_one_arena_and_quiet_without_mallopt(monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    assert one_malloc_arena() is None
+    assert calls == [(-8, 1)]  # M_ARENA_MAX
+
+    def no_library(name):
+        raise OSError("no C library")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_library)
+    assert one_malloc_arena() is None
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())  # a library without mallopt
+    assert one_malloc_arena() is None
+
+
+def test_importing_the_package_with_the_arena_bound_exits_0():
+    done = subprocess.run([sys.executable, "-c", "import hdgwave"], timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
