@@ -34,11 +34,14 @@ right-hand side of its shape's solve.  Besides these maps only the solid
 enrichment is kept per shape: every other table is built from an element's
 own vertices and faces, the scalar basis on a face from the reference table
 of its edge in the face's direction.
+
+Every thread of the package starts in ``two_threads``.  Importing this
+module bounds the process to one malloc arena and one OpenBLAS thread
+(``one_arena_one_blas_thread``), so no result depends on the environment.
 """
 
 from __future__ import annotations
 
-import ctypes
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -442,9 +445,9 @@ def two_threads(fn, items: list) -> list:
     which take the next item in turn; fewer than two items start no thread.
     Once a call raises, no item starts, and the lowest failed item's
     exception is raised, as by the serial loop.  Every thread of the package
-    starts here, and only one worker.  Memory stays flat because
-    ``one_malloc_arena`` keeps every thread in glibc's main arena: with an
-    arena of its own, a worker keeps what it frees there, and threaded local
+    starts here, and only one worker.  ``one_arena_one_blas_thread`` keeps
+    OpenBLAS from adding threads of its own, and memory flat: with an arena
+    of its own, a worker keeps what it frees there, and threaded local
     assembly raised the peak of jittered runs about 5%."""
     out, failed, taken = [None] * len(items), {}, itertools.count()
 
@@ -466,20 +469,39 @@ def two_threads(fn, items: list) -> list:
     return out
 
 
-def one_malloc_arena() -> None:
-    """Bound glibc's malloc to one arena for the whole process
-    (``mallopt(M_ARENA_MAX, 1)``), before any worker starts; without glibc's
-    ``mallopt`` nothing is done.  Unbounded, the package's two threads use
-    two arenas, so one is the only bound that changes anything."""
+def one_arena_one_blas_thread() -> None:
+    """Bound the whole process, at import and before any worker starts, to
+    one glibc malloc arena (``mallopt(M_ARENA_MAX, 1)``) and one thread in
+    numpy's and scipy's bundled OpenBLAS, skipping a part whose module,
+    library or symbol is missing; the package's one use of ``ctypes``.
+    Unbounded, its two threads use two arenas, so one is the only bound that
+    changes anything.  OpenBLAS threads would share the cores with those of
+    ``two_threads``, and their count, read from ``OPENBLAS_NUM_THREADS`` or
+    the cores, would change the last bits of the results."""
+    import ctypes
+    import importlib
+
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError):
-        return
-    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-    mallopt(-8, 1)  # M_ARENA_MAX
+        pass
+    else:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(-8, 1)  # M_ARENA_MAX
+    # the handle of an extension module finds the OpenBLAS that it links
+    for module in ("numpy._core._multiarray_umath", "scipy.linalg._flapack"):
+        try:
+            blas = ctypes.CDLL(importlib.import_module(module).__file__)
+        except (ImportError, OSError):
+            continue
+        for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads"):
+            if (setter := getattr(blas, name, None)) is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
 
 
-one_malloc_arena()
+one_arena_one_blas_thread()
 
 
 class Assembler:

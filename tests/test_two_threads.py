@@ -1,5 +1,7 @@
-"""``local_solver.two_threads``, the one place that starts threads, and the
-malloc arena bound that keeps its worker from raising the peak.
+"""``local_solver.two_threads``, the one place that starts threads, and
+``one_arena_one_blas_thread``, the one place that sets the process's malloc
+arenas and BLAS threads, so that the worker does not raise the peak and
+the results do not depend on the BLAS thread variables.
 
 The calling thread and one worker take the next item in turn.  Results come
 back in item order, fewer than two items start no thread, and a failure
@@ -9,6 +11,7 @@ exception of the lowest item that raised.
 
 import ast
 import ctypes
+import json
 import os
 import subprocess
 import sys
@@ -20,13 +23,15 @@ from types import SimpleNamespace
 import pytest
 
 from hdgwave import local_solver
-from hdgwave.local_solver import Assembler, ModelParams, one_malloc_arena, two_threads
+from hdgwave.local_solver import Assembler, ModelParams, one_arena_one_blas_thread, two_threads
 from hdgwave.mesh import build_structured_coupled
 from hdgwave.verify import make_case
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hdgwave"
 THREAD_NAMES = {"ThreadPoolExecutor", "threading", "Thread"}
 THREAD_MODULES = {"concurrent", "concurrent.futures", "threading", "_thread", "multiprocessing"}
+# the extension modules whose handles find numpy's and scipy's OpenBLAS
+BLAS_MODULES = ("numpy._core._multiarray_umath", "scipy.linalg._flapack")
 
 
 class Failed(Exception):
@@ -136,28 +141,103 @@ def test_one_function_of_the_package_names_threads():
     assert importers == {"local_solver"}
 
 
+def test_one_function_of_the_package_names_ctypes():
+    # every process-wide setting is made in one place
+    uses = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for where, unit in units(ast.parse(path.read_text(encoding="utf-8"))):
+            for node in ast.walk(unit):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = {alias.name for alias in node.names} | {getattr(node, "module", None)}
+                else:
+                    names = {getattr(node, "id", getattr(node, "attr", None))}
+                if "ctypes" in {name.split(".")[0] for name in names if name}:
+                    uses.add((path.stem, where))
+    assert uses == {("local_solver", "one_arena_one_blas_thread")}
+
+
 def test_the_arena_bound_is_one_arena_and_quiet_without_mallopt(monkeypatch):
     calls = []
 
-    def mallopt(param, value):
-        calls.append((param, value))
-        return 1
+    def library(path, *symbols):
+        """A fake C library whose functions record their calls."""
+        def record(name):
+            return lambda *args: calls.append((path, name, args))
+        return SimpleNamespace(**{name: record(name) for name in symbols})
 
-    monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
-    assert one_malloc_arena() is None
-    assert calls == [(-8, 1)]  # M_ARENA_MAX
+    numpy_blas, scipy_blas = (sys.modules[module].__file__ for module in BLAS_MODULES)
+    libraries = {None: library(None, "mallopt"),
+                 numpy_blas: library(numpy_blas, "scipy_openblas_set_num_threads64_"),
+                 scipy_blas: library(scipy_blas, "scipy_openblas_set_num_threads")}
+    monkeypatch.setattr(ctypes, "CDLL", libraries.__getitem__)
+    assert one_arena_one_blas_thread() is None
+    assert calls == [(None, "mallopt", (-8, 1)),  # M_ARENA_MAX
+                     (numpy_blas, "scipy_openblas_set_num_threads64_", (1,)),
+                     (scipy_blas, "scipy_openblas_set_num_threads", (1,))]
+
+    def libc_only(path):
+        if path is not None:
+            raise OSError(f"no library {path}")
+        return libraries[None]
+
+    # libraries without the OpenBLAS setters, a CDLL that cannot load them,
+    # and a missing extension module: what is there is still set
+    for cdll in (lambda path: library(path, "mallopt"), libc_only):
+        calls.clear()
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert one_arena_one_blas_thread() is None
+        assert [name for _, name, _ in calls] == ["mallopt"]
+    calls.clear()
+    monkeypatch.setattr(ctypes, "CDLL", libraries.__getitem__)
+    monkeypatch.setitem(sys.modules, BLAS_MODULES[1], None)  # importing it raises
+    assert one_arena_one_blas_thread() is None
+    assert [name for _, name, _ in calls] == ["mallopt", "scipy_openblas_set_num_threads64_"]
 
     def no_library(name):
         raise OSError("no C library")
 
     monkeypatch.setattr(ctypes, "CDLL", no_library)
-    assert one_malloc_arena() is None
+    assert one_arena_one_blas_thread() is None
     monkeypatch.setattr(ctypes, "CDLL", lambda name: object())  # a library without mallopt
-    assert one_malloc_arena() is None
+    assert one_arena_one_blas_thread() is None
+
+
+def without_thread_variables(**env) -> dict:
+    """This process's environment with the package on the path, without
+    OpenBLAS's thread variables, plus ``env``."""
+    kept = {name: value for name, value in os.environ.items()
+            if name not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    return {**kept, "PYTHONPATH": str(PACKAGE.parent), **env}
 
 
 def test_importing_the_package_with_the_arena_bound_exits_0():
-    done = subprocess.run([sys.executable, "-c", "import hdgwave"], timeout=120,
-                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
-                          capture_output=True, text=True)
+    # each bundled OpenBLAS reads one thread after the import, wherever it
+    # has a getter; unpinned, it reads the core count
+    code = ("import ctypes, importlib, hdgwave\n"
+            f"for module in {BLAS_MODULES!r}:\n"
+            "    blas = ctypes.CDLL(importlib.import_module(module).__file__)\n"
+            "    for name in ('scipy_openblas_get_num_threads64_',\n"
+            "                 'scipy_openblas_get_num_threads', 'openblas_get_num_threads'):\n"
+            "        if hasattr(blas, name):\n"
+            "            print(module, name, getattr(blas, name)())\n")
+    done = subprocess.run([sys.executable, "-c", code], timeout=120,
+                          env=without_thread_variables(), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+    for line in done.stdout.splitlines():
+        assert line.split()[-1] == "1", line
+
+
+def test_the_results_do_not_depend_on_the_blas_thread_variables(tmp_path):
+    # at elastic62 k=1 the last bits of the errors moved between 1 and 2
+    # OpenBLAS threads before the package set its own count
+    records = []
+    for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"}):
+        out = tmp_path / str(len(records))
+        subprocess.run([sys.executable, "-m", "hdgwave.cli", "solve", "--case", "elastic62",
+                        "--k", "1", "--grid", "32", "--out", str(out)],
+                       env=without_thread_variables(**threads), check=True,
+                       capture_output=True, timeout=300)
+        report = json.loads((out / "report.json").read_text())
+        # the stage times and the peak differ from run to run
+        records.append({key: report[key] for key in ("errors", "theta", "solve")})
+    assert records[0] == records[1] == records[2]
