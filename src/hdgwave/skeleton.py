@@ -24,17 +24,18 @@ in place.  An entry sums at most two terms (the two elements of a face),
 whose order cannot move a bit, onto -0.0, which adds to any x as x; so
 the matrix has the bits of summed COO triplets.
 
-The system is solved on the dense fronts of a nested dissection of the
-mesh (A. George 1973; I. S. Duff and J. K. Reid 1983).  The elements are
-bisected recursively at the median of their centroids, along the longer
-extent of each part, into leaves of at most 4 elements.  An element couples
-only its own faces, so the faces a bisection cuts separate its halves: a
-face's trace unknowns belong to the front of the lowest common ancestor of
-its elements' leaves, and an element's volume unknowns (monolithic) to its
-leaf.  Assembly weights the solid's flux rows, the interface traction rows
-among them, by -1/rho_f (monolithic, each volume field's rows by its sign),
-which makes the matrix complex-symmetric, so a front keeps only its panel,
-F11 and F21 F11^-1, and hands its parent the update F22 - F21 F11^-1 F21^T.
+The system is solved on the dense fronts of a nested dissection of the mesh
+(A. George 1973; I. S. Duff and J. K. Reid 1983).  The elements are bisected
+recursively at the median of their centroids, along the longer extent of
+each part, into leaves of at most 4 elements, numbered as a heap
+(``_bisect``).  An element couples only its own faces, so the faces a
+bisection cuts separate its halves: a face's trace unknowns belong to the
+front of the lowest common ancestor of its elements' leaves, and an
+element's volume unknowns (monolithic) to its leaf.  Assembly weights the
+solid's flux rows, the interface traction rows among them, by -1/rho_f
+(monolithic, each volume field's rows by its sign), which makes the matrix
+complex-symmetric, so a front keeps only its panel, F11 and F21 F11^-1, and
+hands its parent the update F22 - F21 F11^-1 F21^T.
 Fronts of one subtree, depth and size are factored as one batch of numpy
 kernels, which release the GIL, and the root's two subtrees on the calling
 thread and one worker (``two_threads``); each factors the two halves of its
@@ -383,21 +384,19 @@ def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())
 
 
-def _bisect(centroids: np.ndarray):
+def _bisect(centroids: np.ndarray) -> np.ndarray:
     """Recursive bisection of the elements at the median of their centroids,
-    along the longer extent of each part, into leaves of at most 4 elements.
-    Returns each front's parent (-1 at the root), depth and side (0: the lower
-    half of its parent), fronts numbered depth by depth from the root 0, and
-    the leaf of each element."""
+    along the longer extent of each part, into leaves of at most 4 elements,
+    numbered as a heap: the root 1, and the halves of part f are 2f (the
+    lower) and 2f + 1.  Returns the leaf of each element."""
     order, leaf = np.arange(len(centroids)), np.zeros(len(centroids), dtype=int)
-    parent, depth, side = [np.array([-1])], [np.array([0])], [np.array([0])]
-    ids, lo, hi = np.array([0]), np.array([0]), np.array([len(centroids)])
+    ids, lo, hi = np.array([1]), np.array([0]), np.array([len(centroids)])
     while True:
         split = hi - lo > 4
         leaf[order[_ranges(lo[~split], hi[~split])]] = np.repeat(ids[~split], (hi - lo)[~split])
         ids, lo, hi = ids[split], lo[split], hi[split]
         if not len(ids):
-            return tuple(np.concatenate(a) for a in (parent, depth, side)) + (leaf,)
+            return leaf
         pos, size = _ranges(lo, hi), hi - lo
         part, pts = np.repeat(np.arange(len(ids)), size), centroids[order[pos]]
         first = np.cumsum(size) - size
@@ -405,21 +404,8 @@ def _bisect(centroids: np.ndarray):
         along = (extent[:, 1] > extent[:, 0])[part]
         order[pos] = order[pos[np.lexsort((np.where(along, pts[:, 1], pts[:, 0]), part))]]
         mid = (lo + hi) // 2
-        count = sum(map(len, parent))
-        parent.append(np.repeat(ids, 2))
-        depth.append(np.full(2 * len(ids), len(depth)))
-        side.append(np.tile([0, 1], len(ids)))
-        ids = count + np.arange(2 * len(ids))
+        ids = np.column_stack([2 * ids, 2 * ids + 1]).ravel()
         lo, hi = np.column_stack([lo, mid]).ravel(), np.column_stack([mid, hi]).ravel()
-
-
-def _side_of_ancestor(parent: np.ndarray, depth: np.ndarray, side: np.ndarray,
-                      level: int) -> np.ndarray:
-    """The side of each front's ancestor at depth ``level`` (2 above it)."""
-    up = np.arange(len(parent))
-    while (deep := depth[up] > level).any():
-        up = np.where(deep, parent[up], up)
-    return np.where(depth >= level, side[up], 2)
 
 
 def _nodes(system: AssembledSystem):
@@ -445,22 +431,21 @@ def _runs(key: np.ndarray) -> list[np.ndarray]:
     return [run for run in np.split(order, cut) if len(run)]
 
 
-def _lca(a: np.ndarray, b: np.ndarray, parent: np.ndarray, depth: np.ndarray) -> np.ndarray:
-    """The lowest common ancestor of the fronts a[i] and b[i]."""
-    while (differ := a != b).any():
-        da, db = depth[a], depth[b]
-        a, b = (np.where(differ & (da >= db), parent[a], a),
-                np.where(differ & (db >= da), parent[b], b))
+def _lca(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The lowest common ancestor of the fronts a[i] and b[i]: the larger of
+    two different heap numbers lies below it, so it is halved until they meet."""
+    while (a != b).any():
+        a, b = np.where(a > b, a >> 1, a), np.where(b > a, b >> 1, b)
     return a
 
 
 @dataclass
 class _Batch:
-    """Fronts of one of the root's subtrees (``group``, the thread that
-    factors them; 2: the root), half of it, depth, front size m and own size
-    n1, in front order.  Their own unknowns are the places ``start : start +
-    nb n1`` of the permuted vector (``_Fronts.perm``), their boundary
-    unknowns the places ``bidx`` (nb, n2); ``li`` (nb, n2) are those
+    """Fronts (heap numbers) of one of the root's subtrees (``group``, the
+    thread that factors them; 2: the root), half of it, depth, front size m
+    and own size n1, in front order.  Their own unknowns are the places
+    ``start : start + nb n1`` of the permuted vector (``_Fronts.perm``), their
+    boundary unknowns the places ``bidx`` (nb, n2); ``li`` (nb, n2) are those
     unknowns' places in the parent's front, in increasing order.  ``blocks``
     are the node blocks of the matrix (``AssembledSystem.nodes``) that the
     fronts gather, and ``children`` the (child batch, its members, their
@@ -483,36 +468,40 @@ class _Fronts:
 
     A node is a block of unknowns of the matrix pattern: the k+1 unknowns of
     one face and trace component or, monolithic, an element's volume
-    unknowns.  The elements are bisected (``_bisect``); a node belongs to the
-    front of the lowest common ancestor of its elements' leaves, and it is a
-    boundary unknown of every front between one of its elements' leaves and
-    its own front.  The nodes and the matrix's blocks between them are the
-    system's node table (``AssembledSystem.nodes``).  Unknowns are numbered
-    by subtree of the root (its left, its right, the root itself), half of
-    that subtree, depth (deepest first), front and node (``perm``: the
-    unknown at each place), and the ``batches`` are stored in that order,
-    so each comes before the batch of its fronts' parents.
+    unknowns.  The elements are bisected (``_bisect``); a node belongs to
+    the front (by heap number) of the lowest common ancestor of its
+    elements' leaves, and it is a boundary unknown of every front between
+    one of its elements' leaves and its own front.  The nodes and the
+    matrix's blocks between them are the system's node table
+    (``AssembledSystem.nodes``).  Unknowns are numbered by subtree of the
+    root (its left, its right, the root itself), half of that subtree, depth
+    (deepest first), front and node (``perm``: the unknown at each place),
+    and the ``batches`` are stored in that order, so each comes before the
+    batch of its fronts' parents.
     """
 
     def __init__(self, system: AssembledSystem):
         table = system.nodes
         bounds, n_nodes, width = table.bounds, table.n_nodes, np.diff(table.bounds)
         centroids, node_elems, node_face = _nodes(system)
-        parent, depth, side, leaf = _bisect(centroids)
-        n_fronts = len(parent)
-        leaf = np.append(leaf, 0)  # no element: the root
-        single = np.where(node_elems[:, 1] >= 0, node_elems[:, 1], node_elems[:, 0])
-        owner = _lca(leaf[node_elems[:, 0]], leaf[single], parent, depth)
+        leaf = _bisect(centroids)
+        n_fronts = leaf.max() + 1  # the deepest leaf's number is the largest
+        number = np.arange(n_fronts)
+        depth = np.frexp(number)[1] - 1  # the bit length less one
+        on_path = np.bincount((leaf[:, None] >> np.arange(depth[-1] + 1)).ravel()) > 0
+        fronts = np.flatnonzero(on_path & (number > 0))  # the leaves and their ancestors
+        # a node's other element or its only one (a face lists its elements in increasing order)
+        owner = _lca(leaf[node_elems[:, 0]], leaf[node_elems.max(axis=1)])
         self.node_face, self.node_elems, self.owner = node_face, node_elems, owner
 
         # boundary nodes: from each element's leaf up to, not including, the node's front
         node, which = np.nonzero(node_elems >= 0)
         front, keys = leaf[node_elems[node, which]], [np.zeros(0, dtype=int)]
         while len(node):
-            keep = depth[front] > depth[owner[node]]
+            keep = front > owner[node]  # on one root path, the deeper front is the larger
             node, front = node[keep], front[keep]
             keys.append(front * n_nodes + node)
-            front = parent[front]
+            front = front >> 1
         # (a node's elements have disjoint paths below its front: no pair repeats)
         bfront, bnode = np.divmod(np.concatenate(keys), n_nodes)
         n1 = np.bincount(owner, width, n_fronts).astype(int)
@@ -520,12 +509,14 @@ class _Fronts:
         m = n1 + n2
         # the side of a front's ancestors at depth 1 (its thread) and 2 (the
         # half of that subtree it is factored in; 2 above either)
-        group, half = (_side_of_ancestor(parent, depth, side, level) for level in (1, 2))
+        group, half = (np.where(depth >= level, (number >> np.maximum(depth - level, 0)) & 1, 2)
+                       for level in (1, 2))
 
         # the numbering: fronts by subtree, depth (deepest first), size and number
-        order = np.lexsort((np.arange(n_fronts), n1, m, -depth, half, group))
+        key = np.stack([group, half, -depth, m, n1], axis=1)
+        order = fronts[np.lexsort(key[fronts].T[::-1])]
         rank = np.empty(n_fronts, dtype=int)
-        rank[order] = np.arange(n_fronts)
+        rank[order] = np.arange(len(order))
         nodes = np.lexsort((np.arange(n_nodes), rank[owner]))
         npos = np.empty(n_nodes, dtype=int)
         npos[nodes] = np.cumsum(width[nodes]) - width[nodes]
@@ -548,31 +539,31 @@ class _Fronts:
             return place[np.searchsorted(pair, front * n_nodes + node)]
 
         bpos = _ranges(npos[bnode], npos[bnode] + bw).astype(np.int32)
-        at_parent = place_of(parent[bfront], bnode)
+        at_parent = place_of(bfront >> 1, bnode)
         li = _ranges(at_parent, at_parent + bw).astype(np.int32)
         uptr = np.concatenate([[0], np.cumsum(n2)])
-        to_own = np.bincount(bfront, bw * (at_parent < n1[parent[bfront]]), n_fronts).astype(int)
+        to_own = np.bincount(bfront, bw * (at_parent < n1[bfront >> 1]), n_fronts).astype(int)
 
         # a block of the matrix goes to the front of its column node if its
         # row node is that front's or an ancestor's; the rest is the transpose's
         cn, rn = np.divmod(table.keys, n_nodes)
         at = owner[cn]
-        keep = depth[owner[rn]] <= depth[at]
+        keep = owner[rn] <= at
         cn, rn, off, diag, at = (a[keep] for a in (cn, rn, table.off, table.diag, at))
         lr, lc = place_of(at, rn), npos[cn] - fstart[at]
 
         # batches: runs of equal subtree, depth, m and n1 in front order
-        runs = [order[run] for run in _runs(np.stack([group, half, -depth, m, n1], axis=1)[order])]
+        runs = [order[run] for run in _runs(key[order])]
         batch_of, slot = np.empty(n_fronts, dtype=int), np.empty(n_fronts, dtype=int)
-        for b, fronts in enumerate(runs):
-            batch_of[fronts], slot[fronts] = b, np.arange(len(fronts))
+        for b, run in enumerate(runs):
+            batch_of[run], slot[run] = b, np.arange(len(run))
         self.batches = []
-        for b, fronts in enumerate(runs):
-            f, units = fronts[0], _ranges(uptr[fronts], uptr[fronts + 1])
+        for b, run in enumerate(runs):
+            f, units = run[0], _ranges(uptr[run], uptr[run + 1])
             self.batches.append(_Batch(
-                group=group[f], fronts=fronts, m=m[f], n1=n1[f], start=fstart[f],
-                bidx=bpos[units].reshape(len(fronts), n2[f]),
-                li=li[units].reshape(len(fronts), n2[f]), blocks=[], children=[]))
+                group=group[f], fronts=run, m=m[f], n1=n1[f], start=fstart[f],
+                bidx=bpos[units].reshape(len(run), n2[f]),
+                li=li[units].reshape(len(run), n2[f]), blocks=[], children=[]))
         # each batch's blocks by row and column width and diagonality
         kind = np.stack([batch_of[at], width[rn], width[cn], diag], axis=1)
         maps = np.stack([bounds[cn], off, lr, lc]).astype(np.int32)
@@ -581,13 +572,12 @@ class _Fronts:
             self.batches[b].blocks.append((wr, wc, dg, *maps[:, grp], slot[at[grp]]))
         # each batch's children by side (left first), batch and the number
         # of their boundary unknowns that the parent owns
-        child = np.flatnonzero(depth > 0)
-        kind = np.stack([batch_of[parent[child]], side[child], batch_of[child], to_own[child]],
-                        axis=1)
+        child = fronts[fronts > 1]
+        kind = np.stack([batch_of[child >> 1], child & 1, batch_of[child], to_own[child]], axis=1)
         for grp in _runs(kind):
             c = child[grp]
             self.batches[kind[grp[0], 0]].children.append(
-                (batch_of[c[0]], slot[c], slot[parent[c]], to_own[c[0]]))
+                (batch_of[c[0]], slot[c], slot[c >> 1], to_own[c[0]]))
 
     def site(self, front: int) -> str:
         """The first face of a front's own unknowns (or their element)."""

@@ -53,12 +53,19 @@ def node_blocks(matrix: sp.csc_matrix, bounds: np.ndarray):
     return cn[new], rn[new], entry[new] - indptr[c0[cn[new]]], diag
 
 
+def up(front):  # the front and its ancestors, root last (heap numbers, root 1)
+    chain = [front]
+    while chain[-1] > 1:
+        chain.append(chain[-1] // 2)
+    return chain
+
+
 def check_fronts(system) -> None:
     """The stored node table is the one the matrix holds.  Each unknown is
     owned by exactly one front, a node by the lowest common ancestor of its
     elements' leaves, and each front's boundary set is exactly the
     ancestor-owned unknowns on faces of its subtree's elements; checked
-    against a walk up the tree, node by node."""
+    against a walk up the tree, node by node.  The batches hold the fronts."""
     table, matrix = system.nodes, sp.csc_matrix(system.matrix)
     bounds = table.bounds
     for stored, read in zip((*np.divmod(table.keys, len(bounds) - 1), table.off, table.diag),
@@ -66,14 +73,8 @@ def check_fronts(system) -> None:
         assert np.array_equal(stored, read)
     fronts = skeleton._Fronts(system)
     mesh, n = system.dofmap.mesh, matrix.shape[0]
-    parent, _, _, leaf = skeleton._bisect(mesh.vertices[mesh.tri_vertices].mean(axis=1))
+    leaf = skeleton._bisect(mesh.vertices[mesh.tri_vertices].mean(axis=1))
     assert np.bincount(leaf).max() <= 4
-
-    def up(front):  # the front and its ancestors, root last
-        chain = [front]
-        while parent[chain[-1]] >= 0:
-            chain.append(parent[chain[-1]])
-        return chain
 
     elements = node_elements(system)
     owner = []
@@ -85,7 +86,7 @@ def check_fronts(system) -> None:
     assert np.array_equal(fronts.owner, owner)
 
     node_of = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
-    subtree = [set() for _ in parent]  # the elements under each front
+    subtree = [set() for _ in range(leaf.max() + 1)]  # the elements under each front
     for e, lf in enumerate(leaf):
         for f in up(lf):
             subtree[f].add(e)
@@ -103,6 +104,9 @@ def check_fronts(system) -> None:
             assert set(node_of[unknowns]) == expect
             assert len(unknowns) == sum(np.diff(bounds)[list(expect)])
     assert np.array_equal(np.sort(np.concatenate(owned)), np.arange(n))
+    # the batches hold each front once, and only fronts: leaves and their ancestors
+    assert sorted(np.concatenate([b.fronts for b in fronts.batches])) == sorted(
+        {f for lf in leaf for f in up(lf)})
 
 
 @settings(max_examples=25, deadline=None)
@@ -119,6 +123,35 @@ def test_nested_dissection_invariants(kind, rung, jitter, seed, k, monolithic):
         mesh = build_structured_coupled(2 * cells, UNIT, domain=kind, **shape)
         case = make_case("acoustic61" if kind == "A" else "elastic62")
     check_fronts(assemble_system(Assembler(mesh, k, case.params), ProblemData(), monolithic))
+
+
+@settings(max_examples=25, deadline=None)
+@given(cells=st.integers(1, 5), jitter=st.sampled_from([0.0, 0.15]), seed=st.integers(0, 5),
+       data=st.data())
+def test_heap_numbers_give_the_common_ancestors(cells, jitter, seed, data):
+    mesh = build_structured_coupled(cells, *COUPLED_BOXES, jitter=jitter, seed=seed)
+    leaf = skeleton._bisect(mesh.vertices[mesh.tri_vertices].mean(axis=1))
+    element = st.integers(0, mesh.n_elements - 1)
+    a, b = leaf[np.array(data.draw(st.lists(st.tuples(element, element), min_size=1))).T]
+    # the first of a's chain in b's, read off the chains alone
+    expect = [next(f for f in up(x) if f in up(y)) for x, y in zip(a, b)]
+    assert np.array_equal(skeleton._lca(a, b), expect)
+
+    # a batch is factored by one thread, in one half of its subtree: its
+    # fronts share their ancestors at depths 1 and 2, and their group is the
+    # side of the first (2: the root)
+    case = make_case("coupled63")
+    fronts = skeleton._Fronts(assemble_system(Assembler(mesh, 1, case.params), ProblemData()))
+
+    def ancestor(front, depth):  # 0: none
+        chain = up(front)[::-1]
+        return chain[depth] if depth < len(chain) else 0
+
+    for batch in fronts.batches:
+        first, second = ({ancestor(f, depth) for f in batch.fronts} for depth in (1, 2))
+        assert len(first) == len(second) == 1
+        side = first.pop()
+        assert batch.group == (side & 1 if side else 2)
 
 
 @pytest.mark.parametrize("monolithic", [False, True])
